@@ -93,13 +93,16 @@ MultiStackSystem::issueLocal(std::size_t stack,
                              topology::ClusterId home, bool write,
                              std::function<void()> done)
 {
+    // The attempt refers to itself weakly: only this frame and a parked
+    // MSHR retry own it, so it is freed once it stops retrying.
     auto attempt = std::make_shared<std::function<void()>>();
     *attempt = [this, stack, cluster, line, home, write,
-                done = std::move(done), attempt] {
+                done = std::move(done),
+                self = std::weak_ptr<std::function<void()>>(attempt)] {
         Hub &hub = _stacks[stack]->hub(cluster);
         const Hub::Issue outcome = hub.issueMiss(line, home, write, done);
         if (outcome == Hub::Issue::MshrFull)
-            hub.stallOnMshr([attempt] { (*attempt)(); });
+            hub.stallOnMshr([retry = self.lock()] { (*retry)(); });
     };
     (*attempt)();
 }

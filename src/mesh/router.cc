@@ -24,8 +24,11 @@ stageDirection(std::size_t stage)
 Router::Router(sim::EventQueue &eq, const topology::Geometry &geom,
                topology::ClusterId id, double link_bytes_per_second,
                sim::Tick hop_latency, const RouterParams &params)
-    : _eq(eq), _geom(geom), _id(id), _params(params)
+    : _eq(eq), _id(id), _params(params)
 {
+    _routes.reserve(geom.clusters());
+    for (topology::ClusterId dst = 0; dst < geom.clusters(); ++dst)
+        _routes.push_back(route(geom, id, dst));
     for (auto &buffer : _inputs)
         buffer = std::make_unique<noc::CreditBuffer>(
             params.input_buffer_depth);
@@ -104,7 +107,7 @@ Router::tryForward(std::optional<Direction> from)
     const noc::Message *msg = peek(from);
     if (!msg)
         return false;
-    const Direction out = route(_geom, _id, msg->dst);
+    const Direction out = _routes[msg->dst];
     if (out == Direction::Local) {
         const noc::Message delivered = popInput(from);
         if (!_eject)
@@ -132,21 +135,25 @@ Router::process()
         return;
     }
     _processing = true;
-    do {
-        _reprocess = false;
-        // Keep moving messages while any stage makes progress;
-        // round-robin the starting stage so no input starves.
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (std::size_t i = 0; i < numStages; ++i) {
-                const std::size_t stage = (_rr + i) % numStages;
-                if (tryForward(stageDirection(stage)))
-                    progress = true;
-            }
-            _rr = (_rr + 1) % numStages;
+    _reprocess = false;
+    // Keep moving messages while any stage makes progress; round-robin
+    // the starting stage so no input starves.
+    bool progress = true;
+    while (progress) {
+        progress = false;
+        for (std::size_t i = 0; i < numStages; ++i) {
+            const std::size_t stage = (_rr + i) % numStages;
+            if (tryForward(stageDirection(stage)))
+                progress = true;
         }
-    } while (_reprocess);
+        _rr = (_rr + 1) % numStages;
+    }
+    // A re-entry flagged above asks for one more round of passes. The
+    // last pass moved nothing, and a pass that moves nothing has no
+    // side effects, so that round would be exactly one more empty pass:
+    // only its round-robin step remains.
+    if (_reprocess)
+        _rr = (_rr + 1) % numStages;
     _processing = false;
 }
 

@@ -15,15 +15,16 @@
 #define CORONA_MESH_ROUTER_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "mesh/routing.hh"
 #include "noc/buffer.hh"
 #include "noc/link.hh"
 #include "noc/message.hh"
+#include "noc/ring_fifo.hh"
 #include "sim/event_queue.hh"
 
 namespace corona::mesh {
@@ -114,14 +115,16 @@ class Router
     noc::Message popInput(std::optional<Direction> from);
 
     sim::EventQueue &_eq;
-    const topology::Geometry &_geom;
     topology::ClusterId _id;
     RouterParams _params;
+    /** Dimension-order output port toward each destination cluster:
+     * route() evaluated once per destination at construction. */
+    std::vector<Direction> _routes;
 
     /** Neighbour input buffers indexed by arrival direction (E,W,N,S). */
     std::array<std::unique_ptr<noc::CreditBuffer>, 4> _inputs;
     /** Local injection queue (bounded end-to-end by MSHRs). */
-    std::deque<noc::Message> _injection;
+    noc::RingFifo<noc::Message> _injection;
     /** Outgoing links indexed by direction (E,W,N,S). */
     std::array<std::unique_ptr<noc::BandwidthLink>, 4> _links;
     Eject _eject;

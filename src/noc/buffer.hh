@@ -12,10 +12,10 @@
 #define CORONA_NOC_BUFFER_HH
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 
 #include "noc/message.hh"
+#include "noc/ring_fifo.hh"
 #include "stats/stats.hh"
 
 namespace corona::noc {
@@ -86,7 +86,7 @@ class CreditBuffer
   private:
     std::size_t _capacity;
     std::size_t _reserved = 0;
-    std::deque<Message> _fifo;
+    RingFifo<Message> _fifo;
     std::function<void()> _onDrain;
     stats::TimeWeighted _occupancy;
     std::size_t _peak = 0;

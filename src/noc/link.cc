@@ -17,6 +17,9 @@ BandwidthLink::BandwidthLink(sim::EventQueue &eq, double bytes_per_second,
     if (queue_capacity == 0)
         throw std::invalid_argument("BandwidthLink: bad queue capacity");
     _bytesPerTick = bytes_per_second / static_cast<double>(sim::oneSecond);
+    for (std::size_t kind = 0; kind < numMsgKinds; ++kind)
+        _kindTicks[kind] =
+            serializationTime(wireBytes(static_cast<MsgKind>(kind)));
 }
 
 void
@@ -71,7 +74,8 @@ BandwidthLink::tryStart()
     _queue.pop_front();
     _queueWait.sample(static_cast<double>(_eq.now() - pending.enqueued));
     _busy = true;
-    const sim::Tick ser = serializationTime(pending.msg.bytes());
+    const sim::Tick ser =
+        _kindTicks[static_cast<std::size_t>(pending.msg.kind)];
     _busyTime += ser;
     _eq.scheduleIn(ser, [this, msg = pending.msg] {
         finishSerialization(msg);

@@ -12,11 +12,12 @@
 #ifndef CORONA_NOC_LINK_HH
 #define CORONA_NOC_LINK_HH
 
-#include <deque>
+#include <array>
 #include <functional>
 
 #include "noc/buffer.hh"
 #include "noc/message.hh"
+#include "noc/ring_fifo.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
@@ -101,6 +102,8 @@ class BandwidthLink
     sim::EventQueue &_eq;
     double _bytesPerSecond;
     double _bytesPerTick;
+    /** serializationTime() of each MsgKind's wire size. */
+    std::array<sim::Tick, numMsgKinds> _kindTicks{};
     sim::Tick _latency;
     std::size_t _queueCapacity;
 
@@ -109,7 +112,7 @@ class BandwidthLink
         Message msg;
         sim::Tick enqueued;
     };
-    std::deque<Pending> _queue;
+    RingFifo<Pending> _queue;
     bool _busy = false;
     bool _waitingDownstream = false;
     CreditBuffer *_downstream = nullptr;

@@ -12,6 +12,7 @@
 #ifndef CORONA_NOC_MESSAGE_HH
 #define CORONA_NOC_MESSAGE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -32,6 +33,12 @@ enum class MsgKind : std::uint8_t
     WriteAck,   ///< Write completion (header only).
     Invalidate, ///< Coherence invalidate (header only, broadcast bus).
 };
+
+/** Number of MsgKind values. */
+inline constexpr std::size_t numMsgKinds = 5;
+static_assert(static_cast<std::size_t>(MsgKind::Invalidate) + 1 ==
+                  numMsgKinds,
+              "numMsgKinds must count every MsgKind");
 
 /** Cache line size, bytes (Table 1). */
 inline constexpr std::uint32_t cacheLineBytes = 64;

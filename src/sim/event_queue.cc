@@ -34,27 +34,86 @@ EventQueue::clearOccupied(std::size_t bucket)
         _summary[word / 64] &= ~(std::uint64_t{1} << (word % 64));
 }
 
+EventQueue::NodeId
+EventQueue::allocNode(Callback &&cb)
+{
+    NodeId node = _free;
+    if (node != noNode) {
+        _free = _next[node];
+    } else {
+        if (_next.size() == noNode)
+            throw std::length_error("EventQueue: node pool exhausted");
+        node = static_cast<NodeId>(_next.size());
+        if (_next.size() == _chunks.size() * chunkNodes)
+            _chunks.push_back(std::make_unique<Node[]>(chunkNodes));
+        _next.push_back(noNode);
+    }
+    callback(node) = std::move(cb);
+    return node;
+}
+
+void
+EventQueue::freeNode(NodeId node)
+{
+    callback(node) = nullptr;
+    _next[node] = _free;
+    _free = node;
+}
+
+void
+EventQueue::append(std::size_t bucket, NodeId node)
+{
+    Bucket &list = _ring[bucket];
+    _next[node] = noNode;
+    if (list.head == noNode)
+        list.head = node;
+    else
+        _next[list.tail] = node;
+    list.tail = node;
+    markOccupied(bucket);
+    ++_ringCount;
+}
+
+EventQueue::NodeId
+EventQueue::popFront(std::size_t bucket)
+{
+    Bucket &list = _ring[bucket];
+    const NodeId node = list.head;
+    list.head = _next[node];
+    // Clear the bit as the list drains, before the callback runs: the
+    // bitmap then matches the lists even if the callback throws, and a
+    // same-tick reschedule from inside it marks the bucket again.
+    if (list.head == noNode)
+        clearOccupied(bucket);
+    --_ringCount;
+    return node;
+}
+
+void
+EventQueue::invoke(NodeId node)
+{
+    // The node leaves its bucket before the call and is freed after it,
+    // so the callback may schedule (even into its own tick) while it
+    // runs from its slot; the chunk under it never moves.
+    struct Release
+    {
+        EventQueue &queue;
+        NodeId node;
+        ~Release() { queue.freeNode(node); }
+    } release{*this, node};
+    callback(node)();
+}
+
 void
 EventQueue::schedule(Tick when, Callback cb)
 {
     if (when < _now)
         throw std::logic_error("EventQueue: scheduling into the past");
+    const NodeId node = allocNode(std::move(cb));
     if (when - _ringBase < ringWindow) {
-        Bucket &bucket = _ring[bucketOf(when)];
-        bucket.entries.push_back(std::move(cb));
-        markOccupied(bucketOf(when));
-        ++_ringCount;
+        append(bucketOf(when), node);
     } else {
-        std::uint32_t slot;
-        if (_heapFree.empty()) {
-            slot = static_cast<std::uint32_t>(_heapSlab.size());
-            _heapSlab.push_back(std::move(cb));
-        } else {
-            slot = _heapFree.back();
-            _heapFree.pop_back();
-            _heapSlab[slot] = std::move(cb);
-        }
-        _heap.push_back(HeapEntry{when, _nextSeq, slot});
+        _heap.push_back(HeapEntry{when, _nextSeq, node});
         std::push_heap(_heap.begin(), _heap.end(), later);
     }
     ++_nextSeq;
@@ -126,11 +185,7 @@ EventQueue::promoteHeapTop()
     std::pop_heap(_heap.begin(), _heap.end(), later);
     const HeapEntry entry = _heap.back();
     _heap.pop_back();
-    _ring[bucketOf(entry.when)].entries.push_back(
-        std::move(_heapSlab[entry.slot]));
-    _heapFree.push_back(entry.slot);
-    markOccupied(bucketOf(entry.when));
-    ++_ringCount;
+    append(bucketOf(entry.when), entry.node);
 }
 
 void
@@ -159,20 +214,11 @@ EventQueue::step(Tick limit)
     if (next != _ringBase)
         advanceTo(next);
 
-    Bucket &bucket = _ring[bucketOf(next)];
-    Callback cb = std::move(bucket.entries[bucket.head]);
-    if (++bucket.head == bucket.entries.size()) {
-        // Drained: recycle before invoking, so a same-tick reschedule
-        // from inside the callback starts a fresh FIFO in this bucket.
-        bucket.entries.clear();
-        bucket.head = 0;
-        clearOccupied(bucketOf(next));
-    }
-    --_ringCount;
+    const NodeId node = popFront(bucketOf(next));
     --_pending;
     _now = next;
     ++_executed;
-    cb();
+    invoke(node);
     return true;
 }
 
@@ -186,26 +232,18 @@ EventQueue::run(Tick limit)
         if (next != _ringBase)
             advanceTo(next);
 
-        // Drain the whole bucket as one contiguous array. A callback
-        // may schedule back into this tick (entries grows — re-read
-        // the size every iteration; the Bucket reference is stable,
-        // the entries storage is not) or into the future; either way
-        // the next slot to execute is always bucket.entries[head].
+        // Drain the whole bucket. A callback may schedule back into
+        // this tick (appended at the list tail, so re-read the head
+        // every iteration) or into the future.
         const std::size_t index = bucketOf(next);
-        Bucket &bucket = _ring[index];
+        const Bucket &bucket = _ring[index];
         _now = next;
-        std::size_t head = bucket.head;
-        while (head < bucket.entries.size()) {
-            Callback cb = std::move(bucket.entries[head]);
-            bucket.head = ++head;
-            --_ringCount;
+        while (bucket.head != noNode) {
+            const NodeId node = popFront(index);
             --_pending;
             ++_executed;
-            cb();
+            invoke(node);
         }
-        bucket.entries.clear();
-        bucket.head = 0;
-        clearOccupied(index);
     }
     return _now;
 }
@@ -229,17 +267,21 @@ EventQueue::reset()
                     static_cast<std::size_t>(std::countr_zero(bits));
                 bits &= bits - 1;
                 Bucket &bucket = _ring[word * 64 + bit];
-                bucket.entries.clear();
-                bucket.head = 0;
+                for (NodeId node = bucket.head; node != noNode;) {
+                    const NodeId next = _next[node];
+                    freeNode(node);
+                    node = next;
+                }
+                bucket = Bucket{};
                 ++_resetBucketsWalked;
             }
             _occupied[word] = 0;
         }
         _summary[sw] = 0;
     }
+    for (const HeapEntry &entry : _heap)
+        freeNode(entry.node);
     _heap.clear();
-    _heapSlab.clear();
-    _heapFree.clear();
     _ringBase = 0;
     _ringCount = 0;
     _pending = 0;

@@ -7,25 +7,32 @@
  * callables scheduled at absolute ticks; ties are broken by insertion order
  * so that simulations are reproducible run to run.
  *
- * The kernel is a two-level scheduler tuned for the traffic the network
- * models generate:
+ * Every pending callback lives in one node pool. Nodes sit in fixed-size
+ * chunks that never move, so a callback runs in place — even while it
+ * schedules more events and the pool grows — and its node is freed only
+ * after it returns (or throws). Freed nodes go on a LIFO free list, so
+ * the node an event frees is the next one scheduled and the working set
+ * stays as small as the peak number of pending events.
+ *
+ * The pool is indexed by a two-level scheduler tuned for the traffic the
+ * network models generate:
  *
  *  - a near-future bucket ring covering ringWindow ticks from the current
- *    base tick. One bucket holds exactly one tick's events, in insertion
- *    order, so same-tick FIFO needs no comparisons at all. The dense
- *    short-horizon events (clock edges, token hops, serialization,
- *    mesh hops) all land here. An occupancy bitmap finds the next
- *    non-empty bucket a word (64 ticks) at a time.
+ *    base tick. One bucket is the {head, tail} of one tick's node list,
+ *    in insertion order, so same-tick FIFO needs no comparisons at all.
+ *    The dense short-horizon events (clock edges, token hops,
+ *    serialization, mesh hops) all land here. A two-level occupancy
+ *    bitmap finds the next non-empty bucket a word (64 ticks) at a time.
  *
- *  - a binary heap holding events beyond the ring window (memory
- *    latencies, think times). Heap events carry an insertion sequence
- *    number and are promoted into the ring, in (tick, sequence) order,
- *    when the window slides over their tick — always before any new
- *    same-tick event can be appended directly, which preserves the
- *    global FIFO contract exactly.
+ *  - a binary heap of (tick, sequence, node) entries for events beyond
+ *    the ring window (memory latencies, think times). Entries are
+ *    promoted into the ring, in (tick, sequence) order, when the window
+ *    slides over their tick — always before any new same-tick event can
+ *    be appended directly, which preserves the global FIFO contract
+ *    exactly. Promotion relinks a node index; the callable never moves.
  *
- * Callbacks are InlineFunctions: captures up to 48 B (this + a full
- * noc::Message) are stored in the event slot itself, so the steady-state
+ * Callbacks are InlineFunctions: captures up to 56 B (this + a full
+ * 48-B noc::Message) are stored in the node itself, so the steady-state
  * hot path performs no heap allocation per event.
  */
 
@@ -34,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -105,10 +113,11 @@ class EventQueue
      *
      * Batch-drain kernel: the outer loop locates the next occupied
      * tick once per bucket (bitmap scan + heap promotion amortized
-     * over the whole tick), then the inner loop drains the bucket as a
-     * contiguous array. Same-tick events appended by a draining
-     * callback land at the array tail and execute in the same pass, so
-     * the FIFO contract is exactly that of repeated step() calls.
+     * over the whole tick), then the inner loop pops the bucket's node
+     * list and calls each callback in place. Same-tick events appended
+     * by a running callback land at the list tail and execute in the
+     * same pass, so the FIFO contract is exactly that of repeated
+     * step() calls.
      *
      * @param limit Stop (without executing) events scheduled after this
      *              tick; defaults to "run to completion".
@@ -120,27 +129,38 @@ class EventQueue
     bool step(Tick limit = maxTick);
 
     /** Drop all pending events and restore the pristine state
-     * (now == 0, fresh sequence numbers, zero executed count). Bucket
-     * and heap storage is retained for reuse. */
+     * (now == 0, fresh sequence numbers, zero executed count). Node
+     * pool, bucket and heap storage is retained for reuse. */
     void reset();
 
   private:
-    /** One tick's events, appended in schedule order and drained from
-     * @c head. Storage is recycled across ticks. */
-    struct Bucket
+    /** Index of a node in the pool. */
+    using NodeId = std::uint32_t;
+    static constexpr NodeId noNode = ~NodeId{0};
+
+    /** Nodes per pool chunk (64 KiB of callbacks). */
+    static constexpr std::size_t chunkShift = 10;
+    static constexpr std::size_t chunkNodes = std::size_t{1} << chunkShift;
+
+    /** A pool node: one callback on its own cache line. */
+    struct alignas(64) Node
     {
-        std::vector<Callback> entries;
-        std::size_t head = 0;
+        Callback cb;
     };
 
-    /** A far-future event awaiting promotion into the ring. The
-     * callback lives in a side slab so heap percolation moves 24-byte
-     * PODs, not 56-byte callables. */
+    /** One tick's node list, in schedule order. */
+    struct Bucket
+    {
+        NodeId head = noNode;
+        NodeId tail = noNode;
+    };
+
+    /** A far-future event awaiting promotion into the ring. */
     struct HeapEntry
     {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t slot;
+        NodeId node;
     };
 
     /** True when @p a fires after @p b (max-heap comparator inverted
@@ -155,6 +175,30 @@ class EventQueue
 
     std::size_t bucketOf(Tick when) const { return when & (ringWindow - 1); }
 
+    Callback &
+    callback(NodeId node)
+    {
+        return _chunks[node >> chunkShift][node & (chunkNodes - 1)].cb;
+    }
+
+    /** Take a node off the free list (growing the pool when it is
+     * empty) and move @p cb into it. */
+    NodeId allocNode(Callback &&cb);
+
+    /** Destroy the node's callback and push the node on the free list. */
+    void freeNode(NodeId node);
+
+    /** Link @p node at the tail of @p bucket's list. */
+    void append(std::size_t bucket, NodeId node);
+
+    /** Unlink and return the head of @p bucket's list (non-empty),
+     * clearing its occupancy bit when the list drains. */
+    NodeId popFront(std::size_t bucket);
+
+    /** Call the node's callback in place, then free the node — also
+     * when the callback throws. */
+    void invoke(NodeId node);
+
     /** Offset from _ringBase of the earliest occupied bucket, or
      * ringWindow when the ring is empty. */
     std::size_t nextRingOffset() const;
@@ -167,11 +211,18 @@ class EventQueue
      * the next pending event. */
     void advanceTo(Tick tick);
 
-    /** Pop the heap minimum and append it to its ring bucket. */
+    /** Pop the heap minimum and append its node to its ring bucket. */
     void promoteHeapTop();
 
     void markOccupied(std::size_t bucket);
     void clearOccupied(std::size_t bucket);
+
+    /** Node storage; a chunk's address never changes once allocated. */
+    std::vector<std::unique_ptr<Node[]>> _chunks;
+    /** Per node: the next node of its bucket list or of the free list. */
+    std::vector<NodeId> _next;
+    /** Head of the LIFO free list. */
+    NodeId _free = noNode;
 
     std::vector<Bucket> _ring;
     /** One bit per bucket; set while the bucket has unexecuted events. */
@@ -185,13 +236,8 @@ class EventQueue
     Tick _ringBase = 0;
     std::size_t _ringCount = 0;
 
-    /** Overflow min-heap (std::push_heap/std::pop_heap over a vector;
-     * unlike priority_queue::top(), the back slot after pop_heap is
-     * mutable, so entries move out without a const_cast). */
+    /** Overflow min-heap (std::push_heap/std::pop_heap over a vector). */
     std::vector<HeapEntry> _heap;
-    /** Callback storage for heap entries (slot-indexed + free list). */
-    std::vector<Callback> _heapSlab;
-    std::vector<std::uint32_t> _heapFree;
 
     std::size_t _pending = 0;
     Tick _now = 0;

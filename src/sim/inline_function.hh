@@ -6,8 +6,10 @@
  * run; wrapping each in a std::function heap-allocates whenever the
  * capture list outgrows the implementation's tiny internal buffer
  * (typically 16 B). InlineFunction stores captures up to inlineCapacity
- * bytes (48 B — enough for `this` plus a full noc::Message) directly in
- * the object and only falls back to the heap beyond that. It is
+ * bytes (56 B — enough for `this` plus a full 48-B noc::Message)
+ * directly in the object and only falls back to the heap beyond that.
+ * The object stays 64 B: one cache line, the size the 16-B aligned
+ * buffer plus the ops pointer pads to anyway. It is
  * move-only, so callables may own move-only state (including other
  * InlineFunctions) without the copyability tax std::function imposes.
  */
@@ -27,14 +29,14 @@ template <typename Signature>
 class InlineFunction;
 
 /**
- * Move-only callable with a 48-byte inline capture buffer.
+ * Move-only callable with a 56-byte inline capture buffer.
  */
 template <typename R, typename... Args>
 class InlineFunction<R(Args...)>
 {
   public:
     /** Captures at most this large live in the object itself. */
-    static constexpr std::size_t inlineCapacity = 48;
+    static constexpr std::size_t inlineCapacity = 56;
 
     InlineFunction() = default;
     InlineFunction(std::nullptr_t) {}
@@ -189,6 +191,11 @@ class InlineFunction<R(Args...)>
     alignas(std::max_align_t) unsigned char _storage[inlineCapacity];
     const Ops *_ops = nullptr;
 };
+
+static_assert(InlineFunction<void()>::inlineCapacity == 56,
+              "`this` plus a 48-B noc::Message must stay inline");
+static_assert(sizeof(InlineFunction<void()>) == 64,
+              "an event callback is one 64-B cache line");
 
 } // namespace corona::sim
 

@@ -2,11 +2,12 @@
  * @file
  * Unit and property tests for the electrical 2D mesh: dimension-order
  * routing correctness and deadlock freedom, per-hop latency, bisection
- * bandwidth ceilings, and back-pressure.
+ * bandwidth ceilings, back-pressure, and a golden forwarding order.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -275,5 +276,124 @@ INSTANTIATE_TEST_SUITE_P(
                       MeshTrafficCase{3, 2000, true},
                       MeshTrafficCase{4, 5000, false},
                       MeshTrafficCase{5, 5000, true}));
+
+// -------------------------------------------------------------------
+// Golden forwarding order under back-pressure: hot-spot and uniform
+// bursts that fill input buffers and link queues. The constants lock
+// the forwarding order — round-robin arbitration, FIFO discipline and
+// event order — so a change to any of them moves the digest.
+// -------------------------------------------------------------------
+
+struct GoldenRun
+{
+    std::uint64_t delivered = 0;
+    /** FNV-1a over the ordered (tick, message id) deliveries. */
+    std::uint64_t digest = 14695981039346656037ull;
+    std::size_t peakInput = 0;
+    double maxLinkWait = 0.0;
+};
+
+void
+fnv1a(std::uint64_t &hash, std::uint64_t word)
+{
+    for (int b = 0; b < 8; ++b) {
+        hash ^= (word >> (8 * b)) & 0xff;
+        hash *= 1099511628211ull;
+    }
+}
+
+GoldenRun
+runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
+                 const Geometry &geom)
+{
+    GoldenRun run;
+    mesh.setDeliver([&](const Message &msg) {
+        ++run.delivered;
+        fnv1a(run.digest, eq.now());
+        fnv1a(run.digest, msg.id);
+    });
+    sim::Rng rng(20260);
+    std::uint64_t next_id = 0;
+    for (int burst = 0; burst < 24; ++burst) {
+        const bool hot = rng.chance(0.5);
+        const auto hot_dst = static_cast<ClusterId>(rng.below(64));
+        const auto count = 48 + rng.below(49);
+        std::vector<Message> batch;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const auto src = static_cast<ClusterId>(rng.below(64));
+            const auto dst =
+                hot ? hot_dst : static_cast<ClusterId>(rng.below(64));
+            Message msg = makeMsg(src, dst,
+                                  rng.chance(0.6) ? MsgKind::ReadResp
+                                                  : MsgKind::ReadReq);
+            msg.id = next_id++;
+            batch.push_back(msg);
+        }
+        eq.schedule(static_cast<Tick>(burst) * 4000,
+                    [&mesh, batch] {
+                        for (const Message &msg : batch)
+                            mesh.send(msg);
+                    });
+    }
+    eq.run();
+    for (ClusterId id = 0; id < geom.clusters(); ++id) {
+        for (std::size_t d = 0; d < 4; ++d) {
+            const auto dir = static_cast<Direction>(d);
+            run.peakInput = std::max(
+                run.peakInput,
+                mesh.router(id).inputBuffer(dir).peakOccupancy());
+            if (const auto *link = mesh.router(id).link(dir))
+                run.maxLinkWait =
+                    std::max(run.maxLinkWait, link->queueWait().max());
+        }
+    }
+    EXPECT_EQ(run.delivered, next_id) << "every message delivered";
+    return run;
+}
+
+struct GoldenCase
+{
+    bool lmesh;
+    std::uint64_t delivered;
+    std::uint64_t digest;
+};
+
+class MeshGoldenOrder : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+TEST_P(MeshGoldenOrder, DeliveryOrderMatchesTheRecordedDigest)
+{
+    const auto param = GetParam();
+    EventQueue eq;
+    const Geometry geom;
+    const mesh::MeshParams params =
+        param.lmesh ? mesh::lmeshParams() : mesh::hmeshParams();
+    ElectricalMesh mesh(eq, sim::coronaClock(), geom, params,
+                        param.lmesh ? "LMesh" : "HMesh");
+
+    const GoldenRun first = runGoldenTraffic(eq, mesh, geom);
+    EXPECT_EQ(first.delivered, param.delivered);
+    EXPECT_EQ(first.digest, param.digest);
+    // The traffic must actually exercise back-pressure: some input
+    // buffer filled to its depth and some link queue held a waiter.
+    EXPECT_EQ(first.peakInput, params.router.input_buffer_depth);
+    EXPECT_GT(first.maxLinkWait, 0.0);
+
+    // A reset mesh and queue replay the identical order.
+    mesh.reset();
+    eq.reset();
+    const GoldenRun second = runGoldenTraffic(eq, mesh, geom);
+    EXPECT_EQ(second.delivered, first.delivered);
+    EXPECT_EQ(second.digest, first.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bursts, MeshGoldenOrder,
+    ::testing::Values(GoldenCase{false, 1663, 6996117947516639286ull},
+                      GoldenCase{true, 1663, 15678689531108502347ull}),
+    [](const ::testing::TestParamInfo<GoldenCase> &info) {
+        return std::string(info.param.lmesh ? "LMesh" : "HMesh");
+    });
 
 } // namespace

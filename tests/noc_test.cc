@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for NoC primitives: message sizing, credit buffers,
- * bandwidth links (serialization, latency, back-pressure), and the ideal
- * interconnect reference.
+ * Unit tests for NoC primitives: message sizing, credit buffers, the
+ * ring FIFO, bandwidth links (serialization, latency, back-pressure),
+ * and the ideal interconnect reference.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "noc/ideal_interconnect.hh"
 #include "noc/link.hh"
 #include "noc/message.hh"
+#include "noc/ring_fifo.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
@@ -113,6 +114,35 @@ TEST(CreditBuffer, OccupancyStatistics)
     buf.pop(100);
     buf.pop(100);
     EXPECT_EQ(buf.peakOccupancy(), 2u);
+}
+
+TEST(RingFifo, KeepsFifoOrderAcrossWrapAndGrowth)
+{
+    // Cycle the ring so its head sits mid-storage, then grow it while
+    // wrapped: the doubled ring must keep the original order.
+    noc::RingFifo<int> fifo;
+    int pushed = 0;
+    int popped = 0;
+    for (int i = 0; i < 5; ++i)
+        fifo.push_back(pushed++);
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(fifo.front(), popped++);
+        fifo.pop_front();
+    }
+    for (int i = 0; i < 20; ++i)
+        fifo.push_back(pushed++);
+    EXPECT_EQ(fifo.size(), 22u);
+    while (!fifo.empty()) {
+        EXPECT_EQ(fifo.front(), popped++);
+        fifo.pop_front();
+    }
+    EXPECT_EQ(popped, pushed);
+
+    fifo.push_back(7);
+    fifo.clear();
+    EXPECT_TRUE(fifo.empty());
+    fifo.push_back(8);
+    EXPECT_EQ(fifo.front(), 8);
 }
 
 TEST(BandwidthLink, SerializationTime)

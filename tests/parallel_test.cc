@@ -73,8 +73,9 @@ TEST(ExecPlan, EntityShardMapIsContiguousAndComplete)
     for (std::size_t c = 0; c < mesh.clusters; ++c) {
         EXPECT_LT(map[c], 4u);
         ++population[map[c]];
-        if (c > 0)
+        if (c > 0) {
             EXPECT_GE(map[c], map[c - 1]) << "clusters stay contiguous";
+        }
     }
     for (std::size_t k = 0; k < 4; ++k)
         EXPECT_EQ(population[k], mesh.clusters / 4)

@@ -2,17 +2,19 @@
  * @file
  * Unit tests for the simulation kernel: event queue ordering and
  * determinism (including the bucket-ring/overflow-heap boundaries),
- * the inline callable type, clock-domain arithmetic, RNG
- * distributions.
+ * pooled callback lifetimes, the inline callable type, clock-domain
+ * arithmetic, RNG distributions.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "noc/message.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
@@ -298,6 +300,130 @@ TEST(EventQueue, ResetRestoresThePristineQueue)
     EXPECT_EQ(fired, 1); // Dropped events never fire.
 }
 
+// ---------------------------------------------------------------------
+// Pooled nodes: callbacks run in place from the node pool, so every
+// capture must be destroyed exactly once — after it runs, when it
+// throws, when reset() drops it, or when the queue itself goes.
+
+struct CaptureTally
+{
+    /** Destructions of each capture id's owning instance. */
+    std::vector<int> destroyed;
+    /** Capture ids in the order their callbacks ran. */
+    std::vector<int> order;
+};
+
+/** Move-only capture that records its own destruction by id. */
+class Counted
+{
+  public:
+    Counted(CaptureTally &tally, int id) : _tally(&tally), _id(id)
+    {
+        const auto slot = static_cast<std::size_t>(id);
+        if (_tally->destroyed.size() <= slot)
+            _tally->destroyed.resize(slot + 1, 0);
+    }
+
+    Counted(Counted &&other) noexcept
+        : _tally(other._tally), _id(other._id)
+    {
+        other._tally = nullptr;
+    }
+
+    Counted(const Counted &) = delete;
+    Counted &operator=(const Counted &) = delete;
+    Counted &operator=(Counted &&) = delete;
+
+    ~Counted()
+    {
+        if (_tally)
+            ++_tally->destroyed[static_cast<std::size_t>(_id)];
+    }
+
+    void ran() const { _tally->order.push_back(_id); }
+
+  private:
+    CaptureTally *_tally;
+    int _id;
+};
+
+TEST(EventQueue, PooledCapturesAreDestroyedExactlyOnce)
+{
+    CaptureTally tally;
+    int next_id = 0;
+    auto eq = std::make_unique<EventQueue>();
+    const auto plain = [&](Tick when) {
+        eq->schedule(when, [c = Counted(tally, next_id++)] { c.ran(); });
+    };
+    const auto oversize = [&](Tick when) {
+        struct Pad
+        {
+            char bytes[64];
+        };
+        EventQueue::Callback cb(
+            [c = Counted(tally, next_id++), pad = Pad{}] {
+                (void)pad;
+                c.ran();
+            });
+        EXPECT_FALSE(cb.isInline()) << "heap-stored capture";
+        eq->schedule(when, std::move(cb));
+    };
+    const Tick far = 3 * EventQueue::ringWindow;
+
+    // id 0, current tick: grows the pool well past one chunk while it
+    // runs in place, reads its own capture afterwards, then schedules
+    // ids 8 and 9 into its own tick.
+    eq->schedule(0, [&, c = Counted(tally, next_id++)] {
+        for (int i = 0; i < 3000; ++i)
+            eq->schedule(1, [] {});
+        c.ran();
+        plain(0);
+        oversize(0);
+    });
+    oversize(0); // id 1
+    eq->schedule(0, [c = Counted(tally, next_id++)] { // id 2
+        c.ran();
+        throw std::runtime_error("mid-drain");
+    });
+    plain(0);        // id 3: same tick, behind the thrower
+    plain(500);      // id 4: further ahead in the ring
+    oversize(9000);  // id 5
+    plain(far);      // id 6: overflow heap
+    oversize(far + 1); // id 7
+
+    EXPECT_THROW(eq->run(), std::runtime_error);
+    EXPECT_EQ(tally.order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(tally.destroyed, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0, 0,
+                                                 0}))
+        << "the thrown callback's capture is destroyed with its node";
+
+    // The queue is consistent after the throw: the rest of tick 0, in
+    // FIFO order including the in-place reschedules, then tick 500.
+    EXPECT_TRUE(eq->step());
+    eq->run(500);
+    EXPECT_EQ(tally.order, (std::vector<int>{0, 1, 2, 3, 8, 9, 4}));
+    EXPECT_EQ(eq->now(), 500u);
+    EXPECT_EQ(eq->pending(), 3u);
+
+    // reset() drops the ring-ahead and heap captures exactly once.
+    eq->reset();
+    EXPECT_TRUE(eq->empty());
+    EXPECT_EQ(tally.destroyed, std::vector<int>(10, 1));
+
+    // The recycled pool schedules and runs normally; what is still
+    // pending when the queue is destroyed is destroyed with it.
+    plain(5);       // id 10
+    oversize(5);    // id 11
+    plain(far);     // id 12
+    plain(7);       // id 13
+    EXPECT_EQ(eq->run(6), 5u);
+    EXPECT_EQ(tally.order,
+              (std::vector<int>{0, 1, 2, 3, 8, 9, 4, 10, 11}));
+    EXPECT_EQ(eq->pending(), 2u);
+    eq.reset();
+    EXPECT_EQ(tally.destroyed, std::vector<int>(14, 1));
+}
+
 /** Reference kernel: the behavioural contract in its simplest form
  * (stable sort by tick, insertion order breaking ties). */
 struct ReferenceQueue
@@ -416,17 +542,18 @@ TEST(InlineFunction, SmallCapturesStayInline)
 
 TEST(InlineFunction, FortyEightByteCapturesStayInline)
 {
-    // The hot-path contract: `this` plus a full noc::Message (48 B
-    // total) must not allocate.
-    struct Blob
-    {
-        char bytes[48];
-    };
-    Blob blob{};
-    blob.bytes[0] = 7;
-    sim::InlineFunction<int()> fn([blob] { return blob.bytes[0]; });
+    // The hot-path contract: `this` plus a full noc::Message — the
+    // capture of every link, channel and hub delivery event — must
+    // not allocate.
+    static_assert(sizeof(noc::Message) == 48);
+    noc::Message msg;
+    msg.id = 7;
+    const noc::Message *self = &msg;
+    auto capture = [self, msg] { return msg.id + (self ? 0 : 1); };
+    static_assert(sizeof(capture) == 56);
+    sim::InlineFunction<std::uint64_t()> fn(capture);
     EXPECT_TRUE(fn.isInline());
-    EXPECT_EQ(fn(), 7);
+    EXPECT_EQ(fn(), 7u);
 }
 
 TEST(InlineFunction, OversizeCapturesFallBackToTheHeap)
