@@ -23,15 +23,11 @@ Hub::Issue
 Hub::issueMiss(topology::Addr line, topology::ClusterId home, bool write,
                FillFn fill)
 {
-    if (_mshrs.outstanding(line)) {
-        _mshrs.coalesce(line, std::move(fill));
-        return Issue::Coalesced;
+    switch (_mshrs.attach(line, _eq.now(), std::move(fill))) {
+      case memory::MshrFile::Attach::Coalesced: return Issue::Coalesced;
+      case memory::MshrFile::Attach::Full: return Issue::MshrFull;
+      case memory::MshrFile::Attach::Allocated: break;
     }
-    if (!_mshrs.allocate(line, _eq.now())) {
-        _mshrs.noteFullStall();
-        return Issue::MshrFull;
-    }
-    _mshrs.coalesce(line, std::move(fill)); // Primary waiter.
 
     noc::Message request;
     request.id = _nextId++;
@@ -121,9 +117,7 @@ Hub::handleResponse(const noc::Message &msg)
 void
 Hub::completeFill(topology::Addr line)
 {
-    auto wakers = _mshrs.retire(line, _eq.now());
-    for (auto &waker : wakers)
-        waker();
+    _mshrs.retire(line, _eq.now());
 }
 
 } // namespace corona::core

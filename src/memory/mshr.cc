@@ -1,5 +1,6 @@
 #include "memory/mshr.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sim/logging.hh"
@@ -13,45 +14,75 @@ MshrFile::MshrFile(std::size_t entries)
         throw std::invalid_argument("MshrFile: need >= 1 entry");
 }
 
-bool
-MshrFile::outstanding(topology::Addr line) const
+std::size_t
+MshrFile::find(topology::Addr line) const
 {
-    return _entries.contains(line);
+    return static_cast<std::size_t>(
+        std::find(_lines.begin(), _lines.end(), line) - _lines.begin());
 }
 
-bool
-MshrFile::allocate(topology::Addr line, sim::Tick now)
+MshrFile::Attach
+MshrFile::attach(topology::Addr line, sim::Tick now, WakeFn &&waker)
 {
-    if (_entries.contains(line))
-        sim::panic("MshrFile::allocate: line already outstanding");
-    if (full())
-        return false;
-    _entries.emplace(line, Entry{now, {}});
-    return true;
+    const std::size_t at = find(line);
+    if (at < _lines.size()) {
+        _slots[_slotOf[at]].waiters.push_back(std::move(waker));
+        ++_coalesced;
+        return Attach::Coalesced;
+    }
+    if (full()) {
+        ++_fullStalls;
+        return Attach::Full;
+    }
+    if (at == _slots.size()) {
+        // Every slot made so far is in use (at == inUse()): make one.
+        _slotOf.push_back(_slots.size());
+        _slots.emplace_back();
+    }
+    _lines.push_back(line);
+    Slot &slot = _slots[_slotOf[at]];
+    slot.allocated = now;
+    slot.waiters.push_back(std::move(waker));
+    ++_coalesced;
+    return Attach::Allocated;
 }
 
 void
-MshrFile::coalesce(topology::Addr line, WakeFn waker)
-{
-    auto it = _entries.find(line);
-    if (it == _entries.end())
-        sim::panic("MshrFile::coalesce: line not outstanding");
-    it->second.waiters.push_back(std::move(waker));
-    ++_coalesced;
-}
-
-std::vector<MshrFile::WakeFn>
 MshrFile::retire(topology::Addr line, sim::Tick now)
 {
-    auto it = _entries.find(line);
-    if (it == _entries.end())
+    const std::size_t at = find(line);
+    if (at == _lines.size())
         sim::panic("MshrFile::retire: line not outstanding");
-    _lifetime.sample(static_cast<double>(now - it->second.allocated));
-    std::vector<WakeFn> wakers = std::move(it->second.waiters);
-    _entries.erase(it);
+    Slot &slot = _slots[_slotOf[at]];
+    _lifetime.sample(static_cast<double>(now - slot.allocated));
+
+    // Take the waiters out and give the slot the spare storage before
+    // anything can reuse the slot.
+    std::vector<WakeFn> wakers;
+    wakers.swap(_spare);
+    wakers.swap(slot.waiters);
+    const std::size_t last = _lines.size() - 1;
+    _lines[at] = _lines[last];
+    _lines.pop_back();
+    std::swap(_slotOf[at], _slotOf[last]);
+
     if (_onFree)
         _onFree();
-    return wakers;
+    for (WakeFn &waker : wakers)
+        waker();
+    wakers.clear();
+    _spare = std::move(wakers);
+}
+
+void
+MshrFile::reset()
+{
+    for (Slot &slot : _slots)
+        slot.waiters.clear();
+    _lines.clear();
+    _lifetime.reset();
+    _coalesced = 0;
+    _fullStalls = 0;
 }
 
 } // namespace corona::memory

@@ -13,7 +13,6 @@
 #define CORONA_MEMORY_MSHR_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -25,6 +24,13 @@ namespace corona::memory {
 
 /**
  * A finite MSHR file with secondary-miss coalescing.
+ *
+ * The in-use lines form a dense tag array of at most capacity() entries,
+ * so a lookup is one linear scan of it; retiring swap-removes the tag.
+ * Each tag points at a slot holding the allocation tick and the waiters
+ * to wake on the fill. Slots are made on first use and then recycled,
+ * and a retire hands its waiter storage back to the freed slot, so a
+ * steady-state miss allocates nothing.
  */
 class MshrFile
 {
@@ -33,33 +39,35 @@ class MshrFile
      * thread id, so they always fit the inline buffer. */
     using WakeFn = sim::InlineFunction<void()>;
 
+    /** Outcome of attach(). */
+    enum class Attach
+    {
+        Coalesced, ///< Joined a miss already in flight on the line.
+        Allocated, ///< Took a free entry: the caller sends the request.
+        Full,      ///< No free entry; the waker was left untouched.
+    };
+
     /** @param entries Capacity (Table-1-scale default: 32 per cluster). */
     explicit MshrFile(std::size_t entries = 32);
 
     std::size_t capacity() const { return _capacity; }
-    std::size_t inUse() const { return _entries.size(); }
-    bool full() const { return _entries.size() >= _capacity; }
-
-    /** True when a miss on @p line is already outstanding. */
-    bool outstanding(topology::Addr line) const;
+    std::size_t inUse() const { return _lines.size(); }
+    bool full() const { return _lines.size() >= _capacity; }
 
     /**
-     * Allocate an entry for a primary miss on @p line.
-     * @return false when the file is full (caller must stall).
+     * Attach @p waker, run when @p line's fill returns, to the line's
+     * entry: join it when the line is in flight, else allocate one at
+     * @p now. On Full the waker is not consumed and the stall counts
+     * toward fullStalls().
      */
-    bool allocate(topology::Addr line, sim::Tick now);
+    Attach attach(topology::Addr line, sim::Tick now, WakeFn &&waker);
 
     /**
-     * Attach a secondary miss to an in-flight line; the waker runs when
-     * the line's fill returns. @p line must be outstanding.
+     * The fill for @p line arrived: free its entry, run onFree, then run
+     * its wakers — the allocating one first, then the rest in attach
+     * order. onFree and the wakers may attach again, even to @p line.
      */
-    void coalesce(topology::Addr line, WakeFn waker);
-
-    /**
-     * Retire the entry for @p line (fill arrived); returns the wakers of
-     * coalesced secondary misses and frees the entry.
-     */
-    std::vector<WakeFn> retire(topology::Addr line, sim::Tick now);
+    void retire(topology::Addr line, sim::Tick now);
 
     /** Register a callback run whenever an entry frees. */
     void onFree(WakeFn cb) { _onFree = std::move(cb); }
@@ -70,32 +78,32 @@ class MshrFile
     /** Secondary misses coalesced. */
     std::uint64_t coalesced() const { return _coalesced; }
 
-    /** Allocation attempts rejected because the file was full. */
+    /** Attach attempts rejected because the file was full. */
     std::uint64_t fullStalls() const { return _fullStalls; }
 
-    /** Count a rejected allocation (callers report their stalls). */
-    void noteFullStall() { ++_fullStalls; }
-
-    /** Drop every entry (and its waiters) and zero the statistics.
-     * The onFree wiring is kept. */
-    void
-    reset()
-    {
-        _entries.clear();
-        _lifetime.reset();
-        _coalesced = 0;
-        _fullStalls = 0;
-    }
+    /** Drop every entry (destroying its waiters) and zero the
+     * statistics. The onFree wiring is kept. */
+    void reset();
 
   private:
-    struct Entry
+    struct Slot
     {
-        sim::Tick allocated;
+        sim::Tick allocated = 0;
         std::vector<WakeFn> waiters;
     };
 
+    /** Position of @p line in _lines, or inUse() when absent. */
+    std::size_t find(topology::Addr line) const;
+
     std::size_t _capacity;
-    std::unordered_map<topology::Addr, Entry> _entries;
+    /** Tags of the in-use lines, dense. */
+    std::vector<topology::Addr> _lines;
+    /** A permutation of the slots: _slotOf[i] serves _lines[i] for
+     * i < inUse(), and the rest are free. */
+    std::vector<std::size_t> _slotOf;
+    std::vector<Slot> _slots;
+    /** Empty waiter storage handed to the next freed slot. */
+    std::vector<WakeFn> _spare;
     WakeFn _onFree;
     stats::RunningStats _lifetime;
     std::uint64_t _coalesced = 0;

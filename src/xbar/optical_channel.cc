@@ -70,9 +70,24 @@ OpticalChannel::send(const noc::Message &msg)
         sim::panic("OpticalChannel::send: message for another channel");
     if (msg.src >= _clusters)
         sim::panic("OpticalChannel::send: bad source cluster");
-    noc::Message stamped = msg;
-    stamped.injected = _eq.now();
-    _sources[msg.src].pending.push_back(stamped);
+    std::uint32_t node = _freeNodes;
+    if (node != kNoNode) {
+        _freeNodes = _nodes[node].next;
+    } else {
+        node = static_cast<std::uint32_t>(_nodes.size());
+        _nodes.emplace_back();
+    }
+    _nodes[node].msg = msg;
+    _nodes[node].msg.injected = _eq.now();
+    _nodes[node].next = kNoNode;
+
+    Source &source = _sources[msg.src];
+    if (source.tail == kNoNode)
+        source.head = node;
+    else
+        _nodes[source.tail].next = node;
+    source.tail = node;
+    ++_queued;
     tryArbitrate(msg.src);
 }
 
@@ -80,7 +95,7 @@ void
 OpticalChannel::tryArbitrate(topology::ClusterId src)
 {
     Source &source = _sources[src];
-    if (source.arbitrating || source.pending.empty())
+    if (source.arbitrating || source.head == kNoNode)
         return;
     if (!source.creditHeld) {
         if (source.creditQueued)
@@ -107,16 +122,15 @@ OpticalChannel::transmit(topology::ClusterId src)
 void
 OpticalChannel::sendNext(topology::ClusterId src, std::size_t remaining)
 {
-    Source &head_source = _sources[src];
-    if (head_source.pending.empty())
+    const std::uint32_t head = _sources[src].head;
+    if (head == kNoNode)
         sim::panic("OpticalChannel::sendNext: nothing pending");
 
     // The head message stays queued until its serialization completes
     // (the source is arbitrating, so nothing else consumes it) — the
     // scheduled event then captures only (this, src, remaining) and
     // fits the kernel's inline buffer.
-    const sim::Tick ser =
-        serializationTime(head_source.pending.front().bytes());
+    const sim::Tick ser = serializationTime(_nodes[head].msg.bytes());
     _busyTime += ser;
     if (_tracer)
         _tracer->record(obs::TraceKind::ChannelGrant, _home, _eq.now(),
@@ -124,8 +138,14 @@ OpticalChannel::sendNext(topology::ClusterId src, std::size_t remaining)
 
     _eq.scheduleIn(ser, [this, src, remaining] {
         Source &source = _sources[src];
-        const noc::Message msg = source.pending.front();
-        source.pending.pop_front();
+        const std::uint32_t node = source.head;
+        const noc::Message msg = _nodes[node].msg;
+        source.head = _nodes[node].next;
+        if (source.head == kNoNode)
+            source.tail = kNoNode;
+        _nodes[node].next = _freeNodes;
+        _freeNodes = node;
+        --_queued;
 
         _eq.scheduleIn(propagationTime(src), [this, msg] {
             _sink.push(msg, _eq.now(), /*reserved=*/true);
@@ -136,8 +156,7 @@ OpticalChannel::sendNext(topology::ClusterId src, std::size_t remaining)
 
         // Continue the batch while the budget, the backlog, and the
         // home buffer's credits allow.
-        if (remaining > 1 && !source.pending.empty() &&
-            _sink.reserve()) {
+        if (remaining > 1 && source.head != kNoNode && _sink.reserve()) {
             source.creditHeld = true;
             sendNext(src, remaining - 1);
             return;
@@ -168,6 +187,9 @@ OpticalChannel::reset()
     _sink.reset();
     for (Source &source : _sources)
         source = Source{};
+    _nodes.clear();
+    _freeNodes = kNoNode;
+    _queued = 0;
     _creditWaiters.clear();
     _messagesDelivered = 0;
     _bytesDelivered = 0;

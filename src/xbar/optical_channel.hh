@@ -8,19 +8,24 @@
  * home detects. Modulating on both clock edges, the 256 lambdas move 64
  * bytes per 5 GHz clock (2.56 Tb/s per channel).
  *
- * A message's life: reserve a slot in the home's finite input buffer
- * (flow control), divert the channel token (arbitration), modulate
- * (serialization at 64 B/clock), propagate (ring distance at 25 ps/hop,
- * plus one clock of retiming when crossing the serpentine wrap), land in
- * the home buffer, and drain into the hub.
+ * A message's life: queue at its source, reserve a slot in the home's
+ * finite input buffer (flow control), divert the channel token
+ * (arbitration), modulate (serialization at 64 B/clock), propagate (ring
+ * distance at 25 ps/hop, plus one clock of retiming when crossing the
+ * serpentine wrap), land in the home buffer, and drain into the hub.
+ *
+ * Every cluster may write every channel, so a channel keeps one sending
+ * queue per source: clusters^2 queues system-wide. They share one pool
+ * of message nodes per channel, and a source holds only its list's
+ * head and tail indices.
  */
 
 #ifndef CORONA_XBAR_OPTICAL_CHANNEL_HH
 #define CORONA_XBAR_OPTICAL_CHANNEL_HH
 
+#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "noc/buffer.hh"
@@ -56,6 +61,13 @@ struct ChannelParams
 
 /**
  * One MWSR optical channel with its token arbiter.
+ *
+ * Messages waiting at their sources live in the channel's own node
+ * pool: a vector of {message, next} nodes with a LIFO free list, each
+ * source linking its FIFO through it by index. The pool only grows to
+ * the channel's peak backlog and reset() keeps its storage. Under the
+ * sharded executor a channel runs on its home cluster's shard, so the
+ * pool is never shared between threads.
  */
 class OpticalChannel
 {
@@ -109,14 +121,7 @@ class OpticalChannel
     std::size_t sinkDepth() const { return _sink.size(); }
 
     /** Messages queued at sources awaiting the token. */
-    std::size_t
-    queuedMessages() const
-    {
-        std::size_t queued = 0;
-        for (const Source &source : _sources)
-            queued += source.pending.size();
-        return queued;
-    }
+    std::size_t queuedMessages() const { return _queued; }
 
     /**
      * Attach a trace sink (null detaches) to the channel and its
@@ -131,15 +136,29 @@ class OpticalChannel
     }
 
     /** Restore the pristine post-construction state: empty queues, a
-     * free token, zeroed statistics. Delivery wiring is kept. Requires
-     * the event queue to be reset alongside. */
+     * free token, zeroed statistics. Delivery wiring and the node
+     * pool's storage are kept. Requires the event queue to be reset
+     * alongside. */
     void reset();
 
   private:
-    /** Per-source sending state: queued messages awaiting the token. */
+    /** Null node index: end of a list. */
+    static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
+
+    /** A pooled queued message, linked into its source's FIFO or the
+     * free list. */
+    struct Node
+    {
+        noc::Message msg;
+        std::uint32_t next;
+    };
+
+    /** Per-source sending state: the FIFO of queued messages awaiting
+     * the token, as node indices into the channel's pool. */
     struct Source
     {
-        std::deque<noc::Message> pending;
+        std::uint32_t head = kNoNode;
+        std::uint32_t tail = kNoNode;
         bool arbitrating = false;
         bool creditHeld = false;
         /** Parked in _creditWaiters awaiting a home-buffer slot. */
@@ -171,6 +190,11 @@ class OpticalChannel
     photonics::OpticalClock _opticalClock;
     noc::CreditBuffer _sink;
     std::vector<Source> _sources;
+    /** Node pool behind every source's FIFO; nodes are held by index
+     * because a push may reallocate it. */
+    std::vector<Node> _nodes;
+    std::uint32_t _freeNodes = kNoNode;
+    std::size_t _queued = 0;
     std::deque<topology::ClusterId> _creditWaiters;
     Deliver _deliver;
 

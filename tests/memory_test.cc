@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "memory/dram.hh"
@@ -70,35 +71,54 @@ TEST(Dram, RejectsBadParams)
     EXPECT_THROW(DramModule{bad}, std::invalid_argument);
 }
 
+using Attach = MshrFile::Attach;
+
 TEST(Mshr, AllocateTrackRetire)
 {
     MshrFile mshrs(4);
-    EXPECT_TRUE(mshrs.allocate(0x1000, 10));
-    EXPECT_TRUE(mshrs.outstanding(0x1000));
-    EXPECT_FALSE(mshrs.outstanding(0x2000));
-    EXPECT_EQ(mshrs.inUse(), 1u);
     int woken = 0;
-    mshrs.coalesce(0x1000, [&] { ++woken; });
-    mshrs.coalesce(0x1000, [&] { ++woken; });
+    EXPECT_EQ(mshrs.attach(0x1000, 10, [&] { ++woken; }),
+              Attach::Allocated);
+    EXPECT_EQ(mshrs.inUse(), 1u);
+    EXPECT_EQ(mshrs.attach(0x1000, 20, [&] { ++woken; }),
+              Attach::Coalesced);
+    EXPECT_EQ(mshrs.inUse(), 1u);
     EXPECT_EQ(mshrs.coalesced(), 2u);
-    auto wakers = mshrs.retire(0x1000, 50);
-    EXPECT_EQ(wakers.size(), 2u);
-    for (auto &w : wakers)
-        w();
+    mshrs.retire(0x1000, 50);
     EXPECT_EQ(woken, 2);
     EXPECT_EQ(mshrs.inUse(), 0u);
+    // The lifetime runs from the allocating attach, not the coalesced
+    // one.
     EXPECT_DOUBLE_EQ(mshrs.lifetime().mean(), 40.0);
 }
 
 TEST(Mshr, CapacityBoundsAllocation)
 {
     MshrFile mshrs(2);
-    EXPECT_TRUE(mshrs.allocate(0x0, 0));
-    EXPECT_TRUE(mshrs.allocate(0x40, 0));
+    EXPECT_EQ(mshrs.attach(0x0, 0, [] {}), Attach::Allocated);
+    EXPECT_EQ(mshrs.attach(0x40, 0, [] {}), Attach::Allocated);
     EXPECT_TRUE(mshrs.full());
-    EXPECT_FALSE(mshrs.allocate(0x80, 0));
-    mshrs.noteFullStall();
+    EXPECT_EQ(mshrs.attach(0x80, 0, [] {}), Attach::Full);
     EXPECT_EQ(mshrs.fullStalls(), 1u);
+    // A full file still coalesces onto its in-flight lines.
+    EXPECT_EQ(mshrs.attach(0x40, 0, [] {}), Attach::Coalesced);
+    EXPECT_EQ(mshrs.fullStalls(), 1u);
+}
+
+TEST(Mshr, FullLeavesTheWakerCallable)
+{
+    MshrFile mshrs(1);
+    ASSERT_EQ(mshrs.attach(0x0, 0, [] {}), Attach::Allocated);
+    int woken = 0;
+    MshrFile::WakeFn waker = [&] { ++woken; };
+    EXPECT_EQ(mshrs.attach(0x40, 0, std::move(waker)), Attach::Full);
+    ASSERT_TRUE(waker);
+    waker();
+    EXPECT_EQ(woken, 1);
+    EXPECT_EQ(mshrs.fullStalls(), 1u);
+    // The rejected waker is not run by the fill of another line.
+    mshrs.retire(0x0, 5);
+    EXPECT_EQ(woken, 1);
 }
 
 TEST(Mshr, OnFreeFiresAtRetire)
@@ -106,18 +126,144 @@ TEST(Mshr, OnFreeFiresAtRetire)
     MshrFile mshrs(1);
     int freed = 0;
     mshrs.onFree([&] { ++freed; });
-    ASSERT_TRUE(mshrs.allocate(0x0, 0));
+    ASSERT_EQ(mshrs.attach(0x0, 0, [] {}), Attach::Allocated);
     mshrs.retire(0x0, 10);
     EXPECT_EQ(freed, 1);
+}
+
+TEST(Mshr, ScrambledRetiresKeepEveryOtherLineTracked)
+{
+    // Fill the file, then retire lines in a scrambled order: each
+    // swap-remove moves the last tag, and every line must keep its own
+    // slot (its own wakers) wherever its tag ends up.
+    constexpr std::size_t kLines = 16;
+    MshrFile mshrs(kLines);
+    std::vector<int> woken(kLines, 0);
+    std::vector<int> attached(kLines, 0);
+    const auto lineOf = [](std::size_t i) {
+        return static_cast<topology::Addr>(0x40 * (i + 1));
+    };
+    const auto attach = [&](std::size_t i) {
+        ++attached[i];
+        return mshrs.attach(lineOf(i), 0, [&woken, i] { ++woken[i]; });
+    };
+    for (std::size_t i = 0; i < kLines; ++i)
+        ASSERT_EQ(attach(i), Attach::Allocated);
+
+    std::vector<bool> live(kLines, true);
+    for (std::size_t k = 0; k < kLines; ++k) {
+        const std::size_t victim = (k * 7 + 3) % kLines;
+        mshrs.retire(lineOf(victim), 1);
+        live[victim] = false;
+        EXPECT_EQ(woken[victim], attached[victim]) << "line " << victim;
+        for (std::size_t i = 0; i < kLines; ++i) {
+            if (live[i]) {
+                EXPECT_EQ(attach(i), Attach::Coalesced) << "line " << i;
+                EXPECT_EQ(woken[i], 0) << "line " << i;
+            }
+        }
+        EXPECT_EQ(mshrs.inUse(), kLines - k - 1);
+    }
+    for (std::size_t i = 0; i < kLines; ++i)
+        EXPECT_EQ(attach(i), Attach::Allocated) << "line " << i;
+    EXPECT_TRUE(mshrs.full());
+}
+
+TEST(Mshr, WakersRunPrimaryFirstThenInAttachOrder)
+{
+    MshrFile mshrs(4);
+    std::vector<int> order;
+    ASSERT_EQ(mshrs.attach(0x80, 0, [] {}), Attach::Allocated);
+    ASSERT_EQ(mshrs.attach(0x40, 0, [&] { order.push_back(0); }),
+              Attach::Allocated);
+    for (int i = 1; i <= 4; ++i) {
+        ASSERT_EQ(mshrs.attach(0x40, 0, [&order, i] { order.push_back(i); }),
+                  Attach::Coalesced);
+    }
+    mshrs.retire(0x40, 10);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Mshr, OnFreeRunsFirstAndMayTakeTheFreedSlot)
+{
+    MshrFile mshrs(1);
+    std::vector<int> order;
+    bool reissued = false;
+    mshrs.onFree([&] {
+        order.push_back(-1);
+        if (reissued)
+            return;
+        // A stalled miss re-issues into the slot that just freed.
+        reissued = true;
+        EXPECT_EQ(mshrs.attach(0x80, 7, [&] { order.push_back(9); }),
+                  Attach::Allocated);
+    });
+    ASSERT_EQ(mshrs.attach(0x40, 0, [&] { order.push_back(0); }),
+              Attach::Allocated);
+    ASSERT_EQ(mshrs.attach(0x40, 0, [&] { order.push_back(1); }),
+              Attach::Coalesced);
+    mshrs.retire(0x40, 10);
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1}));
+    EXPECT_EQ(mshrs.inUse(), 1u);
+    EXPECT_TRUE(mshrs.full());
+
+    mshrs.retire(0x80, 20);
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, -1, 9}));
+    EXPECT_EQ(mshrs.inUse(), 0u);
+}
+
+TEST(Mshr, WakerMayReallocateItsOwnLine)
+{
+    MshrFile mshrs(2);
+    std::vector<Attach> outcomes;
+    int later = 0;
+    ASSERT_EQ(mshrs.attach(0x40, 0, [&] {
+        outcomes.push_back(mshrs.attach(0x40, 5, [&] { ++later; }));
+    }), Attach::Allocated);
+    ASSERT_EQ(mshrs.attach(0x40, 0, [&] {
+        outcomes.push_back(mshrs.attach(0x40, 5, [&] { ++later; }));
+    }), Attach::Coalesced);
+    mshrs.retire(0x40, 5);
+    // The first waker finds the line gone and allocates it afresh; the
+    // second joins that new miss.
+    EXPECT_EQ(outcomes,
+              (std::vector<Attach>{Attach::Allocated, Attach::Coalesced}));
+    EXPECT_EQ(later, 0);
+    EXPECT_EQ(mshrs.inUse(), 1u);
+    mshrs.retire(0x40, 9);
+    EXPECT_EQ(later, 2);
+}
+
+TEST(Mshr, ResetDestroysEachPendingWakerOnce)
+{
+    MshrFile mshrs(4);
+    const auto token = std::make_shared<int>(0);
+    for (topology::Addr line = 0; line < 3; ++line) {
+        for (int i = 0; i < 3; ++i)
+            mshrs.attach(line * 0x40, 0, [token] { ++*token; });
+    }
+    EXPECT_EQ(token.use_count(), 10);
+    mshrs.reset();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 0) << "reset destroys wakers without running them";
+    EXPECT_EQ(mshrs.inUse(), 0u);
+    EXPECT_EQ(mshrs.coalesced(), 0u);
+
+    // The reset file allocates from scratch and wakes only new waiters.
+    EXPECT_EQ(mshrs.attach(0x0, 0, [token] { ++*token; }),
+              Attach::Allocated);
+    mshrs.retire(0x0, 1);
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Mshr, MisusePanics)
 {
     MshrFile mshrs(2);
     EXPECT_THROW(mshrs.retire(0x0, 0), sim::PanicError);
-    EXPECT_THROW(mshrs.coalesce(0x0, [] {}), sim::PanicError);
-    ASSERT_TRUE(mshrs.allocate(0x0, 0));
-    EXPECT_THROW(mshrs.allocate(0x0, 0), sim::PanicError);
+    ASSERT_EQ(mshrs.attach(0x0, 0, [] {}), Attach::Allocated);
+    mshrs.retire(0x0, 0);
+    EXPECT_THROW(mshrs.retire(0x0, 0), sim::PanicError);
     EXPECT_THROW(MshrFile(0), std::invalid_argument);
 }
 

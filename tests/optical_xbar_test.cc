@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -182,6 +183,129 @@ TEST(OpticalChannel, BatchRespectsLimitUnderContention)
         EXPECT_LE(run_length, 2u)
             << "batch limit must bound monopolization";
     }
+}
+
+// -------------------------------------------------------------------
+// Golden delivery order under flow control: one channel with a
+// two-deep home buffer and batches of three, fed staggered bursts from
+// 20 sources, so sources park waiting for credit and batches end early
+// when the buffer has none. The constants lock the delivery order and
+// the sampled source backlog.
+// -------------------------------------------------------------------
+
+struct ChannelRun
+{
+    std::uint64_t delivered = 0;
+    /** FNV-1a over the ordered (tick, src, tag) deliveries and the
+     * sampled queuedMessages(). */
+    std::uint64_t digest = 14695981039346656037ull;
+    std::size_t peakSink = 0;
+    std::size_t peakQueued = 0;
+};
+
+void
+fnv1a(std::uint64_t &hash, std::uint64_t word)
+{
+    for (int b = 0; b < 8; ++b) {
+        hash ^= (word >> (8 * b)) & 0xff;
+        hash *= 1099511628211ull;
+    }
+}
+
+constexpr topology::ClusterId kGoldenHome = 9;
+
+ChannelParams
+goldenParams()
+{
+    ChannelParams params;
+    params.sink_buffer_depth = 2;
+    params.max_batch = 3;
+    return params;
+}
+
+/** Schedule the golden traffic and the backlog samples into @p run;
+ * @return the number of messages sent. */
+std::uint64_t
+scheduleGoldenTraffic(EventQueue &eq, OpticalChannel &channel,
+                      ChannelRun &run)
+{
+    channel.setDeliver([&eq, &run](const Message &msg) {
+        ++run.delivered;
+        fnv1a(run.digest, eq.now());
+        fnv1a(run.digest, msg.src);
+        fnv1a(run.digest, msg.tag);
+    });
+    sim::Rng rng(1403);
+    std::uint64_t next_tag = 0;
+    for (int burst = 0; burst < 40; ++burst) {
+        const auto src = static_cast<topology::ClusterId>(
+            (kGoldenHome + 1 + 3 * rng.below(20)) % 64);
+        const Tick at = rng.below(60) * kClock + rng.below(kClock);
+        const auto count = 1 + rng.below(6);
+        std::vector<Message> batch;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            batch.push_back(makeMsg(src, kGoldenHome,
+                                    rng.chance(0.5) ? MsgKind::ReadResp
+                                                    : MsgKind::ReadReq,
+                                    next_tag++));
+        }
+        eq.schedule(at, [&channel, batch] {
+            for (const Message &msg : batch)
+                channel.send(msg);
+        });
+    }
+    for (Tick at = 0; at < 200 * kClock; at += 3 * kClock + 7) {
+        eq.schedule(at, [&channel, &run] {
+            fnv1a(run.digest, channel.queuedMessages());
+            run.peakSink = std::max(run.peakSink, channel.sinkDepth());
+            run.peakQueued =
+                std::max(run.peakQueued, channel.queuedMessages());
+        });
+    }
+    return next_tag;
+}
+
+TEST(OpticalChannel, GoldenOrderUnderCreditBackPressure)
+{
+    EventQueue eq;
+    OpticalChannel channel(eq, sim::coronaClock(), 64, kGoldenHome,
+                           goldenParams());
+
+    ChannelRun first;
+    const std::uint64_t sent = scheduleGoldenTraffic(eq, channel, first);
+    eq.run();
+    EXPECT_EQ(first.delivered, sent) << "every message delivered";
+    EXPECT_EQ(first.delivered, 122u);
+    EXPECT_EQ(first.digest, 15029384575443104519ull);
+    EXPECT_EQ(channel.queuedMessages(), 0u);
+    // The traffic must exercise flow control: the home buffer ran out
+    // of credit while sources held a backlog.
+    EXPECT_EQ(first.peakSink, goldenParams().sink_buffer_depth);
+    EXPECT_GT(first.peakQueued, 2 * goldenParams().max_batch);
+    EXPECT_GT(channel.arbiter().grants(),
+              (sent + goldenParams().max_batch - 1) /
+                  goldenParams().max_batch)
+        << "some batches must end early for want of credit";
+
+    // Stop a replay part-way, with messages queued at their sources,
+    // and reset: a second full replay must not see any stale state.
+    channel.reset();
+    eq.reset();
+    ChannelRun partial;
+    scheduleGoldenTraffic(eq, channel, partial);
+    eq.run(30 * kClock);
+    EXPECT_GT(channel.queuedMessages(), 0u);
+    EXPECT_LT(partial.delivered, sent);
+    channel.reset();
+    eq.reset();
+    EXPECT_EQ(channel.queuedMessages(), 0u);
+    EXPECT_EQ(channel.sinkDepth(), 0u);
+
+    ChannelRun replay;
+    scheduleGoldenTraffic(eq, channel, replay);
+    eq.run();
+    EXPECT_EQ(replay.delivered, first.delivered);
+    EXPECT_EQ(replay.digest, first.digest);
 }
 
 TEST(OpticalXbar, AggregateBandwidthIs20TBps)
