@@ -44,7 +44,8 @@ struct RunReport
     /** Ratio of the busiest MC's accesses to the mean (load skew). */
     double mcLoadSkew() const;
 
-    /** Aggregate coalesced secondary misses. */
+    /** Secondary misses coalesced onto in-flight MSHR entries, summed
+     * over clusters: equals metrics.requests_coalesced. */
     std::uint64_t totalCoalesced() const;
 
     /** Render a human-readable summary. */

@@ -43,7 +43,6 @@ MshrFile::attach(topology::Addr line, sim::Tick now, WakeFn &&waker)
     Slot &slot = _slots[_slotOf[at]];
     slot.allocated = now;
     slot.waiters.push_back(std::move(waker));
-    ++_coalesced;
     return Attach::Allocated;
 }
 

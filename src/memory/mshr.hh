@@ -75,7 +75,8 @@ class MshrFile
     /** Entry lifetime statistics, ticks. */
     const stats::RunningStats &lifetime() const { return _lifetime; }
 
-    /** Secondary misses coalesced. */
+    /** Secondary misses: wakers that joined a miss already in flight
+     * (the allocating waker is not counted). */
     std::uint64_t coalesced() const { return _coalesced; }
 
     /** Attach attempts rejected because the file was full. */

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "corona/context.hh"
 #include "corona/simulation.hh"
 #include "sim/logging.hh"
+#include "workload/sharing.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
 
@@ -67,6 +71,42 @@ TEST(Simulation, TinyMshrFileStillCompletes)
     EXPECT_EQ(metrics.requests_issued, 2000u);
     EXPECT_GT(metrics.mshr_full_stalls, 0u)
         << "a 2-entry MSHR file must visibly stall 16 threads";
+}
+
+TEST(Simulation, MshrCoalescedCountsOnlySecondaryMisses)
+{
+    // The hubs' MSHR counters and the run's requests_coalesced count
+    // the same thing: misses that joined one already in flight. Every
+    // primary miss takes an MSHR too, so counting those would show.
+    auto miss_stream = core::makeConfig(NetworkKind::XBar, MemoryKind::OCM);
+    auto coherent = miss_stream;
+    coherent.frontend = core::FrontendKind::Coherent;
+    const struct
+    {
+        SystemConfig config;
+        std::unique_ptr<workload::Workload> workload;
+        bool coalesces;
+    } cases[] = {
+        {miss_stream, workload::makeSplash("Raytrace"), true},
+        {coherent, workload::makeMigratory(), false},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.workload->name());
+        core::SimContext ctx(c.config);
+        SimParams params;
+        params.requests = 3000;
+        const RunMetrics m = core::runExperiment(ctx, *c.workload, params);
+        std::uint64_t hub_coalesced = 0;
+        std::uint64_t hub_misses = 0;
+        for (topology::ClusterId h = 0; h < c.config.clusters; ++h) {
+            const core::Hub &hub = ctx.system().hub(h);
+            hub_coalesced += hub.mshrs().coalesced();
+            hub_misses += hub.networkRequests() + hub.localRequests();
+        }
+        EXPECT_GT(hub_misses, 0u);
+        EXPECT_EQ(m.requests_coalesced > 0, c.coalesces);
+        EXPECT_EQ(hub_coalesced, m.requests_coalesced);
+    }
 }
 
 TEST(Simulation, WindowOfOneSerializesEachThread)
