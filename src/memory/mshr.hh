@@ -102,6 +102,8 @@ class MshrFile
     /** A permutation of the slots: _slotOf[i] serves _lines[i] for
      * i < inUse(), and the rest are free. */
     std::vector<std::size_t> _slotOf;
+    /** Grows on first use up to capacity(), so no Slot reference is
+     * held across a call that may attach. */
     std::vector<Slot> _slots;
     /** Empty waiter storage handed to the next freed slot. */
     std::vector<WakeFn> _spare;
