@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -55,15 +56,13 @@ MshrFile::retire(topology::Addr line, sim::Tick now)
     Slot &slot = _slots[_slotOf[at]];
     _lifetime.sample(static_cast<double>(now - slot.allocated));
 
-    // Take the waiters out and give the slot the spare storage before
-    // anything can reuse the slot.
-    std::vector<WakeFn> wakers;
-    wakers.swap(_spare);
-    wakers.swap(slot.waiters);
-    const std::size_t last = _lines.size() - 1;
-    _lines[at] = _lines[last];
+    // Take the waiters out, leaving the spare storage, before anything
+    // can reuse the slot.
+    std::vector<WakeFn> wakers =
+        std::exchange(slot.waiters, std::move(_spare));
+    _lines[at] = _lines.back();
     _lines.pop_back();
-    std::swap(_slotOf[at], _slotOf[last]);
+    std::swap(_slotOf[at], _slotOf[_lines.size()]);
 
     if (_onFree)
         _onFree();
@@ -71,17 +70,6 @@ MshrFile::retire(topology::Addr line, sim::Tick now)
         waker();
     wakers.clear();
     _spare = std::move(wakers);
-}
-
-void
-MshrFile::reset()
-{
-    for (Slot &slot : _slots)
-        slot.waiters.clear();
-    _lines.clear();
-    _lifetime.reset();
-    _coalesced = 0;
-    _fullStalls = 0;
 }
 
 } // namespace corona::memory

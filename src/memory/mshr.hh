@@ -84,7 +84,16 @@ class MshrFile
 
     /** Drop every entry (destroying its waiters) and zero the
      * statistics. The onFree wiring is kept. */
-    void reset();
+    void
+    reset()
+    {
+        for (Slot &slot : _slots)
+            slot.waiters.clear();
+        _lines.clear();
+        _lifetime.reset();
+        _coalesced = 0;
+        _fullStalls = 0;
+    }
 
   private:
     struct Slot
