@@ -89,9 +89,9 @@ struct RunnerOptions
      * reconstructing a full 64-cluster CoronaSystem (and a workload
      * model) every time. Results and sink bytes are bit-identical
      * either way (a reset context/workload is observationally a fresh
-     * one — locked in by tests); off exists for bisection and the
-     * corona-perf baseline. Ignored when a custom executor is
-     * installed. */
+     * one — locked in by tests); off is the fresh-context reference
+     * the pooled-parity tests compare against, and a bisection aid.
+     * Ignored when a custom executor is installed. */
     bool reuse_systems = true;
     /** Per-run observability: registry time-series sampling, event
      * tracing, end-of-run snapshots (all off by default). Applied only

@@ -101,8 +101,9 @@ class EventQueue
     Tick nextTick() const { return nextEventTick(); }
 
     /** Cumulative ring buckets cleared by reset() over this queue's
-     * lifetime (never zeroed by reset itself): the pooled-lease cost
-     * metric corona-perf's grid arm reports. */
+     * lifetime (never zeroed by reset itself): the pooled-lease cost,
+     * which grows by the buckets a run left occupied and by nothing
+     * after a drained run. */
     std::uint64_t resetBucketsWalked() const
     {
         return _resetBucketsWalked;

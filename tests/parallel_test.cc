@@ -20,6 +20,7 @@
 #include "sim/clock.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
+#include "topology/geometry.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
 
@@ -305,15 +306,22 @@ expectSameMetrics(const RunMetrics &a, const RunMetrics &b,
     EXPECT_EQ(a.events_executed, b.events_executed) << what;
 }
 
+/** A fresh Uniform run over @p config's clusters at @p sim_threads. */
 RunMetrics
 runSharded(const SystemConfig &config, unsigned sim_threads,
            std::uint64_t requests)
 {
-    const auto workload = workload::makeUniform();
+    workload::SyntheticWorkload workload(
+        workload::Pattern::Uniform, topology::Geometry(config.clusters), {});
+    // A workload built for another cluster count would silently fall
+    // back to the classic engine and compare it against itself.
+    EXPECT_EQ(core::effectiveSimThreads(sim_threads, config, workload, 0,
+                                        /*tracing=*/false),
+              sim_threads);
     SimParams params;
     params.requests = requests;
     params.sim_threads = sim_threads;
-    return core::runExperiment(config, *workload, params);
+    return core::runExperiment(config, workload, params);
 }
 
 TEST(ParallelParity, CrossbarMetricsAreShardCountInvariant)
@@ -323,6 +331,17 @@ TEST(ParallelParity, CrossbarMetricsAreShardCountInvariant)
     const RunMetrics serial = runSharded(config, 1, 3000);
     expectSameMetrics(runSharded(config, 2, 3000), serial, "2 shards");
     expectSameMetrics(runSharded(config, 4, 3000), serial, "4 shards");
+
+    // The 256-cluster crossbar (4x the paper's radix) at up to 8 shards.
+    auto wide = config;
+    wide.clusters = 256;
+    const RunMetrics wide_serial = runSharded(wide, 1, 20'000);
+    expectSameMetrics(runSharded(wide, 2, 20'000), wide_serial,
+                      "256 clusters, 2 shards");
+    expectSameMetrics(runSharded(wide, 4, 20'000), wide_serial,
+                      "256 clusters, 4 shards");
+    expectSameMetrics(runSharded(wide, 8, 20'000), wide_serial,
+                      "256 clusters, 8 shards");
 }
 
 TEST(ParallelParity, MeshMetricsAreShardCountInvariant)

@@ -300,6 +300,34 @@ TEST(EventQueue, ResetRestoresThePristineQueue)
     EXPECT_EQ(fired, 1); // Dropped events never fire.
 }
 
+TEST(EventQueue, ResetWalksOnlyOccupiedBuckets)
+{
+    // A pooled lease's reset pays for the buckets the last run left
+    // occupied, not for the whole ring.
+    EventQueue eq;
+    int fired = 0;
+    for (const Tick when : {Tick{10}, Tick{20}, Tick{20}, Tick{30},
+                            Tick{500}, 10 * EventQueue::ringWindow})
+        eq.schedule(when, [&] { ++fired; });
+    eq.run(15);
+    ASSERT_EQ(fired, 1);
+    ASSERT_EQ(eq.pending(), 5u);
+    const std::uint64_t before = eq.resetBucketsWalked();
+    eq.reset();
+    EXPECT_EQ(eq.resetBucketsWalked() - before, 3u)
+        << "ticks 20, 30 and 500 occupy ring buckets; the far event "
+           "waits in the overflow heap";
+
+    // A drained run leaves no bucket to walk.
+    for (const Tick when : {Tick{10}, Tick{20}, Tick{500}})
+        eq.schedule(when, [&] { ++fired; });
+    eq.run();
+    ASSERT_TRUE(eq.empty());
+    const std::uint64_t drained = eq.resetBucketsWalked();
+    eq.reset();
+    EXPECT_EQ(eq.resetBucketsWalked(), drained);
+}
+
 // ---------------------------------------------------------------------
 // Pooled nodes: callbacks run in place from the node pool, so every
 // capture must be destroyed exactly once — after it runs, when it
