@@ -15,7 +15,6 @@ scripts/launch_smoke.sh build
 scripts/explore_smoke.sh build
 scripts/trace_smoke.sh build
 scripts/scenario_smoke.sh build
-scripts/perf_smoke.sh build
 scripts/obs_smoke.sh build
 scripts/coherence_smoke.sh build
 scripts/parallel_smoke.sh build
