@@ -65,10 +65,12 @@ derivedOffered(std::uint32_t threads, std::uint64_t records,
 
 Writer::Writer(std::ostream &os, std::uint32_t threads, std::string name,
                WriterOptions options)
-    : _os(os), _threads(threads), _options(options), _pending(threads)
+    : _os(os), _threads(threads), _options(options)
 {
-    if (threads == 0)
-        sim::fatal("ctrace Writer: need >= 1 thread");
+    if (threads == 0 || threads > kMaxThreads)
+        sim::fatal("ctrace Writer: need 1.." +
+                   std::to_string(kMaxThreads) + " threads, got " +
+                   std::to_string(threads));
     if (_options.block_capacity == 0)
         sim::fatal("ctrace Writer: block capacity must be > 0");
     if (name.size() > std::numeric_limits<std::uint16_t>::max())
@@ -84,6 +86,7 @@ Writer::Writer(std::ostream &os, std::uint32_t threads, std::string name,
     putLE<std::uint16_t>(_os, static_cast<std::uint16_t>(name.size()));
     _os.write(name.data(),
               static_cast<std::streamsize>(name.size()));
+    _pending.resize(threads);
 }
 
 Writer::~Writer()
@@ -231,6 +234,10 @@ Reader::Reader(std::istream &is, std::string label)
     _info.threads = getLE<std::uint32_t>(header + 12);
     if (_info.threads == 0)
         die(12, "thread count is zero");
+    if (_info.threads > kMaxThreads)
+        die(12, "thread count " + std::to_string(_info.threads) +
+                    " exceeds the limit of " +
+                    std::to_string(kMaxThreads));
     _info.records = getLE<std::uint64_t>(header + 16);
     _info.total_think = getLE<std::uint64_t>(header + 24);
     _info.offered_bytes_per_second = getLE<double>(header + 32);
@@ -244,8 +251,11 @@ Reader::Reader(std::istream &is, std::string label)
 
     if (_indexOffset == 0)
         die(40, "no index — the file is unfinished or torn");
+    // _fileSize >= kHeaderFixedBytes, so the subtractions below cannot
+    // wrap, and no size read from the file is ever multiplied or added
+    // before it is bounded by the bytes that are really there.
     if (_indexOffset < header_end ||
-        _indexOffset + sizeof(kIndexMagic) + 8 > _fileSize)
+        _indexOffset > _fileSize - sizeof(kIndexMagic) - 8)
         die(40, "index offset " + std::to_string(_indexOffset) +
                     " outside the file");
 
@@ -258,12 +268,14 @@ Reader::Reader(std::istream &is, std::string label)
     char count_bytes[8];
     _is.read(count_bytes, sizeof(count_bytes));
     const auto block_count = getLE<std::uint64_t>(count_bytes);
-    const std::uint64_t index_end = _indexOffset + sizeof(kIndexMagic) +
-                                    8 + block_count * kIndexEntryBytes;
-    if (index_end > _fileSize)
+    const std::uint64_t index_room =
+        _fileSize - _indexOffset - sizeof(kIndexMagic) - 8;
+    if (block_count > index_room / kIndexEntryBytes)
         die(_indexOffset, "index truncated (" +
                               std::to_string(block_count) +
                               " blocks declared)");
+    const std::uint64_t index_end = _indexOffset + sizeof(kIndexMagic) +
+                                    8 + block_count * kIndexEntryBytes;
     if (index_end != _fileSize)
         die(index_end, "trailing bytes after the index");
 
@@ -327,6 +339,14 @@ Reader::Reader(std::istream &is, std::string label)
             die(ref.offset, "block " + std::to_string(i) +
                                 " frame header disagrees with the "
                                 "index");
+        // A record is at least three one-byte varints; the count also
+        // sizes readBlock's buffer, so it must fit the payload.
+        if (ref.count > payload / 3)
+            die(ref.offset, "block " + std::to_string(i) + " declares " +
+                                std::to_string(ref.count) +
+                                " records in a " +
+                                std::to_string(payload) +
+                                "-byte payload");
         prev_end = ref.offset + kFrameHeaderBytes + payload;
         if (prev_end > _indexOffset)
             die(ref.offset, "block " + std::to_string(i) +

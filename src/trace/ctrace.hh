@@ -78,6 +78,11 @@ namespace corona::trace {
  * thread count), independent of trace length. */
 inline constexpr std::size_t kDefaultBlockCapacity = 1024;
 
+/** Largest thread count a trace may declare. The reader sizes
+ * per-thread tables from the header, so a larger count is corrupt
+ * rather than a big allocation. */
+inline constexpr std::uint32_t kMaxThreads = 65'536;
+
 /** Decoded header of a `.ctrace` file. */
 struct TraceInfo
 {
@@ -127,7 +132,8 @@ class Writer
   public:
     /**
      * @param os Output stream (binary, seekable).
-     * @param threads Thread count recorded in the header (> 0).
+     * @param threads Thread count recorded in the header, in
+     *     [1, kMaxThreads].
      * @param name Source workload name recorded in the header.
      */
     Writer(std::ostream &os, std::uint32_t threads, std::string name,

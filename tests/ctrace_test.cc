@@ -188,6 +188,9 @@ TEST(Ctrace, WriterRejectsBadRecords)
     r.thread = 0;
     r.think_time = 1ull << 63; // Unencodable.
     EXPECT_THROW(writer.append(r), sim::FatalError);
+    std::stringstream wide;
+    EXPECT_THROW(trace::Writer(wide, trace::kMaxThreads + 1, "wide"),
+                 sim::FatalError);
 }
 
 // ------------------------------------------- bounded streaming window
@@ -352,6 +355,84 @@ TEST(CtraceDiagnostics, FrameDisagreeingWithIndex)
     dump(path, bytes);
     expectFatalContains([&] { trace::readTraceInfo(path); },
                         "disagrees with the");
+}
+
+// Hand-built files whose size fields, taken on trust, would size an
+// allocation far beyond the file itself.
+
+template <typename T>
+void
+put(std::string &bytes, T value)
+{
+    bytes.append(reinterpret_cast<const char *>(&value), sizeof(value));
+}
+
+/** A 50-byte ctrace header with no source name. */
+std::string
+craftHeader(std::uint32_t threads, std::uint64_t records,
+            std::uint64_t index_offset)
+{
+    std::string bytes("CRNTRC1\n", 8);
+    put<std::uint16_t>(bytes, 1); // Version.
+    put<std::uint16_t>(bytes, 0); // Flags.
+    put<std::uint32_t>(bytes, threads);
+    put<std::uint64_t>(bytes, records);
+    put<std::uint64_t>(bytes, 0); // Total think.
+    put<double>(bytes, 0.0);      // Offered.
+    put<std::uint64_t>(bytes, index_offset);
+    put<std::uint16_t>(bytes, 0); // Source-name length.
+    return bytes;
+}
+
+TEST(CtraceDiagnostics, ThreadCountAboveTheLimit)
+{
+    const std::string path = tempPath("manythreads.ctrace");
+    std::string bytes = craftHeader(0xFFFF'FFFF, 0, 50);
+    bytes += "CIDX";
+    put<std::uint64_t>(bytes, 0);
+    dump(path, bytes);
+    expectFatalContains([&] { trace::readTraceInfo(path); },
+                        "offset 12: thread count 4294967295 exceeds");
+}
+
+TEST(CtraceDiagnostics, BlockCountThatWrapsTheIndexSize)
+{
+    // 2^60 entries of 16 bytes wrap to a zero-byte index.
+    const std::string path = tempPath("wrapindex.ctrace");
+    std::string bytes = craftHeader(1, 0, 50);
+    bytes += "CIDX";
+    put<std::uint64_t>(bytes, std::uint64_t{1} << 60);
+    dump(path, bytes);
+    expectFatalContains([&] { trace::readTraceInfo(path); },
+                        "offset 50: index truncated "
+                        "(1152921504606846976 blocks declared)");
+}
+
+TEST(CtraceDiagnostics, BlockRecordCountThePayloadCannotHold)
+{
+    // One block claiming 2^32 - 1 records in three payload bytes,
+    // consistent with its index entry and the header's record count.
+    const std::string path = tempPath("hugeblock.ctrace");
+    std::string bytes = craftHeader(1, 0xFFFF'FFFF, 65);
+    put<std::uint32_t>(bytes, 0);           // Frame thread.
+    put<std::uint32_t>(bytes, 0xFFFF'FFFF); // Frame record count.
+    put<std::uint32_t>(bytes, 3);           // Payload bytes.
+    bytes.append(3, '\0');
+    bytes += "CIDX";
+    put<std::uint64_t>(bytes, 1);
+    put<std::uint32_t>(bytes, 0);
+    put<std::uint32_t>(bytes, 0xFFFF'FFFF);
+    put<std::uint64_t>(bytes, 50);
+    dump(path, bytes);
+    expectFatalContains(
+        [&] {
+            std::ifstream in(path, std::ios::binary);
+            trace::Reader reader(in, path);
+            std::vector<TraceRecord> block;
+            reader.readBlock(0, block);
+        },
+        "offset 50: block 0 declares 4294967295 records in a 3-byte "
+        "payload");
 }
 
 // ------------------------------------------------------- synthesis
