@@ -92,6 +92,11 @@ readTimeSeriesBinary(std::istream &is, const std::string &what)
     const std::uint64_t path_bytes = readU64(is, what);
     if (path_bytes > probes * 4200 + 16)
         sim::fatal(what + ": implausible probe path table size");
+    if (path_bytes > bytesLeft(is))
+        sim::fatal(what + ": truncated probe path table");
+    // Each path entry is at least its two varints.
+    if (probes > path_bytes / 2)
+        sim::fatal(what + ": corrupt probe path table");
     std::string path_blob(path_bytes, '\0');
     is.read(path_blob.data(),
             static_cast<std::streamsize>(path_bytes));
@@ -118,6 +123,8 @@ readTimeSeriesBinary(std::istream &is, const std::string &what)
             sim::fatal(what + ": corrupt probe path table");
     }
 
+    if (rows > bytesLeft(is) / sizeof(sim::Tick))
+        sim::fatal(what + ": truncated tick column");
     data.ticks.resize(rows);
     is.read(reinterpret_cast<char *>(data.ticks.data()),
             static_cast<std::streamsize>(rows * sizeof(sim::Tick)));
@@ -131,6 +138,11 @@ readTimeSeriesBinary(std::istream &is, const std::string &what)
     if (probes == 0 ? value_bytes != 0
                     : value_bytes / 10 / probes > rows)
         sim::fatal(what + ": implausible value block size");
+    // ...and every cell takes at least one byte, which bounds the
+    // value column reserved below.
+    if (value_bytes > bytesLeft(is) ||
+        (probes != 0 && rows > value_bytes / probes))
+        sim::fatal(what + ": truncated sample block");
     std::string value_blob(value_bytes, '\0');
     is.read(value_blob.data(),
             static_cast<std::streamsize>(value_bytes));

@@ -140,6 +140,9 @@ readTraceBinary(std::istream &is, const std::string &what)
     if (count > data.recorded || count > 100'000'000 ||
         payload_bytes > std::uint64_t{100'000'000} * 50)
         sim::fatal(what + ": implausible binary trace event count");
+    // An event is five varints of at least one byte each.
+    if (payload_bytes > bytesLeft(is) || count > payload_bytes / 5)
+        sim::fatal(what + ": truncated binary trace records");
 
     std::string payload(payload_bytes, '\0');
     is.read(payload.data(),

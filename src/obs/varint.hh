@@ -1,8 +1,9 @@
 /**
  * @file
- * LEB128 varint packing shared by the binary observability formats
- * (src/obs/timeseries.cc, src/obs/trace.cc). Internal detail header —
- * the on-disk formats are documented at their writers.
+ * LEB128 varint packing and the input bound shared by the binary
+ * observability formats (src/obs/timeseries.cc, src/obs/trace.cc).
+ * Internal detail header — the on-disk formats are documented at
+ * their writers.
  *
  * Encoding is the usual little-endian base-128: seven payload bits per
  * byte, high bit set on every byte but the last. Signed quantities go
@@ -15,6 +16,7 @@
 #define CORONA_OBS_VARINT_HH
 
 #include <cstdint>
+#include <istream>
 
 namespace corona::obs {
 
@@ -73,6 +75,24 @@ readVarint(const char *&at, const char *end, std::uint64_t &value)
             return true;
     }
     return false;
+}
+
+/**
+ * Bytes between @p is's read position and its end (0 when the stream
+ * cannot seek). Readers check every declared size against this before
+ * allocating for it, so a forged length field fails as truncation
+ * instead of sizing an allocation beyond the file.
+ */
+inline std::uint64_t
+bytesLeft(std::istream &is)
+{
+    const std::istream::pos_type here = is.tellg();
+    if (here < 0)
+        return 0;
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(here);
+    return end > here ? static_cast<std::uint64_t>(end - here) : 0;
 }
 
 } // namespace corona::obs

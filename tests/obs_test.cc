@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +34,62 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "workload/synthetic.hh"
+
+// This binary refuses single allocations above 256 MiB. No test here
+// needs one, so a reader that sizes a buffer by a forged length field
+// fails fast with std::bad_alloc instead of zero-filling gigabytes.
+// Every non-aligned form is replaced, so each block is allocated and
+// released through the malloc/free pair (ASan checks the pairing).
+
+namespace {
+
+void *
+guardedAlloc(std::size_t bytes) noexcept
+{
+    if (bytes > (std::size_t{256} << 20))
+        return nullptr;
+    return std::malloc(bytes == 0 ? 1 : bytes);
+}
+
+void *
+guardedNew(std::size_t bytes)
+{
+    if (void *block = guardedAlloc(bytes))
+        return block;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t bytes) { return guardedNew(bytes); }
+void *operator new[](std::size_t bytes) { return guardedNew(bytes); }
+void *
+operator new(std::size_t bytes, const std::nothrow_t &) noexcept
+{
+    return guardedAlloc(bytes);
+}
+void *
+operator new[](std::size_t bytes, const std::nothrow_t &) noexcept
+{
+    return guardedAlloc(bytes);
+}
+void operator delete(void *block) noexcept { std::free(block); }
+void operator delete[](void *block) noexcept { std::free(block); }
+void operator delete(void *block, std::size_t) noexcept { std::free(block); }
+void operator delete[](void *block, std::size_t) noexcept
+{
+    std::free(block);
+}
+void
+operator delete(void *block, const std::nothrow_t &) noexcept
+{
+    std::free(block);
+}
+void
+operator delete[](void *block, const std::nothrow_t &) noexcept
+{
+    std::free(block);
+}
 
 namespace {
 
@@ -262,6 +321,53 @@ TEST(TimeSeriesSampler, BinaryFileExportsToIdenticalCsvBytes)
     std::ostringstream exported;
     obs::writeTimeSeriesCsv(exported, data);
     EXPECT_EQ(exported.str(), direct.str());
+}
+
+// ---------------------------------------------------------------------
+// Forged length fields: a declared size larger than the bytes that
+// follow is a located FatalError, never an allocation of that size.
+
+/** @p magic followed by @p fields as raw little-endian u64s. */
+std::string
+forgedFile(const char *magic, std::initializer_list<std::uint64_t> fields)
+{
+    std::string bytes(magic, 8);
+    for (const std::uint64_t field : fields)
+        bytes.append(reinterpret_cast<const char *>(&field),
+                     sizeof(field));
+    return bytes;
+}
+
+/** The FatalError message @p fn throws ("" when it returns). */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const sim::FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(ObsBinaryReaders, TimeSeriesRowsBeyondTheFileAreFatal)
+{
+    // 40 bytes: period 10, no probes, 10^9 rows (an 8 GB tick column),
+    // an empty path table.
+    std::istringstream in(forgedFile(obs::timeSeriesMagic,
+                                     {10, 0, 1'000'000'000, 0}));
+    EXPECT_EQ(fatalMessage([&] { obs::readTimeSeriesBinary(in, "ts"); }),
+              "fatal: ts: truncated tick column");
+}
+
+TEST(ObsBinaryReaders, TracePayloadBeyondTheFileIsFatal)
+{
+    // 32 bytes: no events, but a 5 * 10^9-byte payload.
+    std::istringstream in(
+        forgedFile(obs::traceMagic, {0, 0, 5'000'000'000}));
+    EXPECT_EQ(fatalMessage([&] { obs::readTraceBinary(in, "tr"); }),
+              "fatal: tr: truncated binary trace records");
 }
 
 // ---------------------------------------------------------------------
