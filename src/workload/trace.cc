@@ -1,56 +1,6 @@
 #include "workload/trace.hh"
 
-#include <ostream>
-
 namespace corona::workload {
-
-namespace {
-
-constexpr char traceMagic[12] = {'C', 'O', 'R', 'O', 'N', 'A',
-                                 'T', 'R', 'A', 'C', 'E', '\0'};
-// v2 repurposes the header pad as a flags word; v1 stays readable
-// (through trace::convertLegacy).
-constexpr std::uint16_t traceVersion = 2;
-constexpr std::uint16_t traceFlagReferenceStream = 1u << 0;
-
-struct PackedRecord
-{
-    std::uint32_t thread;
-    std::uint32_t home;
-    std::uint64_t line;
-    std::uint64_t think_time;
-    std::uint8_t write;
-    std::uint8_t pad[7];
-};
-static_assert(sizeof(PackedRecord) == 32, "trace record must be 32 B");
-
-} // namespace
-
-TraceWriter::TraceWriter(std::ostream &os, std::uint32_t threads,
-                         bool reference_stream)
-    : _os(os)
-{
-    _os.write(traceMagic, sizeof(traceMagic));
-    std::uint16_t version = traceVersion;
-    _os.write(reinterpret_cast<const char *>(&version), sizeof(version));
-    std::uint16_t flags =
-        reference_stream ? traceFlagReferenceStream : 0;
-    _os.write(reinterpret_cast<const char *>(&flags), sizeof(flags));
-    _os.write(reinterpret_cast<const char *>(&threads), sizeof(threads));
-}
-
-void
-TraceWriter::append(const TraceRecord &record)
-{
-    PackedRecord packed{};
-    packed.thread = record.thread;
-    packed.home = record.home;
-    packed.line = record.line;
-    packed.think_time = record.think_time;
-    packed.write = record.write;
-    _os.write(reinterpret_cast<const char *>(&packed), sizeof(packed));
-    ++_written;
-}
 
 namespace {
 
