@@ -250,9 +250,9 @@ Reader::Reader(std::istream &is, std::string label)
 
     if (_indexOffset == 0)
         die(40, "no index — the file is unfinished or torn");
-    // _fileSize >= kHeaderFixedBytes, so the subtractions below cannot
-    // wrap, and no size read from the file is ever multiplied or added
-    // before it is bounded by the bytes that are really there.
+    // _fileSize >= kHeaderFixedBytes, so these subtractions cannot
+    // wrap; sizes read from the file are bounded by the bytes really
+    // there before any arithmetic on them.
     if (_indexOffset < header_end ||
         _indexOffset > _fileSize - sizeof(kIndexMagic) - 8)
         die(40, "index offset " + std::to_string(_indexOffset) +

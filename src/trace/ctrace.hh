@@ -21,7 +21,7 @@
  *              misses; bit 1: synthetic source — the captured
  *              generator was a synthetic pattern, carried so a
  *              replay axis fingerprints like its source axis)
- *     12   4   u32 thread count (> 0)
+ *     12   4   u32 thread count (1..kMaxThreads)
  *     16   8   u64 record count (total, all threads)
  *     24   8   u64 total think time (sum over records, ticks)
  *     32   8   f64 offered bytes/second of the source workload
@@ -55,7 +55,8 @@
  * thread, at most one decoded block is resident — and is never fully
  * loaded, no matter how large the file. Every structural violation
  * (bad magic, impossible thread id, torn final block, overlong
- * varint, trailing garbage) dies with an offset-numbered FatalError.
+ * varint, trailing garbage, a count the file cannot hold) dies with
+ * an offset-numbered FatalError.
  */
 
 #ifndef CORONA_TRACE_CTRACE_HH

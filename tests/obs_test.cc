@@ -2,7 +2,8 @@
  * @file
  * Tests for the observability subsystem (src/obs): registry path
  * discipline and snapshots, the event-tracer ring, sampler
- * termination, the RunObserver lifecycle against pooled contexts, and
+ * termination, the binary readers' bounds on forged length fields,
+ * the RunObserver lifecycle against pooled contexts, and
  * the end-to-end determinism contracts — observability output bytes
  * identical across worker counts, and sink/checkpoint bytes identical
  * with observability on vs off.
