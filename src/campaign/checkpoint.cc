@@ -69,76 +69,6 @@ toHex(std::uint64_t value)
     return hex;
 }
 
-template <typename T>
-std::optional<T>
-parseNumber(const std::string &text)
-{
-    T value{};
-    const auto res = std::from_chars(text.data(),
-                                     text.data() + text.size(), value);
-    if (res.ec != std::errc{} || res.ptr != text.data() + text.size())
-        return std::nullopt;
-    return value;
-}
-
-/** Decode one CsvSink-schema row; nullopt on any malformed field. */
-std::optional<RunRecord>
-parseRecordRow(const std::string &line)
-{
-    const auto fields = splitCsvRow(line);
-    if (!fields || fields->size() != 19)
-        return std::nullopt;
-    const std::vector<std::string> &f = *fields;
-
-    RunRecord record;
-    core::RunMetrics &m = record.metrics;
-
-    const auto index = parseNumber<std::size_t>(f[0]);
-    const auto seed = parseNumber<std::uint64_t>(f[4]);
-    const auto requests_issued = parseNumber<std::uint64_t>(f[7]);
-    const auto requests_coalesced = parseNumber<std::uint64_t>(f[8]);
-    const auto elapsed = parseNumber<std::uint64_t>(f[9]);
-    const auto avg_latency = parseNumber<double>(f[10]);
-    const auto p95_latency = parseNumber<double>(f[11]);
-    const auto achieved = parseNumber<double>(f[12]);
-    const auto offered = parseNumber<double>(f[13]);
-    const auto power = parseNumber<double>(f[14]);
-    const auto token_wait = parseNumber<double>(f[15]);
-    const auto hops = parseNumber<std::uint64_t>(f[16]);
-    const auto mshr = parseNumber<std::uint64_t>(f[17]);
-    const auto peak_queue = parseNumber<std::size_t>(f[18]);
-    if (!index || !seed || !requests_issued || !requests_coalesced ||
-        !elapsed || !avg_latency || !p95_latency || !achieved ||
-        !offered || !power || !token_wait || !hops || !mshr ||
-        !peak_queue)
-        return std::nullopt;
-    if (f[5] != "ok" && f[5] != "failed")
-        return std::nullopt;
-
-    record.index = *index;
-    record.workload = f[1];
-    record.config = f[2];
-    record.override_label = f[3];
-    record.seed = *seed;
-    record.ok = f[5] == "ok";
-    record.error = f[6];
-    m.workload = record.workload;
-    m.config = record.config;
-    m.requests_issued = *requests_issued;
-    m.requests_coalesced = *requests_coalesced;
-    m.elapsed = *elapsed;
-    m.avg_latency_ns = *avg_latency;
-    m.p95_latency_ns = *p95_latency;
-    m.achieved_bytes_per_second = *achieved;
-    m.offered_bytes_per_second = *offered;
-    m.network_power_w = *power;
-    m.token_wait_ns = *token_wait;
-    m.hop_traversals = *hops;
-    m.mshr_full_stalls = *mshr;
-    m.peak_mc_queue = *peak_queue;
-    return record;
-}
-
 std::string
 headerLine(std::uint64_t fingerprint, std::size_t total_runs)
 {
@@ -196,16 +126,19 @@ parseHeaderLine(const std::string &line)
     if (magic != kMagic || version != kVersion || !fingerprint_hex ||
         !total_text)
         return std::nullopt;
+    const auto parse = [](const std::string &text, auto &value,
+                          int base) {
+        const auto res = std::from_chars(
+            text.data(), text.data() + text.size(), value, base);
+        return res.ec == std::errc{} &&
+               res.ptr == text.data() + text.size();
+    };
     std::uint64_t fingerprint = 0;
-    const std::string &hex = *fingerprint_hex;
-    const auto res = std::from_chars(hex.data(),
-                                     hex.data() + hex.size(),
-                                     fingerprint, 16);
-    const auto total = parseNumber<std::size_t>(*total_text);
-    if (res.ec != std::errc{} || res.ptr != hex.data() + hex.size() ||
-        !total)
+    std::size_t total = 0;
+    if (!parse(*fingerprint_hex, fingerprint, 16) ||
+        !parse(*total_text, total, 10))
         return std::nullopt;
-    return std::make_pair(fingerprint, *total);
+    return std::make_pair(fingerprint, total);
 }
 
 } // namespace

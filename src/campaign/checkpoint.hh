@@ -122,8 +122,8 @@ class CheckpointWriter : public ResultSink
  * records a previous session left there (compacting torn trailing
  * bytes via rewrite-and-rename so appending stays safe), then expose a
  * CheckpointWriter positioned to append this session's fresh rows.
- * Shared by bench::runSweep ($CORONA_CHECKPOINT) and the shard
- * launcher's workers.
+ * Shared by runScenario ($CORONA_CHECKPOINT or the scenario's
+ * checkpoint key) and the shard launcher's workers.
  */
 class CheckpointFile
 {

@@ -3,6 +3,7 @@
 #include <array>
 #include <charconv>
 #include <cmath>
+#include <istream>
 #include <ostream>
 #include <string>
 
@@ -192,6 +193,105 @@ csvRow(const RunRecord &record)
     row += ',';
     row += std::to_string(m.peak_mc_queue);
     return row;
+}
+
+namespace {
+
+template <typename T>
+std::optional<T>
+parseNumber(const std::string &text)
+{
+    T value{};
+    const auto res = std::from_chars(text.data(),
+                                     text.data() + text.size(), value);
+    if (res.ec != std::errc{} || res.ptr != text.data() + text.size())
+        return std::nullopt;
+    return value;
+}
+
+} // namespace
+
+std::optional<RunRecord>
+parseRecordRow(const std::string &line)
+{
+    const auto fields = splitCsvRow(line);
+    if (!fields || fields->size() != 19)
+        return std::nullopt;
+    const std::vector<std::string> &f = *fields;
+
+    RunRecord record;
+    core::RunMetrics &m = record.metrics;
+
+    const auto index = parseNumber<std::size_t>(f[0]);
+    const auto seed = parseNumber<std::uint64_t>(f[4]);
+    const auto requests_issued = parseNumber<std::uint64_t>(f[7]);
+    const auto requests_coalesced = parseNumber<std::uint64_t>(f[8]);
+    const auto elapsed = parseNumber<std::uint64_t>(f[9]);
+    const auto avg_latency = parseNumber<double>(f[10]);
+    const auto p95_latency = parseNumber<double>(f[11]);
+    const auto achieved = parseNumber<double>(f[12]);
+    const auto offered = parseNumber<double>(f[13]);
+    const auto power = parseNumber<double>(f[14]);
+    const auto token_wait = parseNumber<double>(f[15]);
+    const auto hops = parseNumber<std::uint64_t>(f[16]);
+    const auto mshr = parseNumber<std::uint64_t>(f[17]);
+    const auto peak_queue = parseNumber<std::size_t>(f[18]);
+    if (!index || !seed || !requests_issued || !requests_coalesced ||
+        !elapsed || !avg_latency || !p95_latency || !achieved ||
+        !offered || !power || !token_wait || !hops || !mshr ||
+        !peak_queue)
+        return std::nullopt;
+    if (f[5] != "ok" && f[5] != "failed")
+        return std::nullopt;
+
+    record.index = *index;
+    record.workload = f[1];
+    record.config = f[2];
+    record.override_label = f[3];
+    record.seed = *seed;
+    record.ok = f[5] == "ok";
+    record.error = f[6];
+    m.workload = record.workload;
+    m.config = record.config;
+    m.requests_issued = *requests_issued;
+    m.requests_coalesced = *requests_coalesced;
+    m.elapsed = *elapsed;
+    m.avg_latency_ns = *avg_latency;
+    m.p95_latency_ns = *p95_latency;
+    m.achieved_bytes_per_second = *achieved;
+    m.offered_bytes_per_second = *offered;
+    m.network_power_w = *power;
+    m.token_wait_ns = *token_wait;
+    m.hop_traversals = *hops;
+    m.mshr_full_stalls = *mshr;
+    m.peak_mc_queue = *peak_queue;
+    return record;
+}
+
+std::vector<RunRecord>
+readRunsCsv(std::istream &is, const std::string &what)
+{
+    // A CsvSink ends every line with a newline, so a line that
+    // getline() returns at EOF was torn mid-write: it may still
+    // decode (a cut number is a number), so refuse it outright.
+    std::string line;
+    if (!std::getline(is, line) || is.eof() || line != CsvSink::header())
+        sim::fatal(what + ":1: expected the CSV sink header \"" +
+                   CsvSink::header() + "\"");
+    std::vector<RunRecord> records;
+    std::size_t line_number = 1;
+    while (std::getline(is, line)) {
+        ++line_number;
+        const std::string where = what + ":" + std::to_string(line_number);
+        if (is.eof())
+            sim::fatal(where + ": row is not newline-terminated (torn "
+                               "file?)");
+        auto record = parseRecordRow(line);
+        if (!record)
+            sim::fatal(where + ": malformed run row");
+        records.push_back(std::move(*record));
+    }
+    return records;
 }
 
 void

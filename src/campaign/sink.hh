@@ -7,8 +7,7 @@
  * runner's lock — sink output is therefore byte-identical regardless of
  * worker-thread count. CsvSink and JsonLinesSink serialise the full
  * RunMetrics field set for plotting scripts; MemorySink keeps records in
- * memory and can reshape them into the [workload][config] grid the
- * table/figure benches consume.
+ * memory and can reshape them into a [workload][config] grid.
  */
 
 #ifndef CORONA_CAMPAIGN_SINK_HH
@@ -62,6 +61,19 @@ splitCsvRow(const std::string &line);
  * checkpoint reader depends on both. */
 std::string csvRow(const RunRecord &record);
 
+/** Decode one csvRow() line back into a record (the inverse of
+ * csvRow, bit-exact); nullopt on any malformed field. The axis
+ * indices are not in the schema and stay zero. */
+std::optional<RunRecord> parseRecordRow(const std::string &line);
+
+/**
+ * Read a finished CsvSink file: line 1 must be CsvSink::header() and
+ * every later line must decode. Records come back in file order.
+ * Fatal, naming @p what and the line, on any other input.
+ */
+std::vector<RunRecord> readRunsCsv(std::istream &is,
+                                   const std::string &what);
+
 /** Writes one RFC-4180-style CSV row per run (header first). */
 class CsvSink : public ResultSink
 {
@@ -91,7 +103,7 @@ class JsonLinesSink : public ResultSink
     std::ostream &_os;
 };
 
-/** Retains records in memory, preserving the legacy Sweep shape. */
+/** Retains records in memory. */
 class MemorySink : public ResultSink
 {
   public:
@@ -103,9 +115,9 @@ class MemorySink : public ResultSink
     const std::vector<RunRecord> &records() const { return _records; }
 
     /**
-     * Metrics reshaped as [workload][config] — the seed repo's Sweep
-     * layout. Fatal if the campaign had replicate seed / override axes
-     * (the grid would be ambiguous) or if any run failed.
+     * Metrics reshaped as [workload][config]. Fatal if the campaign
+     * had replicate seed / override axes (the grid would be
+     * ambiguous) or if any run failed.
      */
     std::vector<std::vector<core::RunMetrics>> grid() const;
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * corona-stats — inspect and summarize src/obs output files.
+ * corona-stats — inspect and summarize src/obs output files, and render
+ * the paper's figures from a campaign CSV sink.
  *
  * The observability planes write several file shapes (see README
  * "Observability"): per-run binary time series and traces (with CSV /
@@ -25,6 +26,8 @@
  *                         per-shard rollup files when needed)
  *   corona-stats follow   HEARTBEAT.jsonl... [--once] [--interval MS]
  *                         tail heartbeats into a live status line
+ *   corona-stats figures  RUNS.csv        Figures 8-11 from the CSV of
+ *                         a finished scenarios/fig9.scenario run
  *
  * Every subcommand exits non-zero on a malformed file, so the CI smoke
  * can use it as a validity gate; all output except `follow` (which
@@ -42,7 +45,9 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/figures.hh"
 #include "campaign/obs_rollup.hh"
+#include "campaign/sink.hh"
 #include "obs/follow.hh"
 #include "obs/observe.hh"
 #include "obs/registry.hh"
@@ -80,7 +85,10 @@ usage(std::ostream &os)
           "  corona-stats follow FILE.jsonl... [--once] "
           "[--interval MS]\n"
           "      tail heartbeat streams (multi-shard) into one\n"
-          "      refreshing status line; --once prints and exits\n";
+          "      refreshing status line; --once prints and exits\n"
+          "  corona-stats figures RUNS.csv\n"
+          "      print the Figure 8-11 tables from the CSV sink of a\n"
+          "      finished paper-grid run (scenarios/fig9.scenario)\n";
 }
 
 [[noreturn]] void
@@ -549,6 +557,18 @@ reportCommand(const std::string &dir,
 }
 
 int
+figuresCommand(const std::string &path,
+               const std::vector<std::string> &args)
+{
+    if (!args.empty())
+        die("figures takes one CSV path and no options");
+    std::ifstream stream = openOrDie(path);
+    campaign::writePaperFigures(
+        std::cout, campaign::readRunsCsv(stream, path), path);
+    return 0;
+}
+
+int
 followCommand(const std::vector<std::string> &args)
 {
     std::vector<std::string> paths;
@@ -666,6 +686,8 @@ main(int argc, char **argv)
             return summarizeHeartbeat(path);
         if (command == "report")
             return reportCommand(path, rest);
+        if (command == "figures")
+            return figuresCommand(path, rest);
         if (command == "follow") {
             std::vector<std::string> follow_args;
             follow_args.push_back(path);
