@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "campaign/parallel_for.hh"
-#include "common.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "stats/report.hh"
@@ -64,11 +63,9 @@ main()
 {
     using namespace corona;
 
-    const std::size_t threads = bench::sweepThreads();
-
     // (a) Uncontested worst-case token wait across all requesters.
     std::vector<double> wait_clocks(64, 0.0);
-    campaign::parallelFor(63, threads, [&](std::size_t i) {
+    campaign::parallelFor(63, /*threads=*/0, [&](std::size_t i) {
         const topology::ClusterId requester =
             static_cast<topology::ClusterId>(1 + i);
         sim::EventQueue eq;
@@ -88,7 +85,7 @@ main()
     constexpr std::size_t kSenders[] = {1, 2, 4, 8, 16, 32, 63};
     constexpr std::size_t kLevels = std::size(kSenders);
     std::vector<ContentionResult> results(kLevels);
-    campaign::parallelFor(kLevels, threads, [&](std::size_t i) {
+    campaign::parallelFor(kLevels, /*threads=*/0, [&](std::size_t i) {
         results[i] = driveChannel(kSenders[i], 40);
     });
 

@@ -14,7 +14,6 @@
 
 #include "campaign/parallel_for.hh"
 #include "coherence/coherent_system.hh"
-#include "common.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "stats/report.hh"
@@ -55,7 +54,7 @@ main()
     constexpr std::size_t kCells = std::size(kSharers);
     std::vector<std::uint64_t> unicast_msgs(kCells);
     std::vector<std::uint64_t> broadcast_msgs(kCells);
-    campaign::parallelFor(kCells, bench::sweepThreads(),
+    campaign::parallelFor(kCells, /*threads=*/0,
                           [&](std::size_t i) {
                               unicast_msgs[i] = invalidationMessages(
                                   coherence::InvalPolicy::Unicast,

@@ -15,7 +15,6 @@
 
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
-#include "common.hh"
 #include "sim/logging.hh"
 #include "stats/report.hh"
 #include "workload/splash.hh"
@@ -50,14 +49,11 @@ main()
         core::makeConfig(core::NetworkKind::HMesh, core::MemoryKind::OCM),
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
     };
-    spec.base.requests =
-        std::min<std::uint64_t>(core::defaultRequestBudget(), 15'000);
+    spec.base.requests = 15'000;
     spec.seed_policy = campaign::SeedPolicy::Fixed;
 
     campaign::MemorySink sink;
-    campaign::RunnerOptions options;
-    options.threads = bench::sweepThreads();
-    campaign::CampaignRunner runner(options);
+    campaign::CampaignRunner runner;
     runner.addSink(sink);
     runner.run(spec);
     const auto grid = sink.grid();

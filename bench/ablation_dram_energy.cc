@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "campaign/parallel_for.hh"
-#include "common.hh"
 #include "memory/conventional_dram.hh"
 #include "memory/dram.hh"
 #include "sim/rng.hh"
@@ -30,7 +29,7 @@ main()
     constexpr double kHitRates[] = {0.9, 0.5, 0.2, 0.05, 0.0};
     constexpr std::size_t kCells = std::size(kHitRates);
     std::vector<memory::DramEnergyComparison> comparisons(kCells);
-    campaign::parallelFor(kCells, bench::sweepThreads(),
+    campaign::parallelFor(kCells, /*threads=*/0,
                           [&](std::size_t i) {
                               comparisons[i] =
                                   memory::compareDramEnergy(kHitRates[i]);
@@ -59,7 +58,7 @@ main()
     ConventionalDram conventional;
     DramModule corona_dram;
     const int accesses = 200'000;
-    campaign::parallelFor(2, bench::sweepThreads(), [&](std::size_t m) {
+    campaign::parallelFor(2, /*threads=*/0, [&](std::size_t m) {
         sim::Rng rng(11);
         sim::Tick now = 0;
         for (int i = 0; i < accesses; ++i) {

@@ -13,7 +13,6 @@
 
 #include "campaign/scenario.hh"
 #include "campaign/scenario_run.hh"
-#include "common.hh"
 #include "sim/clock.hh"
 #include "sim/logging.hh"
 #include "sim/event_queue.hh"
@@ -66,8 +65,7 @@ main()
         "XBar/OCM label=flying-token",
         "XBar/OCM token_node_pause=200 label=stop-every-node",
     };
-    scenario.requests =
-        std::min<std::uint64_t>(core::defaultRequestBudget(), 15'000);
+    scenario.requests = 15'000;
     scenario.seed_policy = campaign::SeedPolicy::Fixed;
     scenario.execution.progress = false;
 

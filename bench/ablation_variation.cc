@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "campaign/parallel_for.hh"
-#include "common.hh"
 #include "photonics/inventory.hh"
 #include "photonics/variation.hh"
 #include "stats/report.hh"
@@ -40,7 +39,7 @@ main()
     constexpr double kSigmas[] = {0.1, 0.25, 0.5, 0.75, 1.0};
     constexpr std::size_t kCells = std::size(kSigmas);
     std::vector<photonics::VariationResult> results(kCells);
-    campaign::parallelFor(kCells, bench::sweepThreads(),
+    campaign::parallelFor(kCells, /*threads=*/0,
                           [&](std::size_t i) {
                               VariationParams params;
                               params.sigma_nm = kSigmas[i];

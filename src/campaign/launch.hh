@@ -7,8 +7,8 @@
  * is OOM-killed takes down only its own shard). Each worker is one
  * expansion of a shell command template run with CORONA_SHARD and
  * CORONA_CHECKPOINT exported, so any binary that already honours the
- * sharding environment variables (the fig benches, corona-launch's
- * own worker mode, or an ssh wrapper around either) works unmodified.
+ * sharding environment variables (corona-run, corona-launch's own
+ * worker mode, or an ssh wrapper around either) works unmodified.
  * The launcher watches each shard's checkpoint file for progress,
  * re-launches crashed or failed shards with exponential backoff, and
  * excludes a shard as poisoned once its retry cap is exhausted.

@@ -2,7 +2,7 @@
  * @file
  * Worker-pool primitive for component-level sweeps.
  *
- * The figure benches run whole NetworkSimulations through
+ * Scenario runs execute whole NetworkSimulations through
  * CampaignRunner; the component ablations (token arbitration, the
  * broadcast bus, ring-variation Monte-Carlo) sweep much smaller units
  * that never touch a NetworkSimulation. parallelFor gives them the

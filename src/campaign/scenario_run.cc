@@ -72,9 +72,9 @@ checkWritten(FileSink *file)
 }
 
 /** The scenario's execution settings with CORONA_* overrides layered
- * on top. Mutates the scenario copy (requests) as well. */
+ * on top. */
 ScenarioExecution
-effectiveExecution(ScenarioSpec &scenario, EnvOverrides env)
+effectiveExecution(const ScenarioSpec &scenario, EnvOverrides env)
 {
     ScenarioExecution exec = scenario.execution;
     if (env == EnvOverrides::None)
@@ -92,9 +92,6 @@ effectiveExecution(ScenarioSpec &scenario, EnvOverrides env)
     if (const auto path = core::env::nonEmpty("CORONA_CHECKPOINT"))
         exec.checkpoint = *path;
     if (env == EnvOverrides::All) {
-        if (const auto requests =
-                core::env::positiveCount("CORONA_REQUESTS"))
-            scenario.requests = *requests;
         if (const auto jobs = core::env::positiveCount("CORONA_JOBS"))
             exec.threads = static_cast<std::size_t>(*jobs);
         if (const auto path = core::env::nonEmpty("CORONA_SWEEP_CSV"))
@@ -205,10 +202,8 @@ ScenarioRunResult
 runScenario(const ScenarioSpec &scenario,
             const ScenarioRunOptions &options)
 {
-    ScenarioSpec effective = scenario;
-    const ScenarioExecution exec =
-        effectiveExecution(effective, options.env);
-    const CampaignSpec spec = effective.resolve();
+    const ScenarioExecution exec = effectiveExecution(scenario, options.env);
+    const CampaignSpec spec = scenario.resolve();
 
     ProgressReporter progress(std::cerr);
     RunnerOptions runner_options;
@@ -217,10 +212,10 @@ runScenario(const ScenarioSpec &scenario,
     runner_options.reuse_systems = exec.reuse_systems;
     if (!options.quiet && exec.progress)
         runner_options.progress = &progress;
-    runner_options.execute = scenarioExecutor(effective);
+    runner_options.execute = scenarioExecutor(scenario);
 
     ScenarioObsSetup obs_setup;
-    obs_setup.apply(effective.observability, effective.name,
+    obs_setup.apply(scenario.observability, scenario.name,
                     runner_options);
 
     CampaignRunner runner(runner_options);
@@ -263,7 +258,7 @@ runScenario(const ScenarioSpec &scenario,
         // produced and leave table rendering to whoever merges the
         // shards' checkpoints.
         if (!checkpoint && !csv && !jsonl && !summary)
-            sim::warn("scenario \"" + effective.name +
+            sim::warn("scenario \"" + scenario.name +
                       "\" ran one shard with no file sink "
                       "(checkpoint / csv / jsonl / summary) — this "
                       "shard's results are discarded");

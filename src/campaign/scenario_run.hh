@@ -7,11 +7,11 @@
  *
  * Environment variables are overrides, not the primary interface:
  * CORONA_JOBS, CORONA_SHARD, CORONA_CHECKPOINT, CORONA_SWEEP_CSV,
- * CORONA_SWEEP_JSONL, CORONA_SUMMARY_CSV, and CORONA_REQUESTS each
- * replace the corresponding scenario setting when set (strictly
- * parsed via core::env), so a launcher can steer a worker that was
- * handed a scenario file without rewriting it, and historical
- * CORONA_* workflows keep working unchanged.
+ * CORONA_SWEEP_JSONL and CORONA_SUMMARY_CSV each replace the
+ * corresponding [execution] setting when set (strictly parsed via
+ * core::env), so a launcher can steer a worker that was handed a
+ * scenario file without rewriting it. The request budget has no
+ * override: it is the scenario's requests key.
  */
 
 #ifndef CORONA_CAMPAIGN_SCENARIO_RUN_HH
@@ -35,14 +35,12 @@ enum class EnvOverrides
     /** The scenario runs exactly as written. */
     None,
     /** Only CORONA_SHARD / CORONA_CHECKPOINT — the launcher-steered
-     * worker contract. A worker must not inherit CORONA_REQUESTS or
-     * sink paths from the operator's shell: a changed budget would
-     * shift the checkpoint fingerprint away from the primary's merge
-     * spec, and a shared sink path would be truncated by every
-     * concurrent worker at once. */
+     * worker contract. A worker must not inherit sink paths from
+     * the operator's shell: a shared sink path would be truncated by
+     * every concurrent worker at once. */
     ShardOnly,
-    /** Every variable (requests, threads, shard, checkpoint, sinks) —
-     * the interactive front-end contract (corona-run, fig benches). */
+    /** Every variable (threads, shard, checkpoint, sinks) — the
+     * interactive front-end contract (corona-run). */
     All,
 };
 
@@ -97,7 +95,7 @@ class ScenarioObsSetup
 /** What one scenario execution produced. */
 struct ScenarioRunResult
 {
-    /** The resolved campaign (after environment overrides). */
+    /** The resolved campaign. */
     CampaignSpec spec;
     /** The slice this process executed. */
     ShardSpec shard{};

@@ -83,8 +83,8 @@ struct CampaignSpec
 /** One fully resolved cell of the campaign grid. */
 struct RunPlan
 {
-    /** Position in expansion order (workload-major, then config, seed,
-     * override) — the serial-loop order of the seed repo's runSweep. */
+    /** Position in expansion order: workload-major, then config,
+     * seed, override. */
     std::size_t index = 0;
 
     std::size_t workload_index = 0;

@@ -3,11 +3,10 @@
  * Strict environment-variable access.
  *
  * Every CORONA_* variable flows through these helpers so a typo is a
- * uniform fatal diagnostic instead of a silently ignored setting (the
- * CORONA_REQUESTS hardening, generalised). Scenario files are the
- * primary way to describe an experiment; environment variables are
- * overrides layered on top, and these helpers are the only sanctioned
- * way to read them.
+ * uniform fatal diagnostic instead of a silently ignored setting.
+ * Scenario files are the primary way to describe an experiment;
+ * environment variables are overrides layered on top, and these
+ * helpers are the only sanctioned way to read them.
  */
 
 #ifndef CORONA_CORONA_ENV_HH

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "corona/env.hh"
 #include "corona/exec_plan.hh"
 #include "corona/frontend.hh"
 #include "obs/observe.hh"
@@ -384,14 +383,6 @@ parsePositiveCount(std::string_view text)
     if (value == 0)
         return std::nullopt;
     return value;
-}
-
-std::uint64_t
-defaultRequestBudget()
-{
-    if (const auto value = env::positiveCount("CORONA_REQUESTS"))
-        return *value;
-    return 50'000;
 }
 
 } // namespace corona::core

@@ -35,8 +35,8 @@ namespace corona::core {
 /** Simulation controls. */
 struct SimParams
 {
-    /** Primary misses to simulate (Table 3 counts, scaled; the
-     * CORONA_REQUESTS environment variable overrides bench defaults). */
+    /** Primary misses to simulate (Table 3 counts, scaled; a
+     * scenario's requests key sets it). */
     std::uint64_t requests = 50'000;
     std::uint64_t seed = 1;
     /** Primary misses issued before measurement starts: latency
@@ -183,15 +183,6 @@ RunMetrics runExperiment(SimContext &ctx, workload::Workload &workload,
  * @return std::nullopt on any violation.
  */
 std::optional<std::uint64_t> parsePositiveCount(std::string_view text);
-
-/**
- * Bench request-count default, honouring $CORONA_REQUESTS.
- *
- * Fatal (with the offending text) when the variable is set but is not a
- * strictly positive in-range decimal — a silently ignored typo would
- * otherwise run a 50k-request campaign the user never asked for.
- */
-std::uint64_t defaultRequestBudget();
 
 } // namespace corona::core
 

@@ -3,8 +3,8 @@
  * Tests for the campaign engine: grid expansion order and seed
  * derivation, thread-count-invariant determinism of both metrics and
  * serialized sink output, parity with the historical serial sweep loop,
- * structured sink formats, failure isolation, and the hardened
- * CORONA_REQUESTS parsing.
+ * structured sink formats, failure isolation, and strict count
+ * parsing.
  */
 
 #include <gtest/gtest.h>
@@ -447,21 +447,6 @@ TEST(RequestBudget, StrictParserAcceptsOnlyPositiveDecimals)
     // One past UINT64_MAX overflows.
     EXPECT_FALSE(parsePositiveCount("18446744073709551616"));
     EXPECT_FALSE(parsePositiveCount("99999999999999999999999"));
-}
-
-TEST(RequestBudget, EnvMisuseIsFatalNotSilent)
-{
-    unsetenv("CORONA_REQUESTS");
-    EXPECT_EQ(core::defaultRequestBudget(), 50'000u);
-    setenv("CORONA_REQUESTS", "1234", 1);
-    EXPECT_EQ(core::defaultRequestBudget(), 1234u);
-    for (const char *bad :
-         {"garbage", "0", "-1", "12moo", "", "18446744073709551616"}) {
-        setenv("CORONA_REQUESTS", bad, 1);
-        EXPECT_THROW(core::defaultRequestBudget(), sim::FatalError)
-            << "accepted \"" << bad << "\"";
-    }
-    unsetenv("CORONA_REQUESTS");
 }
 
 } // namespace

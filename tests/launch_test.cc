@@ -104,9 +104,10 @@ TEST(LaunchTemplate, ExpandsEveryPlaceholder)
               "--shard 3");
     // No placeholders: the template passes through verbatim (workers
     // read the exported CORONA_SHARD / CORONA_CHECKPOINT instead).
-    EXPECT_EQ(campaign::expandCommandTemplate("build/fig8_speedup",
-                                              shard, "x.ckpt"),
-              "build/fig8_speedup");
+    EXPECT_EQ(campaign::expandCommandTemplate(
+                  "build/corona-run scenarios/fig9.scenario", shard,
+                  "x.ckpt"),
+              "build/corona-run scenarios/fig9.scenario");
     // Template building blocks quote safely for `sh -c`.
     EXPECT_EQ(campaign::shellQuote("plain/path"), "'plain/path'");
     EXPECT_EQ(campaign::shellQuote("it's"), "'it'\\''s'");

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -457,9 +459,9 @@ TEST(CampaignSpec, ExpandRejectsDuplicateOverrideLabels)
 
 // ------------------------------------------------- resolve() parity
 
-/** The legacy hand-built fig9 slice: exactly what paperSweepSpec()
- * used to construct in C++ before the registry existed — Uniform +
- * FFT on the first two paper configs, fixed seed, warmup = 1/5. */
+/** A hand-built slice of the fig9 grid, constructed in C++ from the
+ * workload factories rather than the registry — Uniform + FFT on the
+ * first two paper configs, fixed seed, warmup = 1/5. */
 campaign::CampaignSpec
 legacySlice(std::uint64_t requests)
 {
@@ -561,46 +563,55 @@ TEST(ScenarioRun, EnvOverridesReplaceExecutionSettings)
     scenario.workloads = {"Uniform"};
     scenario.configs = {"XBar/OCM"};
     scenario.execution.progress = false;
+    const std::string csv = ::testing::TempDir() + "/env_override.csv";
 
-    setenv("CORONA_REQUESTS", "150", 1);
+    std::filesystem::remove(csv);
+    setenv("CORONA_SWEEP_CSV", csv.c_str(), 1);
     const auto overridden = campaign::runScenario(scenario, {.quiet = true});
-    unsetenv("CORONA_REQUESTS");
+    unsetenv("CORONA_SWEEP_CSV");
     ASSERT_EQ(overridden.records.size(), 1u);
-    EXPECT_EQ(overridden.records[0].metrics.requests_issued, 150u);
+    std::ifstream written(csv);
+    std::stringstream bytes;
+    bytes << written.rdbuf();
+    EXPECT_EQ(bytes.str(), std::string(campaign::CsvSink::header()) +
+                               "\n" +
+                               campaign::csvRow(overridden.records[0]) +
+                               "\n");
 
-    // With overrides disabled the scenario's own budget wins.
-    setenv("CORONA_REQUESTS", "150", 1);
+    // With overrides disabled the scenario's own (empty) sink wins.
+    std::filesystem::remove(csv);
+    setenv("CORONA_SWEEP_CSV", csv.c_str(), 1);
     const auto verbatim = campaign::runScenario(
         scenario, {.quiet = true, .env = campaign::EnvOverrides::None});
-    unsetenv("CORONA_REQUESTS");
+    unsetenv("CORONA_SWEEP_CSV");
     ASSERT_EQ(verbatim.records.size(), 1u);
-    EXPECT_EQ(verbatim.records[0].metrics.requests_issued, 300u);
+    EXPECT_FALSE(std::filesystem::exists(csv));
 }
 
 TEST(ScenarioRun, ShardOnlyEnvIgnoresOperatorVariables)
 {
     // The launcher-steered worker contract: CORONA_SHARD applies,
-    // but an operator-level CORONA_REQUESTS must not leak in (it
-    // would shift the worker's checkpoint fingerprint away from the
-    // primary's merge spec).
+    // but an operator-level sink path must not leak in (every
+    // concurrent worker would truncate the same file).
     campaign::ScenarioSpec scenario;
     scenario.name = "worker";
     scenario.requests = 300;
     scenario.workloads = {"Uniform"};
     scenario.configs = {"XBar/OCM", "HMesh/OCM"};
     scenario.execution.progress = false;
+    const std::string csv = ::testing::TempDir() + "/shard_only.csv";
 
-    setenv("CORONA_REQUESTS", "150", 1);
+    std::filesystem::remove(csv);
+    setenv("CORONA_SWEEP_CSV", csv.c_str(), 1);
     setenv("CORONA_SHARD", "1/2", 1);
     const auto result = campaign::runScenario(
         scenario,
         {.quiet = true, .env = campaign::EnvOverrides::ShardOnly});
-    unsetenv("CORONA_REQUESTS");
+    unsetenv("CORONA_SWEEP_CSV");
     unsetenv("CORONA_SHARD");
     ASSERT_EQ(result.records.size(), 1u); // Sharded...
     EXPECT_FALSE(result.complete());
-    EXPECT_EQ(result.records[0].metrics.requests_issued,
-              300u); // ...at the scenario's own budget.
+    EXPECT_FALSE(std::filesystem::exists(csv)); // ...with no sink.
 }
 
 TEST(ScenarioRun, ScenarioExecutorFollowsTheExecutionSection)
@@ -671,7 +682,8 @@ TEST(Env, PositiveCountIsStrict)
     EXPECT_FALSE(core::env::positiveCount("CORONA_TEST_ENV"));
     setenv("CORONA_TEST_ENV", "42", 1);
     EXPECT_EQ(core::env::positiveCount("CORONA_TEST_ENV"), 42u);
-    for (const char *bad : {"0", "-3", "4x", "", " 5"}) {
+    for (const char *bad : {"0", "-3", "4x", "", " 5", "garbage", "12moo",
+                            "18446744073709551616"}) {
         setenv("CORONA_TEST_ENV", bad, 1);
         EXPECT_THROW(core::env::positiveCount("CORONA_TEST_ENV"),
                      sim::FatalError)

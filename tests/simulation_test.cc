@@ -187,20 +187,6 @@ TEST(Simulation, WarmupExcludedFromMeasurement)
     EXPECT_LT(warm_m.elapsed, cold_m.elapsed + cold_m.elapsed / 2);
 }
 
-TEST(Simulation, DefaultBudgetHonoursEnvironment)
-{
-    // No env var: library default.
-    unsetenv("CORONA_REQUESTS");
-    EXPECT_EQ(core::defaultRequestBudget(), 50'000u);
-    setenv("CORONA_REQUESTS", "1234", 1);
-    EXPECT_EQ(core::defaultRequestBudget(), 1234u);
-    // A set-but-invalid budget is a configuration error, not a silent
-    // fallback (campaign_test covers the full rejection matrix).
-    setenv("CORONA_REQUESTS", "garbage", 1);
-    EXPECT_THROW(core::defaultRequestBudget(), sim::FatalError);
-    unsetenv("CORONA_REQUESTS");
-}
-
 // -------------------------------------------------------------------
 // Property sweep: conservation and sanity on every configuration.
 // -------------------------------------------------------------------

@@ -16,8 +16,9 @@
  *
  * Calibration workflow:
  *   corona-explore --calibrate factors.csv --anchor-requests 2000
- *       simulates the 15x5 paper anchor grid (checkpointed and
- *       resumable via --checkpoint) and writes residual factors;
+ *       simulates the 15x5 paper grid of scenarios/fig9.scenario at
+ *       2000 requests per cell, a fifth of them warm-up (checkpointed
+ *       and resumable via --checkpoint), and writes residual factors;
  *   corona-explore --calibration factors.csv ...
  *       applies them to every prediction.
  */
@@ -39,7 +40,6 @@
 #include "campaign/scenario.hh"
 #include "campaign/scenario_run.hh"
 #include "campaign/sink.hh"
-#include "common.hh"
 #include "corona/knobs.hh"
 #include "model/calibration.hh"
 #include "model/design_space.hh"
@@ -114,7 +114,9 @@ usage(std::ostream &os)
           "  --calibration PATH   apply residual factors\n"
           "  --calibrate PATH     simulate the paper anchor grid and "
           "write factors\n"
-          "  --anchor-requests R  anchor fidelity (default 2000)\n"
+          "  --anchor-requests R  anchor requests per cell, R/5 of them "
+          "warm-up\n"
+          "                       (default 2000)\n"
           "  --checkpoint PATH    crash-tolerant anchor checkpoint\n\n"
           "Confirmation:\n"
           "  --confirm K          simulate the top-K frontier points "
@@ -416,9 +418,8 @@ workerMain(const CliOptions &options)
     // The scenario front end picks this worker's CORONA_SHARD /
     // CORONA_CHECKPOINT (exported by the launcher) up as environment
     // overrides of the scenario's execution settings. ShardOnly: an
-    // operator-level CORONA_REQUESTS or sink path must not leak in,
-    // or the worker's checkpoint fingerprint would diverge from the
-    // primary's merge spec.
+    // operator-level sink path must not leak in, or every concurrent
+    // worker would truncate the same file.
     const campaign::ScenarioSpec scenario =
         campaign::loadScenarioFile(options.scenario_path);
     campaign::ScenarioRunOptions run_options;
@@ -556,19 +557,25 @@ exploreMain(const CliOptions &cli)
 
     model::Calibration calibration;
     if (!options.calibrate_path.empty()) {
-        // Simulated anchor grid: the 15 x 5 paper sweep at anchor
-        // fidelity, checkpointed so an interrupted pass resumes.
+        // Simulated anchor grid: fig9.scenario's 15 x 5 paper grid
+        // and seeding at anchor fidelity, a fifth of it warm-up,
+        // checkpointed so an interrupted pass resumes.
         std::cerr << "corona-explore: simulating the paper anchor "
                      "grid at "
                   << options.anchor_requests << " requests/cell...\n";
-        campaign::CampaignSpec anchor =
-            bench::paperSweepSpec(options.anchor_requests);
+        campaign::ScenarioSpec anchor;
+        anchor.name = "paper-sweep";
+        anchor.workloads = {"all"};
+        anchor.configs = {"paper"};
+        anchor.requests = options.anchor_requests;
+        anchor.warmup_requests = options.anchor_requests / 5;
+        anchor.seed_policy = campaign::SeedPolicy::Fixed;
         model::CalibrateOptions calibrate_options;
         calibrate_options.checkpoint_path = options.checkpoint_path;
         if (!options.quiet)
             calibrate_options.log = &std::cerr;
-        calibration =
-            model::calibrateFromAnchor(anchor, calibrate_options);
+        calibration = model::calibrateFromAnchor(anchor.resolve(),
+                                                 calibrate_options);
         std::ofstream out(options.calibrate_path, std::ios::trunc);
         calibration.save(out);
         out.flush();

@@ -1,8 +1,8 @@
 /**
  * @file
- * corona-launch: one-command distributed paper sweeps.
+ * corona-launch: one-command distributed scenario runs.
  *
- * Schedules the N shards of the fig8–fig11 paper sweep over a bounded
+ * Schedules the N shards of a scenario file (--scenario) over a bounded
  * pool of worker processes (default: re-exec this binary in --worker
  * mode locally; any template via --cmd, e.g. ssh onto other hosts),
  * retries crashed or failed shards with exponential backoff, merges
@@ -41,12 +41,10 @@
 #include "campaign/scenario.hh"
 #include "campaign/scenario_run.hh"
 #include "campaign/sink.hh"
-#include "common.hh"
 #include "corona/env.hh"
-#include "corona/knobs.hh"
+#include "corona/simulation.hh"
 #include "obs/heartbeat.hh"
 #include "sim/logging.hh"
-#include "workload/registry.hh"
 
 namespace {
 
@@ -55,12 +53,9 @@ using namespace corona;
 struct CliOptions
 {
     bool worker = false;
-    std::string scenario; ///< Scenario file; empty = the paper grid.
+    std::string scenario; ///< The scenario file (required).
     std::size_t shards = 4;
     std::size_t jobs = 0; // 0 = hardware concurrency.
-    std::uint64_t requests = 0;
-    std::size_t grid_workloads = 0; // 0 = all.
-    std::size_t grid_configs = 0;
     std::string dir = "corona-launch";
     std::size_t retries = 2;
     double backoff = 0.5;
@@ -81,25 +76,18 @@ struct CliOptions
 void
 usage(std::ostream &os)
 {
-    os << "corona-launch — distribute the paper sweep over worker "
+    os << "corona-launch — distribute a scenario over worker "
           "processes,\nretry failures, merge checkpoints, and render "
           "merged results.\n\n"
-          "  --scenario F    distribute the scenario file F instead "
-          "of the paper grid\n"
-          "                  (workers receive the spec path; "
-          "incompatible with\n"
-          "                  --requests/--grid). Without --scenario "
-          "the effective grid\n"
-          "                  is written to <dir>/scenario.scenario "
-          "and distributed the\n"
-          "                  same way.\n"
+          "usage: corona-launch --scenario F [options]\n\n"
+          "  --scenario F    the scenario file to distribute "
+          "(required; workers\n"
+          "                  receive its path, so the grid and the "
+          "request budget\n"
+          "                  are the file's)\n"
           "  --shards N      shard count (default 4)\n"
           "  --jobs M        concurrent worker processes (default: "
           "hardware)\n"
-          "  --requests R    primary misses per run (default: "
-          "CORONA_REQUESTS or 50000)\n"
-          "  --grid WxC      restrict to the first W workloads x C "
-          "configs (default: full 15x5)\n"
           "  --dir PATH      per-shard checkpoint directory (default "
           "corona-launch/)\n"
           "  --retries K     re-launches per shard after a failure "
@@ -123,8 +111,8 @@ usage(std::ostream &os)
           "                  automatically before the merge\n"
           "  --remote-cmd T  command run on each host (e.g. "
           "'corona-launch --worker\n"
-          "                  --requests 50000'); {shard}/{label} "
-          "expand per shard\n"
+          "                  --scenario fig9.scenario'); "
+          "{shard}/{label} expand per shard\n"
           "  --remote-dir P  remote checkpoint directory (default "
           "corona-launch-remote)\n"
           "  --rsh CMD       remote shell (default ssh)\n"
@@ -139,7 +127,7 @@ usage(std::ostream &os)
           "(launch_begin,\n"
           "                  shard_start/stall/exit, launch_done) as "
           "JSONL to P\n"
-          "  --verify        also run the sweep un-sharded in-process "
+          "  --verify        also run the scenario un-sharded in-process "
           "and assert the\n"
           "                  merged sink bytes match exactly\n"
           "  --quiet         suppress launcher/worker progress on "
@@ -187,18 +175,6 @@ parseArgs(int argc, char **argv)
             options.shards = parseCount(next(i, "--shards"), "--shards");
         } else if (arg == "--jobs") {
             options.jobs = parseCount(next(i, "--jobs"), "--jobs");
-        } else if (arg == "--requests") {
-            options.requests =
-                parseCount(next(i, "--requests"), "--requests");
-        } else if (arg == "--grid") {
-            const std::string value = next(i, "--grid");
-            const auto x = value.find('x');
-            if (x == std::string::npos)
-                badUsage("--grid must be WxC, e.g. 2x2");
-            options.grid_workloads =
-                parseCount(value.substr(0, x), "--grid workloads");
-            options.grid_configs =
-                parseCount(value.substr(x + 1), "--grid configs");
         } else if (arg == "--dir") {
             options.dir = next(i, "--dir");
         } else if (arg == "--retries") {
@@ -263,53 +239,10 @@ parseArgs(int argc, char **argv)
             badUsage("unknown argument \"" + arg + "\"");
         }
     }
-    if (!options.scenario.empty()) {
-        if (options.requests != 0 || options.grid_workloads > 0 ||
-            options.grid_configs > 0)
-            badUsage("--scenario is incompatible with --requests and "
-                     "--grid (the scenario file defines the grid)");
-    } else if (options.requests == 0) {
-        options.requests = core::defaultRequestBudget();
-    }
+    if (options.scenario.empty())
+        badUsage("--scenario is required (the scenario file defines "
+                 "the grid and the request budget)");
     return options;
-}
-
-/** The scenario the workers and the merge both execute: the given
- * file, or the paper grid — optionally restricted to its leading WxC
- * corner — expressed as a scenario (the launcher persists it so the
- * workers receive a spec path, not a baked-in grid). */
-campaign::ScenarioSpec
-launchScenario(const CliOptions &options)
-{
-    if (!options.scenario.empty())
-        return campaign::loadScenarioFile(options.scenario);
-    campaign::ScenarioSpec scenario =
-        bench::paperScenario(options.requests);
-    if (options.grid_workloads > 0 || options.grid_configs > 0) {
-        // Explicit name lists instead of the "all"/"paper" aliases,
-        // so the generated scenario file states the restricted grid.
-        const std::vector<std::string> workloads =
-            workload::registryNames();
-        const std::size_t keep_workloads =
-            options.grid_workloads > 0
-                ? std::min(options.grid_workloads, workloads.size())
-                : workloads.size();
-        scenario.workloads.assign(
-            workloads.begin(),
-            workloads.begin() +
-                static_cast<std::ptrdiff_t>(keep_workloads));
-        const std::vector<std::string> &configs =
-            core::paperConfigNames();
-        const std::size_t keep_configs =
-            options.grid_configs > 0
-                ? std::min(options.grid_configs, configs.size())
-                : configs.size();
-        scenario.configs.assign(
-            configs.begin(),
-            configs.begin() +
-                static_cast<std::ptrdiff_t>(keep_configs));
-    }
-    return scenario;
 }
 
 /** Crashes the worker after the first freshly checkpointed run:
@@ -344,9 +277,6 @@ class CrashOnceSink : public campaign::ResultSink
 int
 workerMain(const CliOptions &options)
 {
-    if (options.scenario.empty())
-        badUsage("--worker needs --scenario (the launcher always "
-                 "passes the spec path it persisted)");
     const std::string shard_env =
         core::env::require("CORONA_SHARD", "corona-launch --worker");
     const std::string checkpoint_env = core::env::require(
@@ -357,7 +287,7 @@ workerMain(const CliOptions &options)
                    shard_env + "\"");
 
     // The worker's grid comes from the same scenario file the
-    // launcher persisted — never from re-baked C++ defaults.
+    // launcher was given.
     const campaign::ScenarioSpec scenario =
         campaign::loadScenarioFile(options.scenario);
     const campaign::CampaignSpec spec = scenario.resolve();
@@ -438,28 +368,9 @@ writeOutput(const std::string &path, const std::string &bytes,
 int
 launchMain(const CliOptions &options)
 {
-    const campaign::ScenarioSpec scenario = launchScenario(options);
+    const campaign::ScenarioSpec scenario =
+        campaign::loadScenarioFile(options.scenario);
     const campaign::CampaignSpec spec = scenario.resolve();
-
-    // Persist the scenario the workers will execute: a worker is
-    // always handed a spec path (its grid is data, not code).
-    std::string scenario_path = options.scenario;
-    if (scenario_path.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(options.dir, ec);
-        scenario_path =
-            (std::filesystem::path(options.dir) / "scenario.scenario")
-                .string();
-        std::ofstream out(scenario_path, std::ios::trunc);
-        out << campaign::serializeScenario(scenario);
-        out.flush();
-        if (!out)
-            sim::fatal("corona-launch: cannot write scenario \"" +
-                       scenario_path + "\"");
-        if (!options.quiet)
-            std::cerr << "corona-launch: wrote " << scenario_path
-                      << "\n";
-    }
 
     campaign::LaunchOptions launch;
     launch.shard_count = options.shards;
@@ -516,12 +427,12 @@ launchMain(const CliOptions &options)
 
     std::string command = options.command;
     if (command.empty() && launch.commands.empty()) {
-        // Re-exec this binary as a local worker on the persisted
+        // Re-exec this binary as a local worker on the same
         // scenario file.
         std::ostringstream self;
         self << campaign::shellQuote(options.self)
              << " --worker --scenario "
-             << campaign::shellQuote(scenario_path);
+             << campaign::shellQuote(options.scenario);
         if (options.quiet)
             self << " --quiet";
         command = self.str();

@@ -10,12 +10,16 @@
  * laptop, a launcher-spawned worker, or a remote host and produces
  * byte-identical sink and checkpoint output.
  *
- * Environment overrides (all strictly parsed): CORONA_REQUESTS,
- * CORONA_JOBS, CORONA_SHARD, CORONA_CHECKPOINT, CORONA_SWEEP_CSV,
- * CORONA_SWEEP_JSONL, CORONA_SUMMARY_CSV — the legacy variables,
- * demoted to per-invocation overrides of the scenario's settings
- * (that is how corona-launch steers a scenario worker onto its shard
- * and checkpoint without rewriting the file).
+ * Environment overrides (all strictly parsed): CORONA_JOBS,
+ * CORONA_SHARD, CORONA_CHECKPOINT, CORONA_SWEEP_CSV,
+ * CORONA_SWEEP_JSONL, CORONA_SUMMARY_CSV — per-invocation overrides
+ * of the scenario's [execution] settings (that is how corona-launch
+ * steers a scenario worker onto its shard and checkpoint without
+ * rewriting the file). The request budget is the scenario's own.
+ *
+ * The paper's Figures 8-11 come from one run of
+ * scenarios/fig9.scenario: `corona-stats figures` renders them from
+ * its CSV sink.
  */
 
 #include <cstdlib>
@@ -48,10 +52,12 @@ usage(std::ostream &os)
           "              [execution] sim_threads; runs that cannot\n"
           "              partition fall back to the serial engine,\n"
           "              bit-identically)\n\n"
-          "Environment overrides: CORONA_REQUESTS, CORONA_JOBS,\n"
-          "CORONA_SHARD, CORONA_CHECKPOINT, CORONA_SWEEP_CSV,\n"
-          "CORONA_SWEEP_JSONL, CORONA_SUMMARY_CSV override the\n"
-          "scenario's [scenario]/[execution] settings.\n";
+          "Environment overrides: CORONA_JOBS, CORONA_SHARD,\n"
+          "CORONA_CHECKPOINT, CORONA_SWEEP_CSV, CORONA_SWEEP_JSONL,\n"
+          "CORONA_SUMMARY_CSV override the scenario's [execution]\n"
+          "settings.\n\n"
+          "Figures 8-11: run scenarios/fig9.scenario with a CSV sink,\n"
+          "then `corona-stats figures RUNS.csv`.\n";
 }
 
 } // namespace
