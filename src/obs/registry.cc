@@ -51,6 +51,10 @@ Registry::add(std::string path, std::function<double()> read)
     if (!validPath(path))
         sim::fatal("obs::Registry: malformed probe path \"" + path +
                    "\" (slash-separated lowercase [a-z0-9_] segments)");
+    if (path.size() > maxProbePathBytes)
+        sim::fatal("obs::Registry: probe path \"" + path + "\" is " +
+                   std::to_string(path.size()) + " bytes, over the " +
+                   std::to_string(maxProbePathBytes) + "-byte limit");
     if (!read)
         sim::fatal("obs::Registry: null read function for \"" + path +
                    "\"");

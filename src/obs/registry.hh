@@ -46,6 +46,11 @@ namespace corona::obs {
  */
 std::string formatValue(double value);
 
+/** Longest probe path, in bytes, that Registry::add accepts. It is
+ * also the binary time-series format's limit on a decoded path, which
+ * keeps a decoded path table proportional to its file. */
+inline constexpr std::size_t maxProbePathBytes = 255;
+
 /** One named read-only probe. */
 struct Probe
 {
@@ -72,9 +77,9 @@ class Registry
   public:
     /**
      * Register a probe at @p path. Paths are slash-separated segments
-     * of [a-z0-9_] (stable machine names, CSV-safe); duplicates and
-     * malformed paths are fatal — a colliding path would silently
-     * shadow another component's data.
+     * of [a-z0-9_] (stable machine names, CSV-safe) of at most
+     * maxProbePathBytes; duplicates and malformed paths are fatal — a
+     * colliding path would silently shadow another component's data.
      */
     void add(std::string path, std::function<double()> read);
 

@@ -89,8 +89,10 @@ readTimeSeriesBinary(std::istream &is, const std::string &what)
          rows > std::numeric_limits<std::size_t>::max() / 8 / probes))
         sim::fatal(what + ": implausible binary time-series shape");
 
+    // An entry is two varints no larger than maxProbePathBytes (two
+    // bytes each) and at most that many suffix bytes.
     const std::uint64_t path_bytes = readU64(is, what);
-    if (path_bytes > probes * 4200 + 16)
+    if (path_bytes > probes * (4 + maxProbePathBytes))
         sim::fatal(what + ": implausible probe path table size");
     if (path_bytes > bytesLeft(is))
         sim::fatal(what + ": truncated probe path table");
@@ -106,12 +108,15 @@ readTimeSeriesBinary(std::istream &is, const std::string &what)
     {
         const char *at = path_blob.data();
         const char *end = at + path_blob.size();
+        // Capping each decoded path, not just each suffix, keeps the
+        // table linear in the file: otherwise 4-byte entries could
+        // each copy one ever-longer path.
         std::string prev;
         for (std::uint64_t p = 0; p < probes; ++p) {
             std::uint64_t shared = 0, suffix = 0;
             if (!readVarint(at, end, shared) ||
                 !readVarint(at, end, suffix) || shared > prev.size() ||
-                suffix > 4096 ||
+                suffix > maxProbePathBytes - shared ||
                 suffix > static_cast<std::uint64_t>(end - at))
                 sim::fatal(what + ": corrupt probe path table");
             prev.resize(shared);

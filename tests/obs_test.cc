@@ -133,6 +133,11 @@ TEST(Registry, RejectsDuplicateAndMalformedPaths)
                  sim::FatalError);
     EXPECT_THROW(registry.add("Upper/case", [] { return 0.0; }),
                  sim::FatalError);
+    // The binary time-series format caps a path at 255 bytes.
+    EXPECT_THROW(registry.add(std::string(256, 'a'), [] { return 0.0; }),
+                 sim::FatalError);
+    EXPECT_NO_THROW(
+        registry.add(std::string(255, 'a'), [] { return 0.0; }));
 }
 
 TEST(Registry, SnapshotCsvIsPathValueRows)
@@ -360,6 +365,24 @@ TEST(ObsBinaryReaders, TimeSeriesRowsBeyondTheFileAreFatal)
                                      {10, 0, 1'000'000'000, 0}));
     EXPECT_EQ(fatalMessage([&] { obs::readTimeSeriesBinary(in, "ts"); }),
               "fatal: ts: truncated tick column");
+}
+
+TEST(ObsBinaryReaders, TimeSeriesPathOverTheLimitIsFatal)
+{
+    // Two probes, no rows. The second path-table entry shares all 200
+    // bytes of the first path and appends 100 more: each suffix is
+    // small, but the decoded path would be 300 bytes.
+    std::string table = {'\0', '\xc8', '\x01'}; // shared 0, suffix 200
+    table += std::string(200, 'a');
+    table += {'\xc8', '\x01', '\x64'}; // shared 200, suffix 100
+    table += std::string(100, 'b');
+    std::string bytes = forgedFile(obs::timeSeriesMagic,
+                                   {10, 2, 0, table.size()});
+    bytes += table;
+    bytes += std::string(8, '\0'); // An empty value block.
+    std::istringstream in(bytes);
+    EXPECT_EQ(fatalMessage([&] { obs::readTimeSeriesBinary(in, "ts"); }),
+              "fatal: ts: corrupt probe path table");
 }
 
 TEST(ObsBinaryReaders, TracePayloadBeyondTheFileIsFatal)
