@@ -15,6 +15,9 @@
 #      worker processes (corona-launch --worker, each loading the
 #      spec file) and --verify asserts merged sink bytes equal an
 #      un-sharded in-process run.
+#   5. corona-stats figures renders Figures 8-11 from the CSV of a
+#      reduced scenarios/fig9.scenario run (500 requests, 100
+#      warm-up), and refuses a copy torn mid-row with a fatal: line.
 #
 # Usage: scripts/scenario_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -79,5 +82,32 @@ cmp -s "${DIR}/a.csv" "${DIR}/launch.csv" || {
   exit 1
 }
 
+# ---- 5. The paper figures render from the run's own CSV.
+sed -e 's/^requests = .*/requests = 500/' \
+    -e 's/^warmup_requests = .*/warmup_requests = 100/' \
+    scenarios/fig9.scenario > "${DIR}/fig9_small.scenario"
+grep -qx 'requests = 500' "${DIR}/fig9_small.scenario"
+grep -qx 'warmup_requests = 100' "${DIR}/fig9_small.scenario"
+CORONA_SWEEP_CSV="${DIR}/fig9.csv" \
+  "${BUILD}/corona-run" --quiet --no-table "${DIR}/fig9_small.scenario"
+"${BUILD}/corona-stats" figures "${DIR}/fig9.csv" > "${DIR}/figures.txt"
+for n in 8 9 10 11; do
+  grep -q "^== Figure ${n}: " "${DIR}/figures.txt" || {
+    echo "scenario smoke: figures output lacks Figure ${n}" >&2
+    exit 1
+  }
+done
+# A CSV whose last row is cut mid-line is refused, not rendered.
+head -c -20 "${DIR}/fig9.csv" > "${DIR}/fig9_torn.csv"
+status=0
+"${BUILD}/corona-stats" figures "${DIR}/fig9_torn.csv" \
+  > /dev/null 2> "${DIR}/torn.err" || status=$?
+if [ "${status}" -ne 1 ] || ! grep -q "fatal:" "${DIR}/torn.err"; then
+  echo "scenario smoke: a torn figures CSV must exit 1 with a fatal:" \
+       "line (exit ${status})" >&2
+  exit 1
+fi
+
 echo "scenario smoke: OK (print fixed point, deterministic bytes," \
-     "shard/merge parity, scenario-worker launch verified)"
+     "shard/merge parity, scenario-worker launch verified, figures" \
+     "rendered)"
