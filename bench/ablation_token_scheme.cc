@@ -69,8 +69,8 @@ main()
     scenario.seed_policy = campaign::SeedPolicy::Fixed;
     scenario.execution.progress = false;
 
-    const campaign::ScenarioRunResult result = campaign::runScenario(
-        scenario, {.quiet = true, .env = campaign::EnvOverrides::None});
+    const campaign::ScenarioRunResult result =
+        campaign::runScenario(scenario, {.quiet = true});
 
     stats::TableWriter table("Flying token vs stop-at-every-node token");
     table.setHeader({"scheme", "token loop (clocks)",

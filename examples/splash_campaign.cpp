@@ -11,16 +11,20 @@
  *        (defaults: FFT, 15000, 3)
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "campaign/aggregate.hh"
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
-#include "corona/report.hh"
 #include "corona/simulation.hh"
+#include "obs/registry.hh"
 #include "stats/report.hh"
 #include "stats/stats.hh"
 #include "workload/splash.hh"
@@ -126,10 +130,10 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    // Detailed component report for the Corona design point: one
-    // extra run, reusing the seed that cell's first replicate
-    // actually ran with so it reproduces a campaign run whose system
-    // we can inspect.
+    // Busiest memory controllers at the Corona design point: one extra
+    // run, reusing the seed that cell's first replicate actually ran
+    // with, read through the same registry probes the observability
+    // planes record.
     for (std::size_t c = 0; c < configs; ++c) {
         const auto &config = spec.configs[c];
         if (config.network != core::NetworkKind::XBar)
@@ -139,9 +143,41 @@ main(int argc, char **argv)
         params.requests = requests;
         params.seed = records[c * seeds].seed;
         core::NetworkSimulation sim(config, *workload, params);
-        const auto metrics = sim.run();
+        const core::RunMetrics metrics = sim.run();
+        obs::Registry registry;
+        sim.system().instrument(registry);
+        std::map<std::string, double> probes;
+        for (const obs::Probe &probe : registry.probes())
+            probes.emplace(probe.path, probe.read());
+        const auto probe = [&](const char *plane, std::size_t cluster,
+                               const char *name) {
+            return probes.at(std::string(plane) + "/" +
+                             std::to_string(cluster) + "/" + name);
+        };
+        std::vector<std::size_t> busiest(config.clusters);
+        std::iota(busiest.begin(), busiest.end(), std::size_t{0});
+        std::stable_sort(busiest.begin(), busiest.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return probe("mc", a, "accesses") >
+                                    probe("mc", b, "accesses");
+                         });
+        stats::TableWriter busy("Busiest memory controllers: " +
+                                metrics.workload + " on " +
+                                metrics.config);
+        busy.setHeader({"cluster", "accesses", "service (ns)",
+                        "peak queue", "MSHR stalls"});
+        for (std::size_t i = 0; i < 4 && i < busiest.size(); ++i) {
+            const std::size_t mc = busiest[i];
+            busy.addRow(
+                {std::to_string(mc),
+                 obs::formatValue(probe("mc", mc, "accesses")),
+                 stats::formatDouble(
+                     probe("mc", mc, "service/mean") / 1000.0, 1),
+                 obs::formatValue(probe("mc", mc, "peak_queue")),
+                 obs::formatValue(probe("hub", mc, "mshr/full_stalls"))});
+        }
         std::cout << "\n";
-        core::collectReport(metrics, sim.system()).print(std::cout);
+        busy.print(std::cout);
         break;
     }
     return 0;

@@ -23,7 +23,7 @@ rm -rf "${DIR}"
 mkdir -p "${DIR}"
 
 # ---- 1. Pass-through parity gate.
-parity_scenario() { # $1 = config line
+parity_scenario() { # $1 = config line; $2 = csv sink
   cat <<EOF
 [scenario]
 name = coherence-parity
@@ -40,20 +40,20 @@ config = $1
 
 [execution]
 progress = off
+csv = $2
 EOF
 }
 
-parity_scenario "XBar/OCM" > "${DIR}/miss.scenario"
-parity_scenario \
-  "XBar/OCM frontend=coherent l1_kib=0 l2_kib=0 label=XBar/OCM" \
-  > "${DIR}/passthrough.scenario"
+parity_scenario "XBar/OCM" "${DIR}/miss.csv" > "${DIR}/miss.scenario"
 
-CORONA_JOBS=1 CORONA_SWEEP_CSV="${DIR}/miss.csv" \
+CORONA_JOBS=1 \
   "${BUILD}/corona-run" --quiet --no-table "${DIR}/miss.scenario"
 for jobs in 1 4; do
-  CORONA_JOBS=${jobs} CORONA_SWEEP_CSV="${DIR}/pass${jobs}.csv" \
-    "${BUILD}/corona-run" --quiet --no-table \
-    "${DIR}/passthrough.scenario"
+  parity_scenario \
+    "XBar/OCM frontend=coherent l1_kib=0 l2_kib=0 label=XBar/OCM" \
+    "${DIR}/pass${jobs}.csv" > "${DIR}/pass${jobs}.scenario"
+  CORONA_JOBS=${jobs} \
+    "${BUILD}/corona-run" --quiet --no-table "${DIR}/pass${jobs}.scenario"
   cmp -s "${DIR}/miss.csv" "${DIR}/pass${jobs}.csv" || {
     echo "coherence smoke: pass-through CSV differs from" \
          "miss-stream at ${jobs} workers" >&2
@@ -78,13 +78,14 @@ config = XBar/OCM frontend=coherent label=broadcast
 
 [execution]
 progress = off
+csv = ${DIR}/coherent.csv
 
 [observability]
 snapshot = on
 dir = ${DIR}/snapshots
 EOF
 
-CORONA_JOBS=1 CORONA_SWEEP_CSV="${DIR}/coherent.csv" \
+CORONA_JOBS=1 \
   "${BUILD}/corona-run" --quiet --no-table "${DIR}/coherent.scenario"
 
 # Every run's snapshot parses and publishes the coherent planes.

@@ -3,7 +3,9 @@
 # >=10k-point design grid quickly, produce a non-empty Pareto
 # frontier CSV, and be bit-deterministic — two runs with the same
 # seed must write identical bytes (the campaign engine's reproducibility
-# bar applies to the analytical layer too).
+# bar applies to the analytical layer too). On a small grid, --confirm
+# then simulates the top frontier points on corona-run shard workers
+# and prints one model-vs-simulator row per point.
 #
 # Usage: scripts/explore_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -51,4 +53,19 @@ cmp "${DIR}/top1.txt" "${DIR}/top2.txt" || {
   exit 1
 }
 
-echo "explore smoke: OK (${POINTS}-point grid, $((FRONTIER_ROWS - 1))-point frontier, deterministic)"
+# Confirmation over corona-run shard workers: three points, three rows.
+"${BUILD}/corona-explore" --clusters 16,64 --guides 1 --lambdas 64 \
+  --networks xbar,hmesh --memory ocm --mem-channels 1 \
+  --workloads Uniform --confirm 3 --confirm-requests 300 \
+  --shards 2 --jobs 2 --dir "${DIR}/confirm" \
+  > "${DIR}/confirm.txt" 2> "${DIR}/confirm.log"
+CONFIRMED="$(awk '/^== Frontier confirmation/ { table = 1; next }
+                  table && /^---/ { rows = 1; next }
+                  rows && NF { n++ }
+                  END { print n + 0 }' "${DIR}/confirm.txt")"
+test "${CONFIRMED}" -eq 3 || {
+  echo "explore smoke: FAIL — ${CONFIRMED} confirmation rows, not 3" >&2
+  exit 1
+}
+
+echo "explore smoke: OK (${POINTS}-point grid, $((FRONTIER_ROWS - 1))-point frontier, deterministic, 3 points confirmed)"

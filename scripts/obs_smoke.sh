@@ -28,7 +28,7 @@ rm -rf "${DIR}"
 mkdir -p "${DIR}"
 
 # A small observed grid (2 workloads x 1 config x 2 seeds = 4 runs).
-scenario() { # $1 = obs dir; empty = no [observability] section
+scenario() { # $1 = obs dir ("" = no [observability]); $2 = csv sink
   cat <<EOF
 [scenario]
 name = obs-smoke
@@ -45,6 +45,7 @@ config = XBar/OCM
 
 [execution]
 progress = off
+csv = $2
 EOF
   if [ -n "$1" ]; then
     cat <<EOF
@@ -60,13 +61,13 @@ EOF
   fi
 }
 
-scenario "${DIR}/obs1"   > "${DIR}/on1.scenario"
-scenario "${DIR}/obs4"   > "${DIR}/on4.scenario"
-scenario "${DIR}/obsL"   > "${DIR}/launch.scenario"
-scenario ""              > "${DIR}/off.scenario"
+scenario "${DIR}/obs1" "${DIR}/on1.csv"    > "${DIR}/on1.scenario"
+scenario "${DIR}/obs4" "${DIR}/on4.csv"    > "${DIR}/on4.scenario"
+scenario "${DIR}/obsL" "${DIR}/launch.csv" > "${DIR}/launch.scenario"
+scenario ""            "${DIR}/off.csv"    > "${DIR}/off.scenario"
 
 # ---- 1. Observed run; corona-stats validates every file shape.
-CORONA_JOBS=1 CORONA_SWEEP_CSV="${DIR}/on1.csv" \
+CORONA_JOBS=1 \
   "${BUILD}/corona-run" --quiet --no-table "${DIR}/on1.scenario"
 
 for run in 0 1 2 3; do
@@ -105,7 +106,7 @@ for event in campaign_begin cell worker_done campaign_end; do
 done
 
 # ---- 2. Observability never changes the results.
-CORONA_JOBS=1 CORONA_SWEEP_CSV="${DIR}/off.csv" \
+CORONA_JOBS=1 \
   "${BUILD}/corona-run" --quiet --no-table "${DIR}/off.scenario"
 cmp -s "${DIR}/on1.csv" "${DIR}/off.csv" || {
   echo "obs smoke: CSV sink bytes differ with observability on" >&2
@@ -113,7 +114,7 @@ cmp -s "${DIR}/on1.csv" "${DIR}/off.csv" || {
 }
 
 # ---- 3. Per-run obs files + rollup are worker-count invariant.
-CORONA_JOBS=4 CORONA_SWEEP_CSV="${DIR}/on4.csv" \
+CORONA_JOBS=4 \
   "${BUILD}/corona-run" --quiet --no-table "${DIR}/on4.scenario"
 cmp -s "${DIR}/on1.csv" "${DIR}/on4.csv" || {
   echo "obs smoke: CSV sink bytes differ across worker counts" >&2
@@ -136,8 +137,7 @@ cmp -s "${DIR}/obs1/rollup.csv" "${DIR}/obs4/rollup.csv" || {
 # ---- 4. Sharded launch: merged rollup bytes == whole-run rollup
 #         bytes, and the live-monitoring surfaces render the outputs.
 "${BUILD}/corona-launch" --scenario "${DIR}/launch.scenario" \
-  --shards 2 --jobs 2 --dir "${DIR}/launch-ckpt" \
-  --csv "${DIR}/launch.csv" --quiet
+  --shards 2 --jobs 2 --dir "${DIR}/launch-ckpt" --quiet
 cmp -s "${DIR}/obs1/rollup.csv" "${DIR}/obsL/rollup.csv" || {
   echo "obs smoke: merged shard rollup differs from whole-run rollup" >&2
   exit 1

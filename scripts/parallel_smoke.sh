@@ -2,8 +2,8 @@
 # Parallel-executor smoke test against the real corona-run binary: the
 # sharded engine's bit-identity contract, enforced on sink bytes.
 #
-#   1. Crossbar scenario: --sim-threads 2 and 4 produce CSV, JSONL and
-#      summary sink bytes identical to --sim-threads 1 (the serial
+#   1. Crossbar scenario: sim_threads = 2 and 4 produce CSV, JSONL and
+#      summary sink bytes identical to sim_threads = 1 (the serial
 #      windowed engine), across a multi-seed grid with pooled contexts.
 #   2. Mesh scenario: same gate on the electrical-mesh fabric (distinct
 #      lookahead and fabric-entity wiring).
@@ -13,8 +13,11 @@
 #      shard-count-invariant byte for byte (barrier-driven sampling
 #      sees the same quiescent states the serial sampler sees).
 #   5. Fallback: a scenario the executor cannot partition (warm-up)
-#      runs with --sim-threads 4 anyway, bit-identical to serial — the
+#      runs with sim_threads = 4 anyway, bit-identical to serial — the
 #      fallback is silent and safe.
+#
+# Each run is a copy of its scenario with sim_threads and the three
+# sink paths written under [execution].
 #
 # Usage: scripts/parallel_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -57,12 +60,12 @@ EOF
   fi
 }
 
-run() { # $1 = scenario file; $2 = output stem; $3 = sim-threads
-  CORONA_JOBS=1 \
-  CORONA_SWEEP_CSV="${DIR}/$2.csv" \
-  CORONA_SWEEP_JSONL="${DIR}/$2.jsonl" \
-  CORONA_SUMMARY_CSV="${DIR}/$2.summary.csv" \
-    "${BUILD}/corona-run" --quiet --no-table --sim-threads "$3" "$1"
+run() { # $1 = scenario file; $2 = output stem; $3 = sim_threads
+  local keys="sim_threads = $3\ncsv = ${DIR}/$2.csv"
+  keys+="\njsonl = ${DIR}/$2.jsonl\nsummary = ${DIR}/$2.summary.csv"
+  sed "s|^\[execution\]\$|[execution]\n${keys}|" "$1" > "${DIR}/$2.scenario"
+  grep -qx "sim_threads = $3" "${DIR}/$2.scenario"
+  CORONA_JOBS=1 "${BUILD}/corona-run" --quiet --no-table "${DIR}/$2.scenario"
 }
 
 expect_same() { # $1 = stem a; $2 = stem b; $3 = label

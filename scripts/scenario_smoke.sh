@@ -6,15 +6,15 @@
 #      serialisation (corona-run --print) is a fixed point — printing
 #      the printed form reproduces it byte for byte.
 #   2. corona-run scenarios/smoke.scenario is deterministic: two runs
-#      write byte-identical CSV/JSONL sinks (via environment override
-#      on one run to prove the override path too).
+#      of copies that name their own csv/jsonl sinks write
+#      byte-identical bytes.
 #   3. A sharded corona-run of the same scenario (CORONA_SHARD=1/2 +
 #      2/2 with per-shard checkpoints) merges + replays to the exact
 #      bytes of the un-sharded run.
-#   4. corona-launch --scenario distributes the scenario over real
-#      worker processes (corona-launch --worker, each loading the
-#      spec file) and --verify asserts merged sink bytes equal an
-#      un-sharded in-process run.
+#   4. corona-launch --scenario distributes a copy that names its own
+#      csv over corona-run shard workers (which never open that path;
+#      the launcher's merge writes it), and --verify asserts merged
+#      sink bytes equal an un-sharded in-process run.
 #   5. corona-stats figures renders Figures 8-11 from the CSV of a
 #      reduced scenarios/fig9.scenario run (500 requests, 100
 #      warm-up), and refuses a copy torn mid-row with a fatal: line.
@@ -41,12 +41,25 @@ done
 
 SCENARIO=scenarios/smoke.scenario
 
-# ---- 2. Deterministic bytes across independent runs; one run steers
-# the sinks through the scenario's env-var overrides.
-CORONA_SWEEP_CSV="${DIR}/a.csv" CORONA_SWEEP_JSONL="${DIR}/a.jsonl" \
-  "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
-CORONA_SWEEP_CSV="${DIR}/b.csv" CORONA_SWEEP_JSONL="${DIR}/b.jsonl" \
-  "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
+# with_execution OUT LINE...: a copy of smoke.scenario with LINEs
+# added under its [execution] header.
+with_execution() {
+  local out="$1"
+  shift
+  local lines
+  lines="$(printf '\\n%s' "$@")"
+  sed "s|^\[execution\]\$|[execution]${lines}|" "${SCENARIO}" > "${out}"
+  for line in "$@"; do
+    grep -qxF "${line}" "${out}"
+  done
+}
+
+# ---- 2. Deterministic bytes across independent runs.
+for run in a b; do
+  with_execution "${DIR}/${run}.scenario" \
+    "csv = ${DIR}/${run}.csv" "jsonl = ${DIR}/${run}.jsonl"
+  "${BUILD}/corona-run" --quiet --no-table "${DIR}/${run}.scenario"
+done
 cmp -s "${DIR}/a.csv" "${DIR}/b.csv" || {
   echo "scenario smoke: CSV bytes differ across identical runs" >&2
   exit 1
@@ -64,19 +77,20 @@ CORONA_SHARD=1/2 CORONA_CHECKPOINT="${DIR}/s1.ckpt" \
 CORONA_SHARD=2/2 CORONA_CHECKPOINT="${DIR}/s2.ckpt" \
   "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
 cat "${DIR}/s1.ckpt" "${DIR}/s2.ckpt" > "${DIR}/merged.ckpt"
-CORONA_CHECKPOINT="${DIR}/merged.ckpt" CORONA_SWEEP_CSV="${DIR}/c.csv" \
-  "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
+with_execution "${DIR}/c.scenario" \
+  "checkpoint = ${DIR}/merged.ckpt" "csv = ${DIR}/c.csv"
+"${BUILD}/corona-run" --quiet --no-table "${DIR}/c.scenario"
 cmp -s "${DIR}/a.csv" "${DIR}/c.csv" || {
   echo "scenario smoke: sharded+merged CSV differs from un-sharded" >&2
   exit 1
 }
 
-# ---- 4. The launcher distributes a scenario file to worker
-# processes; --verify re-runs un-sharded in-process and compares
-# merged sink bytes.
-"${BUILD}/corona-launch" --scenario "${SCENARIO}" \
-  --shards 2 --jobs 2 --dir "${DIR}/launch" \
-  --csv "${DIR}/launch.csv" --verify --quiet
+# ---- 4. The launcher distributes a scenario that names its own csv
+# to corona-run workers; --verify re-runs un-sharded in-process and
+# compares merged sink bytes.
+with_execution "${DIR}/launch.scenario" "csv = ${DIR}/launch.csv"
+"${BUILD}/corona-launch" --scenario "${DIR}/launch.scenario" \
+  --shards 2 --jobs 2 --dir "${DIR}/launch" --verify --quiet
 cmp -s "${DIR}/a.csv" "${DIR}/launch.csv" || {
   echo "scenario smoke: launcher CSV differs from corona-run" >&2
   exit 1
@@ -85,11 +99,12 @@ cmp -s "${DIR}/a.csv" "${DIR}/launch.csv" || {
 # ---- 5. The paper figures render from the run's own CSV.
 sed -e 's/^requests = .*/requests = 500/' \
     -e 's/^warmup_requests = .*/warmup_requests = 100/' \
+    -e "s|^csv = .*|csv = ${DIR}/fig9.csv|" \
     scenarios/fig9.scenario > "${DIR}/fig9_small.scenario"
 grep -qx 'requests = 500' "${DIR}/fig9_small.scenario"
 grep -qx 'warmup_requests = 100' "${DIR}/fig9_small.scenario"
-CORONA_SWEEP_CSV="${DIR}/fig9.csv" \
-  "${BUILD}/corona-run" --quiet --no-table "${DIR}/fig9_small.scenario"
+grep -qxF "csv = ${DIR}/fig9.csv" "${DIR}/fig9_small.scenario"
+"${BUILD}/corona-run" --quiet --no-table "${DIR}/fig9_small.scenario"
 "${BUILD}/corona-stats" figures "${DIR}/fig9.csv" > "${DIR}/figures.txt"
 for n in 8 9 10 11; do
   grep -q "^== Figure ${n}: " "${DIR}/figures.txt" || {
@@ -109,5 +124,5 @@ if [ "${status}" -ne 1 ] || ! grep -q "fatal:" "${DIR}/torn.err"; then
 fi
 
 echo "scenario smoke: OK (print fixed point, deterministic bytes," \
-     "shard/merge parity, scenario-worker launch verified, figures" \
+     "shard/merge parity, corona-run worker launch verified, figures" \
      "rendered)"

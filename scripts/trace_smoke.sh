@@ -9,11 +9,12 @@
 #   2. corona-trace capture records a registry generator's miss
 #      stream through a full simulation; the capture inspects clean.
 #   3. corona-run scenarios/trace_demo.scenario is deterministic:
-#      two runs write byte-identical CSV sinks.
+#      two runs of copies that name their own csv write byte-identical
+#      CSV sinks.
 #   4. A sharded run of the same scenario (CORONA_SHARD=1/2 + 2/2 with
 #      per-shard checkpoints) merges + replays to the exact bytes of
 #      the un-sharded run, and corona-launch --verify distributes it
-#      over real worker processes with the same guarantee.
+#      over corona-run shard workers with the same guarantee.
 #   5. The campaign obs rollup the scenario writes renders through
 #      corona-stats report.
 #
@@ -61,11 +62,20 @@ grep -q 'offset' "${DIR}/torn.err" || {
 
 SCENARIO=scenarios/trace_demo.scenario
 
+# with_execution OUT LINE...: a copy of the replay scenario with an
+# [execution] section of LINEs appended (it has none of its own).
+with_execution() {
+  local out="$1"
+  shift
+  { cat "${SCENARIO}"; printf '\n[execution]\n'; printf '%s\n' "$@"; } \
+    > "${out}"
+}
+
 # ---- 3. The shipped replay scenario runs deterministically.
-CORONA_SWEEP_CSV="${DIR}/a.csv" \
-  "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
-CORONA_SWEEP_CSV="${DIR}/b.csv" \
-  "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
+for run in a b; do
+  with_execution "${DIR}/${run}.scenario" "csv = ${DIR}/${run}.csv"
+  "${BUILD}/corona-run" --quiet --no-table "${DIR}/${run}.scenario"
+done
 cmp -s "${DIR}/a.csv" "${DIR}/b.csv" || {
   echo "trace smoke: CSV bytes differ across identical replays" >&2
   exit 1
@@ -77,15 +87,16 @@ CORONA_SHARD=1/2 CORONA_CHECKPOINT="${DIR}/s1.ckpt" \
 CORONA_SHARD=2/2 CORONA_CHECKPOINT="${DIR}/s2.ckpt" \
   "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
 cat "${DIR}/s1.ckpt" "${DIR}/s2.ckpt" > "${DIR}/merged.ckpt"
-CORONA_CHECKPOINT="${DIR}/merged.ckpt" CORONA_SWEEP_CSV="${DIR}/c.csv" \
-  "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
+with_execution "${DIR}/c.scenario" \
+  "checkpoint = ${DIR}/merged.ckpt" "csv = ${DIR}/c.csv"
+"${BUILD}/corona-run" --quiet --no-table "${DIR}/c.scenario"
 cmp -s "${DIR}/a.csv" "${DIR}/c.csv" || {
   echo "trace smoke: sharded+merged CSV differs from un-sharded" >&2
   exit 1
 }
-"${BUILD}/corona-launch" --scenario "${SCENARIO}" \
-  --shards 2 --jobs 2 --dir "${DIR}/launch" \
-  --csv "${DIR}/launch.csv" --verify --quiet
+with_execution "${DIR}/launch.scenario" "csv = ${DIR}/launch.csv"
+"${BUILD}/corona-launch" --scenario "${DIR}/launch.scenario" \
+  --shards 2 --jobs 2 --dir "${DIR}/launch" --verify --quiet
 cmp -s "${DIR}/a.csv" "${DIR}/launch.csv" || {
   echo "trace smoke: launcher CSV differs from corona-run" >&2
   exit 1

@@ -61,6 +61,23 @@ shellQuote(const std::string &text)
     return quoted;
 }
 
+std::string
+localWorkerCommand(const std::string &launcher,
+                   const std::string &scenario_path, bool quiet)
+{
+    // A launcher found on PATH (no directory in argv[0]) finds its
+    // worker the same way.
+    const std::filesystem::path dir =
+        std::filesystem::path(launcher).parent_path();
+    const std::string worker =
+        dir.empty() ? "corona-run" : (dir / "corona-run").string();
+    if (!dir.empty() && !std::filesystem::exists(worker))
+        sim::fatal("no shard worker at \"" + worker +
+                   "\": corona-run must sit beside the launcher");
+    return shellQuote(worker) + " --no-table" +
+           (quiet ? " --quiet " : " ") + shellQuote(scenario_path);
+}
+
 std::vector<HostSpec>
 parseHostsFile(std::istream &is)
 {
@@ -123,8 +140,8 @@ hostCommandTemplates(const std::vector<HostSpec> &hosts,
             options.remote_dir + "/shard{shard}.ckpt";
         const std::string remote =
             "mkdir -p " + shellQuote(options.remote_dir) +
-            " && CORONA_SHARD={label} CORONA_CHECKPOINT=" +
-            shellQuote(remote_checkpoint) + " " +
+            " && export CORONA_SHARD={label} CORONA_CHECKPOINT=" +
+            shellQuote(remote_checkpoint) + " && " +
             options.remote_command;
         templates.push_back(options.rsh + " " + host.host + " " +
                             shellQuote(remote) + " && " +

@@ -6,12 +6,14 @@
  * pool of worker *processes* (not threads — a worker that crashes or
  * is OOM-killed takes down only its own shard). Each worker is one
  * expansion of a shell command template run with CORONA_SHARD and
- * CORONA_CHECKPOINT exported, so any binary that already honours the
- * sharding environment variables (corona-run, corona-launch's own
- * worker mode, or an ssh wrapper around either) works unmodified.
- * The launcher watches each shard's checkpoint file for progress,
- * re-launches crashed or failed shards with exponential backoff, and
- * excludes a shard as poisoned once its retry cap is exhausted.
+ * CORONA_CHECKPOINT exported. corona-run is the worker that honours
+ * this contract; both launchers (corona-launch, corona-explore
+ * --confirm) start the corona-run beside them by default
+ * (localWorkerCommand), and a --cmd template may wrap it (ssh, a
+ * crash injector). The launcher watches each shard's checkpoint file
+ * for progress, re-launches crashed or failed shards with exponential
+ * backoff, and excludes a shard as poisoned once its retry cap is
+ * exhausted.
  * Because workers checkpoint per finished run, a retried shard
  * resumes its own file and re-executes only what is missing.
  *
@@ -55,6 +57,17 @@ std::string expandCommandTemplate(const std::string &command_template,
  * single quotes become '\''). */
 std::string shellQuote(const std::string &text);
 
+/**
+ * The default local shard worker: `<dir>/corona-run --no-table
+ * [--quiet] <scenario>`, where <dir> is the directory of @p launcher
+ * (a launcher's argv[0]). A launcher found on PATH (no directory)
+ * gets a bare `corona-run`. Fatal, naming the path, when <dir> holds
+ * no corona-run, so a launch fails before any shard starts.
+ */
+std::string localWorkerCommand(const std::string &launcher,
+                               const std::string &scenario_path,
+                               bool quiet);
+
 /** One machine from a --hosts file. */
 struct HostSpec
 {
@@ -73,10 +86,13 @@ std::vector<HostSpec> parseHostsFile(std::istream &is);
 struct HostTemplateOptions
 {
     /** Command to run on the remote host (a template itself: {shard}
-     * / {shards} / {label} placeholders expand per shard). The
-     * remote working directory is the login default. */
+     * / {shards} / {label} placeholders expand per shard). It starts
+     * in the login directory and may change directory: the worker
+     * variables are exported. */
     std::string remote_command;
-    /** Directory on the remote host for its shard checkpoint. */
+    /** Directory on the remote host for its shard checkpoint. A
+     * relative path is relative to the login directory, so a remote
+     * command that changes directory needs an absolute one. */
     std::string remote_dir = "corona-launch-remote";
     /** Remote-shell command (tests substitute a local stub). */
     std::string rsh = "ssh";
@@ -88,12 +104,12 @@ struct HostTemplateOptions
  * Expand a host list into per-shard command templates for
  * LaunchOptions::commands. Shards round-robin over the hosts'
  * slots; each template runs the remote command under ssh with
- * CORONA_SHARD / CORONA_CHECKPOINT set inline (environment does not
+ * CORONA_SHARD / CORONA_CHECKPOINT exported (environment does not
  * cross ssh), then copies the remote checkpoint file back to this
  * machine's {checkpoint} so the ordinary merge sees it:
  *
- *   ssh HOST 'mkdir -p DIR && CORONA_SHARD={label}
- *       CORONA_CHECKPOINT=DIR/shard{shard}.ckpt REMOTE_CMD'
+ *   ssh HOST 'mkdir -p DIR && export CORONA_SHARD={label}
+ *       CORONA_CHECKPOINT=DIR/shard{shard}.ckpt && REMOTE_CMD'
  *       && scp HOST:DIR/shard{shard}.ckpt {checkpoint}
  *
  * Fatal on an empty host list or remote command.

@@ -31,68 +31,74 @@ secondsSince(const std::chrono::steady_clock::time_point &start)
 }
 
 /**
- * Shared body of the fresh-system and pooled execution paths.
- * @p workloads, @p obs, and @p lease_seconds are optional extras used
- * by the runner's worker loop: workload pooling, per-run observability,
- * and lease-cost accounting for heartbeats.
+ * Simulate @p plan: the shared body of the fresh-system and pooled
+ * execution paths. @p workloads, @p obs, and @p lease_seconds are
+ * optional extras used by the runner's worker loop: workload pooling,
+ * per-run observability, and lease-cost accounting for heartbeats.
  */
 RunRecord
-executePlanWith(const RunPlan &plan, core::SystemPool *pool,
-                WorkloadCache *workloads,
-                const obs::RunObservability *obs,
-                double *lease_seconds)
+simulatePlan(const RunPlan &plan, core::SystemPool *pool,
+             WorkloadCache *workloads, const obs::RunObservability *obs,
+             double *lease_seconds)
 {
-    RunRecord record;
-    record.index = plan.index;
-    record.workload_index = plan.workload_index;
-    record.config_index = plan.config_index;
-    record.seed_index = plan.seed_index;
-    record.override_index = plan.override_index;
-    record.workload = plan.workload;
-    record.config = plan.config;
-    record.override_label = plan.override_label;
-    record.seed = plan.params.seed;
+    RunRecord record = recordFor(plan);
+    std::unique_ptr<workload::Workload> owned;
+    workload::Workload *workload = nullptr;
+    const auto lease_start = std::chrono::steady_clock::now();
+    if (workloads) {
+        workload = &workloads->lease(plan);
+    } else {
+        owned = plan.make_workload();
+        if (!owned)
+            sim::fatal("campaign: workload factory for \"" +
+                       plan.workload + "\" returned null");
+        workload = owned.get();
+    }
+    // The pooled lease must match what the run will effectively use:
+    // serial and sharded contexts are distinct pool entries.
+    const unsigned sim_threads = core::effectiveSimThreads(
+        plan.params.sim_threads, plan.system, *workload,
+        plan.params.warmup_requests,
+        obs && obs->enabled() && obs->trace_capacity > 0);
+    core::SimContext *ctx =
+        pool ? &pool->lease(plan.system, sim_threads) : nullptr;
+    if (lease_seconds)
+        *lease_seconds = secondsSince(lease_start);
+    if (obs && obs->enabled()) {
+        record.metrics =
+            ctx ? core::runExperiment(*ctx, *workload, plan.params, *obs)
+                : core::runExperiment(plan.system, *workload,
+                                      plan.params, *obs);
+    } else {
+        record.metrics =
+            ctx ? core::runExperiment(*ctx, *workload, plan.params)
+                : core::runExperiment(plan.system, *workload,
+                                      plan.params);
+    }
+    return record;
+}
 
+/**
+ * Execute @p plan with @p execute, or simulate it when that is empty.
+ * A run that throws — in either path — becomes a failed record with
+ * the plan's identity fields and zeroed metrics.
+ */
+RunRecord
+executePlanWith(const RunPlan &plan,
+                const std::function<RunRecord(const RunPlan &)> &execute,
+                core::SystemPool *pool, WorkloadCache *workloads,
+                const obs::RunObservability *obs, double *lease_seconds)
+{
     const auto start = std::chrono::steady_clock::now();
+    RunRecord record;
     try {
-        std::unique_ptr<workload::Workload> owned;
-        workload::Workload *workload = nullptr;
-        const auto lease_start = std::chrono::steady_clock::now();
-        if (workloads) {
-            workload = &workloads->lease(plan);
-        } else {
-            owned = plan.make_workload();
-            if (!owned)
-                sim::fatal("campaign: workload factory for \"" +
-                           plan.workload + "\" returned null");
-            workload = owned.get();
-        }
-        // The pooled lease must match what the run will effectively
-        // use: serial and sharded contexts are distinct pool entries.
-        const unsigned sim_threads = core::effectiveSimThreads(
-            plan.params.sim_threads, plan.system, *workload,
-            plan.params.warmup_requests,
-            obs && obs->enabled() && obs->trace_capacity > 0);
-        core::SimContext *ctx =
-            pool ? &pool->lease(plan.system, sim_threads) : nullptr;
-        if (lease_seconds)
-            *lease_seconds = secondsSince(lease_start);
-        if (obs && obs->enabled()) {
-            record.metrics =
-                ctx ? core::runExperiment(*ctx, *workload, plan.params,
-                                          *obs)
-                    : core::runExperiment(plan.system, *workload,
-                                          plan.params, *obs);
-        } else {
-            record.metrics =
-                ctx ? core::runExperiment(*ctx, *workload, plan.params)
-                    : core::runExperiment(plan.system, *workload,
-                                          plan.params);
-        }
+        record = execute ? execute(plan)
+                         : simulatePlan(plan, pool, workloads, obs,
+                                        lease_seconds);
     } catch (const std::exception &e) {
+        record = recordFor(plan);
         record.ok = false;
         record.error = e.what();
-        record.metrics = core::RunMetrics{};
         record.metrics.workload = plan.workload;
         record.metrics.config = plan.config;
     }
@@ -105,13 +111,13 @@ executePlanWith(const RunPlan &plan, core::SystemPool *pool,
 RunRecord
 executePlan(const RunPlan &plan)
 {
-    return executePlanWith(plan, nullptr, nullptr, nullptr, nullptr);
+    return executePlanWith(plan, {}, nullptr, nullptr, nullptr, nullptr);
 }
 
 RunRecord
 executePlan(const RunPlan &plan, core::SystemPool &pool)
 {
-    return executePlanWith(plan, &pool, nullptr, nullptr, nullptr);
+    return executePlanWith(plan, {}, &pool, nullptr, nullptr, nullptr);
 }
 
 CampaignRunner::CampaignRunner(RunnerOptions options)
@@ -272,14 +278,10 @@ CampaignRunner::run(const CampaignSpec &spec,
                 }
             }
             double lease_seconds = 0.0;
-            RunRecord record =
-                _options.execute
-                    ? _options.execute(plans[idx])
-                    : executePlanWith(plans[idx],
-                                      pooled ? &pool : nullptr,
-                                      pooled ? &workloads : nullptr,
-                                      observe ? &run_obs : nullptr,
-                                      &lease_seconds);
+            RunRecord record = executePlanWith(
+                plans[idx], _options.execute, pooled ? &pool : nullptr,
+                pooled ? &workloads : nullptr,
+                observe ? &run_obs : nullptr, &lease_seconds);
             ++cells;
             if (rollup_on && record.ok) {
                 std::scoped_lock lock(rollup_mutex);

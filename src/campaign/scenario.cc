@@ -385,10 +385,9 @@ parseScenario(std::string_view text)
 
     if (const ScenarioSection *execution = doc.find("execution")) {
         checkUniqueKeys(*execution,
-                        {"threads", "sim_threads", "shard",
-                         "checkpoint", "executor", "calibration",
-                         "csv", "jsonl", "summary", "progress",
-                         "reuse_systems"});
+                        {"threads", "sim_threads", "checkpoint",
+                         "executor", "calibration", "csv", "jsonl",
+                         "summary", "progress", "reuse_systems"});
         for (const ScenarioEntry &entry : execution->entries) {
             if (entry.key == "threads") {
                 spec.execution.threads =
@@ -396,13 +395,6 @@ parseScenario(std::string_view text)
             } else if (entry.key == "sim_threads") {
                 spec.execution.sim_threads =
                     static_cast<unsigned>(entryUnsigned(entry));
-            } else if (entry.key == "shard") {
-                const auto shard = parseShardSpec(entry.value);
-                if (!shard)
-                    badEntry(entry, "shard must be \"i/N\" with "
-                                    "1 <= i <= N, got \"" +
-                                        entry.value + "\"");
-                spec.execution.shard = *shard;
             } else if (entry.key == "checkpoint") {
                 spec.execution.checkpoint = entry.value;
             } else if (entry.key == "executor") {
@@ -553,8 +545,6 @@ serializeScenario(const ScenarioSpec &spec)
     if (exec.sim_threads != 0)
         add(execution, "sim_threads",
             std::to_string(exec.sim_threads));
-    if (!exec.shard.isWhole())
-        add(execution, "shard", exec.shard.label());
     if (!exec.checkpoint.empty())
         add(execution, "checkpoint", exec.checkpoint);
     if (exec.executor != "simulate")

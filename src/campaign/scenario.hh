@@ -35,7 +35,6 @@
  *     [execution]                  # optional runtime settings
  *     threads = 0
  *     sim_threads = 4              # conservative shards per simulation
- *     shard = 1/4
  *     checkpoint = fig9.ckpt
  *     executor = simulate          # simulate | model
  *     reuse_systems = on           # pool simulation contexts per worker
@@ -88,8 +87,9 @@ AxisExpression parseAxisExpression(const std::string &text,
 std::string canonicalExpression(const AxisExpression &expression);
 
 /** Runtime settings carried by the scenario ([execution] section).
- * Environment variables (CORONA_JOBS, CORONA_SHARD, ...) override
- * these at run time — see scenario_run.hh. */
+ * No environment variable overrides a key; only a launched shard
+ * worker's contract adjusts them (applyWorkerEnvironment in
+ * scenario_run.hh). */
 struct ScenarioExecution
 {
     /** Worker threads; 0 = CORONA_JOBS or hardware concurrency. */
@@ -99,7 +99,8 @@ struct ScenarioExecution
      * that cannot partition (coherent front end, non-partitionable
      * workload, warm-up, tracing) fall back to serial per run. */
     unsigned sim_threads = 0;
-    /** Slice of the grid this process executes. */
+    /** Slice of the grid this process executes. Not a file key:
+     * only CORONA_SHARD sets it, through applyWorkerEnvironment. */
     ShardSpec shard{};
     /** Crash-tolerant checkpoint path; empty = none. */
     std::string checkpoint;

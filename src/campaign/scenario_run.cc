@@ -71,68 +71,36 @@ checkWritten(FileSink *file)
                    ": write error, results file is incomplete");
 }
 
-/** The scenario's execution settings with CORONA_* overrides layered
- * on top. */
-ScenarioExecution
-effectiveExecution(const ScenarioSpec &scenario, EnvOverrides env)
+} // namespace
+
+void
+applyWorkerEnvironment(ScenarioSpec &scenario)
 {
-    ScenarioExecution exec = scenario.execution;
-    if (env == EnvOverrides::None)
-        return exec;
-    bool shard_from_env = false;
-    if (const auto shard_text = core::env::nonEmpty("CORONA_SHARD")) {
+    ScenarioExecution &exec = scenario.execution;
+    const auto shard_text = core::env::nonEmpty("CORONA_SHARD");
+    if (shard_text) {
         const auto shard = parseShardSpec(*shard_text);
         if (!shard)
             sim::fatal("CORONA_SHARD must be \"i/N\" with "
                        "1 <= i <= N, got \"" +
                        *shard_text + "\"");
-        shard_from_env = !shard->isWhole();
         exec.shard = *shard;
+        // One worker of a launched grid: its slice goes to its
+        // checkpoint, the launcher's merge writes the sinks, and the
+        // launcher's CORONA_JOBS splits the host's cores.
+        exec.csv.clear();
+        exec.jsonl.clear();
+        exec.summary.clear();
+        exec.threads = 0;
     }
     if (const auto path = core::env::nonEmpty("CORONA_CHECKPOINT"))
         exec.checkpoint = *path;
-    if (env == EnvOverrides::All) {
-        if (const auto jobs = core::env::positiveCount("CORONA_JOBS"))
-            exec.threads = static_cast<std::size_t>(*jobs);
-        if (const auto path = core::env::nonEmpty("CORONA_SWEEP_CSV"))
-            exec.csv = *path;
-        if (const auto path = core::env::nonEmpty("CORONA_SWEEP_JSONL"))
-            exec.jsonl = *path;
-        if (const auto path = core::env::nonEmpty("CORONA_SUMMARY_CSV"))
-            exec.summary = *path;
-    }
-    if (shard_from_env) {
-        // CORONA_SHARD fans this scenario out over several processes,
-        // but the sink paths written in the file are opened with
-        // truncation — every shard would clobber the same file, and
-        // no single shard's rows are the full grid. Refuse loudly;
-        // per-shard paths must come from the same place the shard
-        // did (the environment), or from per-shard scenario files.
-        const auto check = [&](const std::string &effective_path,
-                               const std::string &scenario_path,
-                               const char *key, const char *env_name) {
-            if (!scenario_path.empty() &&
-                effective_path == scenario_path)
-                sim::fatal(
-                    "CORONA_SHARD=" + exec.shard.label() +
-                    " would write this shard's slice over the "
-                    "scenario's shared \"" +
-                    key + "\" path \"" + scenario_path +
-                    "\" (every shard truncates it) — set " + env_name +
-                    " to a per-shard path, or use per-shard scenario "
-                    "files");
-        };
-        check(exec.csv, scenario.execution.csv, "csv",
-              "CORONA_SWEEP_CSV");
-        check(exec.jsonl, scenario.execution.jsonl, "jsonl",
-              "CORONA_SWEEP_JSONL");
-        check(exec.summary, scenario.execution.summary, "summary",
-              "CORONA_SUMMARY_CSV");
-    }
-    return exec;
+    if (shard_text && exec.checkpoint.empty())
+        sim::fatal("CORONA_SHARD=" + *shard_text +
+                   " needs CORONA_CHECKPOINT (or the scenario's "
+                   "checkpoint key): a shard worker's only output is "
+                   "its checkpoint");
 }
-
-} // namespace
 
 void
 ScenarioObsSetup::apply(const ScenarioObservability &observability,
@@ -202,7 +170,7 @@ ScenarioRunResult
 runScenario(const ScenarioSpec &scenario,
             const ScenarioRunOptions &options)
 {
-    const ScenarioExecution exec = effectiveExecution(scenario, options.env);
+    const ScenarioExecution &exec = scenario.execution;
     const CampaignSpec spec = scenario.resolve();
 
     ProgressReporter progress(std::cerr);
@@ -253,25 +221,12 @@ runScenario(const ScenarioSpec &scenario,
     result.shard = exec.shard;
     result.records = std::move(records);
 
-    if (!result.complete()) {
-        // No single shard holds the full grid: flush what this slice
-        // produced and leave table rendering to whoever merges the
-        // shards' checkpoints.
-        if (!checkpoint && !csv && !jsonl && !summary)
-            sim::warn("scenario \"" + scenario.name +
-                      "\" ran one shard with no file sink "
-                      "(checkpoint / csv / jsonl / summary) — this "
-                      "shard's results are discarded");
-        if (summary)
-            sim::warn("a summary sink under sharding aggregates only "
-                      "this shard's replicates — for full-sample "
-                      "statistics, merge the shards' checkpoints and "
-                      "re-run un-sharded");
-        if (!options.quiet)
-            std::cerr << "shard " << exec.shard.label()
-                      << " complete; merge the shard checkpoints and "
-                         "re-run un-sharded to render results\n";
-    }
+    // No single shard holds the full grid: table rendering is left to
+    // whoever merges the shards' checkpoints.
+    if (!result.complete() && !options.quiet)
+        std::cerr << "shard " << exec.shard.label()
+                  << " complete; merge the shard checkpoints and "
+                     "re-run un-sharded to render results\n";
     return result;
 }
 

@@ -5,13 +5,10 @@
  * executor choice (event simulator or analytical model), progress —
  * driven entirely by the scenario's [execution] section.
  *
- * Environment variables are overrides, not the primary interface:
- * CORONA_JOBS, CORONA_SHARD, CORONA_CHECKPOINT, CORONA_SWEEP_CSV,
- * CORONA_SWEEP_JSONL and CORONA_SUMMARY_CSV each replace the
- * corresponding [execution] setting when set (strictly parsed via
- * core::env), so a launcher can steer a worker that was handed a
- * scenario file without rewriting it. The request budget has no
- * override: it is the scenario's requests key.
+ * runScenario runs a scenario exactly as written; it reads no
+ * environment variable. The one exception to "the file is the whole
+ * description" is the launcher's worker contract, which corona-run
+ * applies through applyWorkerEnvironment before it calls runScenario.
  */
 
 #ifndef CORONA_CAMPAIGN_SCENARIO_RUN_HH
@@ -29,29 +26,24 @@
 
 namespace corona::campaign {
 
-/** Which CORONA_* environment overrides runScenario honours. */
-enum class EnvOverrides
-{
-    /** The scenario runs exactly as written. */
-    None,
-    /** Only CORONA_SHARD / CORONA_CHECKPOINT — the launcher-steered
-     * worker contract. A worker must not inherit sink paths from
-     * the operator's shell: a shared sink path would be truncated by
-     * every concurrent worker at once. */
-    ShardOnly,
-    /** Every variable (threads, shard, checkpoint, sinks) — the
-     * interactive front-end contract (corona-run). */
-    All,
-};
-
 /** Caller knobs for runScenario. */
 struct ScenarioRunOptions
 {
     /** Suppress progress/ETA and shard chatter on stderr. */
     bool quiet = false;
-    /** Which CORONA_* variables override the scenario's settings. */
-    EnvOverrides env = EnvOverrides::All;
 };
+
+/**
+ * The shard-worker contract: CORONA_SHARD ("i/N", strictly parsed)
+ * sets execution.shard and CORONA_CHECKPOINT replaces
+ * execution.checkpoint. A process given CORONA_SHARD is one worker of
+ * a launched grid, so it also drops the scenario's csv, jsonl and
+ * summary (the launcher's merge writes those, and no shard ever opens
+ * and truncates a shared sink path) and resets threads to 0, so the
+ * launcher's CORONA_JOBS sets its worker count. Fatal on a malformed
+ * or empty variable, and on CORONA_SHARD with no checkpoint to write.
+ */
+void applyWorkerEnvironment(ScenarioSpec &scenario);
 
 /**
  * The run executor the scenario's [execution] section requests: an
@@ -59,17 +51,16 @@ struct ScenarioRunOptions
  * event-simulator path), or model::planExecutor with the calibration
  * file loaded for executor = model. Fatal when the calibration file
  * is unreadable or set without executor = model. Exposed so hosts
- * that drive a CampaignRunner directly (corona-launch workers, the
- * --verify reference run) honour the same setting as runScenario.
+ * that drive a CampaignRunner directly (corona-launch's --verify
+ * reference run) honour the same setting as runScenario.
  */
 std::function<RunRecord(const RunPlan &)>
 scenarioExecutor(const ScenarioSpec &scenario);
 
 /**
- * Observability wiring shared by runScenario and corona-launch's
- * shard workers, so a launched scenario observes exactly like a
- * directly-run one: creates the obs dir, copies the [observability]
- * settings (sampling, tracing, snapshots, rollup) into
+ * Observability wiring of runScenario, exposed so other hosts of a
+ * scenario observe it the same way: creates the obs dir, copies the
+ * [observability] settings (sampling, tracing, snapshots, rollup) into
  * RunnerOptions::observability, and opens the heartbeat stream with a
  * per-shard filename suffix so concurrent shard processes never
  * truncate each other. Owns the open heartbeat stream — keep the
@@ -108,12 +99,11 @@ struct ScenarioRunResult
 };
 
 /**
- * Resolve and execute @p scenario to completion: apply environment
- * overrides (unless disabled), open the scenario's sinks and
- * checkpoint (fatal on any unwritable path), pick the executor
- * (simulate, or model with optional residual calibration), run the
- * campaign — resuming from the checkpoint when one exists — and
- * verify every sink flushed cleanly.
+ * Resolve and execute @p scenario to completion, exactly as written:
+ * open the scenario's sinks and checkpoint (fatal on any unwritable
+ * path), pick the executor (simulate, or model with optional residual
+ * calibration), run the campaign — resuming from the checkpoint when
+ * one exists — and verify every sink flushed cleanly.
  */
 ScenarioRunResult runScenario(const ScenarioSpec &scenario,
                               const ScenarioRunOptions &options = {});

@@ -59,6 +59,22 @@ CampaignSpec::totalRuns() const
            override_count;
 }
 
+RunRecord
+recordFor(const RunPlan &plan)
+{
+    RunRecord record;
+    record.index = plan.index;
+    record.workload_index = plan.workload_index;
+    record.config_index = plan.config_index;
+    record.seed_index = plan.seed_index;
+    record.override_index = plan.override_index;
+    record.workload = plan.workload;
+    record.config = plan.config;
+    record.override_label = plan.override_label;
+    record.seed = plan.params.seed;
+    return record;
+}
+
 std::uint64_t
 deriveRunSeed(std::uint64_t campaign_seed, std::uint64_t seed_salt,
               std::size_t index)

@@ -124,6 +124,11 @@ struct RunRecord
     std::string error;
 };
 
+/** An empty record for @p plan: its grid index, axis indices and
+ * labels, and seed, with default metrics. Every executor starts its
+ * result from this. */
+RunRecord recordFor(const RunPlan &plan);
+
 /**
  * Derive the seed of run @p index: splitmix64 of the campaign seed
  * (salted by the seed-axis value) advanced to the run's grid index.

@@ -7,6 +7,9 @@
 
 namespace corona::core::env {
 
+namespace {
+
+/** The variable's value, or nullopt when unset. */
 std::optional<std::string>
 lookup(const char *name)
 {
@@ -15,6 +18,8 @@ lookup(const char *name)
         return std::nullopt;
     return std::string(value);
 }
+
+} // namespace
 
 bool
 isSet(const char *name)
@@ -47,17 +52,6 @@ nonEmpty(const char *name)
         sim::fatal(std::string(name) +
                    " is set but empty — unset it or give it a value");
     return text;
-}
-
-std::string
-require(const char *name, const std::string &who)
-{
-    const auto text = lookup(name);
-    if (!text || text->empty())
-        sim::fatal(who + " expects " + name +
-                   " in the environment, but it is " +
-                   (text ? "empty" : "unset"));
-    return *text;
 }
 
 } // namespace corona::core::env

@@ -4,9 +4,11 @@
  *
  * Every CORONA_* variable flows through these helpers so a typo is a
  * uniform fatal diagnostic instead of a silently ignored setting.
- * Scenario files are the primary way to describe an experiment;
- * environment variables are overrides layered on top, and these
- * helpers are the only sanctioned way to read them.
+ * A scenario file is the whole description of a run; no variable
+ * duplicates one of its keys. Three remain: CORONA_JOBS, the worker
+ * count that threads = 0 resolves to, and the launcher's worker
+ * contract CORONA_SHARD / CORONA_CHECKPOINT, which only corona-run
+ * reads (campaign::applyWorkerEnvironment).
  */
 
 #ifndef CORONA_CORONA_ENV_HH
@@ -17,9 +19,6 @@
 #include <string>
 
 namespace corona::core::env {
-
-/** Raw lookup: the variable's value, or nullopt when unset. */
-std::optional<std::string> lookup(const char *name);
 
 /** Is the variable present in the environment (even if empty)? */
 bool isSet(const char *name);
@@ -38,14 +37,6 @@ std::optional<std::uint64_t> positiveCount(const char *name);
  * mistake, not a request.
  */
 std::optional<std::string> nonEmpty(const char *name);
-
-/**
- * A variable @p who cannot run without (e.g. a launcher-spawned
- * worker's CORONA_SHARD). Fatal when unset or empty, naming both the
- * variable and the consumer so the diagnostic explains who expected
- * the variable to exist.
- */
-std::string require(const char *name, const std::string &who);
 
 } // namespace corona::core::env
 

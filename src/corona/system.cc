@@ -214,43 +214,31 @@ CoronaSystem::reset()
 void
 CoronaSystem::instrument(obs::Registry &registry)
 {
-    if (_network->statsSharded()) {
-        // Per-destination lanes: the aggregate is merged on demand, so
-        // the typed counter fast path (which binds one counter's
-        // address) cannot apply. Same paths, same order, same values —
-        // read through closures instead. Safe only at quiescent points
-        // (samples fire at executor barriers; snapshots after the run).
-        const noc::Interconnect *net = _network.get();
-        registry.add("net/messages", [net] {
-            return static_cast<double>(
-                net->netStats().messages.value());
-        });
-        registry.add("net/bytes", [net] {
-            return static_cast<double>(net->netStats().bytes.value());
-        });
-        registry.add("net/hops", [net] {
-            return static_cast<double>(
-                net->netStats().hopTraversals.value());
-        });
-        registry.add("net/latency/count", [net] {
-            return static_cast<double>(net->netStats().latency.count());
-        });
-        registry.add("net/latency/mean", [net] {
-            return net->netStats().latency.mean();
-        });
-        registry.add("net/latency/min", [net] {
-            return net->netStats().latency.min();
-        });
-        registry.add("net/latency/max", [net] {
-            return net->netStats().latency.max();
-        });
-    } else {
-        const noc::NetStats &net = _network->netStats();
-        registry.add("net/messages", net.messages);
-        registry.add("net/bytes", net.bytes);
-        registry.add("net/hops", net.hopTraversals);
-        registry.addStats("net/latency", net.latency);
-    }
+    // Read the aggregate through netStats(): with per-destination
+    // lanes (the sharded engine) it merges them on every call, so a
+    // probe must not bind one counter's address. Safe only at
+    // quiescent points (samples fire at executor barriers; snapshots
+    // after the run).
+    const noc::Interconnect *net = _network.get();
+    registry.add("net/messages", [net] {
+        return static_cast<double>(net->netStats().messages.value());
+    });
+    registry.add("net/bytes", [net] {
+        return static_cast<double>(net->netStats().bytes.value());
+    });
+    registry.add("net/hops", [net] {
+        return static_cast<double>(
+            net->netStats().hopTraversals.value());
+    });
+    registry.add("net/latency/count", [net] {
+        return static_cast<double>(net->netStats().latency.count());
+    });
+    registry.add("net/latency/mean",
+                 [net] { return net->netStats().latency.mean(); });
+    registry.add("net/latency/min",
+                 [net] { return net->netStats().latency.min(); });
+    registry.add("net/latency/max",
+                 [net] { return net->netStats().latency.max(); });
 
     if (_xbar) {
         for (topology::ClusterId c = 0; c < _xbar->clusters(); ++c) {

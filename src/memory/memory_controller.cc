@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "obs/trace.hh"
@@ -38,15 +39,39 @@ ecmParams()
     return p;
 }
 
+namespace {
+
+/** Ticks the off-stack link takes to move one cache line at
+ * @p bytes_per_second. Every access moves one line (read fill or
+ * write data), so this is the link's serialization time per access. */
+sim::Tick
+lineTicks(double bytes_per_second)
+{
+    const double bytes_per_tick =
+        bytes_per_second / static_cast<double>(sim::oneSecond);
+    const double ticks = std::ceil(
+        static_cast<double>(noc::cacheLineBytes) / bytes_per_tick);
+    // A Tick cast at or past 2^63 is undefined, and any later tick sum
+    // would wrap: reject the bandwidth instead of simulating garbage.
+    if (!std::isfinite(bytes_per_second) || !(bytes_per_second > 0) ||
+        !(ticks < 0x1p63)) {
+        std::ostringstream os;
+        os << "MemoryController: bandwidth " << bytes_per_second
+           << " B/s is out of range (it must be finite and move a "
+           << noc::cacheLineBytes << "-byte line in under 2^63 ticks)";
+        throw std::invalid_argument(os.str());
+    }
+    return static_cast<sim::Tick>(ticks);
+}
+
+} // namespace
+
 MemoryController::MemoryController(sim::EventQueue &eq,
                                    topology::ClusterId cluster,
                                    const MemoryParams &params)
-    : _eq(eq), _cluster(cluster), _params(params), _dram(params.dram)
+    : _eq(eq), _cluster(cluster), _params(params), _dram(params.dram),
+      _lineTicks(lineTicks(params.bytes_per_second))
 {
-    if (params.bytes_per_second <= 0)
-        throw std::invalid_argument("MemoryController: bad bandwidth");
-    _bytesPerTick =
-        params.bytes_per_second / static_cast<double>(sim::oneSecond);
 }
 
 void
@@ -76,10 +101,8 @@ MemoryController::tryStart()
         _tracer->record(obs::TraceKind::McIssue, _cluster, pending.arrived,
                         start,
                         static_cast<std::uint32_t>(pending.request.src));
-    // Every access moves one cache line over the off-stack link (read
-    // fill or write data) — the serialization resource.
-    const auto line = static_cast<double>(noc::cacheLineBytes);
-    const auto ser = static_cast<sim::Tick>(std::ceil(line / _bytesPerTick));
+    // The off-stack link is the serialization resource.
+    const sim::Tick ser = _lineTicks;
 
     // The DRAM mat performs the array access; conflicts delay its start.
     const sim::Tick mat_ready = _dram.access(pending.addr, start);

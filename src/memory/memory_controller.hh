@@ -52,6 +52,9 @@ class MemoryController
     /** Completion callback: the response message to send back. */
     using Complete = sim::InlineFunction<void(const noc::Message &)>;
 
+    /** Throws std::invalid_argument, naming the bandwidth, unless
+     * params.bytes_per_second is finite and positive and moves one
+     * cache line in under 2^63 ticks. */
     MemoryController(sim::EventQueue &eq, topology::ClusterId cluster,
                      const MemoryParams &params);
 
@@ -122,7 +125,8 @@ class MemoryController
     std::vector<Pending> _inflight;
     std::vector<std::size_t> _freeSlots;
     bool _busy = false;
-    double _bytesPerTick;
+    /** Link serialization time of one cache line. */
+    sim::Tick _lineTicks;
 
     std::uint64_t _accesses = 0;
     std::uint64_t _bytesMoved = 0;

@@ -68,9 +68,18 @@ fromConfig(const core::SystemConfig &config, const std::string &workload)
     point.clusters = config.clusters;
     point.threads_per_cluster = config.threads_per_cluster;
     point.thread_window = config.thread_window;
-    point.memory_channels =
-        std::max<std::size_t>(1, static_cast<std::size_t>(
-                                     config.memory_bandwidth_scale + 0.5));
+    const double channels = config.memory_bandwidth_scale + 0.5;
+    // A size_t cast of a value outside [0, 2^64) is undefined.
+    if (!(channels >= 0.0 && channels < 0x1p64)) {
+        std::ostringstream os;
+        os << "model: memory_bandwidth_scale "
+           << config.memory_bandwidth_scale
+           << " does not round to a memory channel count that fits "
+              "a size_t";
+        sim::fatal(os.str());
+    }
+    point.memory_channels = std::max<std::size_t>(
+        1, static_cast<std::size_t>(channels));
     point.workload = workload;
     if (config.network == core::NetworkKind::XBar) {
         point.channel_waveguides = 4;

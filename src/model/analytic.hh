@@ -93,7 +93,9 @@ struct DesignPoint
 
 /** Map one of the simulator's SystemConfigs onto the model's design
  * axes (wavelengths are backed out of bytes_per_clock at the config's
- * waveguide count; the token scheme from token_node_pause). */
+ * waveguide count; the token scheme from token_node_pause). Fatal
+ * when memory_bandwidth_scale rounds to more channels than fit a
+ * size_t. */
 DesignPoint fromConfig(const core::SystemConfig &config,
                        const std::string &workload);
 

@@ -13,16 +13,7 @@ executePlanAnalytically(const campaign::RunPlan &plan,
                         const AnalyticModel &model,
                         const Calibration *calibration)
 {
-    campaign::RunRecord record;
-    record.index = plan.index;
-    record.workload_index = plan.workload_index;
-    record.config_index = plan.config_index;
-    record.seed_index = plan.seed_index;
-    record.override_index = plan.override_index;
-    record.workload = plan.workload;
-    record.config = plan.config;
-    record.override_label = plan.override_label;
-    record.seed = plan.params.seed;
+    campaign::RunRecord record = campaign::recordFor(plan);
 
     if (!knowsWorkload(plan.workload)) {
         record.ok = false;

@@ -113,9 +113,6 @@ class Interconnect
         _stats.assign(destinations > 0 ? destinations : 1, NetStats{});
     }
 
-    /** True when delivery statistics are split per destination. */
-    bool statsSharded() const { return _stats.size() > 1; }
-
   protected:
     /** Concrete models call this exactly once per delivered message. */
     void

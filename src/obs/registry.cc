@@ -91,7 +91,7 @@ Registry::read() const
     std::vector<double> values;
     values.reserve(_probes.size());
     for (const Probe &probe : _probes)
-        values.push_back(probe.value());
+        values.push_back(probe.read());
     return values;
 }
 
@@ -100,7 +100,7 @@ Registry::writeSnapshotCsv(std::ostream &os) const
 {
     os << "path,value\n";
     for (const Probe &probe : _probes)
-        os << probe.path << ',' << formatValue(probe.value()) << '\n';
+        os << probe.path << ',' << formatValue(probe.read()) << '\n';
 }
 
 void

@@ -15,9 +15,7 @@
  *
  * Probes are pull-based (a std::function<double()> closing over the
  * component), so registering costs one small allocation per probe and
- * the instrumented component pays nothing until somebody reads. Common
- * counter probes additionally carry a typed stats::Counter pointer so
- * samplers can read them without an indirect std::function call. The
+ * the instrumented component pays nothing until somebody reads. The
  * registry is built once per simulation context and cached there
  * (instrumentation is pure naming — reset() zeroes the counters the
  * probes point at, never the probes themselves), entirely outside the
@@ -56,17 +54,6 @@ struct Probe
 {
     std::string path;
     std::function<double()> read;
-    /** Non-null when the probe is a plain counter: samplers read
-     * `counter->value()` directly instead of calling through the
-     * std::function. */
-    const stats::Counter *counter = nullptr;
-
-    /** Current value, through the fast path when available. */
-    double
-    value() const
-    {
-        return counter ? static_cast<double>(counter->value()) : read();
-    }
 };
 
 /**
@@ -82,15 +69,6 @@ class Registry
      * colliding path would silently shadow another component's data.
      */
     void add(std::string path, std::function<double()> read);
-
-    /** Register a counter's value under @p path (typed fast path). */
-    void add(std::string path, const stats::Counter &counter)
-    {
-        add(std::move(path), [&counter] {
-            return static_cast<double>(counter.value());
-        });
-        _probes.back().counter = &counter;
-    }
 
     /**
      * Register a RunningStats under @p path as four probes:

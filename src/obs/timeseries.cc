@@ -206,23 +206,17 @@ void
 TimeSeriesSampler::prepare()
 {
     // Resolve once: the per-sample loop touches only this flat table
-    // (a typed counter load, or one indirect call), never the
-    // registry. A registry's probe set is fixed after instrumentation
-    // (a context's config never changes), so a sampler restarted
-    // across pooled leases keeps the table from its first start.
+    // (one indirect call per probe), never the registry. A registry's
+    // probe set is fixed after instrumentation (a context's config
+    // never changes), so a sampler restarted across pooled leases
+    // keeps the table from its first start.
     const std::vector<Probe> &probes = _registry.probes();
     if (_resolved.size() != probes.size()) {
         _probeCount = probes.size();
         _resolved.clear();
         _resolved.reserve(_probeCount);
-        for (const Probe &probe : probes) {
-            ResolvedProbe resolved;
-            if (probe.counter)
-                resolved.counter = probe.counter;
-            else
-                resolved.read = &probe.read;
-            _resolved.push_back(resolved);
-        }
+        for (const Probe &probe : probes)
+            _resolved.push_back(&probe.read);
     }
     // clear(), not fresh vectors: a sampler cached in a context's
     // ObsScratch restarts with its capacity from earlier leases, so
@@ -261,12 +255,8 @@ TimeSeriesSampler::record(sim::Tick tick)
     const std::size_t at = _values.size();
     _values.resize(at + _probeCount);
     double *row = _values.data() + at;
-    for (std::size_t p = 0; p < _probeCount; ++p) {
-        const ResolvedProbe &probe = _resolved[p];
-        row[p] = probe.counter
-                     ? static_cast<double>(probe.counter->value())
-                     : (*probe.read)();
-    }
+    for (std::size_t p = 0; p < _probeCount; ++p)
+        row[p] = (*_resolved[p])();
 }
 
 void

@@ -10,10 +10,9 @@
  * instrumented run still terminates exactly like an uninstrumented
  * one, just with a final sample at the last scheduled tick.
  *
- * The fast path: start() resolves the registry once into a flat probe
- * table (typed counter pointer where available, std::function pointer
- * otherwise) and rows land in one preallocated columnar block — no
- * registry walk, path formatting, or per-row allocation at sample
+ * The fast path: start() resolves the registry once into a flat table
+ * of probe closures, and rows land in one preallocated columnar block
+ * — no registry walk, path formatting, or per-row allocation at sample
  * time. After the run the block is written either as the legacy
  * columnar CSV ("tick,<path>,<path>,...") or, the campaign default,
  * as a compact binary file (writeBinary) that corona-stats exports
@@ -138,13 +137,6 @@ class TimeSeriesSampler
     void writeBinary(std::ostream &os) const;
 
   private:
-    /** One resolved probe: a typed counter, or the generic closure. */
-    struct ResolvedProbe
-    {
-        const stats::Counter *counter = nullptr;
-        const std::function<double()> *read = nullptr;
-    };
-
     void prepare();
     void record(sim::Tick tick);
     void sample();
@@ -154,7 +146,8 @@ class TimeSeriesSampler
     sim::EventQueue &_eq;
     sim::Tick _period;
     std::size_t _probeCount = 0;
-    std::vector<ResolvedProbe> _resolved;
+    /** Each probe's closure, in registration order. */
+    std::vector<const std::function<double()> *> _resolved;
     std::vector<sim::Tick> _ticks;
     std::vector<double> _values; ///< Row-major rows x probes.
 };

@@ -250,6 +250,35 @@ TEST(CampaignRunner, FailedRunsAreIsolatedAndRecorded)
     EXPECT_EQ(failed, 2u);
 }
 
+TEST(CampaignRunner, ThrowingCustomExecutorFailsItsRunsOnly)
+{
+    // A custom executor is held to the same contract as the built-in
+    // simulator: a throw becomes a failed record, not an abort.
+    campaign::CampaignSpec spec = smallSpec(200);
+    spec.workloads.resize(1);
+    for (const std::size_t threads : {2u, 1u}) {
+        SCOPED_TRACE(threads);
+        campaign::RunnerOptions options;
+        options.threads = threads;
+        options.execute =
+            [](const campaign::RunPlan &) -> campaign::RunRecord {
+            throw std::runtime_error("executor exploded");
+        };
+        campaign::CampaignRunner runner(options);
+        const auto records = runner.run(spec);
+        ASSERT_EQ(records.size(), 2u);
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            EXPECT_FALSE(records[i].ok);
+            EXPECT_EQ(records[i].error, "executor exploded");
+            EXPECT_EQ(records[i].index, i);
+            EXPECT_EQ(records[i].config_index, i);
+            EXPECT_EQ(records[i].workload, "Uniform");
+            EXPECT_EQ(records[i].metrics.config, records[i].config);
+            EXPECT_EQ(records[i].metrics.requests_issued, 0u);
+        }
+    }
+}
+
 TEST(CampaignRunner, SinkExceptionsPropagateInsteadOfTerminating)
 {
     // A throwing sink must not escape a worker thread (std::terminate);

@@ -113,6 +113,25 @@ TEST(LaunchTemplate, ExpandsEveryPlaceholder)
     EXPECT_EQ(campaign::shellQuote("it's"), "'it'\\''s'");
 }
 
+TEST(LaunchTemplate, LocalWorkerIsTheCoronaRunBesideTheLauncher)
+{
+    const std::string dir = makeTempDir();
+    // No corona-run beside the launcher: fatal before any shard runs.
+    EXPECT_THROW(campaign::localWorkerCommand(dir + "/corona-launch",
+                                              "a.scenario", false),
+                 sim::FatalError);
+    std::ofstream(dir + "/corona-run").put('\n');
+    EXPECT_EQ(campaign::localWorkerCommand(dir + "/corona-launch",
+                                           "my run.scenario", true),
+              "'" + dir + "/corona-run' --no-table --quiet "
+                          "'my run.scenario'");
+    // A launcher found on PATH finds its worker the same way.
+    EXPECT_EQ(campaign::localWorkerCommand("corona-launch", "a.scenario",
+                                           false),
+              "'corona-run' --no-table 'a.scenario'");
+    std::filesystem::remove_all(dir);
+}
+
 TEST(LaunchRetry, BacksOffGeometricallyUntilPoisoned)
 {
     campaign::RetrySchedule schedule(2, 0.5, 2.0, 30.0);
@@ -214,16 +233,17 @@ TEST(LaunchHosts, ExpandsPerShardSshTemplates)
 {
     const std::vector<campaign::HostSpec> hosts = {{"a", 2}, {"b", 1}};
     campaign::HostTemplateOptions options;
-    options.remote_command = "corona-launch --worker";
+    options.remote_command = "corona-run --no-table fig9.scenario";
     options.remote_dir = "rdir";
     const auto templates =
         campaign::hostCommandTemplates(hosts, 4, options);
     ASSERT_EQ(templates.size(), 4u);
     // Slots expand to (a, a, b) per round; shard 4 wraps back to a.
     EXPECT_EQ(templates[0],
-              "ssh a 'mkdir -p '\\''rdir'\\'' && CORONA_SHARD={label} "
-              "CORONA_CHECKPOINT='\\''rdir/shard{shard}.ckpt'\\'' "
-              "corona-launch --worker' && scp "
+              "ssh a 'mkdir -p '\\''rdir'\\'' && export "
+              "CORONA_SHARD={label} "
+              "CORONA_CHECKPOINT='\\''rdir/shard{shard}.ckpt'\\'' && "
+              "corona-run --no-table fig9.scenario' && scp "
               "'a:rdir/shard{shard}.ckpt' {checkpoint}");
     EXPECT_NE(templates[1].find("ssh a "), std::string::npos);
     EXPECT_NE(templates[2].find("ssh b "), std::string::npos);
@@ -244,7 +264,7 @@ TEST(LaunchHosts, EndToEndThroughAFakeRemoteShell)
     // Two "hosts" that are really this machine: the rsh stub drops
     // its host argument and runs the command locally; the fetch stub
     // copies "host:path" with cp. Proves the full --hosts pipeline
-    // (remote env inline, checkpoint fetch-back, merge) with zero
+    // (remote env exported, checkpoint fetch-back, merge) with zero
     // network dependencies.
     const auto spec = launchTestSpec();
     const std::string dir = makeTempDir();

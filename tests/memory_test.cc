@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "memory/dram.hh"
@@ -338,6 +341,32 @@ TEST_F(McFixture, ReadLatencyIsAccessPlusSerialization)
     EXPECT_EQ(resp_seen.src, 7u);
     EXPECT_EQ(resp_seen.dst, 3u);
     EXPECT_EQ(resp_seen.tag, 0xAAu);
+}
+
+TEST_F(McFixture, RejectsBandwidthsOutsideTheTickRange)
+{
+    // The system's controllers: both paper bandwidths are accepted.
+    const memory::MemoryParams ocm = OcmSystem().controllerParams();
+    EXPECT_NO_THROW(MemoryController(eq_, 0, ocm));
+    EXPECT_NO_THROW(
+        MemoryController(eq_, 0, EcmSystem().controllerParams()));
+    // memory_bandwidth_scale = 1e-17 on OCM: one 64-byte line would
+    // take ~4e19 ticks, past 2^63. Infinity would take 0 ticks.
+    for (const double bandwidth :
+         {ocm.bytes_per_second * 1e-17,
+          std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(bandwidth);
+        memory::MemoryParams params = ocm;
+        params.bytes_per_second = bandwidth;
+        try {
+            MemoryController mc(eq_, 0, params);
+            ADD_FAILURE() << "bandwidth accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("bandwidth"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST_F(McFixture, WriteProducesAck)

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
@@ -20,6 +21,7 @@
 #include "model/feasibility.hh"
 #include "model/queueing.hh"
 #include "model/traffic.hh"
+#include "sim/logging.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
 
@@ -382,6 +384,38 @@ TEST(ModelExecutor, UnknownWorkloadFailsTheCellNotTheCampaign)
     EXPECT_NE(records[0].error.find("NoSuchBenchmark"),
               std::string::npos);
     EXPECT_TRUE(records[1].ok);
+}
+
+TEST(ModelExecutor, OutOfRangeBandwidthScaleFailsTheCell)
+{
+    // 1e300 channels do not fit a size_t: a located error, not an
+    // undefined cast, and a failed cell rather than an aborted
+    // campaign at any worker count.
+    auto huge = core::makeConfig(core::NetworkKind::XBar,
+                                 core::MemoryKind::OCM);
+    huge.memory_bandwidth_scale = 1e300;
+    try {
+        model::fromConfig(huge, "Uniform");
+        ADD_FAILURE() << "scale 1e300 accepted";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("memory_bandwidth_scale"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    campaign::CampaignSpec spec;
+    spec.workloads = {{"Uniform", true, workload::makeUniform}};
+    spec.configs = {huge, core::makeConfig(core::NetworkKind::HMesh,
+                                           core::MemoryKind::OCM)};
+    campaign::RunnerOptions options;
+    options.threads = 2;
+    options.execute = model::planExecutor();
+    const auto records = campaign::CampaignRunner(options).run(spec);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_FALSE(records[0].ok);
+    EXPECT_NE(records[0].error.find("memory_bandwidth_scale"),
+              std::string::npos);
+    EXPECT_TRUE(records[1].ok) << records[1].error;
 }
 
 // ------------------------------------------------- design space

@@ -282,8 +282,9 @@ TEST(Scenario, RejectsUnknownSectionsKeysAndBadValues)
         campaign::parseScenario(withLine("reuse_systems =",
                                          "reuse_systems = maybe")),
         sim::FatalError);
+    // Not a key: CORONA_SHARD is the one way to run a slice.
     EXPECT_THROW(campaign::parseScenario(
-                     withLine("threads =", "shard = 5/2")),
+                     withLine("threads =", "shard = 1/2")),
                  sim::FatalError);
     EXPECT_THROW(campaign::parseScenario(
                      withLine("threads =", "executor = magic")),
@@ -553,65 +554,87 @@ TEST(Scenario, RegistryFactoriesMatchLegacyFactoriesAcrossTheTable)
     }
 }
 
-// -------------------------------------------- runScenario + env
+// ---------------------------- runScenario + the worker contract
 
-TEST(ScenarioRun, EnvOverridesReplaceExecutionSettings)
+TEST(ScenarioRun, RunScenarioIgnoresTheEnvironment)
 {
+    // The file is the whole description of the run: the worker
+    // contract's variables reach a run only through
+    // applyWorkerEnvironment (corona-run).
     campaign::ScenarioSpec scenario;
-    scenario.name = "env";
+    scenario.name = "verbatim";
     scenario.requests = 300;
     scenario.workloads = {"Uniform"};
-    scenario.configs = {"XBar/OCM"};
+    scenario.configs = {"XBar/OCM", "HMesh/OCM"};
     scenario.execution.progress = false;
-    const std::string csv = ::testing::TempDir() + "/env_override.csv";
+    const std::string checkpoint =
+        ::testing::TempDir() + "/verbatim.ckpt";
 
-    std::filesystem::remove(csv);
-    setenv("CORONA_SWEEP_CSV", csv.c_str(), 1);
-    const auto overridden = campaign::runScenario(scenario, {.quiet = true});
-    unsetenv("CORONA_SWEEP_CSV");
-    ASSERT_EQ(overridden.records.size(), 1u);
-    std::ifstream written(csv);
-    std::stringstream bytes;
-    bytes << written.rdbuf();
-    EXPECT_EQ(bytes.str(), std::string(campaign::CsvSink::header()) +
-                               "\n" +
-                               campaign::csvRow(overridden.records[0]) +
-                               "\n");
-
-    // With overrides disabled the scenario's own (empty) sink wins.
-    std::filesystem::remove(csv);
-    setenv("CORONA_SWEEP_CSV", csv.c_str(), 1);
-    const auto verbatim = campaign::runScenario(
-        scenario, {.quiet = true, .env = campaign::EnvOverrides::None});
-    unsetenv("CORONA_SWEEP_CSV");
-    ASSERT_EQ(verbatim.records.size(), 1u);
-    EXPECT_FALSE(std::filesystem::exists(csv));
+    std::filesystem::remove(checkpoint);
+    setenv("CORONA_SHARD", "1/2", 1);
+    setenv("CORONA_CHECKPOINT", checkpoint.c_str(), 1);
+    const auto result = campaign::runScenario(scenario, {.quiet = true});
+    unsetenv("CORONA_SHARD");
+    unsetenv("CORONA_CHECKPOINT");
+    EXPECT_EQ(result.records.size(), 2u);
+    EXPECT_TRUE(result.complete());
+    EXPECT_FALSE(std::filesystem::exists(checkpoint));
 }
 
-TEST(ScenarioRun, ShardOnlyEnvIgnoresOperatorVariables)
+TEST(ScenarioRun, ShardWorkerWritesOnlyItsCheckpoint)
 {
-    // The launcher-steered worker contract: CORONA_SHARD applies,
-    // but an operator-level sink path must not leak in (every
-    // concurrent worker would truncate the same file).
+    // A CORONA_SHARD worker never opens the scenario's shared sink
+    // paths: every concurrent worker would truncate the same file,
+    // and the launcher's merge writes them.
+    const std::string dir = ::testing::TempDir() + "/shard_worker";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
     campaign::ScenarioSpec scenario;
     scenario.name = "worker";
     scenario.requests = 300;
     scenario.workloads = {"Uniform"};
     scenario.configs = {"XBar/OCM", "HMesh/OCM"};
     scenario.execution.progress = false;
-    const std::string csv = ::testing::TempDir() + "/shard_only.csv";
+    scenario.execution.csv = dir + "/runs.csv";
+    scenario.execution.jsonl = dir + "/runs.jsonl";
+    scenario.execution.summary = dir + "/summary.csv";
+    scenario.execution.threads = 3;
+    const std::string checkpoint = dir + "/shard1.ckpt";
 
-    std::filesystem::remove(csv);
-    setenv("CORONA_SWEEP_CSV", csv.c_str(), 1);
     setenv("CORONA_SHARD", "1/2", 1);
-    const auto result = campaign::runScenario(
-        scenario,
-        {.quiet = true, .env = campaign::EnvOverrides::ShardOnly});
-    unsetenv("CORONA_SWEEP_CSV");
+    setenv("CORONA_CHECKPOINT", checkpoint.c_str(), 1);
+    campaign::applyWorkerEnvironment(scenario);
     unsetenv("CORONA_SHARD");
-    ASSERT_EQ(result.records.size(), 1u); // Sharded...
+    unsetenv("CORONA_CHECKPOINT");
+    // The launcher's CORONA_JOBS, not the file, sizes a worker.
+    EXPECT_EQ(scenario.execution.threads, 0u);
+    const auto result = campaign::runScenario(scenario, {.quiet = true});
+    EXPECT_EQ(result.records.size(), 1u);
     EXPECT_FALSE(result.complete());
-    EXPECT_FALSE(std::filesystem::exists(csv)); // ...with no sink.
+
+    std::ifstream in(checkpoint);
+    ASSERT_TRUE(in);
+    EXPECT_EQ(campaign::loadCheckpoint(in, result.spec).size(), 1u);
+    for (const char *sink : {"/runs.csv", "/runs.jsonl", "/summary.csv"})
+        EXPECT_FALSE(std::filesystem::exists(dir + sink)) << sink;
+}
+
+TEST(ScenarioRun, OutOfRangeBandwidthFailsTheRun)
+{
+    // At scale 1e-17 one line takes more than 2^63 ticks on an OCM
+    // link: the run fails naming the bandwidth instead of reporting
+    // scale 1's numbers.
+    campaign::ScenarioSpec scenario;
+    scenario.requests = 200;
+    scenario.workloads = {"Uniform"};
+    scenario.configs = {"XBar/OCM memory_bandwidth_scale=1e-17"};
+    scenario.execution.progress = false;
+    const auto result = campaign::runScenario(scenario, {.quiet = true});
+    ASSERT_EQ(result.records.size(), 1u);
+    EXPECT_FALSE(result.records[0].ok);
+    EXPECT_NE(result.records[0].error.find("bandwidth 1.6e-06 B/s"),
+              std::string::npos)
+        << result.records[0].error;
 }
 
 TEST(ScenarioRun, ScenarioExecutorFollowsTheExecutionSection)
@@ -630,36 +653,26 @@ TEST(ScenarioRun, ScenarioExecutorFollowsTheExecutionSection)
                  sim::FatalError);
 }
 
-TEST(ScenarioRun, EnvShardRefusesTheScenariosSharedSinkPaths)
-{
-    // CORONA_SHARD fans a scenario out over several processes; a sink
-    // path written in the file would be truncated by every one of
-    // them. That must be a loud refusal, not silent corruption.
-    campaign::ScenarioSpec scenario;
-    scenario.requests = 100;
-    scenario.workloads = {"Uniform"};
-    scenario.configs = {"XBar/OCM", "HMesh/OCM"};
-    scenario.execution.csv = "/tmp/scenario_shared.csv";
-    scenario.execution.progress = false;
-
-    setenv("CORONA_SHARD", "1/2", 1);
-    EXPECT_THROW(campaign::runScenario(scenario, {.quiet = true}),
-                 sim::FatalError);
-    // A per-shard override of the same sink resolves the conflict.
-    setenv("CORONA_SWEEP_CSV", "/tmp/scenario_shard1.csv", 1);
-    EXPECT_NO_THROW(campaign::runScenario(scenario, {.quiet = true}));
-    unsetenv("CORONA_SWEEP_CSV");
-    unsetenv("CORONA_SHARD");
-}
-
 TEST(ScenarioRun, MalformedEnvOverrideIsFatal)
 {
     campaign::ScenarioSpec scenario;
     scenario.workloads = {"Uniform"};
     scenario.configs = {"XBar/OCM"};
     setenv("CORONA_SHARD", "7", 1);
-    EXPECT_THROW(campaign::runScenario(scenario, {.quiet = true}),
+    EXPECT_THROW(campaign::applyWorkerEnvironment(scenario),
                  sim::FatalError);
+    // A shard worker's only output is its checkpoint: without one it
+    // fails up front instead of running a slice it would discard.
+    setenv("CORONA_SHARD", "1/2", 1);
+    unsetenv("CORONA_CHECKPOINT");
+    try {
+        campaign::applyWorkerEnvironment(scenario);
+        ADD_FAILURE() << "CORONA_SHARD without a checkpoint ran";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("CORONA_CHECKPOINT"),
+                  std::string::npos)
+            << e.what();
+    }
     unsetenv("CORONA_SHARD");
 }
 
@@ -669,8 +682,7 @@ TEST(ScenarioRun, RejectsCalibrationWithoutModelExecutor)
     scenario.workloads = {"Uniform"};
     scenario.configs = {"XBar/OCM"};
     scenario.execution.calibration = "/nonexistent.csv";
-    EXPECT_THROW(campaign::runScenario(
-                     scenario, {.quiet = true, .env = campaign::EnvOverrides::None}),
+    EXPECT_THROW(campaign::runScenario(scenario, {.quiet = true}),
                  sim::FatalError);
 }
 
@@ -692,20 +704,16 @@ TEST(Env, PositiveCountIsStrict)
     unsetenv("CORONA_TEST_ENV");
 }
 
-TEST(Env, NonEmptyAndRequire)
+TEST(Env, NonEmptyIsStrict)
 {
     unsetenv("CORONA_TEST_ENV");
     EXPECT_FALSE(core::env::nonEmpty("CORONA_TEST_ENV"));
-    EXPECT_THROW(core::env::require("CORONA_TEST_ENV", "the test"),
-                 sim::FatalError);
     setenv("CORONA_TEST_ENV", "", 1);
     EXPECT_TRUE(core::env::isSet("CORONA_TEST_ENV"));
     EXPECT_THROW(core::env::nonEmpty("CORONA_TEST_ENV"),
                  sim::FatalError);
     setenv("CORONA_TEST_ENV", "value", 1);
     EXPECT_EQ(core::env::nonEmpty("CORONA_TEST_ENV"), "value");
-    EXPECT_EQ(core::env::require("CORONA_TEST_ENV", "the test"),
-              "value");
     unsetenv("CORONA_TEST_ENV");
 }
 

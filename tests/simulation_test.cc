@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "corona/context.hh"
+#include "corona/exec_plan.hh"
 #include "corona/simulation.hh"
+#include "obs/registry.hh"
 #include "sim/logging.hh"
 #include "workload/sharing.hh"
 #include "workload/splash.hh"
@@ -73,39 +79,121 @@ TEST(Simulation, TinyMshrFileStillCompletes)
         << "a 2-entry MSHR file must visibly stall 16 threads";
 }
 
-TEST(Simulation, MshrCoalescedCountsOnlySecondaryMisses)
+/**
+ * Check every CSV column of @p m that has a registry counterpart
+ * against @p system's probes, read after the run. Sums and maxima
+ * fold per-component paths: every numeric segment becomes a star.
+ */
+void
+expectCsvMatchesProbes(const RunMetrics &m, core::CoronaSystem &system,
+                       bool miss_stream)
 {
-    // The hubs' MSHR counters and the run's requests_coalesced count
-    // the same thing: misses that joined one already in flight. Every
-    // primary miss takes an MSHR too, so counting those would show.
-    auto miss_stream = core::makeConfig(NetworkKind::XBar, MemoryKind::OCM);
-    auto coherent = miss_stream;
+    obs::Registry registry;
+    system.instrument(registry);
+    std::map<std::string, double> sum;
+    std::map<std::string, double> max;
+    double wait_total = 0.0, wait_count = 0.0, channel_count = 0.0;
+    for (const obs::Probe &probe : registry.probes()) {
+        std::string key;
+        std::istringstream segments(probe.path);
+        for (std::string segment; std::getline(segments, segment, '/');) {
+            const bool index = segment.find_first_not_of("0123456789") ==
+                               std::string::npos;
+            key += (key.empty() ? "" : "/") + (index ? "*" : segment);
+        }
+        const double value = probe.read();
+        sum[key] += value;
+        max[key] = std::max(max[key], value);
+        // The count-weighted mean over channels, as meanTokenWait forms
+        // it: count precedes mean in each channel's wait stats.
+        if (key == "xbar/ch/*/token/wait/count") {
+            channel_count = value;
+            wait_count += value;
+        } else if (key == "xbar/ch/*/token/wait/mean") {
+            wait_total += value * channel_count;
+        }
+    }
+    // Misses really went through the hubs, so no identity below can
+    // pass as 0 == 0.
+    EXPECT_GT(sum.at("hub/*/network_requests") +
+                  sum.at("hub/*/local_requests"),
+              0.0);
+    EXPECT_EQ(static_cast<double>(m.requests_coalesced),
+              sum.at("hub/*/mshr/coalesced"));
+    EXPECT_EQ(static_cast<double>(m.mshr_full_stalls),
+              sum.at("hub/*/mshr/full_stalls"));
+    EXPECT_EQ(static_cast<double>(m.peak_mc_queue),
+              max.at("mc/*/peak_queue"));
+    EXPECT_EQ(static_cast<double>(m.hop_traversals), sum.at("net/hops"));
+    EXPECT_DOUBLE_EQ(m.achieved_bytes_per_second,
+                     sum.at("mc/*/bytes") / sim::ticksToSeconds(m.elapsed));
+    if (system.config().network == NetworkKind::XBar) {
+        EXPECT_DOUBLE_EQ(m.token_wait_ns,
+                         (wait_count > 0 ? wait_total / wait_count : 0.0) /
+                             static_cast<double>(sim::oneNanosecond));
+    }
+    if (miss_stream) {
+        EXPECT_EQ(static_cast<double>(m.requests_issued),
+                  sum.at("mc/*/accesses"));
+    }
+}
+
+TEST(Simulation, CsvColumnsMatchRegistryProbes)
+{
+    // The CSV and the registry must tell one story in every execution
+    // mode: fresh and pooled (second-lease) contexts, the classic
+    // engine and 1 or 4 shards. Warm-up 0, so both count the whole run.
+    const auto xbar = core::makeConfig(NetworkKind::XBar, MemoryKind::OCM);
+    const auto hmesh =
+        core::makeConfig(NetworkKind::HMesh, MemoryKind::ECM);
+    auto coherent = xbar;
     coherent.frontend = core::FrontendKind::Coherent;
+    using Factory = std::unique_ptr<workload::Workload> (*)();
+    const Factory raytrace = [] { return workload::makeSplash("Raytrace"); };
     const struct
     {
         SystemConfig config;
-        std::unique_ptr<workload::Workload> workload;
+        Factory make;
+        unsigned sim_threads;
         bool coalesces;
     } cases[] = {
-        {miss_stream, workload::makeSplash("Raytrace"), true},
-        {coherent, workload::makeMigratory(), false},
+        {xbar, raytrace, 0, true},
+        {xbar, workload::makeUniform, 0, false},
+        {xbar, workload::makeUniform, 1, false},
+        {xbar, workload::makeUniform, 4, false},
+        {hmesh, workload::makeUniform, 0, false},
+        {hmesh, workload::makeUniform, 1, false},
+        {hmesh, workload::makeUniform, 4, false},
+        {coherent, workload::makeMigratory, 0, false},
     };
+    SimParams params;
+    params.requests = 3000;
+    params.warmup_requests = 0;
     for (const auto &c : cases) {
-        SCOPED_TRACE(c.workload->name());
-        core::SimContext ctx(c.config);
-        SimParams params;
-        params.requests = 3000;
-        const RunMetrics m = core::runExperiment(ctx, *c.workload, params);
-        std::uint64_t hub_coalesced = 0;
-        std::uint64_t hub_misses = 0;
-        for (topology::ClusterId h = 0; h < c.config.clusters; ++h) {
-            const core::Hub &hub = ctx.system().hub(h);
-            hub_coalesced += hub.mshrs().coalesced();
-            hub_misses += hub.networkRequests() + hub.localRequests();
-        }
-        EXPECT_GT(hub_misses, 0u);
+        params.sim_threads = c.sim_threads;
+        const bool miss_stream =
+            c.config.frontend == core::FrontendKind::MissStream;
+        auto fresh_workload = c.make();
+        SCOPED_TRACE(fresh_workload->name() + " on " + c.config.name() +
+                     " at sim_threads " + std::to_string(c.sim_threads));
+        core::NetworkSimulation fresh(c.config, *fresh_workload, params);
+        const RunMetrics m = fresh.run();
         EXPECT_EQ(m.requests_coalesced > 0, c.coalesces);
-        EXPECT_EQ(hub_coalesced, m.requests_coalesced);
+        expectCsvMatchesProbes(m, fresh.system(), miss_stream);
+
+        // A pooled context on its second lease: reset, not rebuilt.
+        core::SystemPool pool;
+        const unsigned effective = core::effectiveSimThreads(
+            c.sim_threads, c.config, *fresh_workload, 0, false);
+        EXPECT_EQ(effective, c.sim_threads); // No serial fallback.
+        auto first = c.make();
+        core::runExperiment(pool.lease(c.config, effective), *first,
+                            params);
+        auto second = c.make();
+        core::SimContext &ctx = pool.lease(c.config, effective);
+        const RunMetrics pooled = core::runExperiment(ctx, *second, params);
+        ASSERT_EQ(pool.reuses(), 1u);
+        expectCsvMatchesProbes(pooled, ctx.system(), miss_stream);
     }
 }
 

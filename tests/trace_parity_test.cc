@@ -68,8 +68,7 @@ baseScenario(const std::string &dir, const std::string &tag)
 campaign::ScenarioRunResult
 run(const campaign::ScenarioSpec &scenario)
 {
-    return campaign::runScenario(
-        scenario, {.quiet = true, .env = campaign::EnvOverrides::None});
+    return campaign::runScenario(scenario, {.quiet = true});
 }
 
 /** Capture the one cell the generator scenario runs: same config,

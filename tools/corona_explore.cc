@@ -10,9 +10,10 @@
  * against the simulator), ranks by an objective, and emits the
  * Pareto frontier over (bandwidth, latency, network power) as CSV.
  * A >=10k-point grid evaluates in seconds; the event simulator is
- * reserved for confirmation: --confirm K hands the top-K frontier
- * points back to the simulator through the shard launcher
- * (campaign::launchShards) and prints model-vs-simulated deltas.
+ * reserved for confirmation: --confirm K writes the top-K frontier
+ * points as scenario files, runs them over corona-run shard workers
+ * (the corona-run beside this binary, through campaign::launchShards)
+ * and prints model-vs-simulated deltas.
  *
  * Calibration workflow:
  *   corona-explore --calibrate factors.csv --anchor-requests 2000
@@ -38,7 +39,6 @@
 #include "campaign/launch.hh"
 #include "campaign/runner.hh"
 #include "campaign/scenario.hh"
-#include "campaign/scenario_run.hh"
 #include "campaign/sink.hh"
 #include "corona/knobs.hh"
 #include "model/calibration.hh"
@@ -74,9 +74,6 @@ struct CliOptions
     std::size_t shards = 2;
     std::size_t jobs = 0;
     std::string confirm_dir = "corona-explore-confirm";
-
-    bool worker = false;
-    std::string scenario_path; ///< Worker: scenario file to execute.
 
     bool quiet = false;
     std::string self;
@@ -120,7 +117,9 @@ usage(std::ostream &os)
           "  --checkpoint PATH    crash-tolerant anchor checkpoint\n\n"
           "Confirmation:\n"
           "  --confirm K          simulate the top-K frontier points "
-          "via the shard launcher\n"
+          "on corona-run shard\n"
+          "                       workers (the corona-run beside this "
+          "binary)\n"
           "  --confirm-requests R simulated requests per point "
           "(default 2000)\n"
           "  --shards N --jobs M  launcher geometry (default 2, "
@@ -287,10 +286,6 @@ parseArgs(int argc, char **argv)
             options.jobs = count(i, "--jobs");
         } else if (arg == "--dir") {
             options.confirm_dir = next(i, "--dir");
-        } else if (arg == "--worker") {
-            options.worker = true;
-        } else if (arg == "--scenario") {
-            options.scenario_path = next(i, "--scenario");
         } else if (arg == "--quiet") {
             options.quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -409,26 +404,6 @@ groupFrontier(const std::vector<model::DesignPoint> &points)
     return groups;
 }
 
-int
-workerMain(const CliOptions &options)
-{
-    if (options.scenario_path.empty())
-        badUsage("--worker needs --scenario (the primary persists "
-                 "one scenario file per confirmation group)");
-    // The scenario front end picks this worker's CORONA_SHARD /
-    // CORONA_CHECKPOINT (exported by the launcher) up as environment
-    // overrides of the scenario's execution settings. ShardOnly: an
-    // operator-level sink path must not leak in, or every concurrent
-    // worker would truncate the same file.
-    const campaign::ScenarioSpec scenario =
-        campaign::loadScenarioFile(options.scenario_path);
-    campaign::ScenarioRunOptions run_options;
-    run_options.quiet = true;
-    run_options.env = campaign::EnvOverrides::ShardOnly;
-    campaign::runScenario(scenario, run_options);
-    return 0;
-}
-
 /** Simulate the frontier's top-K points via launchShards and print
  * predicted-vs-simulated per point. Returns false when any shard
  * group failed. */
@@ -490,11 +465,8 @@ confirmFrontier(const CliOptions &options,
             "confirm" + std::to_string(group_number) + "-shard";
         if (!options.quiet)
             launch.log = &std::cerr;
-        std::ostringstream cmd;
-        cmd << campaign::shellQuote(options.self)
-            << " --worker --scenario "
-            << campaign::shellQuote(scenario_path);
-        launch.command = cmd.str();
+        launch.command = campaign::localWorkerCommand(
+            options.self, scenario_path, /*quiet=*/true);
 
         const campaign::LaunchReport report =
             campaign::launchShards(launch);
@@ -693,8 +665,7 @@ main(int argc, char **argv)
     CliOptions options = parseArgs(argc, argv);
     options.self = argv[0];
     try {
-        return options.worker ? workerMain(options)
-                              : exploreMain(options);
+        return exploreMain(options);
     } catch (const std::exception &e) {
         std::cerr << "corona-explore: " << e.what() << "\n";
         return 1;

@@ -3,20 +3,15 @@
  * corona-launch: one-command distributed scenario runs.
  *
  * Schedules the N shards of a scenario file (--scenario) over a bounded
- * pool of worker processes (default: re-exec this binary in --worker
- * mode locally; any template via --cmd, e.g. ssh onto other hosts),
- * retries crashed or failed shards with exponential backoff, merges
- * the per-shard checkpoint files, and replays the merged record set
- * through the ordinary sinks — the final CSV / JSONL / summary bytes
- * are identical to an uninterrupted un-sharded run (assert it live
- * with --verify). A poisoned shard (retry cap exhausted) does not
- * lose the others' work: everything completed is merged, and
+ * pool of worker processes (default: the corona-run beside this
+ * binary, locally; any template via --cmd or --hosts, e.g. ssh onto
+ * other hosts), retries crashed or failed shards with exponential
+ * backoff, merges the per-shard checkpoint files, and replays the
+ * merged record set through the scenario's own csv / jsonl / summary
+ * sinks — bytes identical to an uninterrupted un-sharded run (assert
+ * it live with --verify). A poisoned shard (retry cap exhausted) does
+ * not lose the others' work: everything completed is merged, and
  * re-running the same command resumes the per-shard files.
- *
- * The hidden CORONA_LAUNCH_TEST_CRASH=<shard> environment variable
- * makes worker <shard> (1-based) crash once mid-checkpoint-write —
- * the CI smoke test uses it to prove the retry + merge path end to
- * end against the real binary.
  */
 
 #include <algorithm>
@@ -26,7 +21,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -36,7 +30,6 @@
 #include "campaign/checkpoint.hh"
 #include "campaign/launch.hh"
 #include "campaign/obs_rollup.hh"
-#include "campaign/progress.hh"
 #include "campaign/runner.hh"
 #include "campaign/scenario.hh"
 #include "campaign/scenario_run.hh"
@@ -52,7 +45,6 @@ using namespace corona;
 
 struct CliOptions
 {
-    bool worker = false;
     std::string scenario; ///< The scenario file (required).
     std::size_t shards = 4;
     std::size_t jobs = 0; // 0 = hardware concurrency.
@@ -60,17 +52,17 @@ struct CliOptions
     std::size_t retries = 2;
     double backoff = 0.5;
     double stall_kill = 0.0; // 0 = liveness watch off.
-    std::string command; // Empty = re-exec self as worker.
+    std::string command; // Empty = the corona-run beside this binary.
     std::string hosts_file;
     std::string remote_cmd;
     std::string remote_dir = "corona-launch-remote";
     std::string rsh = "ssh";
     std::string fetch = "scp";
-    std::string csv, jsonl, summary, merged;
+    std::string merged;
     std::string heartbeat; ///< Shard-lifecycle JSONL path; empty = off.
     bool verify = false;
     bool quiet = false;
-    std::string self; ///< argv[0], for the self-exec worker template.
+    std::string self; ///< argv[0], to find the corona-run beside it.
 };
 
 void
@@ -82,9 +74,10 @@ usage(std::ostream &os)
           "usage: corona-launch --scenario F [options]\n\n"
           "  --scenario F    the scenario file to distribute "
           "(required; workers\n"
-          "                  receive its path, so the grid and the "
-          "request budget\n"
-          "                  are the file's)\n"
+          "                  receive its path, so the grid, the "
+          "request budget and\n"
+          "                  the merged csv/jsonl/summary paths are "
+          "the file's)\n"
           "  --shards N      shard count (default 4)\n"
           "  --jobs M        concurrent worker processes (default: "
           "hardware)\n"
@@ -98,8 +91,8 @@ usage(std::ostream &os)
           "CORONA_SHARD/CORONA_CHECKPOINT\n"
           "                  exported; {shard} {shards} {label} "
           "{checkpoint} expand per shard\n"
-          "                  (default: re-exec this binary as a local "
-          "worker)\n"
+          "                  (default: the corona-run beside this "
+          "binary)\n"
           "  --stall-kill S  kill and relaunch a worker whose "
           "checkpoint stops growing\n"
           "                  for S seconds (counts against --retries; "
@@ -110,17 +103,14 @@ usage(std::ostream &os)
           "are fetched back\n"
           "                  automatically before the merge\n"
           "  --remote-cmd T  command run on each host (e.g. "
-          "'corona-launch --worker\n"
-          "                  --scenario fig9.scenario'); "
+          "'corona-run --no-table\n"
+          "                  fig9.scenario'); "
           "{shard}/{label} expand per shard\n"
           "  --remote-dir P  remote checkpoint directory (default "
           "corona-launch-remote)\n"
           "  --rsh CMD       remote shell (default ssh)\n"
           "  --fetch CMD     remote copy, `CMD host:path local` "
           "(default scp)\n"
-          "  --csv PATH      write the merged per-run CSV\n"
-          "  --jsonl PATH    write the merged per-run JSON lines\n"
-          "  --summary PATH  write the merged per-cell summary CSV\n"
           "  --merged PATH   merged checkpoint (default "
           "<dir>/merged.ckpt)\n"
           "  --heartbeat P   stream shard-lifecycle heartbeats "
@@ -131,10 +121,7 @@ usage(std::ostream &os)
           "and assert the\n"
           "                  merged sink bytes match exactly\n"
           "  --quiet         suppress launcher/worker progress on "
-          "stderr\n"
-          "  --worker        internal: run one shard of --scenario "
-          "(reads\n"
-          "                  CORONA_SHARD/CORONA_CHECKPOINT)\n";
+          "stderr\n";
 }
 
 [[noreturn]] void
@@ -167,9 +154,7 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--worker") {
-            options.worker = true;
-        } else if (arg == "--scenario") {
+        if (arg == "--scenario") {
             options.scenario = next(i, "--scenario");
         } else if (arg == "--shards") {
             options.shards = parseCount(next(i, "--shards"), "--shards");
@@ -218,12 +203,6 @@ parseArgs(int argc, char **argv)
             options.rsh = next(i, "--rsh");
         } else if (arg == "--fetch") {
             options.fetch = next(i, "--fetch");
-        } else if (arg == "--csv") {
-            options.csv = next(i, "--csv");
-        } else if (arg == "--jsonl") {
-            options.jsonl = next(i, "--jsonl");
-        } else if (arg == "--summary") {
-            options.summary = next(i, "--summary");
         } else if (arg == "--merged") {
             options.merged = next(i, "--merged");
         } else if (arg == "--heartbeat") {
@@ -243,86 +222,6 @@ parseArgs(int argc, char **argv)
         badUsage("--scenario is required (the scenario file defines "
                  "the grid and the request budget)");
     return options;
-}
-
-/** Crashes the worker after the first freshly checkpointed run:
- * leaves torn trailing bytes in the checkpoint and exits non-zero,
- * exactly like a process dying mid-write. Armed only when
- * CORONA_LAUNCH_TEST_CRASH names this worker's shard and the marker
- * file is absent (so the retry succeeds). tests/launch_test.cc
- * carries its own copy on purpose: the smoke test proves this CLI
- * worker, the unit e2e proves an independent library consumer. */
-class CrashOnceSink : public campaign::ResultSink
-{
-  public:
-    CrashOnceSink(std::ofstream &checkpoint, std::string marker)
-        : _checkpoint(checkpoint), _marker(std::move(marker))
-    {
-    }
-
-    void consume(const campaign::RunRecord &) override
-    {
-        std::ofstream marker(_marker);
-        marker << "crashed once\n";
-        _checkpoint << "999,torn-mid-wri"; // No newline: torn row.
-        _checkpoint.flush();
-        std::_Exit(9);
-    }
-
-  private:
-    std::ofstream &_checkpoint;
-    std::string _marker;
-};
-
-int
-workerMain(const CliOptions &options)
-{
-    const std::string shard_env =
-        core::env::require("CORONA_SHARD", "corona-launch --worker");
-    const std::string checkpoint_env = core::env::require(
-        "CORONA_CHECKPOINT", "corona-launch --worker");
-    const auto shard = campaign::parseShardSpec(shard_env);
-    if (!shard)
-        sim::fatal("corona-launch --worker: malformed CORONA_SHARD \"" +
-                   shard_env + "\"");
-
-    // The worker's grid comes from the same scenario file the
-    // launcher was given.
-    const campaign::ScenarioSpec scenario =
-        campaign::loadScenarioFile(options.scenario);
-    const campaign::CampaignSpec spec = scenario.resolve();
-    campaign::CheckpointFile checkpoint(checkpoint_env, spec);
-
-    campaign::ProgressReporter progress(std::cerr);
-    campaign::RunnerOptions runner_options;
-    runner_options.shard = *shard;
-    runner_options.execute = campaign::scenarioExecutor(scenario);
-    if (!options.quiet)
-        runner_options.progress = &progress;
-    // A launched worker observes exactly like a directly-run scenario:
-    // per-run obs files are named by global run index (disjoint across
-    // shards), and the heartbeat/rollup files carry this shard's
-    // suffix, so the launcher can merge them afterwards.
-    campaign::ScenarioObsSetup obs_setup;
-    obs_setup.apply(scenario.observability, scenario.name,
-                    runner_options);
-    campaign::CampaignRunner runner(runner_options);
-    runner.addSink(checkpoint.sink());
-
-    std::optional<CrashOnceSink> crash;
-    if (const auto inject =
-            core::env::lookup("CORONA_LAUNCH_TEST_CRASH")) {
-        const std::string marker = checkpoint_env + ".crashed";
-        if (std::to_string(shard->index + 1) == *inject &&
-            !std::filesystem::exists(marker)) {
-            crash.emplace(checkpoint.stream(), marker);
-            runner.addSink(*crash);
-        }
-    }
-
-    runner.run(spec, checkpoint.takeCompleted());
-    checkpoint.checkWritten();
-    return 0;
 }
 
 /** Replay @p records through fresh CSV/JSONL/summary sinks. With a
@@ -427,15 +326,8 @@ launchMain(const CliOptions &options)
 
     std::string command = options.command;
     if (command.empty() && launch.commands.empty()) {
-        // Re-exec this binary as a local worker on the same
-        // scenario file.
-        std::ostringstream self;
-        self << campaign::shellQuote(options.self)
-             << " --worker --scenario "
-             << campaign::shellQuote(options.scenario);
-        if (options.quiet)
-            self << " --quiet";
-        command = self.str();
+        command = campaign::localWorkerCommand(
+            options.self, options.scenario, options.quiet);
         // Local workers share this machine: split the cores across
         // the process pool unless the user pinned CORONA_JOBS. The
         // variable is prefixed onto the worker command (scoped to the
@@ -541,18 +433,13 @@ launchMain(const CliOptions &options)
     }
 
     // Replay the full merged record set through the ordinary sinks:
-    // byte-identical to an uninterrupted un-sharded run. CLI flags
-    // win; otherwise the scenario's own [execution] sink paths are
-    // honoured, so a scenario file fully describes its outputs.
+    // byte-identical to an uninterrupted un-sharded run, written to
+    // the scenario's own [execution] sink paths.
     RenderedSinks rendered = renderRecords(spec, merged);
     const campaign::ScenarioExecution &exec = scenario.execution;
-    writeOutput(options.csv.empty() ? exec.csv : options.csv,
-                rendered.csv, "CSV");
-    writeOutput(options.jsonl.empty() ? exec.jsonl : options.jsonl,
-                rendered.jsonl, "JSONL");
-    writeOutput(options.summary.empty() ? exec.summary
-                                        : options.summary,
-                rendered.summary, "summary CSV");
+    writeOutput(exec.csv, rendered.csv, "CSV");
+    writeOutput(exec.jsonl, rendered.jsonl, "JSONL");
+    writeOutput(exec.summary, rendered.summary, "summary CSV");
 
     if (options.verify) {
         std::cerr << "corona-launch: verifying against an un-sharded "
@@ -594,8 +481,7 @@ main(int argc, char **argv)
     CliOptions options = parseArgs(argc, argv);
     options.self = argv[0];
     try {
-        return options.worker ? workerMain(options)
-                              : launchMain(options);
+        return launchMain(options);
     } catch (const std::exception &e) {
         std::cerr << "corona-launch: " << e.what() << "\n";
         return 1;

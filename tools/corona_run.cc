@@ -5,24 +5,24 @@
  * The unified front end for declaratively described experiments: a
  * scenario file names the workload / configuration / override axes
  * (resolved through the workload and config registries), the seeding
- * discipline, and the execution settings (threads, shard, checkpoint,
- * sinks, simulate-vs-model executor), so the same text file runs on a
+ * discipline, and the execution settings (threads, checkpoint, sinks,
+ * simulate-vs-model executor), so the same text file runs on a
  * laptop, a launcher-spawned worker, or a remote host and produces
  * byte-identical sink and checkpoint output.
  *
- * Environment overrides (all strictly parsed): CORONA_JOBS,
- * CORONA_SHARD, CORONA_CHECKPOINT, CORONA_SWEEP_CSV,
- * CORONA_SWEEP_JSONL, CORONA_SUMMARY_CSV — per-invocation overrides
- * of the scenario's [execution] settings (that is how corona-launch
- * steers a scenario worker onto its shard and checkpoint without
- * rewriting the file). The request budget is the scenario's own.
+ * The file is the whole description of the run. The one exception is
+ * the launcher's worker contract: CORONA_SHARD ("i/N") and
+ * CORONA_CHECKPOINT make this process one shard worker of a launched
+ * grid. It then writes only its checkpoint and per-run obs files;
+ * the launcher's merge writes the scenario's csv, jsonl and summary,
+ * and it runs at threads = 0. CORONA_JOBS is the worker count that
+ * threads = 0 resolves to.
  *
  * The paper's Figures 8-11 come from one run of
  * scenarios/fig9.scenario: `corona-stats figures` renders them from
  * its CSV sink.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -45,19 +45,14 @@ usage(std::ostream &os)
           "  --dry-run   resolve the scenario and print the expanded\n"
           "              grid summary without running it\n"
           "  --no-table  skip the per-run results table on stdout\n"
-          "  --quiet     suppress progress/ETA chatter on stderr\n"
-          "  --sim-threads N\n"
-          "              run each simulation on N conservative\n"
-          "              parallel shards (overrides the scenario's\n"
-          "              [execution] sim_threads; runs that cannot\n"
-          "              partition fall back to the serial engine,\n"
-          "              bit-identically)\n\n"
-          "Environment overrides: CORONA_JOBS, CORONA_SHARD,\n"
-          "CORONA_CHECKPOINT, CORONA_SWEEP_CSV, CORONA_SWEEP_JSONL,\n"
-          "CORONA_SUMMARY_CSV override the scenario's [execution]\n"
-          "settings.\n\n"
-          "Figures 8-11: run scenarios/fig9.scenario with a CSV sink,\n"
-          "then `corona-stats figures RUNS.csv`.\n";
+          "  --quiet     suppress progress/ETA chatter on stderr\n\n"
+          "The scenario file describes the whole run. Environment:\n"
+          "CORONA_JOBS is the worker count for threads = 0;\n"
+          "CORONA_SHARD=i/N and CORONA_CHECKPOINT make this process\n"
+          "one shard worker of a launched grid (checkpoint only, no\n"
+          "csv/jsonl/summary).\n\n"
+          "Figures 8-11: corona-run scenarios/fig9.scenario, then\n"
+          "`corona-stats figures fig9.csv`.\n";
 }
 
 } // namespace
@@ -70,7 +65,6 @@ main(int argc, char **argv)
     bool dry_run = false;
     bool table = true;
     bool quiet = false;
-    int sim_threads = -1; // -1 = keep the scenario's setting.
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--print") {
@@ -81,21 +75,6 @@ main(int argc, char **argv)
             table = false;
         } else if (arg == "--quiet") {
             quiet = true;
-        } else if (arg == "--sim-threads") {
-            if (i + 1 >= argc) {
-                std::cerr << "corona-run: --sim-threads needs a "
-                             "count\n";
-                return 2;
-            }
-            char *end = nullptr;
-            const long value = std::strtol(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || value < 0 ||
-                value > 1024) {
-                std::cerr << "corona-run: bad --sim-threads value \""
-                          << argv[i] << "\"\n";
-                return 2;
-            }
-            sim_threads = static_cast<int>(value);
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
@@ -122,9 +101,6 @@ main(int argc, char **argv)
     try {
         campaign::ScenarioSpec scenario =
             campaign::loadScenarioFile(path);
-        if (sim_threads >= 0)
-            scenario.execution.sim_threads =
-                static_cast<unsigned>(sim_threads);
 
         if (print) {
             std::cout << campaign::serializeScenario(scenario);
@@ -147,6 +123,8 @@ main(int argc, char **argv)
             return 0;
         }
 
+        // After --print and --dry-run, which show the file as written.
+        campaign::applyWorkerEnvironment(scenario);
         campaign::ScenarioRunOptions options;
         options.quiet = quiet;
         const campaign::ScenarioRunResult result =
