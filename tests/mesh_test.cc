@@ -302,18 +302,27 @@ fnv1a(std::uint64_t &hash, std::uint64_t word)
     }
 }
 
+/** With @p replies, the destination answers every ReadReq with a
+ * ReadResp: the ejection then re-enters inject() on the router whose
+ * forwarding pass is running, as a fill that frees an MSHR does when
+ * its thread issues the next miss. */
 GoldenRun
 runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
-                 const Geometry &geom)
+                 const Geometry &geom, bool replies)
 {
     GoldenRun run;
+    std::uint64_t next_id = 0;
     mesh.setDeliver([&](const Message &msg) {
         ++run.delivered;
         fnv1a(run.digest, eq.now());
         fnv1a(run.digest, msg.id);
+        if (replies && msg.kind == MsgKind::ReadReq) {
+            Message reply = makeMsg(msg.dst, msg.src, MsgKind::ReadResp);
+            reply.id = next_id++;
+            mesh.send(reply);
+        }
     });
     sim::Rng rng(20260);
-    std::uint64_t next_id = 0;
     for (int burst = 0; burst < 24; ++burst) {
         const bool hot = rng.chance(0.5);
         const auto hot_dst = static_cast<ClusterId>(rng.below(64));
@@ -354,6 +363,7 @@ runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
 struct GoldenCase
 {
     bool lmesh;
+    bool replies;
     std::uint64_t delivered;
     std::uint64_t digest;
 };
@@ -372,7 +382,8 @@ TEST_P(MeshGoldenOrder, DeliveryOrderMatchesTheRecordedDigest)
     ElectricalMesh mesh(eq, sim::coronaClock(), geom, params,
                         param.lmesh ? "LMesh" : "HMesh");
 
-    const GoldenRun first = runGoldenTraffic(eq, mesh, geom);
+    const GoldenRun first =
+        runGoldenTraffic(eq, mesh, geom, param.replies);
     EXPECT_EQ(first.delivered, param.delivered);
     EXPECT_EQ(first.digest, param.digest);
     // The traffic must actually exercise back-pressure: some input
@@ -383,17 +394,22 @@ TEST_P(MeshGoldenOrder, DeliveryOrderMatchesTheRecordedDigest)
     // A reset mesh and queue replay the identical order.
     mesh.reset();
     eq.reset();
-    const GoldenRun second = runGoldenTraffic(eq, mesh, geom);
+    const GoldenRun second =
+        runGoldenTraffic(eq, mesh, geom, param.replies);
     EXPECT_EQ(second.delivered, first.delivered);
     EXPECT_EQ(second.digest, first.digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Bursts, MeshGoldenOrder,
-    ::testing::Values(GoldenCase{false, 1663, 6996117947516639286ull},
-                      GoldenCase{true, 1663, 15678689531108502347ull}),
+    ::testing::Values(
+        GoldenCase{false, false, 1663, 6996117947516639286ull},
+        GoldenCase{true, false, 1663, 15678689531108502347ull},
+        GoldenCase{false, true, 2298, 13856292682824949006ull},
+        GoldenCase{true, true, 2298, 567225417006869283ull}),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
-        return std::string(info.param.lmesh ? "LMesh" : "HMesh");
+        return std::string(info.param.lmesh ? "LMesh" : "HMesh") +
+               (info.param.replies ? "RequestReply" : "");
     });
 
 } // namespace
