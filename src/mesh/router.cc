@@ -6,25 +6,10 @@
 
 namespace corona::mesh {
 
-namespace {
-
-/** Stage index mapping: 0..3 = E,W,N,S input buffers, 4 = injection. */
-constexpr std::size_t numStages = 5;
-
-std::optional<Direction>
-stageDirection(std::size_t stage)
-{
-    if (stage >= 4)
-        return std::nullopt; // Injection stage.
-    return static_cast<Direction>(stage);
-}
-
-} // namespace
-
 Router::Router(sim::EventQueue &eq, const topology::Geometry &geom,
                topology::ClusterId id, double link_bytes_per_second,
                sim::Tick hop_latency, const RouterParams &params)
-    : _eq(eq), _id(id), _params(params)
+    : _id(id)
 {
     _routes.reserve(geom.clusters());
     for (topology::ClusterId dst = 0; dst < geom.clusters(); ++dst)
@@ -49,12 +34,12 @@ Router::connect(Direction d, Router &next_router)
     const auto idx = static_cast<std::size_t>(d);
     if (!_links[idx])
         sim::panic("Router::connect: no link in that direction");
-    noc::CreditBuffer &inbox = next_router.inputBuffer(opposite(d));
-    _links[idx]->setDownstream(&inbox);
     Router *next = &next_router;
-    const Direction arrival = opposite(d);
-    _links[idx]->setSink([this, next, arrival](const noc::Message &msg) {
-        next->inputBuffer(arrival).push(msg, _eq.now(), /*reserved=*/true);
+    const auto arrival = static_cast<std::size_t>(opposite(d));
+    _links[idx]->setDownstream(next->_inputs[arrival].get());
+    _links[idx]->setSink([next, arrival](const noc::Message &msg) {
+        next->_inputs[arrival]->push(msg, /*reserved=*/true);
+        next->_nonEmpty |= 1u << arrival;
         next->process();
     });
 }
@@ -63,11 +48,12 @@ void
 Router::inject(const noc::Message &msg)
 {
     _injection.push_back(msg);
+    _nonEmpty |= 1u << injectionStage;
     process();
 }
 
-noc::CreditBuffer &
-Router::inputBuffer(Direction d)
+const noc::CreditBuffer &
+Router::inputBuffer(Direction d) const
 {
     const auto idx = static_cast<std::size_t>(d);
     if (idx >= 4)
@@ -81,35 +67,33 @@ Router::link(Direction d) const
     return _links[static_cast<std::size_t>(d)].get();
 }
 
-const noc::Message *
-Router::peek(std::optional<Direction> from) const
+void
+Router::popStage(std::size_t stage)
 {
-    if (from) {
-        const auto &buffer = *_inputs[static_cast<std::size_t>(*from)];
-        return buffer.empty() ? nullptr : &buffer.front();
+    bool empty;
+    if (stage == injectionStage) {
+        _injection.pop_front();
+        empty = _injection.empty();
+    } else {
+        // The pop returns a credit upstream; empty() is read after
+        // the drain callbacks it fires have run.
+        _inputs[stage]->pop();
+        empty = _inputs[stage]->empty();
     }
-    return _injection.empty() ? nullptr : &_injection.front();
-}
-
-noc::Message
-Router::popInput(std::optional<Direction> from)
-{
-    if (from)
-        return _inputs[static_cast<std::size_t>(*from)]->pop(_eq.now());
-    noc::Message msg = _injection.front();
-    _injection.pop_front();
-    return msg;
+    if (empty)
+        _nonEmpty &= ~(1u << stage);
 }
 
 bool
-Router::tryForward(std::optional<Direction> from)
+Router::tryForward(std::size_t stage)
 {
-    const noc::Message *msg = peek(from);
-    if (!msg)
-        return false;
-    const Direction out = _routes[msg->dst];
+    const noc::Message &msg = stage == injectionStage
+                                  ? _injection.front()
+                                  : _inputs[stage]->front();
+    const Direction out = _routes[msg.dst];
     if (out == Direction::Local) {
-        const noc::Message delivered = popInput(from);
+        const noc::Message delivered = msg;
+        popStage(stage);
         if (!_eject)
             sim::panic("Router: no ejection callback");
         _eject(delivered);
@@ -118,9 +102,9 @@ Router::tryForward(std::optional<Direction> from)
     auto &link = _links[static_cast<std::size_t>(out)];
     if (!link)
         sim::panic("Router: dimension-order route off the mesh edge");
-    if (!link->trySend(*msg))
+    if (!link->trySend(msg))
         return false; // Output queue full; onSpace will retry.
-    popInput(from);
+    popStage(stage);
     return true;
 }
 
@@ -137,23 +121,29 @@ Router::process()
     _processing = true;
     _reprocess = false;
     // Keep moving messages while any stage makes progress; round-robin
-    // the starting stage so no input starves.
+    // the starting stage so no input starves. A stage whose bit is
+    // clear is empty, so visiting it would move nothing and change
+    // nothing: skipping it keeps every pass's order and effects.
+    const auto next = [](std::size_t stage) {
+        return stage + 1 == numStages ? 0 : stage + 1;
+    };
     bool progress = true;
     while (progress) {
         progress = false;
+        std::size_t stage = _rr;
         for (std::size_t i = 0; i < numStages; ++i) {
-            const std::size_t stage = (_rr + i) % numStages;
-            if (tryForward(stageDirection(stage)))
+            if ((_nonEmpty >> stage & 1u) != 0 && tryForward(stage))
                 progress = true;
+            stage = next(stage);
         }
-        _rr = (_rr + 1) % numStages;
+        _rr = next(_rr);
     }
     // A re-entry flagged above asks for one more round of passes. The
     // last pass moved nothing, and a pass that moves nothing has no
     // side effects, so that round would be exactly one more empty pass:
     // only its round-robin step remains.
     if (_reprocess)
-        _rr = (_rr + 1) % numStages;
+        _rr = next(_rr);
     _processing = false;
 }
 

@@ -17,7 +17,6 @@
 #include <array>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "mesh/routing.hh"
@@ -71,8 +70,9 @@ class Router
     /** Inject a locally sourced message (unbounded NIC queue). */
     void inject(const noc::Message &msg);
 
-    /** Input buffer for traffic arriving from direction @p d. */
-    noc::CreditBuffer &inputBuffer(Direction d);
+    /** Input buffer for traffic arriving from direction @p d. Only the
+     * link sink wired by connect() pushes into it. */
+    const noc::CreditBuffer &inputBuffer(Direction d) const;
 
     /** Forwarding loop; safe to call whenever state may have changed. */
     void process();
@@ -98,25 +98,27 @@ class Router
             if (link)
                 link->reset();
         }
+        _nonEmpty = 0;
         _rr = 0;
         _processing = false;
         _reprocess = false;
     }
 
   private:
-    /** Try to move one message out of the given input stage.
-     * @return true when a message moved (progress). */
-    bool tryForward(std::optional<Direction> from);
+    /** Forwarding stages: 0..3 are the E,W,N,S input buffers (a
+     * Direction's value), 4 the injection queue. */
+    static constexpr std::size_t numStages = 5;
+    static constexpr std::size_t injectionStage = 4;
 
-    /** Front message of an input stage, if any. */
-    const noc::Message *peek(std::optional<Direction> from) const;
+    /** Move the front message of non-empty @p stage one step on.
+     * @return true when it moved (progress). */
+    bool tryForward(std::size_t stage);
 
-    /** Pop the front message of an input stage. */
-    noc::Message popInput(std::optional<Direction> from);
+    /** Pop the front message of non-empty @p stage, clearing the
+     * stage's bit once it is empty. */
+    void popStage(std::size_t stage);
 
-    sim::EventQueue &_eq;
     topology::ClusterId _id;
-    RouterParams _params;
     /** Dimension-order output port toward each destination cluster:
      * route() evaluated once per destination at construction. */
     std::vector<Direction> _routes;
@@ -128,6 +130,11 @@ class Router
     /** Outgoing links indexed by direction (E,W,N,S). */
     std::array<std::unique_ptr<noc::BandwidthLink>, 4> _links;
     Eject _eject;
+    /** Bit s is set while stage s holds a message: set where a message
+     * enters (the link sink, inject()), cleared where a pop empties the
+     * stage. process() skips a clear stage, where tryForward would
+     * find nothing to move. */
+    unsigned _nonEmpty = 0;
     /** Round-robin pointer over input stages for output arbitration. */
     std::size_t _rr = 0;
     /** Reentrancy guard: process() may be re-triggered from callbacks

@@ -32,7 +32,7 @@ CreditBuffer::unreserve()
 }
 
 void
-CreditBuffer::push(const Message &msg, sim::Tick now, bool reserved)
+CreditBuffer::push(const Message &msg, bool reserved)
 {
     if (reserved) {
         if (_reserved == 0)
@@ -43,7 +43,6 @@ CreditBuffer::push(const Message &msg, sim::Tick now, bool reserved)
     }
     _fifo.push_back(msg);
     _peak = std::max(_peak, size());
-    _occupancy.update(now, static_cast<double>(size()));
 }
 
 const Message &
@@ -55,22 +54,15 @@ CreditBuffer::front() const
 }
 
 Message
-CreditBuffer::pop(sim::Tick now)
+CreditBuffer::pop()
 {
     if (_fifo.empty())
         sim::panic("CreditBuffer::pop on empty buffer");
     Message msg = _fifo.front();
     _fifo.pop_front();
-    _occupancy.update(now, static_cast<double>(size()));
     if (_onDrain)
         _onDrain();
     return msg;
-}
-
-double
-CreditBuffer::averageOccupancy(sim::Tick now) const
-{
-    return _occupancy.average(now);
 }
 
 } // namespace corona::noc

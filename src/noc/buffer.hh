@@ -16,7 +16,6 @@
 
 #include "noc/message.hh"
 #include "noc/ring_fifo.hh"
-#include "stats/stats.hh"
 
 namespace corona::noc {
 
@@ -55,30 +54,26 @@ class CreditBuffer
      * Append a message. Requires a prior successful reserve() or
      * available credit.
      */
-    void push(const Message &msg, sim::Tick now, bool reserved = false);
+    void push(const Message &msg, bool reserved = false);
 
     /** Front message; buffer must not be empty. */
     const Message &front() const;
 
     /** Remove and return the front message, freeing a credit. */
-    Message pop(sim::Tick now);
+    Message pop();
 
     /** Register a callback invoked whenever space becomes available. */
     void onDrain(std::function<void()> cb) { _onDrain = std::move(cb); }
 
-    /** Empty the FIFO, drop reservations, and zero the statistics.
-     * The drain callback wiring is kept. */
+    /** Empty the FIFO, drop reservations, and zero the peak. The
+     * drain callback wiring is kept. */
     void
     reset()
     {
         _fifo.clear();
         _reserved = 0;
-        _occupancy.reset();
         _peak = 0;
     }
-
-    /** Time-weighted average occupancy. */
-    double averageOccupancy(sim::Tick now) const;
 
     /** Peak occupancy observed. */
     std::size_t peakOccupancy() const { return _peak; }
@@ -88,7 +83,6 @@ class CreditBuffer
     std::size_t _reserved = 0;
     RingFifo<Message> _fifo;
     std::function<void()> _onDrain;
-    stats::TimeWeighted _occupancy;
     std::size_t _peak = 0;
 };
 

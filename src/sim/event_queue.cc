@@ -34,30 +34,22 @@ EventQueue::clearOccupied(std::size_t bucket)
         _summary[word / 64] &= ~(std::uint64_t{1} << (word % 64));
 }
 
-EventQueue::NodeId
-EventQueue::allocNode(Callback &&cb)
+void
+EventQueue::schedulingIntoThePast()
 {
-    NodeId node = _free;
-    if (node != noNode) {
-        _free = _next[node];
-    } else {
-        if (_next.size() == noNode)
-            throw std::length_error("EventQueue: node pool exhausted");
-        node = static_cast<NodeId>(_next.size());
-        if (_next.size() == _chunks.size() * chunkNodes)
-            _chunks.push_back(std::make_unique<Node[]>(chunkNodes));
-        _next.push_back(noNode);
-    }
-    callback(node) = std::move(cb);
-    return node;
+    throw std::logic_error("EventQueue: scheduling into the past");
 }
 
-void
-EventQueue::freeNode(NodeId node)
+EventQueue::NodeId
+EventQueue::growPool()
 {
-    callback(node) = nullptr;
-    _next[node] = _free;
-    _free = node;
+    if (_next.size() == noNode)
+        throw std::length_error("EventQueue: node pool exhausted");
+    const auto node = static_cast<NodeId>(_next.size());
+    if (_next.size() == _chunks.size() * chunkNodes)
+        _chunks.push_back(std::make_unique<Node[]>(chunkNodes));
+    _next.push_back(noNode);
+    return node;
 }
 
 void
@@ -105,11 +97,16 @@ EventQueue::invoke(NodeId node)
 }
 
 void
-EventQueue::schedule(Tick when, Callback cb)
+EventQueue::schedule(Tick when, Callback &&cb)
 {
-    if (when < _now)
-        throw std::logic_error("EventQueue: scheduling into the past");
-    const NodeId node = allocNode(std::move(cb));
+    const NodeId node = takeNode(when);
+    callback(node) = std::move(cb);
+    enqueue(when, node);
+}
+
+void
+EventQueue::enqueue(Tick when, NodeId node)
+{
     if (when - _ringBase < ringWindow) {
         append(bucketOf(when), node);
     } else {

@@ -42,6 +42,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -76,15 +78,39 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Schedule a callback at an absolute tick.
+     * Schedule a callable at an absolute tick. The callable is built
+     * directly in its pool node: a temporary is moved once, an lvalue
+     * copied once. If building it throws, the queue is unchanged.
      *
      * @param when Absolute tick; must be >= now().
-     * @param cb Callback to invoke.
+     * @param fn Callable to invoke.
      */
-    void schedule(Tick when, Callback cb);
+    template <typename F,
+              typename = std::enable_if_t<Callback::holds<F>>>
+    void
+    schedule(Tick when, F &&fn)
+    {
+        const NodeId node = takeNode(when);
+        try {
+            callback(node).emplace(std::forward<F>(fn));
+        } catch (...) {
+            releaseNode(node);
+            throw;
+        }
+        enqueue(when, node);
+    }
 
-    /** Schedule a callback @p delta ticks in the future. */
-    void scheduleIn(Tick delta, Callback cb) { schedule(_now + delta, std::move(cb)); }
+    /** Schedule a callback already built as a Callback; it relocates
+     * once, into its node. */
+    void schedule(Tick when, Callback &&cb);
+
+    /** Schedule a callable @p delta ticks in the future. */
+    template <typename F>
+    void
+    scheduleIn(Tick delta, F &&fn)
+    {
+        schedule(_now + delta, std::forward<F>(fn));
+    }
 
     /** True when no events remain. */
     bool empty() const { return _pending == 0; }
@@ -182,12 +208,44 @@ class EventQueue
         return _chunks[node >> chunkShift][node & (chunkNodes - 1)].cb;
     }
 
-    /** Take a node off the free list (growing the pool when it is
-     * empty) and move @p cb into it. */
-    NodeId allocNode(Callback &&cb);
+    /** Take an empty node off the free list for an event at @p when
+     * (>= now()), growing the pool when the list is empty. */
+    NodeId
+    takeNode(Tick when)
+    {
+        if (when < _now)
+            schedulingIntoThePast();
+        const NodeId node = _free;
+        if (node == noNode)
+            return growPool();
+        _free = _next[node];
+        return node;
+    }
+
+    [[noreturn]] static void schedulingIntoThePast();
+
+    /** Add a node to the pool and return it, empty. */
+    NodeId growPool();
+
+    /** Push an empty node back on the free list. */
+    void
+    releaseNode(NodeId node)
+    {
+        _next[node] = _free;
+        _free = node;
+    }
 
     /** Destroy the node's callback and push the node on the free list. */
-    void freeNode(NodeId node);
+    void
+    freeNode(NodeId node)
+    {
+        callback(node).reset();
+        releaseNode(node);
+    }
+
+    /** File a node holding its callback as the next event at @p when:
+     * into that tick's bucket, or the overflow heap beyond the ring. */
+    void enqueue(Tick when, NodeId node);
 
     /** Link @p node at the tail of @p bucket's list. */
     void append(std::size_t bucket, NodeId node);

@@ -38,15 +38,33 @@ class InlineFunction<R(Args...)>
     /** Captures at most this large live in the object itself. */
     static constexpr std::size_t inlineCapacity = 56;
 
+    /** True for a callable the object can hold: invocable as R(Args...)
+     * and not itself an InlineFunction (those move instead). */
+    template <typename F>
+    static constexpr bool holds =
+        !std::is_same_v<std::decay_t<F>, InlineFunction> &&
+        std::is_invocable_r_v<R, std::decay_t<F> &, Args...>;
+
     InlineFunction() = default;
     InlineFunction(std::nullptr_t) {}
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
+    template <typename F, typename = std::enable_if_t<holds<F>>>
     InlineFunction(F &&fn)
     {
+        emplace(std::forward<F>(fn));
+    }
+
+    /**
+     * Destroy the held callable, if any, and build @p fn's decayed copy
+     * in its place: a temporary is moved once and an lvalue copied
+     * once, with no relocation after. If building throws, the object
+     * is left empty.
+     */
+    template <typename F, typename = std::enable_if_t<holds<F>>>
+    void
+    emplace(F &&fn)
+    {
+        destroy();
         using Fn = std::decay_t<F>;
         if constexpr (fitsInline<Fn>) {
             ::new (static_cast<void *>(_storage))
@@ -58,6 +76,9 @@ class InlineFunction<R(Args...)>
             _ops = &heapOps<Fn>;
         }
     }
+
+    /** Destroy the held callable, if any, leaving the object empty. */
+    void reset() noexcept { destroy(); }
 
     InlineFunction(InlineFunction &&other) noexcept { moveFrom(other); }
 

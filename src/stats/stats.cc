@@ -119,32 +119,6 @@ Histogram::reset()
     _count = 0;
 }
 
-void
-TimeWeighted::update(sim::Tick now, double new_value)
-{
-    if (!_started) {
-        _started = true;
-        _firstTick = _lastTick = now;
-        _value = new_value;
-        return;
-    }
-    if (now < _lastTick)
-        throw std::logic_error("TimeWeighted: time went backwards");
-    _weighted += _value * static_cast<double>(now - _lastTick);
-    _lastTick = now;
-    _value = new_value;
-}
-
-double
-TimeWeighted::average(sim::Tick now) const
-{
-    if (!_started || now <= _firstTick)
-        return _value;
-    const double span = static_cast<double>(now - _firstTick);
-    const double tail = _value * static_cast<double>(now - _lastTick);
-    return (_weighted + tail) / span;
-}
-
 double
 geometricMean(const std::vector<double> &values)
 {

@@ -3,9 +3,9 @@
  * Statistics primitives used by all model components.
  *
  * Deliberately small: counters, running scalar statistics (mean / variance
- * / extrema), fixed-bucket histograms, and time-weighted averages. All are
- * plain value types; components aggregate them and the reporting layer
- * (stats/report.hh) formats them.
+ * / extrema) and fixed-bucket histograms. All are plain value types;
+ * components aggregate them and the reporting layer (stats/report.hh)
+ * formats them.
  */
 
 #ifndef CORONA_STATS_STATS_HH
@@ -14,8 +14,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "sim/types.hh"
 
 namespace corona::stats {
 
@@ -102,30 +100,6 @@ class Histogram
     std::vector<std::uint64_t> _buckets;
     std::uint64_t _overflow = 0;
     std::uint64_t _count = 0;
-};
-
-/**
- * Time-weighted average of a piecewise-constant quantity (e.g. queue
- * occupancy). Call update() whenever the value changes.
- */
-class TimeWeighted
-{
-  public:
-    void update(sim::Tick now, double new_value);
-
-    /** Average over [firstUpdate, now]. */
-    double average(sim::Tick now) const;
-
-    double current() const { return _value; }
-
-    void reset() { *this = TimeWeighted(); }
-
-  private:
-    bool _started = false;
-    sim::Tick _lastTick = 0;
-    sim::Tick _firstTick = 0;
-    double _value = 0.0;
-    double _weighted = 0.0;
 };
 
 /** Geometric mean of a set of strictly positive values. */

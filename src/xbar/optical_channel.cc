@@ -148,7 +148,7 @@ OpticalChannel::sendNext(topology::ClusterId src, std::size_t remaining)
         --_queued;
 
         _eq.scheduleIn(propagationTime(src), [this, msg] {
-            _sink.push(msg, _eq.now(), /*reserved=*/true);
+            _sink.push(msg, /*reserved=*/true);
             startDrain();
         });
 
@@ -203,7 +203,7 @@ OpticalChannel::drainOne()
     _draining = false;
     if (_sink.empty())
         return;
-    const noc::Message out = _sink.pop(_eq.now());
+    const noc::Message out = _sink.pop();
     ++_messagesDelivered;
     _bytesDelivered += out.bytes();
     if (_deliver)

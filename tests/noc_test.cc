@@ -52,28 +52,26 @@ TEST(Message, WireSizes)
 
 TEST(CreditBuffer, CreditsTrackOccupancy)
 {
-    EventQueue eq;
     CreditBuffer buf(2);
     EXPECT_EQ(buf.credits(), 2u);
-    buf.push(makeMsg(0, 1), eq.now());
+    buf.push(makeMsg(0, 1));
     EXPECT_EQ(buf.credits(), 1u);
-    buf.push(makeMsg(0, 2), eq.now());
+    buf.push(makeMsg(0, 2));
     EXPECT_EQ(buf.credits(), 0u);
     EXPECT_FALSE(buf.hasCredit());
-    buf.pop(eq.now());
+    buf.pop();
     EXPECT_EQ(buf.credits(), 1u);
 }
 
 TEST(CreditBuffer, ReservationsConsumeCredits)
 {
-    EventQueue eq;
     CreditBuffer buf(1);
     EXPECT_TRUE(buf.reserve());
     EXPECT_FALSE(buf.hasCredit());
     EXPECT_FALSE(buf.reserve());
-    buf.push(makeMsg(0, 1), eq.now(), /*reserved=*/true);
+    buf.push(makeMsg(0, 1), /*reserved=*/true);
     EXPECT_EQ(buf.size(), 1u);
-    buf.pop(eq.now());
+    buf.pop();
     EXPECT_TRUE(buf.reserve());
     buf.unreserve();
     EXPECT_TRUE(buf.hasCredit());
@@ -81,38 +79,35 @@ TEST(CreditBuffer, ReservationsConsumeCredits)
 
 TEST(CreditBuffer, FifoOrderAndDrainCallback)
 {
-    EventQueue eq;
     CreditBuffer buf(4);
     int drains = 0;
     buf.onDrain([&] { ++drains; });
-    buf.push(makeMsg(0, 1, MsgKind::ReadReq, 111), eq.now());
-    buf.push(makeMsg(0, 1, MsgKind::ReadReq, 222), eq.now());
-    EXPECT_EQ(buf.pop(eq.now()).tag, 111u);
-    EXPECT_EQ(buf.pop(eq.now()).tag, 222u);
+    buf.push(makeMsg(0, 1, MsgKind::ReadReq, 111));
+    buf.push(makeMsg(0, 1, MsgKind::ReadReq, 222));
+    EXPECT_EQ(buf.pop().tag, 111u);
+    EXPECT_EQ(buf.pop().tag, 222u);
     EXPECT_EQ(drains, 2);
 }
 
 TEST(CreditBuffer, PanicsOnMisuse)
 {
-    EventQueue eq;
     CreditBuffer buf(1);
-    EXPECT_THROW(buf.pop(eq.now()), sim::PanicError);
+    EXPECT_THROW(buf.pop(), sim::PanicError);
     EXPECT_THROW(buf.front(), sim::PanicError);
     EXPECT_THROW(buf.unreserve(), sim::PanicError);
-    buf.push(makeMsg(0, 1), eq.now());
-    EXPECT_THROW(buf.push(makeMsg(0, 1), eq.now()), sim::PanicError);
+    buf.push(makeMsg(0, 1));
+    EXPECT_THROW(buf.push(makeMsg(0, 1)), sim::PanicError);
     EXPECT_THROW(CreditBuffer(0), std::invalid_argument);
 }
 
 TEST(CreditBuffer, OccupancyStatistics)
 {
-    EventQueue eq;
     CreditBuffer buf(4);
-    buf.push(makeMsg(0, 1), 0);
-    buf.push(makeMsg(0, 1), 0);
+    buf.push(makeMsg(0, 1));
+    buf.push(makeMsg(0, 1));
     EXPECT_EQ(buf.peakOccupancy(), 2u);
-    buf.pop(100);
-    buf.pop(100);
+    buf.pop();
+    buf.pop();
     EXPECT_EQ(buf.peakOccupancy(), 2u);
 }
 
@@ -207,7 +202,7 @@ TEST(BandwidthLink, DownstreamCreditsStallTransmission)
     noc::BandwidthLink link(eq, 160e9, 0, 4);
     link.setDownstream(&inbox);
     link.setSink([&](const Message &msg) {
-        inbox.push(msg, eq.now(), /*reserved=*/true);
+        inbox.push(msg, /*reserved=*/true);
     });
     ASSERT_TRUE(link.trySend(makeMsg(0, 1)));
     ASSERT_TRUE(link.trySend(makeMsg(0, 1)));
@@ -216,7 +211,7 @@ TEST(BandwidthLink, DownstreamCreditsStallTransmission)
     EXPECT_EQ(inbox.size(), 1u);
     EXPECT_EQ(link.messagesSent(), 1u);
     // Freeing the slot resumes the stalled link.
-    inbox.pop(eq.now());
+    inbox.pop();
     eq.run();
     EXPECT_EQ(inbox.size(), 1u);
     EXPECT_EQ(link.messagesSent(), 2u);

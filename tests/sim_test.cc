@@ -452,6 +452,97 @@ TEST(EventQueue, PooledCapturesAreDestroyedExactlyOnce)
     EXPECT_EQ(tally.destroyed, std::vector<int>(14, 1));
 }
 
+/** A callable that counts the copies and moves made of it. */
+struct MoveCounter
+{
+    int *copies;
+    int *moves;
+
+    MoveCounter(int &c, int &m) : copies(&c), moves(&m) {}
+    MoveCounter(const MoveCounter &other)
+        : copies(other.copies), moves(other.moves)
+    {
+        ++*copies;
+    }
+    MoveCounter(MoveCounter &&other) noexcept
+        : copies(other.copies), moves(other.moves)
+    {
+        ++*moves;
+    }
+    void operator()() const {}
+};
+
+template <typename Arg>
+concept Schedulable = requires(EventQueue &eq, Arg &&arg) {
+    eq.schedule(Tick{0}, std::forward<Arg>(arg));
+};
+static_assert(Schedulable<EventQueue::Callback>,
+              "a built Callback is scheduled by relocation");
+static_assert(!Schedulable<EventQueue::Callback &>,
+              "an lvalue Callback would have to be copied, and cannot");
+
+TEST(EventQueue, ScheduleBuildsTheCaptureInPlace)
+{
+    EventQueue eq;
+    int copies = 0;
+    int moves = 0;
+    eq.schedule(1, MoveCounter(copies, moves));
+    EXPECT_EQ(moves, 1) << "schedule: from the temporary into its node";
+    eq.scheduleIn(2, MoveCounter(copies, moves));
+    EXPECT_EQ(moves, 2) << "scheduleIn: from the temporary into its node";
+    eq.schedule(3 * EventQueue::ringWindow, MoveCounter(copies, moves));
+    EXPECT_EQ(moves, 3) << "an overflow-heap event moves once too";
+    EXPECT_EQ(copies, 0);
+
+    const MoveCounter named(copies, moves);
+    eq.schedule(3, named);
+    eq.scheduleIn(4, named);
+    EXPECT_EQ(copies, 2) << "an lvalue is copied once";
+    EXPECT_EQ(moves, 3) << "and never moved";
+
+    eq.run();
+    EXPECT_EQ(eq.executed(), 5u);
+    EXPECT_EQ(copies, 2);
+    EXPECT_EQ(moves, 3) << "heap promotion and running move nothing";
+}
+
+/** A callable whose copy throws. */
+struct ThrowingCopy
+{
+    ThrowingCopy() = default;
+    ThrowingCopy(const ThrowingCopy &)
+    {
+        throw std::runtime_error("capture copy");
+    }
+    ThrowingCopy(ThrowingCopy &&) noexcept = default;
+    void operator()() const {}
+};
+
+TEST(EventQueue, ThrowingCaptureLeavesTheQueueUnchanged)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    const Tick far = 3 * EventQueue::ringWindow;
+    eq.schedule(5, [&] { order.push_back(0); });
+    eq.schedule(far, [&] { order.push_back(1); });
+    eq.schedule(5, [&] { order.push_back(2); });
+    eq.schedule(far, [&] { order.push_back(3); });
+    eq.run(0);
+
+    const ThrowingCopy thrower;
+    EXPECT_THROW(eq.schedule(5, thrower), std::runtime_error);
+    EXPECT_THROW(eq.schedule(far, thrower), std::runtime_error);
+    EXPECT_THROW(eq.scheduleIn(1, thrower), std::runtime_error);
+    EXPECT_EQ(eq.pending(), 4u);
+    EXPECT_EQ(eq.executed(), 0u);
+
+    eq.schedule(5, [&] { order.push_back(4); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 1, 3}));
+    EXPECT_EQ(eq.executed(), 5u);
+    EXPECT_TRUE(eq.empty());
+}
+
 /** Reference kernel: the behavioural contract in its simplest form
  * (stable sort by tick, insertion order breaking ties). */
 struct ReferenceQueue

@@ -127,22 +127,6 @@ TEST(Histogram, ResetClears)
     EXPECT_EQ(h.bucket(1), 0u);
 }
 
-TEST(TimeWeighted, PiecewiseConstantAverage)
-{
-    stats::TimeWeighted tw;
-    tw.update(0, 2.0);   // value 2 over [0, 100)
-    tw.update(100, 6.0); // value 6 over [100, 200)
-    EXPECT_DOUBLE_EQ(tw.average(200), 4.0);
-    EXPECT_DOUBLE_EQ(tw.current(), 6.0);
-}
-
-TEST(TimeWeighted, BackwardsTimeThrows)
-{
-    stats::TimeWeighted tw;
-    tw.update(100, 1.0);
-    EXPECT_THROW(tw.update(50, 2.0), std::logic_error);
-}
-
 TEST(GeometricMean, MatchesHandComputation)
 {
     EXPECT_DOUBLE_EQ(stats::geometricMean({4.0, 1.0}), 2.0);
