@@ -33,7 +33,9 @@
  *
  * Callbacks are InlineFunctions: captures up to 56 B (this + a full
  * 48-B noc::Message) are stored in the node itself, so the steady-state
- * hot path performs no heap allocation per event.
+ * hot path performs no heap allocation per event. schedule() builds a
+ * callable directly in the node it takes, so a capture is moved at most
+ * once on its way in.
  */
 
 #ifndef CORONA_SIM_EVENT_QUEUE_HH
