@@ -70,17 +70,17 @@ Router::link(Direction d) const
 void
 Router::popStage(std::size_t stage)
 {
-    bool empty;
     if (stage == injectionStage) {
         _injection.pop_front();
-        empty = _injection.empty();
-    } else {
-        // The pop returns a credit upstream; empty() is read after
-        // the drain callbacks it fires have run.
-        _inputs[stage]->pop();
-        empty = _inputs[stage]->empty();
+        if (_injection.empty())
+            _nonEmpty &= ~(1u << stage);
+        return;
     }
-    if (empty)
+    // The pop returns a credit upstream; emptiness is read after the
+    // drain callbacks it fires have run.
+    noc::CreditBuffer &buffer = *_inputs[stage];
+    buffer.pop();
+    if (buffer.empty())
         _nonEmpty &= ~(1u << stage);
 }
 
@@ -132,7 +132,7 @@ Router::process()
         progress = false;
         std::size_t stage = _rr;
         for (std::size_t i = 0; i < numStages; ++i) {
-            if ((_nonEmpty >> stage & 1u) != 0 && tryForward(stage))
+            if (((_nonEmpty >> stage) & 1u) != 0 && tryForward(stage))
                 progress = true;
             stage = next(stage);
         }

@@ -109,7 +109,6 @@ digestLines(const std::string &grid, const char *text,
 {
     campaign::ScenarioSpec scenario = campaign::parseScenario(text);
     scenario.execution.sim_threads = sim_threads;
-    scenario.execution.progress = false;
     const campaign::ScenarioRunResult result =
         campaign::runScenario(scenario, {.quiet = true});
     std::vector<std::string> lines;
