@@ -13,7 +13,6 @@ cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure -j"${JOBS}"
 scripts/launch_smoke.sh build
 scripts/explore_smoke.sh build
-scripts/trace_smoke.sh build
 scripts/scenario_smoke.sh build
 scripts/obs_smoke.sh build
 scripts/coherence_smoke.sh build

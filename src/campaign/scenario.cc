@@ -6,7 +6,6 @@
 #include "campaign/scenario_format.hh"
 #include "corona/knobs.hh"
 #include "sim/logging.hh"
-#include "trace/replayer.hh"
 #include "workload/registry.hh"
 
 namespace corona::campaign {
@@ -206,21 +205,6 @@ ScenarioSpec::resolve() const
         [&spec](const std::string &workload_name,
                 const std::vector<workload::WorkloadKnob> &knobs) {
             AxisExpression canonical{workload_name, knobs};
-            if (trace::isTraceExpression(workload_name)) {
-                // A trace: axis validates its file eagerly and takes
-                // its synthetic flag from the trace header; the label
-                // knob lets a replay axis reproduce the fingerprint
-                // (and sink bytes) of the generator axis it was
-                // captured from.
-                trace::ReplayAxis axis =
-                    trace::replayAxis(workload_name, knobs);
-                spec.workloads.push_back(WorkloadSpec{
-                    axis.label.empty()
-                        ? canonicalExpression(canonical)
-                        : axis.label,
-                    axis.synthetic, std::move(axis.make)});
-                return;
-            }
             spec.workloads.push_back(WorkloadSpec{
                 canonicalExpression(canonical),
                 workload::registryEntry(workload_name).synthetic,

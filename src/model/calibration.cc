@@ -3,11 +3,13 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "campaign/checkpoint.hh"
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
+#include "corona/knobs.hh"
 #include "sim/logging.hh"
 
 namespace corona::model {
@@ -21,11 +23,12 @@ struct RatioMean
     double log_lat = 0.0;
     std::size_t n = 0;
 
-    void add(double bw_ratio, double lat_ratio)
+    /** Fold in @p count samples of one ratio pair at once. */
+    void add(double bw_ratio, double lat_ratio, std::size_t count = 1)
     {
-        log_bw += std::log(bw_ratio);
-        log_lat += std::log(lat_ratio);
-        ++n;
+        log_bw += static_cast<double>(count) * std::log(bw_ratio);
+        log_lat += static_cast<double>(count) * std::log(lat_ratio);
+        n += count;
     }
 
     CalibrationFactors factors() const
@@ -170,24 +173,24 @@ Calibration::load(std::istream &is)
         if (!fields || fields->size() != 5)
             sim::fatal("Calibration::load: malformed row \"" + line +
                        "\"");
-        CalibrationFactors f;
-        try {
-            f.bandwidth_scale = std::stod((*fields)[2]);
-            f.latency_scale = std::stod((*fields)[3]);
-            f.samples = static_cast<std::size_t>(
-                std::stoull((*fields)[4]));
-        } catch (const std::exception &) {
+        const auto bandwidth = core::parseStrictDouble((*fields)[2]);
+        const auto latency = core::parseStrictDouble((*fields)[3]);
+        const auto samples = core::parseUnsigned((*fields)[4]);
+        if (!bandwidth || *bandwidth <= 0.0 || !latency ||
+            *latency <= 0.0 || !samples)
             sim::fatal("Calibration::load: bad numbers in row \"" +
                        line + "\"");
-        }
+        // The global tier holds every sample, so it overflows first.
+        if (*samples > std::numeric_limits<std::size_t>::max() - global.n)
+            sim::fatal("Calibration::load: sample count in row \"" +
+                       line + "\" overflows the total");
+        const CalibrationFactors f{*bandwidth, *latency, *samples};
         calibration._cells[cellKey((*fields)[0], (*fields)[1])] = f;
         // Rebuild the fallback tiers from the per-cell rows so a
         // loaded calibration generalises exactly like a fitted one.
-        for (std::size_t i = 0; i < f.samples; ++i) {
-            configs[(*fields)[0]].add(f.bandwidth_scale,
-                                      f.latency_scale);
-            global.add(f.bandwidth_scale, f.latency_scale);
-        }
+        configs[(*fields)[0]].add(f.bandwidth_scale, f.latency_scale,
+                                  f.samples);
+        global.add(f.bandwidth_scale, f.latency_scale, f.samples);
     }
     for (const auto &[key, mean] : configs)
         calibration._configs[key] = mean.factors();

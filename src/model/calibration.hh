@@ -78,7 +78,9 @@ class Calibration
      * ("# corona-model-calibration v1"), one row per key:
      * config,workload,bandwidth_scale,latency_scale,samples. Config
      * and workload use the campaign CSV quoting rules. load() is
-     * fatal on a malformed header or row.
+     * fatal on a malformed header, and fatal naming the row on a
+     * scale that is not a finite positive number, a sample count that
+     * is not a decimal integer, or counts whose total overflows.
      */
     void save(std::ostream &os) const;
     static Calibration load(std::istream &is);

@@ -15,7 +15,7 @@
  *    broadcast coherent XBar/OCM configs, at 2,000 requests, 250
  *    warm-up;
  *  - xbar256: one 256-cluster XBar/OCM Uniform cell at 20,000
- *    requests, run at sim_threads 1 and 2; both must give the one
+ *    requests, run at sim_threads 1, 2 and 4; each must give the one
  *    recorded line.
  *
  * A change that moves simulated bytes on purpose regenerates the table
@@ -146,10 +146,11 @@ TEST(GoldenGrid, EveryCellMatchesTheRecordedDigest)
 
     const std::vector<std::string> one_shard =
         digestLines("xbar256", xbar256Cell, 1);
-    const std::vector<std::string> two_shards =
-        digestLines("xbar256", xbar256Cell, 2);
-    EXPECT_EQ(one_shard, two_shards)
-        << "the sharded executor must not change a byte";
+    for (const unsigned sim_threads : {2u, 4u})
+        EXPECT_EQ(one_shard, digestLines("xbar256", xbar256Cell,
+                                         sim_threads))
+            << "the sharded executor must not change a byte at "
+            << sim_threads << " shards";
     table.insert(table.end(), one_shard.begin(), one_shard.end());
 
     ASSERT_EQ(table.size(), 75u + 10u + 1u);

@@ -7,14 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 
 #include "corona/simulation.hh"
-#include "trace/replayer.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
-#include "workload/trace.hh"
 
 namespace {
 
@@ -177,27 +174,6 @@ TEST(Integration, IdealNetworkUpperBounds)
                       workload::makeUniform(), quick(3000));
     // The contention-free network can only be faster.
     EXPECT_LE(ideal.elapsed, xbar.elapsed * 11 / 10);
-}
-
-TEST(Integration, TraceReplayRunsThroughSimulation)
-{
-    const std::string path =
-        ::testing::TempDir() + "/integration_uniform.ctrace";
-    {
-        auto source = workload::makeUniform();
-        std::ofstream out(path, std::ios::binary);
-        trace::Writer writer(out, 1024, "uniform-trace");
-        for (const auto &record :
-             workload::captureTrace(*source, 2048, 3))
-            writer.append(record);
-        writer.finish();
-    }
-    workload::TraceReplayer replay(path);
-    const SystemConfig config =
-        core::makeConfig(NetworkKind::XBar, MemoryKind::OCM);
-    auto metrics = core::runExperiment(config, replay, quick(2000));
-    EXPECT_EQ(metrics.requests_issued, 2000u);
-    EXPECT_GT(metrics.achieved_bytes_per_second, 0.0);
 }
 
 } // namespace

@@ -315,6 +315,68 @@ TEST(Calibration, FitApplyAndPersistRoundTrip)
                 0.8, 1e-9);
 }
 
+/** A calibration file holding @p rows under the two header lines. */
+model::Calibration
+loadCalibration(const std::string &rows)
+{
+    std::istringstream in(
+        "# corona-model-calibration v1\n"
+        "config,workload,bandwidth_scale,latency_scale,samples\n" +
+        rows);
+    return model::Calibration::load(in);
+}
+
+/** load() of @p rows is fatal, with @p row in the message. */
+void
+expectLoadFatal(const std::string &rows, const std::string &row)
+{
+    try {
+        loadCalibration(rows);
+        ADD_FAILURE() << "accepted: " << rows;
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("\"" + row + "\""),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Calibration, LoadRejectsBadNumbers)
+{
+    EXPECT_NEAR(loadCalibration("XBar/OCM,FFT,0.8,1.5,2\n")
+                    .lookup("XBar/OCM", "FFT")
+                    .latency_scale,
+                1.5, 1e-12);
+    for (const char *scale : {"nan", "inf", "-2", "0", "1.5x"}) {
+        const std::string bandwidth =
+            std::string("XBar/OCM,FFT,") + scale + ",1.5,2";
+        expectLoadFatal(bandwidth + "\n", bandwidth);
+        const std::string latency =
+            std::string("XBar/OCM,FFT,0.8,") + scale + ",2";
+        expectLoadFatal(latency + "\n", latency);
+    }
+    for (const char *samples : {"-1", "12x", "18446744073709551616"}) {
+        const std::string row =
+            std::string("XBar/OCM,FFT,0.8,1.5,") + samples;
+        expectLoadFatal(row + "\n", row);
+    }
+}
+
+TEST(Calibration, LoadFoldsSampleCountsAtOnce)
+{
+    const model::Calibration loaded =
+        loadCalibration("XBar/OCM,FFT,0.8,1.5,1000000000000000000\n");
+    const model::CalibrationFactors &tier =
+        loaded.lookup("XBar/OCM", "Radix");
+    EXPECT_EQ(tier.samples, 1000000000000000000u);
+    EXPECT_NEAR(tier.bandwidth_scale, 0.8, 1e-9);
+    EXPECT_NEAR(tier.latency_scale, 1.5, 1e-9);
+
+    // Two rows of 10^19 samples overflow the 64-bit total.
+    const std::string first = "XBar/OCM,FFT,0.8,1.5,10000000000000000000";
+    const std::string second = "HMesh/OCM,FFT,2,3,10000000000000000000";
+    expectLoadFatal(first + "\n" + second + "\n", second);
+}
+
 // ----------------------------------------- campaign executor hook
 
 TEST(ModelExecutor, RunsCampaignGridsThroughTheModel)
