@@ -13,7 +13,11 @@
  *    on the 5 paper configurations) at 2,000 requests, 400 warm-up;
  *  - coherent: the sharing/SPLASH workloads on the unicast and
  *    broadcast coherent XBar/OCM configs, at 2,000 requests, 250
- *    warm-up;
+ *    warm-up, with perfbench's observability planes on (time series,
+ *    event trace, snapshot, rollup). Its CSV rows are digested like
+ *    the others, and so is every file the planes write, one
+ *    "coherent-obs" line per file: observing changes no CSV byte, and
+ *    the obs bytes themselves are pinned;
  *  - xbar256: one 256-cluster XBar/OCM Uniform cell at 20,000
  *    requests, run at sim_threads 1, 2 and 4; each must give the one
  *    recorded line.
@@ -29,10 +33,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -90,7 +96,8 @@ workload = Uniform clusters=256
 config = XBar/OCM clusters=256
 )";
 
-std::uint64_t
+/** FNV-1a of @p bytes as 16 hex digits. */
+std::string
 fnv1a(const std::string &bytes)
 {
     std::uint64_t hash = 14695981039346656037ull;
@@ -98,28 +105,66 @@ fnv1a(const std::string &bytes)
         hash ^= ch;
         hash *= 1099511628211ull;
     }
-    return hash;
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return digest;
 }
 
-/** One table line per cell of @p text run at @p sim_threads:
+/** One table line per cell of @p scenario run at @p sim_threads:
  * "<grid> <run> <digest> <workload> on <config>". */
 std::vector<std::string>
-digestLines(const std::string &grid, const char *text,
+digestLines(const std::string &grid, campaign::ScenarioSpec scenario,
             unsigned sim_threads = 0)
 {
-    campaign::ScenarioSpec scenario = campaign::parseScenario(text);
     scenario.execution.sim_threads = sim_threads;
     const campaign::ScenarioRunResult result =
         campaign::runScenario(scenario, {.quiet = true});
     std::vector<std::string> lines;
     for (const campaign::RunRecord &record : result.records) {
-        char digest[17];
-        std::snprintf(digest, sizeof digest, "%016llx",
-                      static_cast<unsigned long long>(
-                          fnv1a(campaign::csvRow(record))));
         lines.push_back(grid + " " + std::to_string(record.index) + " " +
-                        digest + " " + record.workload + " on " +
-                        record.config);
+                        fnv1a(campaign::csvRow(record)) + " " +
+                        record.workload + " on " + record.config);
+    }
+    return lines;
+}
+
+std::vector<std::string>
+digestLines(const std::string &grid, const char *text,
+            unsigned sim_threads = 0)
+{
+    return digestLines(grid, campaign::parseScenario(text), sim_threads);
+}
+
+/** The coherent grid with perfbench's observability planes on, writing
+ * into @p dir. */
+campaign::ScenarioSpec
+observedCoherentGrid(const std::filesystem::path &dir)
+{
+    campaign::ScenarioSpec scenario = campaign::parseScenario(coherentGrid);
+    scenario.observability.sample_period = 500000;
+    scenario.observability.trace_capacity = 65536;
+    scenario.observability.snapshot = true;
+    scenario.observability.rollup = true;
+    scenario.observability.dir = dir.string();
+    return scenario;
+}
+
+/** One line per file in @p dir, in name order:
+ * "coherent-obs <name> <digest>". */
+std::vector<std::string>
+obsDigestLines(const std::filesystem::path &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    std::vector<std::string> lines;
+    for (const std::string &name : names) {
+        std::ifstream in(dir / name, std::ios::binary);
+        const std::string bytes{std::istreambuf_iterator<char>(in),
+                                std::istreambuf_iterator<char>()};
+        lines.push_back("coherent-obs " + name + " " + fnv1a(bytes));
     }
     return lines;
 }
@@ -140,9 +185,14 @@ recordedTable()
 TEST(GoldenGrid, EveryCellMatchesTheRecordedDigest)
 {
     std::vector<std::string> table = digestLines("paper", paperGrid);
+    const std::filesystem::path obs_dir =
+        std::filesystem::path(::testing::TempDir()) / "golden_obs";
+    std::filesystem::remove_all(obs_dir);
     const std::vector<std::string> coherent =
-        digestLines("coherent", coherentGrid);
+        digestLines("coherent", observedCoherentGrid(obs_dir));
     table.insert(table.end(), coherent.begin(), coherent.end());
+    const std::vector<std::string> obs_lines = obsDigestLines(obs_dir);
+    std::filesystem::remove_all(obs_dir);
 
     const std::vector<std::string> one_shard =
         digestLines("xbar256", xbar256Cell, 1);
@@ -152,8 +202,11 @@ TEST(GoldenGrid, EveryCellMatchesTheRecordedDigest)
             << "the sharded executor must not change a byte at "
             << sim_threads << " shards";
     table.insert(table.end(), one_shard.begin(), one_shard.end());
+    table.insert(table.end(), obs_lines.begin(), obs_lines.end());
 
-    ASSERT_EQ(table.size(), 75u + 10u + 1u);
+    // 10 coherent runs write a container and a snapshot each, and the
+    // campaign writes one rollup.
+    ASSERT_EQ(table.size(), 75u + 10u + 1u + 21u);
     const std::vector<std::string> recorded = recordedTable();
     if (recorded == table)
         return;
