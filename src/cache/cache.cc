@@ -39,49 +39,62 @@ Cache::Cache(const CacheConfig &config)
     if (lines % config.associativity != 0)
         throw std::invalid_argument("Cache: capacity/assoc mismatch");
     _sets = lines / config.associativity;
-    _data.resize(_sets);
+    _ways.resize(lines);
+    _fill.resize(_sets);
 }
 
-std::uint64_t
-Cache::setOf(topology::Addr addr) const
+std::uint32_t
+Cache::find(std::uint64_t set, topology::Addr line) const
 {
-    return (addr / _config.line_bytes) % _sets;
+    const Way *ways = _ways.data() + set * _config.associativity;
+    const std::uint32_t fill = _fill[set];
+    std::uint32_t pos = 0;
+    while (pos < fill && (ways[pos] >> 1) != line)
+        ++pos;
+    return pos;
 }
 
-topology::Addr
-Cache::tagOf(topology::Addr addr) const
+void
+Cache::remove(std::uint64_t set, std::uint32_t pos)
 {
-    return addr / _config.line_bytes;
+    Way *ways = waysOf(set);
+    std::copy(ways + pos + 1, ways + _fill[set], ways + pos);
+    --_fill[set];
+    --_resident;
 }
 
 AccessResult
 Cache::access(topology::Addr addr, bool write)
 {
-    Set &set = _data[setOf(addr)];
-    const topology::Addr tag = tagOf(addr);
+    const topology::Addr line = addr / _config.line_bytes;
+    const std::uint64_t set = setOf(line);
+    Way *ways = waysOf(set);
+    std::uint32_t &fill = _fill[set];
 
-    for (auto it = set.begin(); it != set.end(); ++it) {
-        if (it->tag == tag) {
-            it->dirty = it->dirty || write;
-            set.splice(set.begin(), set, it); // Move to MRU.
-            _hits.increment();
-            return AccessResult{true, std::nullopt, std::nullopt};
-        }
+    const std::uint32_t pos = find(set, line);
+    if (pos < fill) {
+        // Move to MRU.
+        const Way way = ways[pos] | Way{write};
+        std::copy_backward(ways, ways + pos, ways + pos + 1);
+        ways[0] = way;
+        _hits.increment();
+        return AccessResult{true, std::nullopt, std::nullopt};
     }
 
     _misses.increment();
     AccessResult result{false, std::nullopt, std::nullopt};
-    if (set.size() >= _config.associativity) {
-        const Line victim = set.back();
-        set.pop_back();
-        --_resident;
-        result.evicted = victim.tag * _config.line_bytes;
-        if (victim.dirty) {
+    if (fill == _config.associativity) {
+        const Way victim = ways[fill - 1];
+        remove(set, fill - 1);
+        result.evicted = (victim >> 1) * _config.line_bytes;
+        if (victim & 1) {
             _writebacks.increment();
-            result.writeback = victim.tag * _config.line_bytes;
+            result.writeback = result.evicted;
         }
     }
-    set.push_front(Line{tag, write});
+    std::copy_backward(ways, ways + fill, ways + fill + 1);
+    ways[0] = (line << 1) | Way{write};
+    ++fill;
     ++_resident;
     return result;
 }
@@ -89,13 +102,9 @@ Cache::access(topology::Addr addr, bool write)
 bool
 Cache::contains(topology::Addr addr) const
 {
-    const Set &set = _data[setOf(addr)];
-    const topology::Addr tag = tagOf(addr);
-    for (const auto &line : set) {
-        if (line.tag == tag)
-            return true;
-    }
-    return false;
+    const topology::Addr line = addr / _config.line_bytes;
+    const std::uint64_t set = setOf(line);
+    return find(set, line) < _fill[set];
 }
 
 bool
@@ -107,31 +116,26 @@ Cache::invalidate(topology::Addr addr)
 InvalidateResult
 Cache::invalidateLine(topology::Addr addr)
 {
-    Set &set = _data[setOf(addr)];
-    const topology::Addr tag = tagOf(addr);
-    for (auto it = set.begin(); it != set.end(); ++it) {
-        if (it->tag == tag) {
-            const bool dirty = it->dirty;
-            set.erase(it);
-            --_resident;
-            return InvalidateResult{true, dirty};
-        }
-    }
-    return InvalidateResult{false, false};
+    const topology::Addr line = addr / _config.line_bytes;
+    const std::uint64_t set = setOf(line);
+    const std::uint32_t pos = find(set, line);
+    if (pos == _fill[set])
+        return InvalidateResult{false, false};
+    const bool dirty = waysOf(set)[pos] & 1;
+    remove(set, pos);
+    return InvalidateResult{true, dirty};
 }
 
 bool
 Cache::markDirty(topology::Addr addr)
 {
-    Set &set = _data[setOf(addr)];
-    const topology::Addr tag = tagOf(addr);
-    for (auto &line : set) {
-        if (line.tag == tag) {
-            line.dirty = true;
-            return true;
-        }
-    }
-    return false;
+    const topology::Addr line = addr / _config.line_bytes;
+    const std::uint64_t set = setOf(line);
+    const std::uint32_t pos = find(set, line);
+    if (pos == _fill[set])
+        return false;
+    waysOf(set)[pos] |= 1;
+    return true;
 }
 
 } // namespace corona::cache

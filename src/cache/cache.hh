@@ -12,10 +12,9 @@
 #ifndef CORONA_CACHE_CACHE_HH
 #define CORONA_CACHE_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "stats/stats.hh"
@@ -57,6 +56,16 @@ struct InvalidateResult
 
 /**
  * A set-associative, write-back, write-allocate cache with true LRU.
+ *
+ * Storage is one array of 8-byte ways, `associativity` consecutive
+ * ways per set, plus a fill count per set. A set's filled ways are
+ * ordered MRU first: a hit rotates its way to the front, a miss shifts
+ * the set down and inserts at the front (the last way is the victim
+ * when the set is full), and an invalidation closes the gap. Each way
+ * holds the line number shifted left by one with the dirty bit below
+ * it. Only the filled ways are scanned: sets in the coherent workloads
+ * hold a handful of lines, where shifting them costs less than keeping
+ * LRU stamps and scanning every way.
  */
 class Cache
 {
@@ -109,8 +118,7 @@ class Cache
     void
     reset()
     {
-        for (Set &set : _data)
-            set.clear();
+        std::fill(_fill.begin(), _fill.end(), 0);
         _resident = 0;
         _hits.reset();
         _misses.reset();
@@ -118,20 +126,32 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        topology::Addr tag;
-        bool dirty;
-    };
-    /** One set: MRU at front. */
-    using Set = std::list<Line>;
+    /** A way: line number << 1 | dirty. */
+    using Way = std::uint64_t;
 
-    std::uint64_t setOf(topology::Addr addr) const;
-    topology::Addr tagOf(topology::Addr addr) const;
+    /** Set index of a line number. */
+    std::uint64_t setOf(topology::Addr line) const { return line % _sets; }
+
+    /** First way of set @p set. */
+    Way *
+    waysOf(std::uint64_t set)
+    {
+        return _ways.data() + set * _config.associativity;
+    }
+
+    /** Position of @p line among @p set's filled ways, or its fill
+     * count when absent. */
+    std::uint32_t find(std::uint64_t set, topology::Addr line) const;
+
+    /** Remove the way at @p pos of @p set, closing the gap. */
+    void remove(std::uint64_t set, std::uint32_t pos);
 
     CacheConfig _config;
     std::uint64_t _sets;
-    std::vector<Set> _data;
+    /** _sets x associativity ways. */
+    std::vector<Way> _ways;
+    /** Filled ways per set. */
+    std::vector<std::uint32_t> _fill;
     std::size_t _resident = 0;
 
     stats::Counter _hits;

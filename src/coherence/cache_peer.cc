@@ -7,17 +7,17 @@ namespace corona::coherence {
 MoesiState
 CachePeer::state(topology::Addr line) const
 {
-    const auto it = _lines.find(line);
-    return it == _lines.end() ? MoesiState::Invalid : it->second.state;
+    const Copy *copy = _lines.find(line);
+    return copy ? copy->state : MoesiState::Invalid;
 }
 
 std::uint64_t
 CachePeer::version(topology::Addr line) const
 {
-    const auto it = _lines.find(line);
-    if (it == _lines.end())
+    const Copy *copy = _lines.find(line);
+    if (!copy)
         sim::panic("CachePeer::version: line not present");
-    return it->second.version;
+    return copy->version;
 }
 
 void
@@ -38,10 +38,10 @@ CachePeer::setState(topology::Addr line, MoesiState state)
         _lines.erase(line);
         return;
     }
-    const auto it = _lines.find(line);
-    if (it == _lines.end())
+    Copy *copy = _lines.find(line);
+    if (!copy)
         sim::panic("CachePeer::setState: line not present");
-    it->second.state = state;
+    copy->state = state;
 }
 
 } // namespace corona::coherence

@@ -12,9 +12,9 @@
 #define CORONA_COHERENCE_CACHE_PEER_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "coherence/protocol.hh"
+#include "sim/flat_map.hh"
 #include "topology/address_map.hh"
 
 namespace corona::coherence {
@@ -28,8 +28,8 @@ class CachePeer
     /** A held copy of a line. */
     struct Copy
     {
-        MoesiState state;
-        std::uint64_t version;
+        MoesiState state = MoesiState::Invalid;
+        std::uint64_t version = 0;
     };
 
     explicit CachePeer(std::size_t id) : _id(id) {}
@@ -52,19 +52,13 @@ class CachePeer
     /** Lines currently held (non-Invalid). */
     std::size_t heldLines() const { return _lines.size(); }
 
-    /** All held copies (for invariant checking). */
-    const std::unordered_map<topology::Addr, Copy> &
-    lines() const
-    {
-        return _lines;
-    }
-
-    /** Drop every copy (cold peer). */
+    /** Drop every copy (cold peer), keeping the table's storage. */
     void reset() { _lines.clear(); }
 
   private:
     std::size_t _id;
-    std::unordered_map<topology::Addr, Copy> _lines;
+    /** Held copies by line; an Invalid line has no entry. */
+    sim::FlatMap<Copy> _lines;
 };
 
 } // namespace corona::coherence

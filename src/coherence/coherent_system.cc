@@ -1,14 +1,14 @@
 #include "coherence/coherent_system.hh"
 
 #include <stdexcept>
+#include <string>
 
 #include "sim/logging.hh"
 
 namespace corona::coherence {
 
 CoherentSystem::CoherentSystem(const CoherenceConfig &config)
-    : _config(config), _directories(config.peers),
-      _map(config.peers, 4096, true)
+    : _config(config), _map(config.peers, 4096, true)
 {
     if (config.peers == 0 || config.peers > maxPeers)
         throw std::invalid_argument("CoherentSystem: bad peer count");
@@ -20,8 +20,47 @@ CoherentSystem::CoherentSystem(const CoherenceConfig &config)
 std::size_t
 CoherentSystem::homeOf(topology::Addr line) const
 {
-    const auto it = _homes.find(line);
-    return it == _homes.end() ? _map.homeOf(line) : it->second;
+    const LineState *state = _lines.find(line);
+    return state ? state->home : _map.homeOf(line);
+}
+
+std::optional<std::size_t>
+CoherentSystem::boundHome(topology::Addr line) const
+{
+    const LineState *state = _lines.find(line);
+    if (!state)
+        return std::nullopt;
+    return state->home;
+}
+
+CoherentSystem::LineState &
+CoherentSystem::touch(topology::Addr line, std::size_t home)
+{
+    const auto [state, inserted] = _lines.tryEmplace(line);
+    if (inserted)
+        state->home = home;
+    else if (state->home != home)
+        sim::fatal("CoherentSystem: workload re-homed a line (the home "
+                   "must be a pure function of the address)");
+    return *state;
+}
+
+void
+CoherentSystem::bindHome(topology::Addr line, std::size_t home)
+{
+    touch(line, home);
+}
+
+void
+CoherentSystem::checkIds(const char *op, std::size_t peer,
+                         std::size_t home) const
+{
+    if (peer >= _peers.size())
+        throw std::out_of_range(std::string("CoherentSystem::") + op +
+                                ": bad peer");
+    if (home >= _peers.size())
+        throw std::out_of_range(std::string("CoherentSystem::") + op +
+                                ": bad home");
 }
 
 void
@@ -43,12 +82,7 @@ CoherentSystem::reset()
 {
     for (auto &peer : _peers)
         peer.reset();
-    for (auto &dir : _directories)
-        dir.reset();
-    _memory.clear();
-    _versionCounter.clear();
-    _touched.clear();
-    _homes.clear();
+    _lines.clear();
     _msgCounts.fill(0);
     // The emitter survives: it is wiring, not state.
 }
@@ -71,8 +105,8 @@ CoherentSystem::totalMessages() const
 std::uint64_t
 CoherentSystem::memoryVersion(topology::Addr line) const
 {
-    const auto it = _memory.find(line);
-    return it == _memory.end() ? 0 : it->second;
+    const LineState *state = _lines.find(line);
+    return state ? state->memory : 0;
 }
 
 std::uint64_t
@@ -95,18 +129,14 @@ CoherentSystem::read(std::size_t peer, topology::Addr line)
 std::uint64_t
 CoherentSystem::read(std::size_t peer, topology::Addr line, std::size_t home)
 {
-    if (peer >= _peers.size())
-        throw std::out_of_range("CoherentSystem::read: bad peer");
-    if (home >= _directories.size())
-        throw std::out_of_range("CoherentSystem::read: bad home");
-    _touched.insert(line);
-    _homes.emplace(line, home);
+    checkIds("read", peer, home);
+    LineState &state = touch(line, home);
     CachePeer &p = _peers[peer];
     if (canRead(p.state(line)))
         return p.version(line); // Hit; no protocol traffic.
 
     count(CoherenceMsg::GetS);
-    DirectoryEntry &entry = _directories[home].entry(line);
+    DirectoryEntry &entry = state.entry;
     std::uint64_t version = 0;
 
     if (entry.owner && *entry.owner != peer) {
@@ -138,13 +168,13 @@ CoherentSystem::read(std::size_t peer, topology::Addr line, std::size_t home)
     } else if (entry.sharers.any()) {
         // Clean sharers exist; memory supplies data.
         count(CoherenceMsg::Data);
-        version = memoryVersion(line);
+        version = state.memory;
         entry.sharers.set(peer);
         p.setLine(line, MoesiState::Shared, version);
     } else {
         // Uncached: grant Exclusive.
         count(CoherenceMsg::Data);
-        version = memoryVersion(line);
+        version = state.memory;
         entry.owner = peer;
         p.setLine(line, MoesiState::Exclusive, version);
     }
@@ -193,24 +223,20 @@ CoherentSystem::write(std::size_t peer, topology::Addr line)
 std::uint64_t
 CoherentSystem::write(std::size_t peer, topology::Addr line, std::size_t home)
 {
-    if (peer >= _peers.size())
-        throw std::out_of_range("CoherentSystem::write: bad peer");
-    if (home >= _directories.size())
-        throw std::out_of_range("CoherentSystem::write: bad home");
-    _touched.insert(line);
-    _homes.emplace(line, home);
+    checkIds("write", peer, home);
+    LineState &state = touch(line, home);
     CachePeer &p = _peers[peer];
     const MoesiState st = p.state(line);
 
     if (canWrite(st)) {
         // E upgrades to M silently; M stays M.
-        const std::uint64_t version = ++_versionCounter[line];
+        const std::uint64_t version = ++state.writes;
         p.setLine(line, MoesiState::Modified, version);
         return version;
     }
 
     count(CoherenceMsg::GetM);
-    DirectoryEntry &entry = _directories[home].entry(line);
+    DirectoryEntry &entry = state.entry;
 
     // Fetch data unless this peer already holds a readable copy (S/O).
     if (st == MoesiState::Invalid) {
@@ -238,7 +264,7 @@ CoherentSystem::write(std::size_t peer, topology::Addr line, std::size_t home)
     invalidateSharers(entry, line, home, peer);
     entry.sharers.reset(peer);
 
-    const std::uint64_t version = ++_versionCounter[line];
+    const std::uint64_t version = ++state.writes;
     entry.owner = peer;
     p.setLine(line, MoesiState::Modified, version);
     return version;
@@ -253,16 +279,11 @@ CoherentSystem::evict(std::size_t peer, topology::Addr line)
 void
 CoherentSystem::evict(std::size_t peer, topology::Addr line, std::size_t home)
 {
-    if (peer >= _peers.size())
-        throw std::out_of_range("CoherentSystem::evict: bad peer");
-    if (home >= _directories.size())
-        throw std::out_of_range("CoherentSystem::evict: bad home");
-    _touched.insert(line);
-    _homes.emplace(line, home);
+    checkIds("evict", peer, home);
+    LineState &state = touch(line, home);
     CachePeer &p = _peers[peer];
     const MoesiState st = p.state(line);
-    Directory &dir = _directories[home];
-    DirectoryEntry &entry = dir.entry(line);
+    DirectoryEntry &entry = state.entry;
 
     switch (st) {
       case MoesiState::Modified:
@@ -270,7 +291,7 @@ CoherentSystem::evict(std::size_t peer, topology::Addr line, std::size_t home)
         count(CoherenceMsg::PutM);
         count(CoherenceMsg::PutAck);
         emit(CoherenceMsg::PutM, peer, home, line);
-        _memory[line] = p.version(line);
+        state.memory = p.version(line);
         if (entry.owner && *entry.owner == peer)
             entry.owner.reset();
         break;
@@ -289,13 +310,12 @@ CoherentSystem::evict(std::size_t peer, topology::Addr line, std::size_t home)
         return;
     }
     p.setState(line, MoesiState::Invalid);
-    dir.dropIfUncached(line);
 }
 
 void
 CoherentSystem::checkInvariants() const
 {
-    for (const topology::Addr line : _touched) {
+    _lines.forEach([this](topology::Addr line, const LineState &state) {
         std::size_t writable = 0;
         std::size_t ownerish = 0;
         std::size_t readable = 0;
@@ -328,14 +348,12 @@ CoherentSystem::checkInvariants() const
         }
 
         // Directory agreement.
-        const Directory &dir = _directories[homeOf(line)];
-        const DirectoryEntry *entry = dir.find(line);
+        const DirectoryEntry &entry = state.entry;
         for (const auto &peer : _peers) {
             const MoesiState st = peer.state(line);
             const bool owner_here =
-                entry && entry->owner && *entry->owner == peer.id();
-            const bool sharer_here =
-                entry && entry->sharers.test(peer.id());
+                entry.owner && *entry.owner == peer.id();
+            const bool sharer_here = entry.sharers.test(peer.id());
             switch (st) {
               case MoesiState::Modified:
               case MoesiState::Exclusive:
@@ -356,7 +374,7 @@ CoherentSystem::checkInvariants() const
                 break;
             }
         }
-    }
+    });
 }
 
 } // namespace corona::coherence

@@ -131,10 +131,10 @@ CoherentFrontEnd::decodeLine(std::uint64_t tag)
 topology::ClusterId
 CoherentFrontEnd::homeOf(topology::Addr line) const
 {
-    const auto it = _homes.find(line);
-    if (it == _homes.end())
+    const auto home = _coherence.boundHome(line);
+    if (!home)
         sim::panic("CoherentFrontEnd: evicting a line never accessed");
-    return it->second;
+    return static_cast<topology::ClusterId>(*home);
 }
 
 CoherentFrontEnd::Outcome
@@ -157,10 +157,10 @@ CoherentFrontEnd::access(topology::ClusterId cluster, topology::Addr line,
     if (line >= maxLine)
         sim::fatal("CoherentFrontEnd: line address exceeds the tag's "
                    "60-bit sideband encoding");
-    const auto [it, inserted] = _homes.emplace(line, home);
-    if (!inserted && it->second != home)
-        sim::fatal("CoherentFrontEnd: workload re-homed a line (the "
-                   "home must be a pure function of the address)");
+    // The workload's home must be a pure function of the line: the
+    // protocol binds it here, before the MSHR decides, and is fatal
+    // on a re-home.
+    _coherence.bindHome(line, home);
 
     cache::ClusterHierarchy &hier = _hierarchies[cluster];
     const coherence::MoesiState st = _coherence.peer(cluster).state(line);
@@ -369,7 +369,6 @@ CoherentFrontEnd::reset()
     _coherence.reset();
     if (_bus)
         _bus->reset();
-    _homes.clear();
     _nextId = 1;
     _sidebandMessages = 0;
     _broadcasts = 0;

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -129,6 +128,8 @@ class CoherentFrontEnd
     void recordWriteback(topology::ClusterId cluster,
                          topology::ClusterId home);
 
+    /** Home the protocol bound @p line to; panics when no access
+     * named the line. */
     topology::ClusterId homeOf(topology::Addr line) const;
 
     static std::uint64_t encodeTag(coherence::CoherenceMsg msg,
@@ -145,9 +146,6 @@ class CoherentFrontEnd
     std::vector<cache::ClusterHierarchy> _hierarchies;
     coherence::CoherentSystem _coherence;
     std::unique_ptr<xbar::BroadcastBus> _bus; ///< XBar systems only.
-    /** Home cluster of every line seen (workload contract: pure
-     * function of the line, so entries never change). */
-    std::unordered_map<topology::Addr, topology::ClusterId> _homes;
 
     obs::EventTracer *_tracer = nullptr; ///< Not owned; may be null.
     noc::MsgId _nextId = 1;

@@ -30,7 +30,7 @@ BroadcastBus::broadcast(const noc::Message &msg)
 {
     noc::Message stamped = msg;
     stamped.injected = _eq.now();
-    _queue.push_back(Pending{stamped});
+    _queue.push_back(stamped);
     if (!_arbitrating) {
         _arbitrating = true;
         _arbiter.request(msg.src, [this] { transmit(); });
@@ -42,37 +42,51 @@ BroadcastBus::transmit()
 {
     if (_queue.empty())
         sim::panic("BroadcastBus::transmit: queue empty");
-    const Pending pending = _queue.front();
+    const noc::Message msg = _queue.front();
     _queue.pop_front();
-    const noc::Message msg = pending.msg;
 
-    const sim::Tick ser = serializationTime(msg.bytes());
-    const sim::Tick hop = _arbiter.hopTime();
-
-    _eq.scheduleIn(ser, [this, msg, hop] {
+    _eq.scheduleIn(serializationTime(msg.bytes()), [this, msg] {
         _arbiter.release(msg.src);
         ++_broadcasts;
+
+        auto slot = static_cast<std::uint32_t>(_inFlight.size());
+        if (_freeSlots.empty()) {
+            _inFlight.emplace_back();
+        } else {
+            slot = _freeSlots.back();
+            _freeSlots.pop_back();
+        }
+        _inFlight[slot] = InFlight{msg, _clusters};
 
         // The sender modulated at coil position msg.src on the first
         // pass; a receiver at position k reads on the second pass after
         // the remaining first-pass distance plus k hops into pass two.
+        const sim::Tick hop = _arbiter.hopTime();
         for (topology::ClusterId k = 0; k < _clusters; ++k) {
             const sim::Tick remaining_first =
                 (_clusters - msg.src) * hop;
             const sim::Tick delay = remaining_first + k * hop;
-            _eq.scheduleIn(delay, [this, msg, k] {
-                if (_deliver)
-                    _deliver(msg, k);
-            });
+            _eq.scheduleIn(delay, [this, slot, k] { deliver(slot, k); });
         }
 
         _arbitrating = false;
         if (!_queue.empty()) {
             _arbitrating = true;
-            _arbiter.request(_queue.front().msg.src,
-                             [this] { transmit(); });
+            _arbiter.request(_queue.front().src, [this] { transmit(); });
         }
     });
+}
+
+void
+BroadcastBus::deliver(std::uint32_t slot, topology::ClusterId k)
+{
+    // Slots are taken only when a transmission ends, never during a
+    // delivery, so the record stays in place across the callback.
+    InFlight &record = _inFlight[slot];
+    if (_deliver)
+        _deliver(record.msg, k);
+    if (--record.pending == 0)
+        _freeSlots.push_back(slot);
 }
 
 } // namespace corona::xbar

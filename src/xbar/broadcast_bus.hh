@@ -14,11 +14,12 @@
 #ifndef CORONA_XBAR_BROADCAST_BUS_HH
 #define CORONA_XBAR_BROADCAST_BUS_HH
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "noc/message.hh"
+#include "noc/ring_fifo.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "xbar/token_arbiter.hh"
@@ -80,18 +81,26 @@ class BroadcastBus
     reset()
     {
         _queue.clear();
+        _inFlight.clear();
+        _freeSlots.clear();
         _arbitrating = false;
         _broadcasts = 0;
         _arbiter.reset();
     }
 
   private:
-    void transmit();
-
-    struct Pending
+    /** A transmitted message and the deliveries still to run. */
+    struct InFlight
     {
         noc::Message msg;
+        std::size_t pending = 0;
     };
+
+    void transmit();
+
+    /** Run delivery @p k of in-flight record @p slot; the last one
+     * frees the record. */
+    void deliver(std::uint32_t slot, topology::ClusterId k);
 
     sim::EventQueue &_eq;
     const sim::ClockDomain &_clock;
@@ -99,7 +108,13 @@ class BroadcastBus
     BroadcastParams _params;
     TokenArbiter _arbiter;
     Deliver _deliver;
-    std::deque<Pending> _queue;
+    /** Broadcasts waiting for the token, oldest first. */
+    noc::RingFifo<noc::Message> _queue;
+    /** Transmitted messages, by slot: each delivery event captures a
+     * slot rather than the 48-B message, so it fits the event
+     * kernel's inline capture and never allocates. */
+    std::vector<InFlight> _inFlight;
+    std::vector<std::uint32_t> _freeSlots;
     bool _arbitrating = false;
     std::uint64_t _broadcasts = 0;
 };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "coherence/coherent_system.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -257,6 +258,25 @@ TEST(Coherence, RejectsBadPeers)
     CoherenceConfig bad;
     bad.peers = 0;
     EXPECT_THROW(CoherentSystem{bad}, std::invalid_argument);
+    EXPECT_THROW(sys.read(0, kLine, 64), std::out_of_range);
+    EXPECT_THROW(sys.evict(0, kLine, 64), std::out_of_range);
+}
+
+TEST(Coherence, FirstAccessBindsTheHome)
+{
+    CoherentSystem sys;
+    EXPECT_FALSE(sys.boundHome(kLine));
+    sys.bindHome(kLine, 7);
+    sys.read(3, kLine, 7);
+    EXPECT_EQ(sys.boundHome(kLine), 7u);
+    EXPECT_THROW(sys.write(3, kLine, 9), sim::FatalError);
+    EXPECT_THROW(sys.bindHome(kLine, 9), sim::FatalError);
+    // The implicit overloads use the bound home.
+    sys.write(5, kLine);
+    EXPECT_EQ(sys.boundHome(kLine), 7u);
+    sys.checkInvariants();
+    sys.reset();
+    EXPECT_FALSE(sys.boundHome(kLine));
 }
 
 // -------------------------------------------------------------------

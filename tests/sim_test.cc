@@ -3,20 +3,24 @@
  * Unit tests for the simulation kernel: event queue ordering and
  * determinism (including the bucket-ring/overflow-heap boundaries),
  * pooled callback lifetimes, the inline callable type, clock-domain
- * arithmetic, RNG distributions.
+ * arithmetic, RNG distributions, the flat hash map.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <random>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "noc/message.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/inline_function.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -900,6 +904,84 @@ TEST(Logging, VerboseToggle)
     EXPECT_TRUE(sim::verboseEnabled());
     sim::setVerbose(false);
     EXPECT_FALSE(sim::verboseEnabled());
+}
+
+TEST(FlatMap, MatchesUnorderedMapOnRandomOperations)
+{
+    // Three key pools: dense line addresses, keys that differ only
+    // above bit 32 (a table indexed by low key bits would put them in
+    // one slot) and random keys. Each pool is small enough that probe
+    // runs collide, wrap around the slot array and lose entries from
+    // the middle.
+    std::mt19937_64 rng(7);
+    std::vector<std::vector<std::uint64_t>> pools(3);
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        pools[0].push_back(i * 64);
+        pools[1].push_back(i << 32);
+        pools[2].push_back(rng());
+    }
+    for (const std::vector<std::uint64_t> &pool : pools) {
+        sim::FlatMap<std::uint64_t> flat;
+        std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+        for (int round = 0; round < 3; ++round) {
+            for (int op = 0; op < 20000; ++op) {
+                // Bias toward inserts early and erases late in a round,
+                // so the map grows through several doublings and drains.
+                const std::uint64_t key = pool[rng() % pool.size()];
+                const bool insert = static_cast<int>(rng() % 20000) >= op;
+                if (insert) {
+                    const auto [value, inserted] = flat.tryEmplace(key);
+                    ASSERT_EQ(inserted, !oracle.count(key));
+                    if (inserted) {
+                        ASSERT_EQ(*value, 0u);
+                    }
+                    *value += op;
+                    oracle[key] += op;
+                } else {
+                    ASSERT_EQ(flat.erase(key), oracle.erase(key) == 1);
+                }
+                ASSERT_EQ(flat.size(), oracle.size());
+                if (op % 97 == 0) {
+                    // Every key of the pool is found, or absent, as in
+                    // the oracle.
+                    for (const std::uint64_t k : pool) {
+                        const std::uint64_t *v = flat.find(k);
+                        const auto it = oracle.find(k);
+                        ASSERT_EQ(v != nullptr, it != oracle.end()) << k;
+                        if (v) {
+                            ASSERT_EQ(*v, it->second) << k;
+                        }
+                    }
+                }
+            }
+            std::size_t visited = 0;
+            flat.forEach([&](std::uint64_t key, std::uint64_t value) {
+                ++visited;
+                EXPECT_EQ(oracle.at(key), value);
+            });
+            EXPECT_EQ(visited, oracle.size());
+
+            // clear() empties the map and keeps its storage.
+            const std::size_t capacity = flat.capacity();
+            flat.clear();
+            oracle.clear();
+            EXPECT_EQ(flat.size(), 0u);
+            EXPECT_EQ(flat.capacity(), capacity);
+            EXPECT_EQ(flat.find(pool[0]), nullptr);
+        }
+    }
+}
+
+TEST(FlatMap, ReservesTheAllOnesKey)
+{
+    sim::FlatMap<int> map;
+    EXPECT_EQ(map.find(sim::FlatMap<int>::emptyKey), nullptr);
+    EXPECT_FALSE(map.erase(sim::FlatMap<int>::emptyKey));
+    EXPECT_THROW(map.tryEmplace(sim::FlatMap<int>::emptyKey),
+                 sim::PanicError);
+    map[3] = 4;
+    EXPECT_EQ(map.find(sim::FlatMap<int>::emptyKey), nullptr);
+    EXPECT_EQ(*map.find(3), 4);
 }
 
 } // namespace
