@@ -185,7 +185,13 @@ Calibration::load(std::istream &is)
             sim::fatal("Calibration::load: sample count in row \"" +
                        line + "\" overflows the total");
         const CalibrationFactors f{*bandwidth, *latency, *samples};
-        calibration._cells[cellKey((*fields)[0], (*fields)[1])] = f;
+        // save() writes each cell once. A second row for a cell would
+        // replace the first there while both fed the fallback tiers.
+        if (!calibration._cells
+                 .emplace(cellKey((*fields)[0], (*fields)[1]), f)
+                 .second)
+            sim::fatal("Calibration::load: repeated cell in row \"" +
+                       line + "\"");
         // Rebuild the fallback tiers from the per-cell rows so a
         // loaded calibration generalises exactly like a fitted one.
         configs[(*fields)[0]].add(f.bandwidth_scale, f.latency_scale,

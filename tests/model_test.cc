@@ -361,6 +361,21 @@ TEST(Calibration, LoadRejectsBadNumbers)
     }
 }
 
+TEST(Calibration, LoadRejectsRepeatedCell)
+{
+    // Kept, the second row would replace the first for the cell while
+    // the config and global tiers averaged both.
+    const std::string repeat = "XBar/OCM,Uniform,2,1,1";
+    expectLoadFatal("XBar/OCM,Uniform,0.5,1,1\n" + repeat + "\n", repeat);
+    // The same workload on another config is another cell.
+    const model::Calibration loaded = loadCalibration(
+        "XBar/OCM,Uniform,0.5,1,1\nHMesh/OCM,Uniform,2,1,1\n");
+    EXPECT_NEAR(loaded.lookup("XBar/OCM", "Uniform").bandwidth_scale, 0.5,
+                1e-12);
+    EXPECT_NEAR(loaded.lookup("HMesh/OCM", "Uniform").bandwidth_scale, 2.0,
+                1e-12);
+}
+
 TEST(Calibration, LoadFoldsSampleCountsAtOnce)
 {
     const model::Calibration loaded =
