@@ -290,10 +290,12 @@ CoronaSystem::instrument(obs::Registry &registry)
                 return static_cast<double>(router.injectionDepth());
             });
             for (const auto &[dir, tag] : ports) {
-                const noc::CreditBuffer &in = router.inputBuffer(dir);
-                registry.add(prefix + "in/" + tag + "/depth", [&in] {
-                    return static_cast<double>(in.size());
-                });
+                const mesh::Direction d = dir;
+                registry.add(prefix + "in/" + tag + "/depth",
+                             [&router, d] {
+                                 return static_cast<double>(
+                                     router.inputDepth(d));
+                             });
             }
         }
     }

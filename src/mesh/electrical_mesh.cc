@@ -36,13 +36,13 @@ ElectricalMesh::ElectricalMesh(sim::EventQueue &eq,
     _linkBandwidth = params.bisection_bytes_per_second /
                      static_cast<double>(geom.bisectionLinks()) *
                      params.link_efficiency;
-    const sim::Tick hop_latency =
-        params.hop_latency_clocks * clock.period();
+    const HopTiming timing = hopTiming(
+        _linkBandwidth, params.hop_latency_clocks * clock.period());
 
     _routers.reserve(geom.clusters());
     for (topology::ClusterId id = 0; id < geom.clusters(); ++id) {
-        auto router = std::make_unique<Router>(
-            eq, geom, id, _linkBandwidth, hop_latency, params.router);
+        auto router = std::make_unique<Router>(eq, geom, id, timing,
+                                               params.router);
         router->setEject([this, id](const noc::Message &msg) {
             if (msg.dst != id)
                 sim::panic("ElectricalMesh: misrouted message");

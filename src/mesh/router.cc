@@ -1,47 +1,61 @@
 #include "mesh/router.hh"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "sim/logging.hh"
 
 namespace corona::mesh {
 
-Router::Router(sim::EventQueue &eq, const topology::Geometry &geom,
-               topology::ClusterId id, double link_bytes_per_second,
-               sim::Tick hop_latency, const RouterParams &params)
-    : _id(id)
+HopTiming
+hopTiming(double link_bytes_per_second, sim::Tick hop_latency)
 {
+    if (!(link_bytes_per_second > 0))
+        throw std::invalid_argument("mesh link: bad rate");
+    const double bytes_per_tick =
+        link_bytes_per_second / static_cast<double>(sim::oneSecond);
+    HopTiming timing;
+    for (std::size_t kind = 0; kind < noc::numMsgKinds; ++kind) {
+        const double ticks =
+            static_cast<double>(
+                noc::wireBytes(static_cast<noc::MsgKind>(kind))) /
+            bytes_per_tick;
+        const auto t = static_cast<sim::Tick>(std::ceil(ticks));
+        timing.serialization[kind] = t == 0 ? 1 : t;
+    }
+    timing.latency = hop_latency;
+    return timing;
+}
+
+Router::Router(sim::EventQueue &eq, const topology::Geometry &geom,
+               topology::ClusterId id, const HopTiming &timing,
+               const RouterParams &params)
+    : _eq(eq), _id(id), _timing(timing),
+      _inputDepth(params.input_buffer_depth),
+      _portDepth(params.link_queue_depth)
+{
+    if (_inputDepth == 0)
+        throw std::invalid_argument("Router: bad input buffer depth");
+    if (_portDepth == 0)
+        throw std::invalid_argument("Router: bad link queue depth");
     _routes.reserve(geom.clusters());
     for (topology::ClusterId dst = 0; dst < geom.clusters(); ++dst)
         _routes.push_back(route(geom, id, dst));
-    for (auto &buffer : _inputs)
-        buffer = std::make_unique<noc::CreditBuffer>(
-            params.input_buffer_depth);
-    for (std::size_t d = 0; d < 4; ++d) {
-        const auto dir = static_cast<Direction>(d);
-        if (!hasNeighbour(geom, id, dir))
-            continue;
-        _links[d] = std::make_unique<noc::BandwidthLink>(
-            eq, link_bytes_per_second, hop_latency,
-            params.link_queue_depth);
-        _links[d]->onSpace([this] { process(); });
-    }
+    for (OutputPort &port : _ports)
+        port.owner = this;
 }
 
 void
 Router::connect(Direction d, Router &next_router)
 {
     const auto idx = static_cast<std::size_t>(d);
-    if (!_links[idx])
-        sim::panic("Router::connect: no link in that direction");
-    Router *next = &next_router;
+    if (idx >= 4)
+        sim::panic("Router::connect: Local has no link");
     const auto arrival = static_cast<std::size_t>(opposite(d));
-    _links[idx]->setDownstream(next->_inputs[arrival].get());
-    _links[idx]->setSink([next, arrival](const noc::Message &msg) {
-        next->_inputs[arrival]->push(msg, /*reserved=*/true);
-        next->_nonEmpty |= 1u << arrival;
-        next->process();
-    });
+    OutputPort &port = _ports[idx];
+    port.next = &next_router;
+    port.arrival = static_cast<std::uint8_t>(arrival);
+    next_router._inputs[arrival].upstream = &port;
 }
 
 void
@@ -52,19 +66,78 @@ Router::inject(const noc::Message &msg)
     process();
 }
 
-const noc::CreditBuffer &
-Router::inputBuffer(Direction d) const
+std::size_t
+Router::inputDepth(Direction d) const
 {
     const auto idx = static_cast<std::size_t>(d);
     if (idx >= 4)
-        sim::panic("Router::inputBuffer: Local has no input buffer");
-    return *_inputs[idx];
+        sim::panic("Router::inputDepth: Local has no input buffer");
+    return _inputs[idx].fifo.size() + _inputs[idx].reserved;
 }
 
-const noc::BandwidthLink *
-Router::link(Direction d) const
+void
+Router::reset()
 {
-    return _links[static_cast<std::size_t>(d)].get();
+    for (InputBuffer &input : _inputs) {
+        input.fifo.clear();
+        input.reserved = 0;
+    }
+    _injection.clear();
+    for (OutputPort &port : _ports) {
+        port.queue.clear();
+        port.busy = false;
+        port.waitingForCredit = false;
+    }
+    _nonEmpty = 0;
+    _rr = 0;
+    _processing = false;
+    _reprocess = false;
+}
+
+void
+Router::tryStart(OutputPort &port)
+{
+    if (port.busy || port.queue.empty())
+        return;
+    InputBuffer &input = port.next->_inputs[port.arrival];
+    if (input.fifo.size() + input.reserved >= port.next->_inputDepth) {
+        // Popping that input restarts us.
+        port.waitingForCredit = true;
+        return;
+    }
+    ++input.reserved;
+    const noc::Message msg = port.queue.front();
+    port.queue.pop_front();
+    port.busy = true;
+    const auto kind = static_cast<std::size_t>(msg.kind);
+    _eq.scheduleIn(_timing.serialization[kind], [&port, msg] {
+        port.owner->finishSerialization(port, msg);
+    });
+    // Forward last: the pass may queue onto this port again and must
+    // see it busy, or two transmissions would overlap.
+    process();
+}
+
+void
+Router::finishSerialization(OutputPort &port, const noc::Message &msg)
+{
+    port.busy = false;
+    _eq.scheduleIn(_timing.latency, [&port, msg] {
+        port.next->receive(port.arrival, msg);
+    });
+    tryStart(port);
+}
+
+void
+Router::receive(std::size_t arrival, const noc::Message &msg)
+{
+    InputBuffer &input = _inputs[arrival];
+    if (input.reserved == 0)
+        sim::panic("Router: delivery without a reserved credit");
+    --input.reserved;
+    input.fifo.push_back(msg);
+    _nonEmpty |= 1u << arrival;
+    process();
 }
 
 void
@@ -77,10 +150,15 @@ Router::popStage(std::size_t stage)
         return;
     }
     // The pop returns a credit upstream; emptiness is read after the
-    // drain callbacks it fires have run.
-    noc::CreditBuffer &buffer = *_inputs[stage];
-    buffer.pop();
-    if (buffer.empty())
+    // restart it fires has run.
+    InputBuffer &input = _inputs[stage];
+    input.fifo.pop_front();
+    if (OutputPort *upstream = input.upstream;
+        upstream != nullptr && upstream->waitingForCredit) {
+        upstream->waitingForCredit = false;
+        upstream->owner->tryStart(*upstream);
+    }
+    if (input.fifo.empty())
         _nonEmpty &= ~(1u << stage);
 }
 
@@ -89,7 +167,7 @@ Router::tryForward(std::size_t stage)
 {
     const noc::Message &msg = stage == injectionStage
                                   ? _injection.front()
-                                  : _inputs[stage]->front();
+                                  : _inputs[stage].fifo.front();
     const Direction out = _routes[msg.dst];
     if (out == Direction::Local) {
         const noc::Message delivered = msg;
@@ -99,11 +177,13 @@ Router::tryForward(std::size_t stage)
         _eject(delivered);
         return true;
     }
-    auto &link = _links[static_cast<std::size_t>(out)];
-    if (!link)
+    OutputPort &port = _ports[static_cast<std::size_t>(out)];
+    if (port.next == nullptr)
         sim::panic("Router: dimension-order route off the mesh edge");
-    if (!link->trySend(msg))
-        return false; // Output queue full; onSpace will retry.
+    if (port.queue.size() >= _portDepth)
+        return false; // Port queue full; its next start retries.
+    port.queue.push_back(msg);
+    tryStart(port);
     popStage(stage);
     return true;
 }
@@ -111,9 +191,9 @@ Router::tryForward(std::size_t stage)
 void
 Router::process()
 {
-    // Callbacks fired from within the loop (link onSpace, eject, pushes
-    // into neighbours that loop back) re-enter process(); flatten the
-    // recursion into another pass of the loop.
+    // Calls made from within the loop (a port starting a transmission,
+    // eject, pushes into neighbours that loop back) re-enter process();
+    // flatten the recursion into another pass of the loop.
     if (_processing) {
         _reprocess = true;
         return;

@@ -1,6 +1,5 @@
 #include "noc/buffer.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "sim/logging.hh"
@@ -42,7 +41,6 @@ CreditBuffer::push(const Message &msg, bool reserved)
         sim::panic("CreditBuffer::push without credit");
     }
     _fifo.push_back(msg);
-    _peak = std::max(_peak, size());
 }
 
 const Message &

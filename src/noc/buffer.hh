@@ -3,9 +3,9 @@
  * Finite buffering with credit-based flow control.
  *
  * The paper's network simulator models "finite buffers, queues, and
- * ports" enforcing back pressure. CreditBuffer is the shared primitive:
- * a bounded FIFO whose occupancy is the inverse of the sender-visible
- * credit count. Routers, channel sinks, and memory controllers compose it.
+ * ports" enforcing back pressure. CreditBuffer is a bounded FIFO whose
+ * occupancy is the inverse of the sender-visible credit count; the
+ * optical channels' home input buffers are CreditBuffers.
  */
 
 #ifndef CORONA_NOC_BUFFER_HH
@@ -65,25 +65,20 @@ class CreditBuffer
     /** Register a callback invoked whenever space becomes available. */
     void onDrain(std::function<void()> cb) { _onDrain = std::move(cb); }
 
-    /** Empty the FIFO, drop reservations, and zero the peak. The
-     * drain callback wiring is kept. */
+    /** Empty the FIFO and drop reservations. The drain callback
+     * wiring is kept. */
     void
     reset()
     {
         _fifo.clear();
         _reserved = 0;
-        _peak = 0;
     }
-
-    /** Peak occupancy observed. */
-    std::size_t peakOccupancy() const { return _peak; }
 
   private:
     std::size_t _capacity;
     std::size_t _reserved = 0;
     RingFifo<Message> _fifo;
     std::function<void()> _onDrain;
-    std::size_t _peak = 0;
 };
 
 } // namespace corona::noc

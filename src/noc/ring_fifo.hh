@@ -2,8 +2,9 @@
  * @file
  * Growable power-of-two ring FIFO.
  *
- * The queue behind every hop of the mesh: router input buffers, link
- * injection queues and the routers' local injection queues. Unlike
+ * The queue behind every hop of the mesh (router input buffers, output
+ * port queues and local injection queues), the broadcast bus's waiting
+ * broadcasts and the memory controllers' request queues. Unlike
  * std::deque, which allocates and frees a node block as elements cycle
  * through it, the ring allocates only when it grows past its largest
  * depth so far and then keeps its storage, so a queue that cycles at a

@@ -2,13 +2,16 @@
  * @file
  * Unit and property tests for the electrical 2D mesh: dimension-order
  * routing correctness and deadlock freedom, per-hop latency, bisection
- * bandwidth ceilings, back-pressure, and a golden forwarding order.
+ * bandwidth ceilings, a router port's serialization, queue and credit
+ * back-pressure, and a golden forwarding order.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "mesh/electrical_mesh.hh"
@@ -220,6 +223,145 @@ TEST(Mesh, SaturatedLinkThrottlesThroughput)
 }
 
 // -------------------------------------------------------------------
+// One router output port: serialization, its queue and credits.
+// -------------------------------------------------------------------
+
+/** A mesh of 160 GB/s links (1.6 TB/s bisection at efficiency 0.8):
+ * 16 B serialize in 100 ticks and 80 B in 500. */
+mesh::MeshParams
+fastLinks(std::size_t hop_latency_clocks)
+{
+    mesh::MeshParams params;
+    params.bisection_bytes_per_second = 1.6e12;
+    params.hop_latency_clocks = hop_latency_clocks;
+    return params;
+}
+
+TEST(RouterPort, SerializationTimeIsTheCeilingAndNeverZero)
+{
+    const mesh::HopTiming exact = mesh::hopTiming(160e9, 1000);
+    EXPECT_EQ(exact.serialization[static_cast<std::size_t>(
+                  MsgKind::ReadReq)],
+              100u);
+    EXPECT_EQ(exact.serialization[static_cast<std::size_t>(
+                  MsgKind::ReadResp)],
+              500u);
+    EXPECT_EQ(exact.latency, 1000u);
+    // 3 GB/s: 16 B take 5333.3 ticks and 80 B 26666.7; both round up.
+    const mesh::HopTiming slow = mesh::hopTiming(3e9, 0);
+    EXPECT_EQ(slow.serialization[static_cast<std::size_t>(
+                  MsgKind::WriteAck)],
+              5334u);
+    EXPECT_EQ(slow.serialization[static_cast<std::size_t>(
+                  MsgKind::WriteReq)],
+              26667u);
+    // An unbounded rate still takes one tick.
+    const mesh::HopTiming instant =
+        mesh::hopTiming(std::numeric_limits<double>::infinity(), 0);
+    for (const Tick ticks : instant.serialization)
+        EXPECT_EQ(ticks, 1u);
+}
+
+TEST(RouterPort, BackToBackMessagesSerializeOnOneHop)
+{
+    EventQueue eq;
+    const Geometry geom;
+    ElectricalMesh mesh(eq, sim::coronaClock(), geom, fastLinks(0),
+                        "Fast");
+    std::vector<Tick> deliveries;
+    mesh.setDeliver([&](const Message &) {
+        deliveries.push_back(eq.now());
+    });
+    const ClusterId src = geom.idAt({0, 0});
+    const ClusterId dst = geom.idAt({1, 0});
+    mesh.send(makeMsg(src, dst, MsgKind::ReadResp));
+    mesh.send(makeMsg(src, dst, MsgKind::ReadResp));
+    eq.run();
+    // The second message waits for the wire.
+    EXPECT_EQ(deliveries, (std::vector<Tick>{500, 1000}));
+}
+
+TEST(RouterPort, QueueCapacityHoldsTheRestInTheInjectionQueue)
+{
+    EventQueue eq;
+    const Geometry geom;
+    mesh::MeshParams params = fastLinks(0);
+    params.router.link_queue_depth = 2;
+    ElectricalMesh mesh(eq, sim::coronaClock(), geom, params, "Fast");
+    int delivered = 0;
+    mesh.setDeliver([&](const Message &) { ++delivered; });
+    const ClusterId src = geom.idAt({0, 0});
+    const ClusterId dst = geom.idAt({1, 0});
+    for (int i = 0; i < 5; ++i)
+        mesh.send(makeMsg(src, dst));
+    // One message serializes and leaves the port queue, two fill it,
+    // and two stay in the router's injection queue.
+    EXPECT_EQ(mesh.router(src).injectionDepth(), 2u);
+    eq.run();
+    EXPECT_EQ(delivered, 5);
+    EXPECT_EQ(mesh.router(src).injectionDepth(), 0u);
+}
+
+TEST(RouterPort, CreditStallRestartsWhenTheInputIsPopped)
+{
+    // A one-message input buffer and a 1000-tick hop: the port holds
+    // its next message until the neighbour pops the one in flight, so
+    // each message serializes only after the previous one arrives.
+    EventQueue eq;
+    const Geometry geom;
+    mesh::MeshParams params = fastLinks(5);
+    params.router.input_buffer_depth = 1;
+    ElectricalMesh mesh(eq, sim::coronaClock(), geom, params, "Fast");
+    std::vector<Tick> deliveries;
+    mesh.setDeliver([&](const Message &) {
+        deliveries.push_back(eq.now());
+    });
+    const ClusterId src = geom.idAt({0, 0});
+    const ClusterId dst = geom.idAt({1, 0});
+    for (int i = 0; i < 3; ++i)
+        mesh.send(makeMsg(src, dst));
+    // Serialized, in flight: the credit stays reserved.
+    eq.run(150);
+    EXPECT_EQ(mesh.router(dst).inputDepth(Direction::West), 1u);
+    eq.run();
+    EXPECT_EQ(deliveries, (std::vector<Tick>{1100, 2200, 3300}));
+    EXPECT_EQ(mesh.router(dst).inputDepth(Direction::West), 0u);
+
+    // With room for every message, they serialize back to back.
+    EventQueue eq_deep;
+    ElectricalMesh deep(eq_deep, sim::coronaClock(), geom, fastLinks(5),
+                        "Fast");
+    deliveries.clear();
+    deep.setDeliver([&](const Message &) {
+        deliveries.push_back(eq_deep.now());
+    });
+    for (int i = 0; i < 3; ++i)
+        deep.send(makeMsg(src, dst));
+    eq_deep.run();
+    EXPECT_EQ(deliveries, (std::vector<Tick>{1100, 1200, 1300}));
+}
+
+TEST(RouterPort, RejectsAZeroRateOrAZeroDepth)
+{
+    EventQueue eq;
+    const Geometry geom;
+    mesh::MeshParams no_rate = fastLinks(5);
+    no_rate.bisection_bytes_per_second = 0.0;
+    EXPECT_THROW(ElectricalMesh(eq, sim::coronaClock(), geom, no_rate, "X"),
+                 std::invalid_argument);
+    mesh::MeshParams no_input = fastLinks(5);
+    no_input.router.input_buffer_depth = 0;
+    EXPECT_THROW(
+        ElectricalMesh(eq, sim::coronaClock(), geom, no_input, "X"),
+        std::invalid_argument);
+    mesh::MeshParams no_queue = fastLinks(5);
+    no_queue.router.link_queue_depth = 0;
+    EXPECT_THROW(
+        ElectricalMesh(eq, sim::coronaClock(), geom, no_queue, "X"),
+        std::invalid_argument);
+}
+
+// -------------------------------------------------------------------
 // Property sweep: deadlock-free delivery under random traffic.
 // -------------------------------------------------------------------
 
@@ -289,8 +431,10 @@ struct GoldenRun
     std::uint64_t delivered = 0;
     /** FNV-1a over the ordered (tick, message id) deliveries. */
     std::uint64_t digest = 14695981039346656037ull;
-    std::size_t peakInput = 0;
-    double maxLinkWait = 0.0;
+    /** Largest input depth of any router seen at a delivery. */
+    std::size_t peakInputDepth = 0;
+    /** Deliveries later than their unloaded time. */
+    std::uint64_t delayed = 0;
 };
 
 void
@@ -305,10 +449,13 @@ fnv1a(std::uint64_t &hash, std::uint64_t word)
 /** With @p replies, the destination answers every ReadReq with a
  * ReadResp: the ejection then re-enters inject() on the router whose
  * forwarding pass is running, as a fill that frees an MSHR does when
- * its thread issues the next miss. */
+ * its thread issues the next miss. Each delivery also reads (and only
+ * reads) every router's input depths and the message's delay over its
+ * unloaded time, @p timing per hop. */
 GoldenRun
 runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
-                 const Geometry &geom, bool replies)
+                 const Geometry &geom, const mesh::HopTiming &timing,
+                 bool replies)
 {
     GoldenRun run;
     std::uint64_t next_id = 0;
@@ -316,6 +463,18 @@ runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
         ++run.delivered;
         fnv1a(run.digest, eq.now());
         fnv1a(run.digest, msg.id);
+        for (ClusterId id = 0; id < geom.clusters(); ++id) {
+            for (std::size_t d = 0; d < 4; ++d)
+                run.peakInputDepth = std::max(
+                    run.peakInputDepth,
+                    mesh.router(id).inputDepth(static_cast<Direction>(d)));
+        }
+        const Tick unloaded =
+            geom.manhattanDistance(msg.src, msg.dst) *
+            (timing.serialization[static_cast<std::size_t>(msg.kind)] +
+             timing.latency);
+        if (eq.now() - msg.injected > unloaded)
+            ++run.delayed;
         if (replies && msg.kind == MsgKind::ReadReq) {
             Message reply = makeMsg(msg.dst, msg.src, MsgKind::ReadResp);
             reply.id = next_id++;
@@ -345,17 +504,6 @@ runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
                     });
     }
     eq.run();
-    for (ClusterId id = 0; id < geom.clusters(); ++id) {
-        for (std::size_t d = 0; d < 4; ++d) {
-            const auto dir = static_cast<Direction>(d);
-            run.peakInput = std::max(
-                run.peakInput,
-                mesh.router(id).inputBuffer(dir).peakOccupancy());
-            if (const auto *link = mesh.router(id).link(dir))
-                run.maxLinkWait =
-                    std::max(run.maxLinkWait, link->queueWait().max());
-        }
-    }
     EXPECT_EQ(run.delivered, next_id) << "every message delivered";
     return run;
 }
@@ -381,21 +529,23 @@ TEST_P(MeshGoldenOrder, DeliveryOrderMatchesTheRecordedDigest)
         param.lmesh ? mesh::lmeshParams() : mesh::hmeshParams();
     ElectricalMesh mesh(eq, sim::coronaClock(), geom, params,
                         param.lmesh ? "LMesh" : "HMesh");
+    const mesh::HopTiming timing = mesh::hopTiming(
+        mesh.linkBandwidth(), params.hop_latency_clocks * kClock);
 
     const GoldenRun first =
-        runGoldenTraffic(eq, mesh, geom, param.replies);
+        runGoldenTraffic(eq, mesh, geom, timing, param.replies);
     EXPECT_EQ(first.delivered, param.delivered);
     EXPECT_EQ(first.digest, param.digest);
     // The traffic must actually exercise back-pressure: some input
-    // buffer filled to its depth and some link queue held a waiter.
-    EXPECT_EQ(first.peakInput, params.router.input_buffer_depth);
-    EXPECT_GT(first.maxLinkWait, 0.0);
+    // buffer filled to its depth and some message waited on the way.
+    EXPECT_EQ(first.peakInputDepth, params.router.input_buffer_depth);
+    EXPECT_GT(first.delayed, 0u);
 
     // A reset mesh and queue replay the identical order.
     mesh.reset();
     eq.reset();
     const GoldenRun second =
-        runGoldenTraffic(eq, mesh, geom, param.replies);
+        runGoldenTraffic(eq, mesh, geom, timing, param.replies);
     EXPECT_EQ(second.delivered, first.delivered);
     EXPECT_EQ(second.digest, first.digest);
 }

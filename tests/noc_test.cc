@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for NoC primitives: message sizing, credit buffers, the
- * ring FIFO, bandwidth links (serialization, latency, back-pressure),
- * and the ideal interconnect reference.
+ * ring FIFO, and the ideal interconnect reference. The mesh router's
+ * links (serialization, latency, back-pressure) are tested in
+ * mesh_test.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,6 @@
 
 #include "noc/buffer.hh"
 #include "noc/ideal_interconnect.hh"
-#include "noc/link.hh"
 #include "noc/message.hh"
 #include "noc/ring_fifo.hh"
 #include "sim/event_queue.hh"
@@ -100,17 +100,6 @@ TEST(CreditBuffer, PanicsOnMisuse)
     EXPECT_THROW(CreditBuffer(0), std::invalid_argument);
 }
 
-TEST(CreditBuffer, OccupancyStatistics)
-{
-    CreditBuffer buf(4);
-    buf.push(makeMsg(0, 1));
-    buf.push(makeMsg(0, 1));
-    EXPECT_EQ(buf.peakOccupancy(), 2u);
-    buf.pop();
-    buf.pop();
-    EXPECT_EQ(buf.peakOccupancy(), 2u);
-}
-
 TEST(RingFifo, KeepsFifoOrderAcrossWrapAndGrowth)
 {
     // Cycle the ring so its head sits mid-storage, then grow it while
@@ -138,102 +127,6 @@ TEST(RingFifo, KeepsFifoOrderAcrossWrapAndGrowth)
     EXPECT_TRUE(fifo.empty());
     fifo.push_back(8);
     EXPECT_EQ(fifo.front(), 8);
-}
-
-TEST(BandwidthLink, SerializationTime)
-{
-    EventQueue eq;
-    // 32 B per 200 ps clock = 160 GB/s.
-    noc::BandwidthLink link(eq, 160e9, 0, 4);
-    EXPECT_EQ(link.serializationTime(32), 200u);
-    EXPECT_EQ(link.serializationTime(64), 400u);
-    EXPECT_EQ(link.serializationTime(80), 500u);
-    EXPECT_EQ(link.serializationTime(1), 7u); // ceil, never 0
-}
-
-TEST(BandwidthLink, DeliversAfterSerializationPlusLatency)
-{
-    EventQueue eq;
-    noc::BandwidthLink link(eq, 160e9, 1000, 4);
-    std::vector<Tick> deliveries;
-    link.setSink([&](const Message &) { deliveries.push_back(eq.now()); });
-    ASSERT_TRUE(link.trySend(makeMsg(0, 1, MsgKind::ReadReq))); // 16 B
-    eq.run();
-    ASSERT_EQ(deliveries.size(), 1u);
-    EXPECT_EQ(deliveries[0], link.serializationTime(16) + 1000);
-}
-
-TEST(BandwidthLink, BackToBackMessagesSerialize)
-{
-    EventQueue eq;
-    noc::BandwidthLink link(eq, 160e9, 0, 4);
-    std::vector<Tick> deliveries;
-    link.setSink([&](const Message &) { deliveries.push_back(eq.now()); });
-    ASSERT_TRUE(link.trySend(makeMsg(0, 1, MsgKind::ReadResp))); // 80 B
-    ASSERT_TRUE(link.trySend(makeMsg(0, 1, MsgKind::ReadResp)));
-    eq.run();
-    ASSERT_EQ(deliveries.size(), 2u);
-    EXPECT_EQ(deliveries[0], 500u);
-    EXPECT_EQ(deliveries[1], 1000u); // Second waits for the wire.
-    EXPECT_EQ(link.bytesSent(), 160u);
-    EXPECT_EQ(link.messagesSent(), 2u);
-    EXPECT_EQ(link.busyTime(), 1000u);
-}
-
-TEST(BandwidthLink, QueueCapacityBoundsAcceptance)
-{
-    EventQueue eq;
-    noc::BandwidthLink link(eq, 160e9, 0, 2);
-    link.setSink([](const Message &) {});
-    // First send starts transmitting immediately (leaves the queue), so
-    // queue slots remain for two more.
-    EXPECT_TRUE(link.trySend(makeMsg(0, 1)));
-    EXPECT_TRUE(link.trySend(makeMsg(0, 1)));
-    EXPECT_TRUE(link.trySend(makeMsg(0, 1)));
-    EXPECT_FALSE(link.trySend(makeMsg(0, 1)));
-    eq.run();
-    EXPECT_EQ(link.messagesSent(), 3u);
-}
-
-TEST(BandwidthLink, DownstreamCreditsStallTransmission)
-{
-    EventQueue eq;
-    CreditBuffer inbox(1);
-    noc::BandwidthLink link(eq, 160e9, 0, 4);
-    link.setDownstream(&inbox);
-    link.setSink([&](const Message &msg) {
-        inbox.push(msg, /*reserved=*/true);
-    });
-    ASSERT_TRUE(link.trySend(makeMsg(0, 1)));
-    ASSERT_TRUE(link.trySend(makeMsg(0, 1)));
-    eq.run();
-    // Only the first message could reserve the single downstream slot.
-    EXPECT_EQ(inbox.size(), 1u);
-    EXPECT_EQ(link.messagesSent(), 1u);
-    // Freeing the slot resumes the stalled link.
-    inbox.pop();
-    eq.run();
-    EXPECT_EQ(inbox.size(), 1u);
-    EXPECT_EQ(link.messagesSent(), 2u);
-}
-
-TEST(BandwidthLink, OnSpaceFiresWhenQueueDrains)
-{
-    EventQueue eq;
-    noc::BandwidthLink link(eq, 160e9, 0, 1);
-    int space_events = 0;
-    link.setSink([](const Message &) {});
-    link.onSpace([&] { ++space_events; });
-    ASSERT_TRUE(link.trySend(makeMsg(0, 1)));
-    eq.run();
-    EXPECT_GE(space_events, 1);
-}
-
-TEST(BandwidthLink, RejectsBadConfig)
-{
-    EventQueue eq;
-    EXPECT_THROW(noc::BandwidthLink(eq, 0.0, 0, 1), std::invalid_argument);
-    EXPECT_THROW(noc::BandwidthLink(eq, 1e9, 0, 0), std::invalid_argument);
 }
 
 TEST(IdealInterconnect, FixedLatencyAndStats)

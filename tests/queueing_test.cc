@@ -2,7 +2,7 @@
  * @file
  * Analytical cross-validation of the queueing models: the memory
  * controller under Poisson arrivals must track M/D/1 waiting times,
- * and a bandwidth link must track its utilization law. These tests tie
+ * and a mesh link must track its utilization law. These tests tie
  * the simulator's contention behaviour to closed-form theory rather
  * than to itself — and the closed forms are the shared
  * model/queueing implementation, so the analytical performance model
@@ -14,8 +14,9 @@
 #include <cmath>
 
 #include "memory/memory_controller.hh"
+#include "mesh/electrical_mesh.hh"
 #include "model/queueing.hh"
-#include "noc/link.hh"
+#include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
@@ -95,30 +96,50 @@ INSTANTIATE_TEST_SUITE_P(Utilisations, Md1Sweep,
 
 TEST(QueueingLaws, LinkUtilizationMatchesOfferedLoad)
 {
+    // One link of a real mesh: 160 GB/s links (1.6 TB/s bisection at
+    // the 0.8 efficiency) with no hop latency, so a message from (0,0)
+    // to (1,0) is delivered the tick its serialization ends.
     EventQueue eq;
-    noc::BandwidthLink link(eq, 160e9, 0, 1 << 20);
-    link.setSink([](const noc::Message &) {});
+    const topology::Geometry geom;
+    mesh::MeshParams params;
+    params.bisection_bytes_per_second = 1.6e12;
+    params.hop_latency_clocks = 0;
+    mesh::ElectricalMesh mesh(eq, sim::coronaClock(), geom, params, "Link");
+    ASSERT_DOUBLE_EQ(mesh.linkBandwidth(), 160e9);
+    const topology::ClusterId src = geom.idAt({0, 0});
+    const topology::ClusterId dst = geom.idAt({1, 0});
+    // 80 B per message: service 500 ticks.
+    const Tick service = 500;
+    Tick busy = 0;
+    double total_wait = 0.0;
+    int delivered = 0;
+    mesh.setDeliver([&](const noc::Message &msg) {
+        busy += service;
+        total_wait += static_cast<double>(eq.now() - service - msg.injected);
+        ++delivered;
+    });
     sim::Rng rng(17);
-    // Offered load at 40% of capacity: 80 B per message, service 500
-    // ticks, mean gap 1250 ticks.
+    // Offered load at 40% of capacity: mean gap 1250 ticks.
     Tick arrival = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
         arrival += static_cast<Tick>(rng.exponential(1250.0));
-        eq.schedule(arrival, [&link] {
+        eq.schedule(arrival, [&mesh, src, dst] {
             noc::Message msg;
+            msg.src = src;
+            msg.dst = dst;
             msg.kind = noc::MsgKind::ReadResp;
-            ASSERT_TRUE(link.trySend(msg));
+            mesh.send(msg);
         });
     }
     eq.run();
-    const double utilization = static_cast<double>(link.busyTime()) /
-                               static_cast<double>(eq.now());
+    ASSERT_EQ(delivered, n);
+    const double utilization =
+        static_cast<double>(busy) / static_cast<double>(eq.now());
     // The utilization law: busy fraction = offered / capacity.
     EXPECT_NEAR(utilization, model::utilization(64e9, 160e9), 0.02);
     // M/D/1 wait at rho=0.4 on a 500-tick server: 166.7 ticks.
-    EXPECT_NEAR(link.queueWait().mean(), model::md1Wait(0.4, 500.0),
-                35.0);
+    EXPECT_NEAR(total_wait / n, model::md1Wait(0.4, 500.0), 35.0);
 }
 
 TEST(QueueingLaws, LittlesLawHoldsForMcQueue)
