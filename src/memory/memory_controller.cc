@@ -82,7 +82,20 @@ MemoryController::access(const noc::Message &request, topology::Addr addr,
         request.kind != noc::MsgKind::WriteReq) {
         sim::panic("MemoryController::access: not a memory request");
     }
-    _queue.push_back(Pending{request, addr, std::move(complete), _eq.now()});
+    std::uint32_t slot;
+    if (_freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(_slots.size());
+        _slots.emplace_back();
+    } else {
+        slot = _freeSlots.back();
+        _freeSlots.pop_back();
+    }
+    Request &r = _slots[slot];
+    r.request = request;
+    r.addr = addr;
+    r.complete = std::move(complete);
+    r.arrived = _eq.now();
+    _queue.push_back(slot);
     _peakQueue = std::max(_peakQueue, _queue.size());
     tryStart();
 }
@@ -92,38 +105,28 @@ MemoryController::tryStart()
 {
     if (_busy || _queue.empty())
         return;
-    Pending pending = std::move(_queue.front());
+    const std::uint32_t slot = _queue.front();
     _queue.pop_front();
     _busy = true;
+    const Request &r = _slots[slot];
 
     const sim::Tick start = _eq.now();
     if (_tracer)
-        _tracer->record(obs::TraceKind::McIssue, _cluster, pending.arrived,
-                        start,
-                        static_cast<std::uint32_t>(pending.request.src));
+        _tracer->record(obs::TraceKind::McIssue, _cluster, r.arrived, start,
+                        static_cast<std::uint32_t>(r.request.src));
     // The off-stack link is the serialization resource.
     const sim::Tick ser = _lineTicks;
 
     // The DRAM mat performs the array access; conflicts delay its start.
-    const sim::Tick mat_ready = _dram.access(pending.addr, start);
+    const sim::Tick mat_ready = _dram.access(r.addr, start);
     const sim::Tick mat_start = mat_ready - _dram.params().mat_occupancy;
     const sim::Tick array_done = mat_start + _params.access_latency;
     const sim::Tick data_ready =
         std::max(start + ser, array_done) + _params.link_delay;
 
-    // Park the request in an in-flight slot so the completion event
-    // captures only (this, slot, tick) and stays inline.
-    std::size_t slot;
-    if (_freeSlots.empty()) {
-        slot = _inflight.size();
-        _inflight.push_back(std::move(pending));
-    } else {
-        slot = _freeSlots.back();
-        _freeSlots.pop_back();
-        _inflight[slot] = std::move(pending);
-    }
-
     // The link frees after serialization; the array pipeline overlaps.
+    // The completion event captures only (this, slot, tick) and stays
+    // inline.
     _eq.scheduleIn(ser, [this] {
         _busy = false;
         tryStart();
@@ -134,35 +137,40 @@ MemoryController::tryStart()
 }
 
 void
-MemoryController::finish(std::size_t slot, sim::Tick data_ready)
+MemoryController::finish(std::uint32_t slot, sim::Tick data_ready)
 {
-    Pending pending = std::move(_inflight[slot]);
-    _freeSlots.push_back(slot);
+    // The completion may call access() again, which can reuse this
+    // slot: move out what is needed, free the slot, then call.
+    Request &r = _slots[slot];
+    Complete complete = std::move(r.complete);
+    const sim::Tick arrived = r.arrived;
+    const noc::Message &request = r.request;
     ++_accesses;
     _bytesMoved += noc::cacheLineBytes;
-    _serviceTime.sample(static_cast<double>(data_ready - pending.arrived));
+    _serviceTime.sample(static_cast<double>(data_ready - arrived));
     if (_tracer)
-        _tracer->record(obs::TraceKind::McComplete, _cluster,
-                        pending.arrived, data_ready,
-                        static_cast<std::uint32_t>(pending.request.src));
+        _tracer->record(obs::TraceKind::McComplete, _cluster, arrived,
+                        data_ready,
+                        static_cast<std::uint32_t>(request.src));
 
     noc::Message response;
-    response.id = pending.request.id;
+    response.id = request.id;
     response.src = _cluster;
-    response.dst = pending.request.src;
-    response.kind = pending.request.kind == noc::MsgKind::ReadReq
+    response.dst = request.src;
+    response.kind = request.kind == noc::MsgKind::ReadReq
                         ? noc::MsgKind::ReadResp
                         : noc::MsgKind::WriteAck;
-    response.tag = pending.request.tag;
-    pending.complete(response);
+    response.tag = request.tag;
+    _freeSlots.push_back(slot);
+    complete(response);
 }
 
 void
 MemoryController::reset()
 {
-    _queue.clear();
-    _inflight.clear();
+    _slots.clear();
     _freeSlots.clear();
+    _queue.clear();
     _busy = false;
     _dram.reset();
     _accesses = 0;

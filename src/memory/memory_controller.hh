@@ -13,12 +13,14 @@
 #ifndef CORONA_MEMORY_MEMORY_CONTROLLER_HH
 #define CORONA_MEMORY_MEMORY_CONTROLLER_HH
 
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
 
 #include "memory/dram.hh"
 #include "noc/message.hh"
+#include "noc/ring_fifo.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "stats/stats.hh"
@@ -94,36 +96,43 @@ class MemoryController
      */
     void setTracer(obs::EventTracer *tracer) { _tracer = tracer; }
 
-    /** Drop queued and in-flight requests, free the link, reset the
-     * DRAM mats, and zero the statistics. Requires the event queue to
-     * be reset alongside (pending completion events reference the
-     * in-flight slots being dropped). */
+    /** Drop queued and in-flight requests (destroying each completion
+     * callback once) with their slots' storage, free the link, reset
+     * the DRAM mats, and zero the statistics. A saturated cell can
+     * queue thousands of requests at one controller; a pooled system
+     * does not keep that peak for its next cell. Requires the event
+     * queue to be reset alongside (pending completion events reference
+     * the slots being dropped). */
     void reset();
 
   private:
-    struct Pending
+    struct Request
     {
         noc::Message request;
-        topology::Addr addr;
+        topology::Addr addr = 0;
         Complete complete;
-        sim::Tick arrived;
+        sim::Tick arrived = 0;
     };
 
     void tryStart();
-    void finish(std::size_t slot, sim::Tick data_ready);
+    void finish(std::uint32_t slot, sim::Tick data_ready);
 
     sim::EventQueue &_eq;
     topology::ClusterId _cluster;
     MemoryParams _params;
     DramModule _dram;
 
-    std::deque<Pending> _queue;
-    /** Requests past the link, awaiting their completion event. Slot
-     * indices keep the scheduled callback captures small (and inline);
-     * completions may be out of order under mat conflicts, so freed
-     * slots recycle through a free list. */
-    std::vector<Pending> _inflight;
-    std::vector<std::size_t> _freeSlots;
+    /** Every request, queued or past the link, in one slot from
+     * access() to finish(). Slot indices keep the scheduled callback
+     * captures small (and inline); completions may be out of order
+     * under mat conflicts, so freed slots recycle through a free list.
+     * The slots only grow at the back, so none moves, and the slots,
+     * the free list and the queue only grow to the peak number of
+     * requests: a steady stream never allocates. */
+    std::deque<Request> _slots;
+    std::vector<std::uint32_t> _freeSlots;
+    /** Slots of the requests waiting for the link, oldest first. */
+    noc::RingFifo<std::uint32_t> _queue;
     bool _busy = false;
     /** Link serialization time of one cache line. */
     sim::Tick _lineTicks;

@@ -5,71 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "xbar/broadcast_bus.hh"
-
-// This binary counts its heap allocations, so a test can check that a
-// steady stream of broadcasts never reaches the allocator. Every
-// non-aligned form is replaced, so each block is allocated and released
-// through the malloc/free pair (ASan checks the pairing).
-
-namespace {
-
-std::atomic<std::size_t> allocations{0};
-
-void *
-countedAlloc(std::size_t bytes) noexcept
-{
-    allocations.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(bytes == 0 ? 1 : bytes);
-}
-
-void *
-countedNew(std::size_t bytes)
-{
-    if (void *block = countedAlloc(bytes))
-        return block;
-    throw std::bad_alloc();
-}
-
-} // namespace
-
-void *operator new(std::size_t bytes) { return countedNew(bytes); }
-void *operator new[](std::size_t bytes) { return countedNew(bytes); }
-void *
-operator new(std::size_t bytes, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(bytes);
-}
-void *
-operator new[](std::size_t bytes, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(bytes);
-}
-void operator delete(void *block) noexcept { std::free(block); }
-void operator delete[](void *block) noexcept { std::free(block); }
-void operator delete(void *block, std::size_t) noexcept { std::free(block); }
-void operator delete[](void *block, std::size_t) noexcept
-{
-    std::free(block);
-}
-void
-operator delete(void *block, const std::nothrow_t &) noexcept
-{
-    std::free(block);
-}
-void
-operator delete[](void *block, const std::nothrow_t &) noexcept
-{
-    std::free(block);
-}
 
 namespace {
 
@@ -176,12 +118,12 @@ TEST(BroadcastBus, SteadyBroadcastsDoNotAllocate)
     // Each delivery event captures an in-flight slot, not the message,
     // so it fits the kernel's inline capture: 100 broadcasts, 6,400
     // deliveries, allocate less than once per broadcast.
-    const std::size_t before = allocations.load();
+    const std::size_t before = test::allocations.load();
     for (std::uint64_t i = 0; i < 100; ++i)
         bus.broadcast(invalidate(static_cast<topology::ClusterId>(i % 64),
                                  i));
     eq.run();
-    EXPECT_LT(allocations.load() - before, 100u);
+    EXPECT_LT(test::allocations.load() - before, 100u);
     EXPECT_EQ(delivered, 101u * 64);
     EXPECT_EQ(bus.broadcastsSent(), 101u);
 }

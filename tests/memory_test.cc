@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "memory/dram.hh"
 #include "memory/ecm.hh"
 #include "memory/memory_controller.hh"
@@ -411,6 +414,96 @@ TEST_F(McFixture, QueueDepthObserved)
     eq_.run();
     EXPECT_GE(mc.peakQueueDepth(), 8u);
     EXPECT_GT(mc.serviceTime().mean(), 20000.0);
+}
+
+TEST_F(McFixture, SteadyRequestsDoNotAllocate)
+{
+    MemoryController mc(eq_, 7, memory::ecmParams());
+    std::uint64_t next = 0;
+    int done = 0;
+    // Eight requests at once: the link queues seven behind the first.
+    const auto burst = [&] {
+        for (int i = 0; i < 8; ++i, ++next) {
+            mc.access(request(MsgKind::ReadReq, 1, next),
+                      static_cast<topology::Addr>(next) * 64,
+                      [&done](const Message &) { ++done; });
+        }
+        eq_.run();
+    };
+    // The first burst sizes the controller's request slots and queue
+    // and the event kernel's pool.
+    burst();
+    EXPECT_EQ(mc.peakQueueDepth(), 7u);
+    const std::size_t before = test::allocations.load();
+    for (int round = 0; round < 100; ++round)
+        burst();
+    EXPECT_EQ(test::allocations.load() - before, 0u);
+    EXPECT_EQ(done, 808);
+    EXPECT_EQ(mc.accesses(), 808u);
+    EXPECT_EQ(mc.peakQueueDepth(), 7u);
+    EXPECT_EQ(mc.queueDepth(), 0u);
+}
+
+TEST_F(McFixture, CompletionMayIssueMoreRequests)
+{
+    // Each completion issues two more requests until 40 are issued: the
+    // slot it frees is taken again and the slots grow while the
+    // completion runs.
+    MemoryController mc(eq_, 7, memory::ocmParams());
+    std::uint64_t issued = 0;
+    std::vector<std::uint64_t> completed;
+    std::function<void(const Message &)> on_done;
+    const auto issue = [&] {
+        mc.access(request(MsgKind::ReadReq, 1, issued),
+                  static_cast<topology::Addr>(issued) * 64,
+                  [&on_done](const Message &resp) { on_done(resp); });
+        ++issued;
+    };
+    on_done = [&](const Message &resp) {
+        EXPECT_EQ(resp.kind, MsgKind::ReadResp);
+        completed.push_back(resp.tag);
+        for (int k = 0; k < 2 && issued < 40; ++k)
+            issue();
+    };
+    issue();
+    eq_.run();
+    ASSERT_EQ(completed.size(), 40u);
+    EXPECT_EQ(std::set<std::uint64_t>(completed.begin(), completed.end())
+                  .size(),
+              40u)
+        << "every request completes exactly once";
+    EXPECT_EQ(mc.accesses(), 40u);
+    EXPECT_EQ(mc.queueDepth(), 0u);
+}
+
+TEST_F(McFixture, ResetDestroysEachQueuedAndInFlightCallbackOnce)
+{
+    MemoryController mc(eq_, 7, memory::ecmParams());
+    const auto token = std::make_shared<int>(0);
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        mc.access(request(MsgKind::ReadReq, 1, i),
+                  static_cast<topology::Addr>(i) * 64,
+                  [token](const Message &) { ++*token; });
+    }
+    // One ECM line takes 4267 ticks on the link: by 10 ns three
+    // requests are past it, in flight, and three still queue.
+    eq_.run(10000);
+    EXPECT_EQ(mc.queueDepth(), 3u);
+    EXPECT_EQ(token.use_count(), 7);
+    mc.reset();
+    eq_.reset();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 0) << "reset destroys completions without running them";
+    EXPECT_EQ(mc.queueDepth(), 0u);
+    EXPECT_EQ(mc.peakQueueDepth(), 0u);
+
+    // The reset controller serves new requests only.
+    mc.access(request(MsgKind::ReadReq, 1, 9), 0,
+              [token](const Message &) { ++*token; });
+    eq_.run();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(mc.accesses(), 1u);
 }
 
 TEST_F(McFixture, NonMemoryRequestPanics)
