@@ -7,10 +7,9 @@
  * is OOM-killed takes down only its own shard). Each worker is one
  * expansion of a shell command template run with CORONA_SHARD and
  * CORONA_CHECKPOINT exported. corona-run is the worker that honours
- * this contract; both launchers (corona-launch, corona-explore
- * --confirm) start the corona-run beside them by default
- * (localWorkerCommand), and a --cmd template may wrap it (ssh, a
- * crash injector). The launcher watches each shard's checkpoint file
+ * this contract; corona-launch starts the corona-run beside it by
+ * default (localWorkerCommand), and a --cmd template may wrap it (ssh,
+ * a crash injector). The launcher watches each shard's checkpoint file
  * for progress, re-launches crashed or failed shards with exponential
  * backoff, and excludes a shard as poisoned once its retry cap is
  * exhausted.

@@ -105,8 +105,7 @@ ProgressReporter::completed(const RunRecord &record)
     if (!record.ok)
         line << " FAILED: " << record.error;
     line << " in " << formatSeconds(record.wall_seconds);
-    // Host-side simulator throughput (the model executor executes no
-    // kernel events and reports none).
+    // Host-side simulator throughput.
     _events += record.metrics.events_executed;
     if (record.metrics.events_executed > 0 &&
         record.metrics.host_seconds > 0.0) {

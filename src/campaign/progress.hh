@@ -61,8 +61,7 @@ class ProgressReporter
     std::size_t _done = 0;     ///< Executed this session.
     std::size_t _failed = 0;
     int _width = 1; ///< Digits in _total, for aligned counters.
-    /** Kernel events executed this session (host throughput; only the
-     * event-simulator executor reports them). */
+    /** Kernel events executed this session (host throughput). */
     std::uint64_t _events = 0;
     std::chrono::steady_clock::time_point _start;
 };

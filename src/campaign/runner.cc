@@ -79,22 +79,18 @@ simulatePlan(const RunPlan &plan, core::SystemPool *pool,
 }
 
 /**
- * Execute @p plan with @p execute, or simulate it when that is empty.
- * A run that throws — in either path — becomes a failed record with
- * the plan's identity fields and zeroed metrics.
+ * Simulate @p plan, timing it. A run that throws becomes a failed
+ * record with the plan's identity fields and zeroed metrics.
  */
 RunRecord
-executePlanWith(const RunPlan &plan,
-                const std::function<RunRecord(const RunPlan &)> &execute,
-                core::SystemPool *pool, WorkloadCache *workloads,
-                const obs::RunObservability *obs, double *lease_seconds)
+executePlanWith(const RunPlan &plan, core::SystemPool *pool,
+                WorkloadCache *workloads, const obs::RunObservability *obs,
+                double *lease_seconds)
 {
     const auto start = std::chrono::steady_clock::now();
     RunRecord record;
     try {
-        record = execute ? execute(plan)
-                         : simulatePlan(plan, pool, workloads, obs,
-                                        lease_seconds);
+        record = simulatePlan(plan, pool, workloads, obs, lease_seconds);
     } catch (const std::exception &e) {
         record = recordFor(plan);
         record.ok = false;
@@ -111,13 +107,13 @@ executePlanWith(const RunPlan &plan,
 RunRecord
 executePlan(const RunPlan &plan)
 {
-    return executePlanWith(plan, {}, nullptr, nullptr, nullptr, nullptr);
+    return executePlanWith(plan, nullptr, nullptr, nullptr, nullptr);
 }
 
 RunRecord
 executePlan(const RunPlan &plan, core::SystemPool &pool)
 {
-    return executePlanWith(plan, {}, &pool, nullptr, nullptr, nullptr);
+    return executePlanWith(plan, &pool, nullptr, nullptr, nullptr);
 }
 
 CampaignRunner::CampaignRunner(RunnerOptions options)
@@ -233,11 +229,7 @@ CampaignRunner::run(const CampaignSpec &spec,
     // campaign's entire record list) flush before any worker starts.
     flushReady();
 
-    // Observability and workload pooling apply only on the
-    // event-simulator path: a custom executor owns its own execution
-    // (and the scenario layer rejects [observability] for the model).
-    const bool observe =
-        !_options.execute && _options.observability.enabled();
+    const bool observe = _options.observability.enabled();
     // The campaign rollup: every executed cell's end-of-run registry
     // capture, grouped by config. Workers append under a mutex; the
     // file write at the end sorts, so the bytes are thread-count
@@ -253,7 +245,7 @@ CampaignRunner::run(const CampaignSpec &spec,
         // perturb results regardless of which worker runs which cell.
         core::SystemPool pool;
         WorkloadCache workloads;
-        const bool pooled = !_options.execute && _options.reuse_systems;
+        const bool pooled = _options.reuse_systems;
         std::uint64_t cells = 0;
         while (true) {
             const std::size_t at =
@@ -279,7 +271,7 @@ CampaignRunner::run(const CampaignSpec &spec,
             }
             double lease_seconds = 0.0;
             RunRecord record = executePlanWith(
-                plans[idx], _options.execute, pooled ? &pool : nullptr,
+                plans[idx], pooled ? &pool : nullptr,
                 pooled ? &workloads : nullptr,
                 observe ? &run_obs : nullptr, &lease_seconds);
             ++cells;

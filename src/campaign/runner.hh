@@ -15,7 +15,6 @@
 #define CORONA_CAMPAIGN_RUNNER_HH
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "campaign/progress.hh"
@@ -77,12 +76,6 @@ struct RunnerOptions
     /** Slice of the grid this process executes (default: all of it).
      * Sinks observe only this shard's records. */
     ShardSpec shard{};
-    /** Executes one plan. Defaults to the event simulator
-     * (executePlan); the analytical model plugs in here
-     * (model::planExecutor), so the same CampaignSpec grid runs
-     * either way — sinks, sharding, checkpointing and resume are
-     * executor-agnostic. Must be thread-safe. */
-    std::function<RunRecord(const RunPlan &)> execute{};
     /** Reuse simulation contexts and workload instances across a
      * worker's runs: each worker thread keeps a SystemPool plus a
      * WorkloadCache and leases reset instances per cell instead of
@@ -90,14 +83,12 @@ struct RunnerOptions
      * model) every time. Results and sink bytes are bit-identical
      * either way (a reset context/workload is observationally a fresh
      * one — locked in by tests); off is the fresh-context reference
-     * the pooled-parity tests compare against, and a bisection aid.
-     * Ignored when a custom executor is installed. */
+     * the pooled-parity tests compare against, and a bisection aid. */
     bool reuse_systems = true;
     /** Per-run observability: registry time-series sampling, event
-     * tracing, end-of-run snapshots (all off by default). Applied only
-     * on the event-simulator path (the scenario layer rejects it for
-     * the model executor). Sink and checkpoint bytes are unaffected —
-     * observability writes its own files. */
+     * tracing, end-of-run snapshots (all off by default). Sink and
+     * checkpoint bytes are unaffected — observability writes its own
+     * files. */
     obs::CampaignObsOptions observability{};
     /** Optional host-profiling heartbeat stream (not owned): campaign
      * begin/end, per-cell timings and throughput, per-worker lease

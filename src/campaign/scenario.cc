@@ -1,6 +1,7 @@
 #include "campaign/scenario.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "campaign/scenario_format.hh"
@@ -369,27 +370,25 @@ parseScenario(std::string_view text)
 
     if (const ScenarioSection *execution = doc.find("execution")) {
         checkUniqueKeys(*execution,
-                        {"threads", "sim_threads", "checkpoint",
-                         "executor", "calibration", "csv", "jsonl",
-                         "summary", "progress", "reuse_systems"});
+                        {"threads", "sim_threads", "checkpoint", "csv",
+                         "jsonl", "summary", "progress",
+                         "reuse_systems"});
         for (const ScenarioEntry &entry : execution->entries) {
             if (entry.key == "threads") {
                 spec.execution.threads =
                     static_cast<std::size_t>(entryUnsigned(entry));
             } else if (entry.key == "sim_threads") {
+                constexpr unsigned most =
+                    std::numeric_limits<unsigned>::max();
+                const std::uint64_t shards = entryUnsigned(entry);
+                if (shards > most)
+                    badEntry(entry, "sim_threads " + entry.value +
+                                        " exceeds the maximum " +
+                                        std::to_string(most));
                 spec.execution.sim_threads =
-                    static_cast<unsigned>(entryUnsigned(entry));
+                    static_cast<unsigned>(shards);
             } else if (entry.key == "checkpoint") {
                 spec.execution.checkpoint = entry.value;
-            } else if (entry.key == "executor") {
-                if (entry.value != "simulate" &&
-                    entry.value != "model")
-                    badEntry(entry, "executor is \"simulate\" or "
-                                    "\"model\", got \"" +
-                                        entry.value + "\"");
-                spec.execution.executor = entry.value;
-            } else if (entry.key == "calibration") {
-                spec.execution.calibration = entry.value;
             } else if (entry.key == "csv") {
                 spec.execution.csv = entry.value;
             } else if (entry.key == "jsonl") {
@@ -447,12 +446,6 @@ parseScenario(std::string_view text)
                 spec.observability.dir = entry.value;
             }
         }
-        if (spec.observability.enabled() &&
-            spec.execution.executor == "model")
-            badScenario(
-                "line " + std::to_string(observability->line) +
-                ": [observability] requires executor = simulate (the "
-                "analytical model has no event stream to observe)");
     }
 
     // Surface resolution errors (unknown workload/config/knob) at
@@ -531,10 +524,6 @@ serializeScenario(const ScenarioSpec &spec)
             std::to_string(exec.sim_threads));
     if (!exec.checkpoint.empty())
         add(execution, "checkpoint", exec.checkpoint);
-    if (exec.executor != "simulate")
-        add(execution, "executor", exec.executor);
-    if (!exec.calibration.empty())
-        add(execution, "calibration", exec.calibration);
     if (!exec.csv.empty())
         add(execution, "csv", exec.csv);
     if (!exec.jsonl.empty())

@@ -10,7 +10,7 @@
  * experiment can be parsed, fingerprinted, shipped to a remote
  * worker, and replayed byte-identically. resolve() lowers a scenario
  * to today's CampaignSpec; everything downstream (runner, sinks,
- * shard, checkpoint, model executor) is unchanged.
+ * shard, checkpoint) is unchanged.
  *
  * File schema (see README "Scenario files" for the full reference):
  *
@@ -36,7 +36,6 @@
  *     threads = 0
  *     sim_threads = 4              # conservative shards per simulation
  *     checkpoint = fig9.ckpt
- *     executor = simulate          # simulate | model
  *     reuse_systems = on           # pool simulation contexts per worker
  *     csv = fig9.csv
  *
@@ -104,10 +103,6 @@ struct ScenarioExecution
     ShardSpec shard{};
     /** Crash-tolerant checkpoint path; empty = none. */
     std::string checkpoint;
-    /** "simulate" (event simulator) or "model" (analytical). */
-    std::string executor = "simulate";
-    /** Residual-calibration CSV for the model executor. */
-    std::string calibration;
     /** Per-run CSV / JSON-lines and per-cell summary sink paths. */
     std::string csv, jsonl, summary;
     /** Progress/ETA reporting on stderr. */
@@ -119,9 +114,7 @@ struct ScenarioExecution
 };
 
 /** The [observability] section: per-run in-sim recording plus campaign
- * heartbeats (see src/obs). Every plane defaults off; an enabled
- * section requires executor = simulate (the analytical model has no
- * event stream to observe). */
+ * heartbeats (see src/obs). Every plane defaults off. */
 struct ScenarioObservability
 {
     /** Ticks between time-series samples; 0 = no sampler. */

@@ -11,8 +11,6 @@
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
 #include "corona/env.hh"
-#include "model/calibration.hh"
-#include "model/executor.hh"
 #include "sim/logging.hh"
 
 namespace corona::campaign {
@@ -142,30 +140,6 @@ ScenarioObsSetup::apply(const ScenarioObservability &observability,
     }
 }
 
-std::function<RunRecord(const RunPlan &)>
-scenarioExecutor(const ScenarioSpec &scenario)
-{
-    const ScenarioExecution &exec = scenario.execution;
-    if (exec.executor != "model") {
-        if (!exec.calibration.empty())
-            sim::fatal("scenario \"" + scenario.name +
-                       "\": calibration is only meaningful with "
-                       "executor = model");
-        return {};
-    }
-    model::Calibration calibration;
-    if (!exec.calibration.empty()) {
-        std::ifstream in(exec.calibration);
-        if (!in)
-            sim::fatal("scenario \"" + scenario.name +
-                       "\": cannot read calibration \"" +
-                       exec.calibration + "\"");
-        calibration = model::Calibration::load(in);
-    }
-    return model::planExecutor(model::AnalyticModel(),
-                               std::move(calibration));
-}
-
 ScenarioRunResult
 runScenario(const ScenarioSpec &scenario,
             const ScenarioRunOptions &options)
@@ -180,7 +154,6 @@ runScenario(const ScenarioSpec &scenario,
     runner_options.reuse_systems = exec.reuse_systems;
     if (!options.quiet && exec.progress)
         runner_options.progress = &progress;
-    runner_options.execute = scenarioExecutor(scenario);
 
     ScenarioObsSetup obs_setup;
     obs_setup.apply(scenario.observability, scenario.name,

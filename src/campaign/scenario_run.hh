@@ -2,8 +2,7 @@
  * @file
  * The unified scenario front end: everything needed to execute a
  * ScenarioSpec — sink wiring, checkpoint session, shard selection,
- * executor choice (event simulator or analytical model), progress —
- * driven entirely by the scenario's [execution] section.
+ * progress — driven entirely by the scenario's [execution] section.
  *
  * runScenario runs a scenario exactly as written; it reads no
  * environment variable. The one exception to "the file is the whole
@@ -15,7 +14,6 @@
 #define CORONA_CAMPAIGN_SCENARIO_RUN_HH
 
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,18 +42,6 @@ struct ScenarioRunOptions
  * or empty variable, and on CORONA_SHARD with no checkpoint to write.
  */
 void applyWorkerEnvironment(ScenarioSpec &scenario);
-
-/**
- * The run executor the scenario's [execution] section requests: an
- * empty function for executor = simulate (the runner's built-in
- * event-simulator path), or model::planExecutor with the calibration
- * file loaded for executor = model. Fatal when the calibration file
- * is unreadable or set without executor = model. Exposed so hosts
- * that drive a CampaignRunner directly (corona-launch's --verify
- * reference run) honour the same setting as runScenario.
- */
-std::function<RunRecord(const RunPlan &)>
-scenarioExecutor(const ScenarioSpec &scenario);
 
 /**
  * Observability wiring of runScenario, exposed so other hosts of a
@@ -101,8 +87,7 @@ struct ScenarioRunResult
 /**
  * Resolve and execute @p scenario to completion, exactly as written:
  * open the scenario's sinks and checkpoint (fatal on any unwritable
- * path), pick the executor (simulate, or model with optional residual
- * calibration), run the campaign — resuming from the checkpoint when
+ * path), simulate the campaign — resuming from the checkpoint when
  * one exists — and verify every sink flushed cleanly.
  */
 ScenarioRunResult runScenario(const ScenarioSpec &scenario,

@@ -48,8 +48,8 @@ std::string formatShortestDouble(double value);
 std::string csvEscape(const std::string &cell);
 
 /** Split one RFC-4180 CSV row into fields (the inverse of csvEscape
- * per field); nullopt on bad quoting. Shared by the checkpoint
- * reader, the calibration store, and the explorer's frontier CSV. */
+ * per field); nullopt on bad quoting. Used by the checkpoint and run
+ * CSV readers. */
 std::optional<std::vector<std::string>>
 splitCsvRow(const std::string &line);
 

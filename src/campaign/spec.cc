@@ -1,5 +1,7 @@
 #include "campaign/spec.hh"
 
+#include <limits>
+#include <string>
 #include <unordered_set>
 
 #include "sim/logging.hh"
@@ -28,6 +30,25 @@ checkUniqueLabels(const std::string &campaign, const char *axis,
                        "or checkpoint rows and merged results would "
                        "alias");
     }
+}
+
+/** A run issues warmup_requests + requests misses, counted in 64
+ * bits: a sum that wraps would end the run before measuring began. */
+void
+checkBudget(const CampaignSpec &spec, const ParamsOverride &override_spec,
+            const core::SimParams &params)
+{
+    if (params.warmup_requests <=
+        std::numeric_limits<std::uint64_t>::max() - params.requests)
+        return;
+    sim::fatal("campaign \"" + spec.name + "\"" +
+               (override_spec.label.empty()
+                    ? std::string()
+                    : ", override \"" + override_spec.label + "\"") +
+               ": warmup_requests " +
+               std::to_string(params.warmup_requests) + " plus requests " +
+               std::to_string(params.requests) +
+               " overflows the 64-bit run budget");
 }
 
 } // namespace
@@ -133,6 +154,7 @@ expand(const CampaignSpec &spec)
                     plan.params = spec.base;
                     if (overrides[o].apply)
                         overrides[o].apply(plan.params);
+                    checkBudget(spec, overrides[o], plan.params);
                     if (spec.seed_policy == SeedPolicy::Derived) {
                         plan.params.seed = deriveRunSeed(
                             spec.campaign_seed, seeds[s], plan.index);

@@ -125,8 +125,8 @@ struct RunRecord
 };
 
 /** An empty record for @p plan: its grid index, axis indices and
- * labels, and seed, with default metrics. Every executor starts its
- * result from this. */
+ * labels, and seed, with default metrics. A run's result starts from
+ * this. */
 RunRecord recordFor(const RunPlan &plan);
 
 /**

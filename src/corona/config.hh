@@ -73,9 +73,8 @@ struct SystemConfig
     xbar::ChannelParams xbar_channel;
     mesh::MeshParams mesh; ///< Populated for mesh networks.
 
-    /** Multiplier on every controller's off-stack bandwidth (the
-     * design-space explorer's "memory channels per controller" axis;
-     * 1.0 reproduces the paper's Table 4 rates). */
+    /** Multiplier on every controller's off-stack bandwidth (1.0
+     * reproduces the paper's Table 4 rates). */
     double memory_bandwidth_scale = 1.0;
 
     /** Injection front end. MissStream replays workload records as L2

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded-execution planning (ROADMAP item 3).
+ * Sharded-execution planning (ROADMAP item 2).
  *
  * Decides whether a run may use the conservative parallel executor
  * and, when it may, how the model partitions: one entity per cluster

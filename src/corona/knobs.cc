@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -58,6 +59,17 @@ knobPositive(const char *what, const std::string &key,
         badValue(what, key, value,
                  "a strictly positive decimal integer");
     return *parsed;
+}
+
+/** @p parsed, the value of knob @p key, checked to fit the
+ * std::uint32_t field the knob sets. */
+std::uint32_t
+knobUint32(const char *what, const std::string &key,
+           const std::string &value, std::uint64_t parsed)
+{
+    if (parsed > std::numeric_limits<std::uint32_t>::max())
+        badValue(what, key, value, "a value of at most 4294967295");
+    return static_cast<std::uint32_t>(parsed);
 }
 
 double
@@ -279,8 +291,8 @@ applyConfigKnob(SystemConfig &config, const std::string &key,
         config.memory_bandwidth_scale =
             knobPositiveDouble(what, key, value);
     else if (key == "bytes_per_clock")
-        config.xbar_channel.bytes_per_clock =
-            static_cast<std::uint32_t>(knobPositive(what, key, value));
+        config.xbar_channel.bytes_per_clock = knobUint32(
+            what, key, value, knobPositive(what, key, value));
     else if (key == "sink_buffer_depth")
         config.xbar_channel.sink_buffer_depth =
             knobPositive(what, key, value);
@@ -301,20 +313,20 @@ applyConfigKnob(SystemConfig &config, const std::string &key,
             badValue(what, key, value, "miss-stream or coherent");
     }
     else if (key == "l1_kib")
-        config.l1_kib =
-            static_cast<std::uint32_t>(knobUnsigned(what, key, value));
+        config.l1_kib = knobUint32(what, key, value,
+                                   knobUnsigned(what, key, value));
     else if (key == "l1_assoc")
-        config.l1_assoc =
-            static_cast<std::uint32_t>(knobPositive(what, key, value));
+        config.l1_assoc = knobUint32(what, key, value,
+                                     knobPositive(what, key, value));
     else if (key == "l2_kib")
-        config.l2_kib =
-            static_cast<std::uint32_t>(knobUnsigned(what, key, value));
+        config.l2_kib = knobUint32(what, key, value,
+                                   knobUnsigned(what, key, value));
     else if (key == "l2_assoc")
-        config.l2_assoc =
-            static_cast<std::uint32_t>(knobPositive(what, key, value));
+        config.l2_assoc = knobUint32(what, key, value,
+                                     knobPositive(what, key, value));
     else if (key == "cache_line")
-        config.cache_line =
-            static_cast<std::uint32_t>(knobPositive(what, key, value));
+        config.cache_line = knobUint32(what, key, value,
+                                       knobPositive(what, key, value));
     else if (key == "write_policy") {
         if (value == "writeback")
             config.write_through = false;

@@ -11,16 +11,6 @@
 
 namespace corona::model {
 
-std::string
-to_string(TokenScheme scheme)
-{
-    switch (scheme) {
-      case TokenScheme::Channel: return "channel";
-      case TokenScheme::Slot: return "slot";
-    }
-    return "unknown";
-}
-
 double
 DesignPoint::channelBytesPerClock() const
 {
@@ -42,21 +32,6 @@ DesignPoint::memoryControllerBandwidth() const
     const double base =
         memory == core::MemoryKind::OCM ? 160e9 : 15e9;
     return base * static_cast<double>(memory_channels);
-}
-
-std::string
-DesignPoint::label() const
-{
-    std::ostringstream os;
-    os << core::to_string(network) << "/" << core::to_string(memory)
-       << " c" << clusters;
-    if (network == core::NetworkKind::XBar)
-        os << " g" << channel_waveguides << " l"
-           << wavelengths_per_guide << " tok="
-           << to_string(token_scheme);
-    if (memory_channels != 1)
-        os << " m" << memory_channels;
-    return os.str();
 }
 
 DesignPoint
@@ -95,31 +70,6 @@ fromConfig(const core::SystemConfig &config, const std::string &workload)
     return point;
 }
 
-core::SystemConfig
-toConfig(const DesignPoint &point)
-{
-    core::SystemConfig config =
-        core::makeConfig(point.network, point.memory);
-    config.clusters = point.clusters;
-    config.threads_per_cluster = point.threads_per_cluster;
-    config.thread_window = point.thread_window;
-    config.memory_bandwidth_scale =
-        static_cast<double>(point.memory_channels);
-    if (point.network == core::NetworkKind::XBar) {
-        const double bpc = point.channelBytesPerClock();
-        if (bpc < 1.0 || bpc != std::floor(bpc))
-            sim::fatal("toConfig: channel width " +
-                       std::to_string(bpc) +
-                       " B/clock is not a whole byte count");
-        config.xbar_channel.bytes_per_clock =
-            static_cast<std::uint32_t>(bpc);
-        config.xbar_channel.token_node_pause =
-            point.token_scheme == TokenScheme::Slot ? 200 : 0;
-    }
-    config.label = point.label();
-    return config;
-}
-
 AnalyticModel::AnalyticModel(const ModelParams &params) : _params(params)
 {
 }
@@ -136,8 +86,7 @@ serialization(double bytes, double bytes_per_clock, double clock_hz)
 } // namespace
 
 Prediction
-AnalyticModel::evaluate(const DesignPoint &point,
-                        double photonic_power_w) const
+AnalyticModel::evaluate(const DesignPoint &point) const
 {
     const TrafficDescriptor &d = descriptorFor(
         point.workload, point.clusters, point.threads_per_cluster);
@@ -364,17 +313,13 @@ AnalyticModel::evaluate(const DesignPoint &point,
     const double miss_rate = bw / line;
     switch (point.network) {
       case core::NetworkKind::XBar: {
-        if (photonic_power_w >= 0.0) {
-            out.network_power_w = photonic_power_w;
-        } else {
-            // Scale the paper's 26 W continuous figure with the
-            // number of powered wavelength instances.
-            const double instances = static_cast<double>(
-                point.clusters * point.channel_waveguides *
-                point.wavelengths_per_guide);
-            out.network_power_w =
-                p.xbar_power_w * instances / (64.0 * 4.0 * 64.0);
-        }
+        // Scale the paper's 26 W continuous figure with the number of
+        // powered wavelength instances.
+        const double instances = static_cast<double>(
+            point.clusters * point.channel_waveguides *
+            point.wavelengths_per_guide);
+        out.network_power_w =
+            p.xbar_power_w * instances / (64.0 * 4.0 * 64.0);
         break;
       }
       case core::NetworkKind::HMesh:

@@ -30,8 +30,9 @@
  *    + trimming + modulation do not scale down with traffic); mesh
  *    power is 196 pJ per transaction-hop, dynamic only.
  *
- * Residual error against the simulator (ramp effects, MSHR
- * coalescing, torn-epoch bursts) is absorbed by model::Calibration.
+ * No campaign runs this model: every campaign cell is simulated. It
+ * gives the closed forms that the simulator's per-stage latencies are
+ * to be compared with (ROADMAP item 3).
  */
 
 #ifndef CORONA_MODEL_ANALYTIC_HH
@@ -52,10 +53,8 @@ enum class TokenScheme
     Slot,    ///< Prior art: the token stops one clock at every node.
 };
 
-std::string to_string(TokenScheme scheme);
-
-/** One point of the design space: everything the closed-form model
- * (and, via toConfig(), the simulator) needs to evaluate a system. */
+/** One system the closed-form model evaluates: its fabric, memory
+ * and sizes, and the workload driving it. */
 struct DesignPoint
 {
     core::NetworkKind network = core::NetworkKind::XBar;
@@ -85,10 +84,6 @@ struct DesignPoint
     double channelBandwidthBytesPerSecond() const;
     /** Per-controller off-stack bandwidth, bytes per second. */
     double memoryControllerBandwidth() const;
-
-    /** Compact unique label, e.g. "XBar/OCM c64 g4 l64 tok=channel m1
-     * FFT" — used for config labels when points are simulated. */
-    std::string label() const;
 };
 
 /** Map one of the simulator's SystemConfigs onto the model's design
@@ -98,11 +93,6 @@ struct DesignPoint
  * size_t. */
 DesignPoint fromConfig(const core::SystemConfig &config,
                        const std::string &workload);
-
-/** Build the simulator configuration realising @p point, with
- * SystemConfig::label set to the point's label so campaign axes and
- * checkpoint fingerprints stay unambiguous. */
-core::SystemConfig toConfig(const DesignPoint &point);
 
 /** What the closed-form model predicts for one design point. */
 struct Prediction
@@ -138,8 +128,7 @@ struct ModelParams
     double local_hop_seconds = 200e-12; ///< Hub traversal.
     /** Fixed-point iterations for the closed-loop solve. */
     std::size_t iterations = 48;
-    /** Crossbar continuous power at paper scale, watts (Figure 11);
-     * overridden by a Feasibility assessment when one is supplied. */
+    /** Crossbar continuous power at paper scale, watts (Figure 11). */
     double xbar_power_w = 26.0;
     /** Mesh dynamic energy per transaction-hop, joules (Figure 11). */
     double mesh_energy_per_hop_j = 196e-12;
@@ -154,13 +143,8 @@ class AnalyticModel
   public:
     explicit AnalyticModel(const ModelParams &params = {});
 
-    /**
-     * Evaluate @p point. @p photonic_power_w, when non-negative,
-     * replaces the paper-constant crossbar power (the feasibility
-     * layer computes it bottom-up for off-nominal widths).
-     */
-    Prediction evaluate(const DesignPoint &point,
-                        double photonic_power_w = -1.0) const;
+    /** Evaluate @p point. */
+    Prediction evaluate(const DesignPoint &point) const;
 
     const ModelParams &params() const { return _params; }
 

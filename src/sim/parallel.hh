@@ -1,6 +1,6 @@
 /**
  * @file
- * Conservative parallel discrete-event execution (ROADMAP item 3).
+ * Conservative parallel discrete-event execution (ROADMAP item 2).
  *
  * A ShardedExecutor runs one simulation as K event queues (shards)
  * advancing in lockstep windows. The window size is the model's

@@ -111,6 +111,43 @@ TEST(CampaignSpec, RejectsDegenerateGrids)
     EXPECT_THROW(campaign::expand(null_factory), sim::FatalError);
 }
 
+TEST(CampaignSpec, RejectsARunBudgetThatOverflows)
+{
+    // warmup_requests + requests must fit 64 bits, or the run would
+    // stop before its measurement starts.
+    auto spec = smallSpec(2000);
+    spec.overrides = {
+        {"base", nullptr},
+        {"huge",
+         [](core::SimParams &p) {
+             p.warmup_requests = 18446744073709550616ull;
+         }},
+    };
+    try {
+        campaign::expand(spec);
+        ADD_FAILURE() << "an overflowing budget expanded";
+    } catch (const sim::FatalError &e) {
+        const std::string what = e.what();
+        for (const char *part : {"campaign \"test\"", "override \"huge\"",
+                                 "warmup_requests 18446744073709550616",
+                                 "requests 2000"})
+            EXPECT_NE(what.find(part), std::string::npos) << what;
+    }
+    // The runner expands first, so no cell runs and no sink hears of
+    // the campaign.
+    campaign::MemorySink sink;
+    campaign::CampaignRunner runner;
+    runner.addSink(sink);
+    EXPECT_THROW(runner.run(spec), sim::FatalError);
+    EXPECT_TRUE(sink.records().empty());
+
+    // The largest budget that fits is accepted.
+    spec.overrides[1].apply = [](core::SimParams &p) {
+        p.warmup_requests = 18446744073709549615ull; // 2^64 - 1 - 2000
+    };
+    EXPECT_EQ(campaign::expand(spec).size(), 8u);
+}
+
 TEST(CampaignSpec, DerivedSeedsAreSplitmixOfCampaignSeedAndIndex)
 {
     auto spec = smallSpec();
@@ -248,35 +285,6 @@ TEST(CampaignRunner, FailedRunsAreIsolatedAndRecorded)
         }
     }
     EXPECT_EQ(failed, 2u);
-}
-
-TEST(CampaignRunner, ThrowingCustomExecutorFailsItsRunsOnly)
-{
-    // A custom executor is held to the same contract as the built-in
-    // simulator: a throw becomes a failed record, not an abort.
-    campaign::CampaignSpec spec = smallSpec(200);
-    spec.workloads.resize(1);
-    for (const std::size_t threads : {2u, 1u}) {
-        SCOPED_TRACE(threads);
-        campaign::RunnerOptions options;
-        options.threads = threads;
-        options.execute =
-            [](const campaign::RunPlan &) -> campaign::RunRecord {
-            throw std::runtime_error("executor exploded");
-        };
-        campaign::CampaignRunner runner(options);
-        const auto records = runner.run(spec);
-        ASSERT_EQ(records.size(), 2u);
-        for (std::size_t i = 0; i < records.size(); ++i) {
-            EXPECT_FALSE(records[i].ok);
-            EXPECT_EQ(records[i].error, "executor exploded");
-            EXPECT_EQ(records[i].index, i);
-            EXPECT_EQ(records[i].config_index, i);
-            EXPECT_EQ(records[i].workload, "Uniform");
-            EXPECT_EQ(records[i].metrics.config, records[i].config);
-            EXPECT_EQ(records[i].metrics.requests_issued, 0u);
-        }
-    }
 }
 
 TEST(CampaignRunner, SinkExceptionsPropagateInsteadOfTerminating)

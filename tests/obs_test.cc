@@ -754,12 +754,6 @@ TEST(ScenarioObservability, ParsesSerializesAndValidates)
     const campaign::ScenarioSpec reparsed =
         campaign::parseScenario(serialized);
     EXPECT_EQ(campaign::serializeScenario(reparsed), serialized);
-
-    // The model executor has no event stream to observe.
-    EXPECT_THROW(
-        campaign::parseScenario(text + "[execution]\n"
-                                       "executor = model\n"),
-        sim::FatalError);
 }
 
 TEST(ScenarioObservability, DefaultsStayDisabledAndUnserialized)

@@ -248,6 +248,18 @@ withLine(const std::string &match, const std::string &replacement)
     return out.str();
 }
 
+/** The fatal parseScenario(@p text) raises, or "" when it parses. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        campaign::parseScenario(text);
+    } catch (const sim::FatalError &e) {
+        return e.what();
+    }
+    return {};
+}
+
 TEST(Scenario, RejectsUnknownSectionsKeysAndBadValues)
 {
     // Baseline sanity: the template itself parses.
@@ -286,9 +298,24 @@ TEST(Scenario, RejectsUnknownSectionsKeysAndBadValues)
     EXPECT_THROW(campaign::parseScenario(
                      withLine("threads =", "shard = 1/2")),
                  sim::FatalError);
-    EXPECT_THROW(campaign::parseScenario(
-                     withLine("threads =", "executor = magic")),
-                 sim::FatalError);
+    // The analytical model is not an executor: every cell simulates.
+    for (const char *gone :
+         {"executor = magic", "executor = model", "calibration = f.csv"}) {
+        const std::string error = parseError(withLine("threads =", gone));
+        EXPECT_NE(error.find("line 21: unknown key"), std::string::npos)
+            << gone << ": " << error;
+    }
+    // A count that does not fit its field is fatal, not truncated.
+    for (const char *huge :
+         {"sim_threads = 4294967296", "sim_threads = 4294967297"}) {
+        const std::string error = parseError(withLine("threads =", huge));
+        EXPECT_NE(error.find("line 21: sim_threads"), std::string::npos)
+            << huge << ": " << error;
+    }
+    EXPECT_EQ(campaign::parseScenario(
+                  withLine("threads =", "sim_threads = 4294967295"))
+                  .execution.sim_threads,
+              4294967295u);
     // Duplicate scalar key within a section.
     EXPECT_THROW(campaign::parseScenario(
                      withLine("name =", "name = a\nname = b")),
@@ -332,6 +359,18 @@ TEST(Scenario, RejectsUnknownRegistryNamesAndKnobsAtParseTime)
                      "workload = Uniform",
                      "workload = Uniform clusters=65")), // not square
                  sim::FatalError);
+    // A knob value that does not fit its 32-bit field is fatal, not
+    // truncated (4294967360 would wrap to 64).
+    for (const char *knob : {"bytes_per_clock", "l1_kib", "l1_assoc",
+                             "l2_kib", "l2_assoc", "cache_line"}) {
+        const std::string config =
+            std::string("config = XBar/OCM ") + knob + "=4294967360";
+        const std::string error =
+            parseError(withLine("config = XBar/OCM", config));
+        EXPECT_NE(error.find(std::string("knob ") + knob),
+                  std::string::npos)
+            << config << ": " << error;
+    }
 }
 
 TEST(Scenario, RejectsDuplicateAxisEntriesAtParseTime)
@@ -637,22 +676,6 @@ TEST(ScenarioRun, OutOfRangeBandwidthFailsTheRun)
         << result.records[0].error;
 }
 
-TEST(ScenarioRun, ScenarioExecutorFollowsTheExecutionSection)
-{
-    campaign::ScenarioSpec scenario;
-    scenario.workloads = {"Uniform"};
-    scenario.configs = {"XBar/OCM"};
-    // simulate = the runner's built-in path (empty executor).
-    EXPECT_FALSE(static_cast<bool>(campaign::scenarioExecutor(scenario)));
-    scenario.execution.executor = "model";
-    EXPECT_TRUE(static_cast<bool>(campaign::scenarioExecutor(scenario)));
-    // Calibration without the model executor is a contradiction.
-    scenario.execution.executor = "simulate";
-    scenario.execution.calibration = "/nonexistent.csv";
-    EXPECT_THROW(campaign::scenarioExecutor(scenario),
-                 sim::FatalError);
-}
-
 TEST(ScenarioRun, MalformedEnvOverrideIsFatal)
 {
     campaign::ScenarioSpec scenario;
@@ -674,16 +697,6 @@ TEST(ScenarioRun, MalformedEnvOverrideIsFatal)
             << e.what();
     }
     unsetenv("CORONA_SHARD");
-}
-
-TEST(ScenarioRun, RejectsCalibrationWithoutModelExecutor)
-{
-    campaign::ScenarioSpec scenario;
-    scenario.workloads = {"Uniform"};
-    scenario.configs = {"XBar/OCM"};
-    scenario.execution.calibration = "/nonexistent.csv";
-    EXPECT_THROW(campaign::runScenario(scenario, {.quiet = true}),
-                 sim::FatalError);
 }
 
 // ------------------------------------------------------ core::env

@@ -32,7 +32,6 @@
 #include "campaign/obs_rollup.hh"
 #include "campaign/runner.hh"
 #include "campaign/scenario.hh"
-#include "campaign/scenario_run.hh"
 #include "campaign/sink.hh"
 #include "corona/env.hh"
 #include "corona/simulation.hh"
@@ -444,10 +443,7 @@ launchMain(const CliOptions &options)
     if (options.verify) {
         std::cerr << "corona-launch: verifying against an un-sharded "
                      "in-process run...\n";
-        campaign::RunnerOptions reference_options;
-        reference_options.execute =
-            campaign::scenarioExecutor(scenario);
-        campaign::CampaignRunner reference(reference_options);
+        campaign::CampaignRunner reference;
         campaign::MemorySink memory;
         reference.addSink(memory);
         reference.run(spec);

@@ -5,10 +5,10 @@
  * The unified front end for declaratively described experiments: a
  * scenario file names the workload / configuration / override axes
  * (resolved through the workload and config registries), the seeding
- * discipline, and the execution settings (threads, checkpoint, sinks,
- * simulate-vs-model executor), so the same text file runs on a
- * laptop, a launcher-spawned worker, or a remote host and produces
- * byte-identical sink and checkpoint output.
+ * discipline, and the execution settings (threads, checkpoint,
+ * sinks), so the same text file runs on a laptop, a launcher-spawned
+ * worker, or a remote host and produces byte-identical sink and
+ * checkpoint output.
  *
  * The file is the whole description of the run. The one exception is
  * the launcher's worker contract: CORONA_SHARD ("i/N") and
@@ -118,8 +118,7 @@ main(int argc, char **argv)
                               : spec.overrides.size())
                       << " override(s) = " << spec.totalRuns()
                       << " runs at " << scenario.requests
-                      << " requests (executor "
-                      << scenario.execution.executor << ")\n";
+                      << " requests\n";
             return 0;
         }
 
