@@ -12,7 +12,6 @@ cmake -B build -S . "$@"
 cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure -j"${JOBS}"
 scripts/launch_smoke.sh build
-scripts/explore_smoke.sh build
 scripts/scenario_smoke.sh build
 scripts/obs_smoke.sh build
 scripts/coherence_smoke.sh build
