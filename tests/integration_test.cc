@@ -2,19 +2,13 @@
  * @file
  * End-to-end integration tests: full NetworkSimulation runs across the
  * five paper configurations, asserting the qualitative shape of the
- * paper's results (Section 5) at reduced request counts, and that two
- * independently seeded replicates of the paper grid agree per cell.
+ * paper's results (Section 5) at reduced request counts.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <iostream>
 #include <map>
-#include <string>
-#include <vector>
 
-#include "campaign/runner.hh"
 #include "corona/simulation.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
@@ -170,83 +164,6 @@ TEST(Integration, BurstyWorkloadBenefitsFromCrossbarLatency)
     auto xbar = runOn(NetworkKind::XBar, MemoryKind::OCM,
                       workload::makeSplash("LU"), quick(4000));
     EXPECT_LT(xbar.avg_latency_ns, hmesh.avg_latency_ns);
-}
-
-/** The fig9 grid (15 Table-3 workloads x 5 paper configs) at 4,000
- * requests after 800 warm-up, seeded per cell from @p campaign_seed. */
-campaign::CampaignSpec
-paperGrid(std::uint64_t campaign_seed)
-{
-    campaign::CampaignSpec spec;
-    spec.name = "fig9-replicate";
-    spec.workloads = {
-        {"Uniform", true, workload::makeUniform},
-        {"Hot Spot", true, workload::makeHotSpot},
-        {"Tornado", true, workload::makeTornado},
-        {"Transpose", true, workload::makeTranspose},
-    };
-    for (const auto &params : workload::splashSuite()) {
-        spec.workloads.push_back(
-            {params.name, false, [name = params.name] {
-                 return workload::makeSplash(name);
-             }});
-    }
-    spec.configs = core::paperConfigs();
-    spec.base.requests = 4000;
-    spec.base.warmup_requests = 800;
-    spec.campaign_seed = campaign_seed;
-    spec.seed_policy = campaign::SeedPolicy::Derived;
-    return spec;
-}
-
-TEST(Integration, ReplicatesAgreePerCell)
-{
-    // Two derived-seed replicates of the paper grid must agree on every
-    // cell: achieved bandwidth within 15%, mean latency within 30%. At
-    // this budget the widest gaps are about 11% and 12%.
-    const auto a = campaign::CampaignRunner().run(paperGrid(11));
-    const auto b = campaign::CampaignRunner().run(paperGrid(12));
-    ASSERT_EQ(a.size(), 75u);
-    ASSERT_EQ(b.size(), 75u);
-
-    double worst_bw_gap = 0.0;
-    double worst_lat_gap = 0.0;
-    std::string worst_bw_cell;
-    std::string worst_lat_cell;
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        ASSERT_TRUE(a[i].ok) << a[i].error;
-        ASSERT_TRUE(b[i].ok) << b[i].error;
-        ASSERT_EQ(a[i].workload, b[i].workload);
-        ASSERT_EQ(a[i].config, b[i].config);
-        const std::string cell = b[i].workload + " on " + b[i].config;
-
-        const double bw_a = a[i].metrics.achieved_bytes_per_second;
-        const double bw_b = b[i].metrics.achieved_bytes_per_second;
-        ASSERT_GT(bw_b, 0.0) << cell;
-        const double bw_gap = std::abs(bw_a - bw_b) / bw_b;
-        EXPECT_LE(bw_gap, 0.15) << cell << ": " << bw_a / 1e12
-                                << " TB/s against " << bw_b / 1e12
-                                << " TB/s";
-        if (bw_gap > worst_bw_gap) {
-            worst_bw_gap = bw_gap;
-            worst_bw_cell = cell;
-        }
-
-        const double lat_a = a[i].metrics.avg_latency_ns;
-        const double lat_b = b[i].metrics.avg_latency_ns;
-        ASSERT_GT(lat_b, 0.0) << cell;
-        const double lat_gap = std::abs(lat_a - lat_b) / lat_b;
-        EXPECT_LE(lat_gap, 0.30)
-            << cell << ": " << lat_a << " ns against " << lat_b << " ns";
-        if (lat_gap > worst_lat_gap) {
-            worst_lat_gap = lat_gap;
-            worst_lat_cell = cell;
-        }
-    }
-    std::cerr << "replicate agreement: worst bandwidth gap "
-              << worst_bw_gap * 100.0 << "% (" << worst_bw_cell
-              << "), worst latency gap " << worst_lat_gap * 100.0
-              << "% (" << worst_lat_cell << ")\n";
 }
 
 TEST(Integration, IdealNetworkUpperBounds)
