@@ -27,20 +27,22 @@ ShardedExecutor::ShardedExecutor(std::vector<std::uint32_t> entity_shard,
     _queues.reserve(shards);
     for (std::size_t k = 0; k < shards; ++k)
         _queues.push_back(std::make_unique<EventQueue>());
-    _staged.resize(shards);
-    _seq.assign(_entityShard.size(), 0);
+    _lanes.resize(2 * shards * shards);
+    _earliest.resize(shards);
+    _keyBuffers.resize(shards);
 }
 
 void
-ShardedExecutor::post(std::size_t src, std::size_t dst, Tick when,
-                      Callback cb)
+ShardedExecutor::badEntity()
 {
-    if (src >= _entityShard.size() || dst >= _entityShard.size())
-        throw std::out_of_range("ShardedExecutor::post: bad entity");
-    _staged[_entityShard[src]].push_back(
-        StagedItem{when, static_cast<std::uint32_t>(src),
-                   static_cast<std::uint32_t>(dst), _seq[src]++,
-                   std::move(cb)});
+    throw std::out_of_range("ShardedExecutor::post: bad entity");
+}
+
+void
+ShardedExecutor::belowHorizon()
+{
+    panic("ShardedExecutor: staged event below the lookahead horizon "
+          "(cross-shard latency shorter than the declared lookahead)");
 }
 
 void
@@ -63,46 +65,48 @@ ShardedExecutor::clearTickHook()
 }
 
 void
-ShardedExecutor::importStaged()
+ShardedExecutor::importStaged(std::size_t shard)
 {
-    _merge.clear();
-    for (std::vector<StagedItem> &buffer : _staged) {
-        for (StagedItem &item : buffer)
-            _merge.push_back(std::move(item));
-        buffer.clear();
+    const std::size_t gen = _gen ^ 1;
+    std::vector<Key> &keys = _keyBuffers[shard].keys;
+    keys.clear();
+    for (std::size_t from = 0; from < _queues.size(); ++from) {
+        const std::vector<Staged> &items = lane(gen, from, shard);
+        for (std::size_t pos = 0; pos < items.size(); ++pos)
+            keys.push_back(Key{items[pos].when, items[pos].src,
+                               static_cast<std::uint32_t>(pos)});
     }
-    if (_merge.empty())
+    if (keys.empty())
         return;
-    // (when, src, seq) is a total order — seq is unique per source —
-    // so the merged schedule is independent of shard count and of
-    // which thread staged first.
-    std::sort(_merge.begin(), _merge.end(),
-              [](const StagedItem &a, const StagedItem &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.src != b.src)
-                      return a.src < b.src;
-                  return a.seq < b.seq;
-              });
-    for (StagedItem &item : _merge) {
-        if (item.when < _windowEnd)
-            panic("ShardedExecutor: staged event below the lookahead "
-                  "horizon (cross-shard latency shorter than the "
-                  "declared lookahead)");
-        _queues[_entityShard[item.dst]]->schedule(item.when,
-                                                  std::move(item.cb));
+    // (when, src, pos) is a total order, and for one source it is
+    // post order, so this queue's schedule() sequence is independent
+    // of the shard count and of which thread staged first.
+    std::sort(keys.begin(), keys.end(), [](const Key &a, const Key &b) {
+        if (a.when != b.when)
+            return a.when < b.when;
+        if (a.src != b.src)
+            return a.src < b.src;
+        return a.pos < b.pos;
+    });
+    EventQueue &queue = *_queues[shard];
+    for (const Key &key : keys) {
+        Staged &item = lane(gen, _entityShard[key.src], shard)[key.pos];
+        queue.schedule(key.when, std::move(item.cb));
     }
-    _merge.clear();
+    for (std::size_t from = 0; from < _queues.size(); ++from)
+        lane(gen, from, shard).clear();
 }
 
 void
 ShardedExecutor::barrierPhase()
 {
-    importStaged();
-
     Tick next = maxTick;
     for (const auto &queue : _queues)
         next = std::min(next, queue->nextTick());
+    for (Earliest &earliest : _earliest) {
+        next = std::min(next, earliest.tick);
+        earliest.tick = maxTick;
+    }
 
     if (next == maxTick) {
         _done = true;
@@ -118,6 +122,7 @@ ShardedExecutor::barrierPhase()
     if (_hookPeriod != 0 && end > _nextHook + 1)
         end = _nextHook + 1;
     _windowEnd = end;
+    _gen ^= 1;
 }
 
 Tick
@@ -125,6 +130,13 @@ ShardedExecutor::run()
 {
     if (_running)
         panic("ShardedExecutor::run: reentered");
+    // Cleared on every exit, also when an event throws, so a reset()
+    // executor runs again.
+    struct Running
+    {
+        bool &flag;
+        ~Running() { flag = false; }
+    } running{_running};
     _running = true;
     _done = false;
 
@@ -135,8 +147,10 @@ ShardedExecutor::run()
 
     if (_forceSerial || _queues.size() == 1) {
         while (!_done) {
-            for (auto &queue : _queues)
-                queue->run(_windowEnd - 1);
+            for (std::size_t shard = 0; shard < _queues.size(); ++shard) {
+                importStaged(shard);
+                _queues[shard]->run(_windowEnd - 1);
+            }
             barrierPhase();
         }
     } else {
@@ -144,6 +158,7 @@ ShardedExecutor::run()
                           [this]() noexcept { barrierPhase(); });
         auto loop = [this, &sync](std::size_t shard) {
             while (!_done) {
+                importStaged(shard);
                 _queues[shard]->run(_windowEnd - 1);
                 sync.arrive_and_wait();
             }
@@ -156,7 +171,6 @@ ShardedExecutor::run()
         for (std::thread &t : threads)
             t.join();
     }
-    _running = false;
     return now();
 }
 
@@ -176,8 +190,8 @@ ShardedExecutor::empty() const
         if (!queue->empty())
             return false;
     }
-    for (const auto &buffer : _staged) {
-        if (!buffer.empty())
+    for (const Lane &lane : _lanes) {
+        if (!lane.items.empty())
             return false;
     }
     return true;
@@ -191,8 +205,8 @@ ShardedExecutor::pristine() const
             queue->executed() != 0)
             return false;
     }
-    for (const auto &buffer : _staged) {
-        if (!buffer.empty())
+    for (const Lane &lane : _lanes) {
+        if (!lane.items.empty())
             return false;
     }
     return true;
@@ -212,9 +226,11 @@ ShardedExecutor::reset()
 {
     for (auto &queue : _queues)
         queue->reset();
-    for (auto &buffer : _staged)
-        buffer.clear();
-    std::fill(_seq.begin(), _seq.end(), 0);
+    for (Lane &lane : _lanes)
+        lane.items.clear();
+    for (Earliest &earliest : _earliest)
+        earliest.tick = maxTick;
+    _gen = 0;
     _windowEnd = 0;
     _done = false;
 }

@@ -9,12 +9,18 @@
  * bounds how far one shard can run without observing another. Each
  * window:
  *
- *   1. T = the earliest pending tick across every shard;
- *   2. every shard drains its own queue through [T, T + L) in
- *      parallel, one thread per shard;
- *   3. at the barrier, cross-shard events staged during the window
- *      are merged into their destination queues in canonical
- *      (tick, source entity, per-source sequence) order.
+ *   1. at the barrier, T = the earliest pending tick across every
+ *      shard's queue and every staged post, and the window is
+ *      [T, T + L) (cut short at the next tick hook);
+ *   2. every shard, on its own thread, imports the posts staged for
+ *      it during the previous window into its queue, in canonical
+ *      (tick, source entity, per-source sequence) order;
+ *   3. every shard drains its queue through the window end; posts it
+ *      makes are staged per (source shard, destination shard).
+ *
+ * Posts alternate between two staging generations by window, so a
+ * shard's window writes only the generation no shard is importing,
+ * and no buffer is written by one thread while another reads it.
  *
  * Determinism discipline. The model is partitioned into *entities*
  * (per-cluster hub + memory controller + driver lane + home channel;
@@ -22,7 +28,7 @@
  * post() — never by direct call — and every posted latency is >= L,
  * so a staged event always lands at or beyond the next barrier. State
  * is entity-private, so same-tick events of different entities
- * commute, and the canonical merge order makes every queue's bucket
+ * commute, and the canonical import order makes every queue's bucket
  * FIFO a pure function of the model — not of the shard count or of
  * thread scheduling. Output bytes are therefore bit-identical at any
  * K, which the parallel_smoke.sh / parallel_test parity gates enforce
@@ -32,10 +38,13 @@
 #ifndef CORONA_SIM_PARALLEL_HH
 #define CORONA_SIM_PARALLEL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -91,13 +100,25 @@ class ShardedExecutor
     }
 
     /**
-     * Stage a cross-entity event: @p cb runs at absolute tick @p when
-     * on @p dst's shard, merged at the next barrier in (when, src,
-     * sequence) order. Must be invoked from @p src's shard (i.e. from
-     * an event executing on it), and @p when must be at least a full
-     * lookahead past the posting event's tick.
+     * Stage a cross-entity event: @p fn runs at absolute tick @p when
+     * on @p dst's shard, imported after the next barrier in (when,
+     * src, sequence) order. Must be invoked from @p src's shard (i.e.
+     * from an event executing on it), and @p when must lie at or past
+     * the current window's end, which a full lookahead past the
+     * posting event's tick always does. The callable is built in its
+     * staging slot: a temporary is moved once, an lvalue copied once.
      */
-    void post(std::size_t src, std::size_t dst, Tick when, Callback cb);
+    template <typename F,
+              typename = std::enable_if_t<Callback::holds<F>>>
+    void
+    post(std::size_t src, std::size_t dst, Tick when, F &&fn)
+    {
+        const auto [from, to] = admit(src, dst, when);
+        lane(_gen, from, to).emplace_back(
+            when, static_cast<std::uint32_t>(src), std::forward<F>(fn));
+        Tick &earliest = _earliest[from].tick;
+        earliest = std::min(earliest, when);
+    }
 
     /**
      * Invoke @p hook at every multiple of @p period (starting at
@@ -139,33 +160,95 @@ class ShardedExecutor
     void reset();
 
   private:
-    struct StagedItem
+    /** A posted event waiting for its destination shard's import. */
+    struct Staged
     {
+        template <typename F>
+        Staged(Tick at, std::uint32_t from, F &&fn)
+            : when(at), src(from), cb(std::forward<F>(fn))
+        {
+        }
+
         Tick when;
         std::uint32_t src;
-        std::uint32_t dst;
-        std::uint64_t seq;
         Callback cb;
     };
 
-    /** Compute the next window (or set _done); merge staged items;
-     * fire due tick hooks. Runs with all shards quiescent. */
+    /** The posts of one (generation, source shard, destination shard),
+     * in post order, on its own cache line: its source shard appends
+     * during one window and its destination shard drains it during
+     * the next. */
+    struct alignas(64) Lane
+    {
+        std::vector<Staged> items;
+    };
+
+    /** One source shard's earliest staged tick since the last barrier
+     * (maxTick when none), on its own cache line. */
+    struct alignas(64) Earliest
+    {
+        Tick tick = maxTick;
+    };
+
+    /** The import's sort key: a staged post's tick, its source entity
+     * and its position in its lane. Every post of one source entity to
+     * one shard in one window sits in one lane, in post order, so the
+     * position stands for the per-source sequence. */
+    struct Key
+    {
+        Tick when;
+        std::uint32_t src;
+        std::uint32_t pos;
+    };
+
+    /** One destination shard's sort keys, kept across windows, on
+     * its own cache lines. */
+    struct alignas(64) KeyBuffer
+    {
+        std::vector<Key> keys;
+    };
+
+    /** Check a post's entities and tick; @return its (source shard,
+     * destination shard). */
+    std::pair<std::size_t, std::size_t>
+    admit(std::size_t src, std::size_t dst, Tick when) const
+    {
+        if (src >= _entityShard.size() || dst >= _entityShard.size())
+            badEntity();
+        if (when < _windowEnd)
+            belowHorizon();
+        return {_entityShard[src], _entityShard[dst]};
+    }
+
+    [[noreturn]] static void badEntity();
+    [[noreturn]] static void belowHorizon();
+
+    std::vector<Staged> &
+    lane(std::size_t gen, std::size_t from, std::size_t to)
+    {
+        return _lanes[(gen * _queues.size() + from) * _queues.size() + to]
+            .items;
+    }
+
+    /** Compute the next window (or set _done), fire due tick hooks and
+     * flip the staging generation. Runs with all shards quiescent. */
     void barrierPhase();
 
-    /** Merge every staged item into its destination queue. */
-    void importStaged();
+    /** Move the posts staged for @p shard in the previous window into
+     * its queue, in canonical order. Runs on @p shard's thread. */
+    void importStaged(std::size_t shard);
 
     std::vector<std::uint32_t> _entityShard;
     Tick _lookahead;
     std::vector<std::unique_ptr<EventQueue>> _queues;
 
-    /** Per-source-shard staging buffers (single-writer during a
-     * window; drained at the barrier). */
-    std::vector<std::vector<StagedItem>> _staged;
-    /** Scratch for the canonical merge sort. */
-    std::vector<StagedItem> _merge;
-    /** Per-source-entity sequence numbers. */
-    std::vector<std::uint64_t> _seq;
+    /** Staging lanes, indexed (generation, source, destination). */
+    std::vector<Lane> _lanes;
+    std::vector<Earliest> _earliest;
+    std::vector<KeyBuffer> _keyBuffers;
+    /** The generation posts are staged into; the other one is the
+     * generation being imported. Flipped only in barrierPhase(). */
+    std::size_t _gen = 0;
 
     /** End of the current window: shards run through _windowEnd - 1.
      * Written only in barrierPhase() / before workers start. */

@@ -1,18 +1,24 @@
 /**
  * @file
- * Conservative parallel execution tests (ROADMAP item 3): the
+ * Conservative parallel execution tests (ROADMAP item 2): the
  * execution-planning helpers (lookahead, entity partition, serial
- * fallback), the ShardedExecutor's deterministic staged merge and
- * barrier tick hooks, and — the property everything else exists for —
- * full-system metric invariance across shard counts, fresh and
- * pooled, on both fabric families.
+ * fallback), the ShardedExecutor's deterministic staged import, its
+ * allocation-free steady state and barrier tick hooks, and — the
+ * property everything else exists for — full-system metric invariance
+ * across shard counts, fresh and pooled, on both fabric families.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <set>
+#include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
+
+#include "alloc_counter.hh"
 
 #include "corona/context.hh"
 #include "corona/exec_plan.hh"
@@ -20,6 +26,7 @@
 #include "sim/clock.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
+#include "sim/rng.hh"
 #include "topology/geometry.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
@@ -151,6 +158,16 @@ TEST(ShardedExecutor, PostValidatesEntities)
 constexpr std::size_t kEntities = 8;
 constexpr Tick kL = 10;
 
+/** kEntities entities in contiguous runs over @p shards shards. */
+std::vector<std::uint32_t>
+spread(std::size_t shards)
+{
+    std::vector<std::uint32_t> map(kEntities);
+    for (std::size_t e = 0; e < kEntities; ++e)
+        map[e] = static_cast<std::uint32_t>(e * shards / kEntities);
+    return map;
+}
+
 /** A token-passing ring over the executor: entity e logs each visit
  * tick, then forwards to (e+1) one lookahead later. Entity logs are
  * single-writer, so recording them from worker threads is safe. */
@@ -176,10 +193,7 @@ struct Ring
 std::vector<std::vector<Tick>>
 runRing(std::size_t shards, bool force_serial)
 {
-    std::vector<std::uint32_t> map(kEntities);
-    for (std::size_t e = 0; e < kEntities; ++e)
-        map[e] = static_cast<std::uint32_t>(e * shards / kEntities);
-    ShardedExecutor exec(map, shards, kL);
+    ShardedExecutor exec(spread(shards), shards, kL);
     exec.forceSerial(force_serial);
     Ring ring{exec};
     for (std::size_t e = 0; e < kEntities; ++e)
@@ -208,16 +222,93 @@ TEST(ShardedExecutor, ForcedSerialMatchesThreadedExecution)
     EXPECT_EQ(runRing(4, true), runRing(4, false));
 }
 
+/** One arrival at an entity: its tick, the posting entity and the
+ * poster's running post count (so the order of one source's posts to
+ * one tick is visible too). */
+using Arrival = std::tuple<Tick, std::size_t, std::uint64_t>;
+
+/** A seeded random post pattern: every arrival at entity e logs
+ * itself, then, while e's budget lasts, posts one or two events to
+ * random entities at latencies drawn from [L, 4L]. Log, RNG and budget
+ * are entity-private, so the logs are shard-count invariant exactly
+ * when every destination imports in canonical order. */
+struct Scatter
+{
+    static constexpr std::uint64_t budget = 120;
+
+    ShardedExecutor &exec;
+    std::vector<std::vector<Arrival>> log =
+        std::vector<std::vector<Arrival>>(kEntities);
+    std::vector<std::uint64_t> posted =
+        std::vector<std::uint64_t>(kEntities, 0);
+    std::vector<sim::Rng> rng = [] {
+        std::vector<sim::Rng> streams;
+        for (std::size_t e = 0; e < kEntities; ++e)
+            streams.emplace_back(sim::splitmix64(0x5ca77e5 + e));
+        return streams;
+    }();
+
+    void
+    arrive(std::size_t e, std::size_t from, std::uint64_t serial)
+    {
+        const Tick now = exec.queueFor(e).now();
+        log[e].emplace_back(now, from, serial);
+        const std::uint64_t fanout = 1 + rng[e].below(2);
+        for (std::uint64_t i = 0; i < fanout && posted[e] < budget;
+             ++i) {
+            const std::size_t dst = rng[e].below(kEntities);
+            const Tick when = now + kL + rng[e].below(3 * kL + 1);
+            const std::uint64_t n = posted[e]++;
+            exec.post(e, dst, when,
+                      [this, dst, e, n] { arrive(dst, e, n); });
+        }
+    }
+};
+
+std::vector<std::vector<Arrival>>
+runScatter(std::size_t shards, bool force_serial)
+{
+    ShardedExecutor exec(spread(shards), shards, kL);
+    exec.forceSerial(force_serial);
+    Scatter scatter{exec};
+    for (std::size_t e = 0; e < kEntities; ++e)
+        exec.queueFor(e).schedule(e % 3, [&scatter, e] {
+            scatter.arrive(e, kEntities, 0);
+        });
+    exec.run();
+    EXPECT_TRUE(exec.empty()) << shards << " shards";
+    EXPECT_EQ(exec.executed(), kEntities * (Scatter::budget + 1))
+        << shards << " shards";
+    return std::move(scatter.log);
+}
+
+TEST(ShardedExecutor, RandomPostPatternIsShardCountInvariant)
+{
+    const auto serial = runScatter(1, false);
+    // The pattern must exercise the canonical order: several sources
+    // reaching one destination at one tick.
+    std::size_t shared_ticks = 0;
+    for (const std::vector<Arrival> &arrivals : serial) {
+        std::map<Tick, std::set<std::size_t>> sources;
+        for (const auto &[tick, from, n] : arrivals)
+            sources[tick].insert(from);
+        for (const auto &[tick, from] : sources)
+            shared_ticks += from.size() > 1;
+    }
+    EXPECT_GT(shared_ticks, 10u);
+
+    for (const std::size_t shards : {2u, 3u, 8u})
+        EXPECT_EQ(runScatter(shards, false), serial) << shards << " shards";
+    EXPECT_EQ(runScatter(3, true), serial) << "forced serial";
+}
+
 TEST(ShardedExecutor, SameTickMergeIsCanonicallyOrdered)
 {
     // Every entity posts to entity 0 at one tick; the staged merge
     // must deliver them in source order regardless of which worker
     // thread staged first or how entities spread over shards.
     const auto converge = [](std::size_t shards) {
-        std::vector<std::uint32_t> map(kEntities);
-        for (std::size_t e = 0; e < kEntities; ++e)
-            map[e] = static_cast<std::uint32_t>(e * shards / kEntities);
-        ShardedExecutor exec(map, shards, kL);
+        ShardedExecutor exec(spread(shards), shards, kL);
         std::vector<std::size_t> order;
         for (std::size_t e = 0; e < kEntities; ++e)
             exec.queueFor(e).schedule(e, [&exec, &order, e] {
@@ -279,6 +370,80 @@ TEST(ShardedExecutor, ResetRestoresThePristineState)
     EXPECT_TRUE(exec.pristine());
     EXPECT_EQ(exec.executed(), 0u);
     EXPECT_EQ(exec.now(), 0u);
+}
+
+TEST(ShardedExecutor, ThrowingWindowLeavesItReusable)
+{
+    // A model fault on the serial path propagates out of run(); a
+    // pooled context then resets the executor and runs it again.
+    for (const std::uint32_t shards : {1u, 2u}) {
+        ShardedExecutor exec({0, shards - 1}, shards, kL);
+        exec.forceSerial(true);
+        exec.queueFor(0).schedule(0, [&exec] {
+            exec.post(0, 1, kL, [] {});
+            throw std::runtime_error("model fault");
+        });
+        EXPECT_THROW(exec.run(), std::runtime_error);
+        exec.reset();
+        EXPECT_TRUE(exec.pristine());
+
+        bool delivered = false;
+        exec.queueFor(0).schedule(0, [&exec, &delivered] {
+            exec.post(0, 1, kL, [&delivered] { delivered = true; });
+        });
+        EXPECT_NO_THROW(exec.run()) << shards << " shards";
+        EXPECT_TRUE(delivered);
+        EXPECT_TRUE(exec.empty());
+    }
+}
+
+/** Two tokens per entity circling for ever, until a stop tick: one to
+ * the next entity a lookahead later, one three entities on at twice
+ * that. Every window stages the same number of posts per lane. */
+struct Carousel
+{
+    ShardedExecutor &exec;
+    Tick stop;
+
+    void
+    arrive(std::size_t e, std::size_t stride)
+    {
+        const Tick now = exec.queueFor(e).now();
+        if (now >= stop)
+            return;
+        const std::size_t dst = (e + stride) % kEntities;
+        exec.post(e, dst, now + stride / 2 * kL + kL,
+                  [this, dst, stride] { arrive(dst, stride); });
+    }
+};
+
+TEST(ShardedExecutor, SteadyPostsDoNotAllocate)
+{
+    for (const std::size_t shards : {1u, 2u, 4u}) {
+        ShardedExecutor exec(spread(shards), shards, kL);
+        Carousel carousel{exec, 400 * kL};
+        for (std::size_t e = 0; e < kEntities; ++e) {
+            for (const std::size_t stride : {1u, 3u})
+                exec.queueFor(e).schedule(0, [&carousel, e, stride] {
+                    carousel.arrive(e, stride);
+                });
+        }
+        // Sample the allocation count at barriers, every ten windows.
+        std::vector<std::size_t> counts;
+        counts.reserve(64);
+        exec.setTickHook(10 * kL, [&counts](Tick) {
+            counts.push_back(test::allocations.load());
+        });
+        exec.run();
+        exec.clearTickHook();
+        EXPECT_TRUE(exec.empty());
+        ASSERT_GE(counts.size(), 30u);
+        // The first windows grow the staging lanes, the key buffers and
+        // the queues' node pools; after that, nothing may allocate.
+        for (std::size_t i = 2; i < counts.size(); ++i)
+            EXPECT_EQ(counts[i], counts[1])
+                << shards << " shards, sample " << i;
+    }
 }
 
 // ------------------------------------------- full-system invariance
