@@ -268,6 +268,7 @@ ScenarioSpec::resolve() const
             core::applySimParamsKnob(scratch, key, value);
         ParamsOverride override_spec;
         override_spec.label = expr.name;
+        checkBudget(spec, override_spec, scratch);
         if (!expr.knobs.empty()) {
             override_spec.apply = [knobs = expr.knobs](
                                       core::SimParams &params) {
@@ -277,6 +278,11 @@ ScenarioSpec::resolve() const
         }
         spec.overrides.push_back(std::move(override_spec));
     }
+
+    // With no override, every run uses the base parameters as they
+    // are (expand()'s one default override).
+    if (spec.overrides.empty())
+        checkBudget(spec, ParamsOverride{}, spec.base);
 
     // Reject duplicate axis entries now — "a scenario that parses is
     // a scenario that runs", so a collision must not wait for the

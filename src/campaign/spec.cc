@@ -32,8 +32,8 @@ checkUniqueLabels(const std::string &campaign, const char *axis,
     }
 }
 
-/** A run issues warmup_requests + requests misses, counted in 64
- * bits: a sum that wraps would end the run before measuring began. */
+} // namespace
+
 void
 checkBudget(const CampaignSpec &spec, const ParamsOverride &override_spec,
             const core::SimParams &params)
@@ -50,8 +50,6 @@ checkBudget(const CampaignSpec &spec, const ParamsOverride &override_spec,
                std::to_string(params.requests) +
                " overflows the 64-bit run budget");
 }
-
-} // namespace
 
 void
 validateAxisLabels(const CampaignSpec &spec)

@@ -146,6 +146,17 @@ std::uint64_t deriveRunSeed(std::uint64_t campaign_seed,
 void validateAxisLabels(const CampaignSpec &spec);
 
 /**
+ * Fatal when @p params (the base parameters with @p override_spec
+ * applied) issue a warmup_requests + requests that overflows 64 bits:
+ * the run would stop before its measurement starts. Called by expand()
+ * on every run, and by ScenarioSpec::resolve() so a scenario file is
+ * rejected at parse/--dry-run time.
+ */
+void checkBudget(const CampaignSpec &spec,
+                 const ParamsOverride &override_spec,
+                 const core::SimParams &params);
+
+/**
  * Flatten the grid into its ordered run list.
  *
  * Fatal if the spec has no workloads or no configs. Empty seed /

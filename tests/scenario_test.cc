@@ -373,6 +373,46 @@ TEST(Scenario, RejectsUnknownRegistryNamesAndKnobsAtParseTime)
     }
 }
 
+TEST(Scenario, RejectsAnOverflowingBudgetAtParseTime)
+{
+    // warmup_requests + requests must fit 64 bits. expand() refuses
+    // such a run, and so must the parse behind --print and --dry-run.
+    const std::string base =
+        "[scenario]\n"
+        "name = budget\n"
+        "requests = 2000\n"
+        "warmup_requests = 18446744073709550616\n"
+        "[workloads]\n"
+        "workload = Uniform\n"
+        "[configs]\n"
+        "config = XBar/OCM\n";
+    std::string error = parseError(base);
+    for (const char *part : {"campaign \"budget\"",
+                             "warmup_requests 18446744073709550616",
+                             "requests 2000", "overflows"})
+        EXPECT_NE(error.find(part), std::string::npos) << error;
+
+    // The same sum through an override (the template's requests are
+    // 1000, so one more than 2^64 - 1 - 1000 overflows).
+    error = parseError(withLine(
+        "override = cold",
+        "override = cold warmup_requests=18446744073709550616"));
+    for (const char *part : {"override \"cold\"",
+                             "warmup_requests 18446744073709550616",
+                             "requests 1000"})
+        EXPECT_NE(error.find(part), std::string::npos) << error;
+
+    // The largest budget that fits parses, in both forms.
+    EXPECT_EQ(parseError(withLine(
+                  "override = cold",
+                  "override = cold warmup_requests=18446744073709550615")),
+              "");
+    EXPECT_EQ(parseError(withLine("warmup_requests =",
+                                  "warmup_requests = "
+                                  "18446744073709550615")),
+              "");
+}
+
 TEST(Scenario, RejectsDuplicateAxisEntriesAtParseTime)
 {
     // Duplicates must not wait for the runner's expand(): a scenario
