@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <barrier>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -154,12 +155,31 @@ ShardedExecutor::run()
             barrierPhase();
         }
     } else {
+        // An event that throws must not leave its thread: each shard
+        // keeps its window's exception, still arrives at the barrier,
+        // and the completion step ends the run once any shard failed.
+        std::vector<std::exception_ptr> errors(_queues.size());
+        const auto failed = [&errors] {
+            return std::any_of(errors.begin(), errors.end(),
+                               [](const std::exception_ptr &e) {
+                                   return e != nullptr;
+                               });
+        };
         std::barrier sync(static_cast<std::ptrdiff_t>(_queues.size()),
-                          [this]() noexcept { barrierPhase(); });
-        auto loop = [this, &sync](std::size_t shard) {
+                          [this, &failed]() noexcept {
+                              if (failed())
+                                  _done = true;
+                              else
+                                  barrierPhase();
+                          });
+        auto loop = [this, &sync, &errors](std::size_t shard) {
             while (!_done) {
-                importStaged(shard);
-                _queues[shard]->run(_windowEnd - 1);
+                try {
+                    importStaged(shard);
+                    _queues[shard]->run(_windowEnd - 1);
+                } catch (...) {
+                    errors[shard] = std::current_exception();
+                }
                 sync.arrive_and_wait();
             }
         };
@@ -170,6 +190,12 @@ ShardedExecutor::run()
         loop(0);
         for (std::thread &t : threads)
             t.join();
+        // The lowest-numbered shard's fault: the one the serial path,
+        // which runs a window's shards in order, would report.
+        for (const std::exception_ptr &error : errors) {
+            if (error)
+                std::rethrow_exception(error);
+        }
     }
     return now();
 }

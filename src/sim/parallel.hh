@@ -135,7 +135,12 @@ class ShardedExecutor
      * Execute windows until every queue and staging buffer drains.
      * Spawns shards() - 1 worker threads (none when forceSerial(true)
      * or shards() == 1; the serial path executes the identical window
-     * schedule, so results cannot differ).
+     * schedule, so results cannot differ). An exception thrown by an
+     * event leaves run() on the calling thread: the serial path stops
+     * at once, the threaded one at the end of that window. When
+     * several shards throw in one window, the lowest-numbered shard's
+     * exception is rethrown, the one the serial path reports. reset()
+     * makes the executor usable again.
      *
      * @return The last executed tick across all shards.
      */

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -374,26 +376,61 @@ TEST(ShardedExecutor, ResetRestoresThePristineState)
 
 TEST(ShardedExecutor, ThrowingWindowLeavesItReusable)
 {
-    // A model fault on the serial path propagates out of run(); a
-    // pooled context then resets the executor and runs it again.
-    for (const std::uint32_t shards : {1u, 2u}) {
-        ShardedExecutor exec({0, shards - 1}, shards, kL);
-        exec.forceSerial(true);
-        exec.queueFor(0).schedule(0, [&exec] {
-            exec.post(0, 1, kL, [] {});
-            throw std::runtime_error("model fault");
-        });
-        EXPECT_THROW(exec.run(), std::runtime_error);
-        exec.reset();
-        EXPECT_TRUE(exec.pristine());
+    // A model fault propagates out of run() on the serial and the
+    // threaded path alike, and a pooled context then resets the
+    // executor and runs it again. A threaded run ends with the window
+    // the fault was thrown in and rethrows it on the calling thread;
+    // when several shards throw, the lowest-numbered shard's fault is
+    // reported, as on the serial path.
+    constexpr std::size_t last = kEntities - 1; // On the last shard.
+    const std::vector<std::vector<std::size_t>> throwers = {
+        {0}, {last}, {0, last}};
+    for (const std::size_t shards : {1u, 2u, 4u}) {
+        for (const bool serial : {true, false}) {
+            for (const std::vector<std::size_t> &faulty : throwers) {
+                ShardedExecutor exec(spread(shards), shards, kL);
+                exec.forceSerial(serial);
+                for (const std::size_t e : faulty) {
+                    exec.queueFor(e).schedule(0, [&exec, e] {
+                        exec.post(e, (e + 1) % kEntities, kL, [] {});
+                        throw std::runtime_error("fault on entity " +
+                                                 std::to_string(e));
+                    });
+                }
+                // Every shard has work in a later window, which the
+                // fault must cancel.
+                std::atomic<int> later{0};
+                for (std::size_t e = 0; e < kEntities; ++e)
+                    exec.queueFor(e).schedule(4 * kL, [&later] {
+                        ++later;
+                    });
+                const std::string label =
+                    std::to_string(shards) + " shards, " +
+                    (serial ? "serial" : "threaded") + ", first fault " +
+                    std::to_string(faulty.front());
+                try {
+                    exec.run();
+                    ADD_FAILURE() << label << ": the fault was lost";
+                } catch (const std::runtime_error &e) {
+                    EXPECT_EQ(std::string(e.what()),
+                              "fault on entity " +
+                                  std::to_string(faulty.front()))
+                        << label;
+                }
+                EXPECT_EQ(later.load(), 0) << label;
+                exec.reset();
+                EXPECT_TRUE(exec.pristine()) << label;
 
-        bool delivered = false;
-        exec.queueFor(0).schedule(0, [&exec, &delivered] {
-            exec.post(0, 1, kL, [&delivered] { delivered = true; });
-        });
-        EXPECT_NO_THROW(exec.run()) << shards << " shards";
-        EXPECT_TRUE(delivered);
-        EXPECT_TRUE(exec.empty());
+                bool delivered = false;
+                exec.queueFor(0).schedule(0, [&exec, &delivered] {
+                    exec.post(0, last, kL,
+                              [&delivered] { delivered = true; });
+                });
+                EXPECT_NO_THROW(exec.run()) << label;
+                EXPECT_TRUE(delivered) << label;
+                EXPECT_TRUE(exec.empty()) << label;
+            }
+        }
     }
 }
 
