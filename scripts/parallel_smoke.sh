@@ -2,9 +2,9 @@
 # Parallel-executor smoke test against the real corona-run binary: the
 # sharded engine's bit-identity contract, enforced on sink bytes.
 #
-#   1. Crossbar scenario: sim_threads = 2 and 4 produce CSV, JSONL and
-#      summary sink bytes identical to sim_threads = 1 (the serial
-#      windowed engine), across a multi-seed grid with pooled contexts.
+#   1. Crossbar scenario: sim_threads = 2 and 4 produce CSV and summary
+#      sink bytes identical to sim_threads = 1 (the serial windowed
+#      engine), across a multi-seed grid with pooled contexts.
 #   2. Mesh scenario: same gate on the electrical-mesh fabric (distinct
 #      lookahead and fabric-entity wiring).
 #   3. Fresh-context parity: reuse_systems = off at 4 shards matches
@@ -16,7 +16,7 @@
 #      runs with sim_threads = 4 anyway, bit-identical to serial — the
 #      fallback is silent and safe.
 #
-# Each run is a copy of its scenario with sim_threads and the three
+# Each run is a copy of its scenario with sim_threads and the two
 # sink paths written under [execution].
 #
 # Usage: scripts/parallel_smoke.sh [build-dir]   (default: build)
@@ -62,14 +62,14 @@ EOF
 
 run() { # $1 = scenario file; $2 = output stem; $3 = sim_threads
   local keys="sim_threads = $3\ncsv = ${DIR}/$2.csv"
-  keys+="\njsonl = ${DIR}/$2.jsonl\nsummary = ${DIR}/$2.summary.csv"
+  keys+="\nsummary = ${DIR}/$2.summary.csv"
   sed "s|^\[execution\]\$|[execution]\n${keys}|" "$1" > "${DIR}/$2.scenario"
   grep -qx "sim_threads = $3" "${DIR}/$2.scenario"
   CORONA_JOBS=1 "${BUILD}/corona-run" --quiet --no-table "${DIR}/$2.scenario"
 }
 
 expect_same() { # $1 = stem a; $2 = stem b; $3 = label
-  for ext in csv jsonl summary.csv; do
+  for ext in csv summary.csv; do
     cmp -s "${DIR}/$1.${ext}" "${DIR}/$2.${ext}" || {
       echo "parallel smoke: $3 — ${ext} sink bytes differ" >&2
       exit 1

@@ -1,21 +1,17 @@
 #!/usr/bin/env bash
-# Scenario smoke test against the real corona-run / corona-launch
+# Scenario smoke test against the real corona-run / corona-stats
 # binaries and the shipped scenario files:
 #
 #   1. Every shipped scenarios/*.scenario parses, and its canonical
 #      serialisation (corona-run --print) is a fixed point — printing
 #      the printed form reproduces it byte for byte.
 #   2. corona-run scenarios/smoke.scenario is deterministic: two runs
-#      of copies that name their own csv/jsonl sinks write
-#      byte-identical bytes.
-#   3. A sharded corona-run of the same scenario (CORONA_SHARD=1/2 +
-#      2/2 with per-shard checkpoints) merges + replays to the exact
-#      bytes of the un-sharded run.
-#   4. corona-launch --scenario distributes a copy that names its own
-#      csv over corona-run shard workers (which never open that path;
-#      the launcher's merge writes it), and --verify asserts merged
-#      sink bytes equal an un-sharded in-process run.
-#   5. corona-stats figures renders Figures 8-11 from the CSV of a
+#      of copies that name their own csv sink write byte-identical
+#      bytes.
+#   3. A run resumed from a checkpoint cut to 5 of its 24 rows plus a
+#      torn partial row writes the same CSV as an uninterrupted run,
+#      and leaves a complete checkpoint (header + 24 rows).
+#   4. corona-stats figures renders Figures 8-11 from the CSV of a
 #      reduced scenarios/fig9.scenario run (500 requests, 100
 #      warm-up), and refuses a copy torn mid-row with a fatal: line.
 #
@@ -56,47 +52,37 @@ with_execution() {
 
 # ---- 2. Deterministic bytes across independent runs.
 for run in a b; do
-  with_execution "${DIR}/${run}.scenario" \
-    "csv = ${DIR}/${run}.csv" "jsonl = ${DIR}/${run}.jsonl"
+  with_execution "${DIR}/${run}.scenario" "csv = ${DIR}/${run}.csv"
   "${BUILD}/corona-run" --quiet --no-table "${DIR}/${run}.scenario"
 done
 cmp -s "${DIR}/a.csv" "${DIR}/b.csv" || {
   echo "scenario smoke: CSV bytes differ across identical runs" >&2
   exit 1
 }
-cmp -s "${DIR}/a.jsonl" "${DIR}/b.jsonl" || {
-  echo "scenario smoke: JSONL bytes differ across identical runs" >&2
+
+# ---- 3. A crashed run resumes from its checkpoint: cut the finished
+# checkpoint to its header, 5 rows and a torn partial row, as a kill
+# mid-write leaves it, then run again. The resumed run replays the 5
+# rows, re-simulates the rest and writes the uninterrupted CSV.
+CKPT="${DIR}/r.ckpt"
+with_execution "${DIR}/r.scenario" \
+  "checkpoint = ${CKPT}" "csv = ${DIR}/r.csv"
+"${BUILD}/corona-run" --quiet --no-table "${DIR}/r.scenario"
+{ head -n 6 "${CKPT}"; sed -n 7p "${CKPT}" | head -c 30; } > "${DIR}/torn"
+mv "${DIR}/torn" "${CKPT}"
+"${BUILD}/corona-run" --quiet --no-table "${DIR}/r.scenario"
+cmp -s "${DIR}/a.csv" "${DIR}/r.csv" || {
+  echo "scenario smoke: resumed CSV differs from an uninterrupted run" >&2
+  exit 1
+}
+lines="$(wc -l < "${CKPT}")"
+[ "${lines}" -eq 25 ] || {
+  echo "scenario smoke: resumed checkpoint holds ${lines} lines," \
+       "expected 25 (header + 24 runs)" >&2
   exit 1
 }
 
-# ---- 3. Sharded + resumed runs reproduce the un-sharded bytes: two
-# shard processes checkpoint their halves, then an un-sharded run over
-# the concatenated checkpoint replays everything without re-simulating.
-CORONA_SHARD=1/2 CORONA_CHECKPOINT="${DIR}/s1.ckpt" \
-  "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
-CORONA_SHARD=2/2 CORONA_CHECKPOINT="${DIR}/s2.ckpt" \
-  "${BUILD}/corona-run" --quiet --no-table "${SCENARIO}"
-cat "${DIR}/s1.ckpt" "${DIR}/s2.ckpt" > "${DIR}/merged.ckpt"
-with_execution "${DIR}/c.scenario" \
-  "checkpoint = ${DIR}/merged.ckpt" "csv = ${DIR}/c.csv"
-"${BUILD}/corona-run" --quiet --no-table "${DIR}/c.scenario"
-cmp -s "${DIR}/a.csv" "${DIR}/c.csv" || {
-  echo "scenario smoke: sharded+merged CSV differs from un-sharded" >&2
-  exit 1
-}
-
-# ---- 4. The launcher distributes a scenario that names its own csv
-# to corona-run workers; --verify re-runs un-sharded in-process and
-# compares merged sink bytes.
-with_execution "${DIR}/launch.scenario" "csv = ${DIR}/launch.csv"
-"${BUILD}/corona-launch" --scenario "${DIR}/launch.scenario" \
-  --shards 2 --jobs 2 --dir "${DIR}/launch" --verify --quiet
-cmp -s "${DIR}/a.csv" "${DIR}/launch.csv" || {
-  echo "scenario smoke: launcher CSV differs from corona-run" >&2
-  exit 1
-}
-
-# ---- 5. The paper figures render from the run's own CSV.
+# ---- 4. The paper figures render from the run's own CSV.
 sed -e 's/^requests = .*/requests = 500/' \
     -e 's/^warmup_requests = .*/warmup_requests = 100/' \
     -e "s|^csv = .*|csv = ${DIR}/fig9.csv|" \
@@ -124,5 +110,4 @@ if [ "${status}" -ne 1 ] || ! grep -q "fatal:" "${DIR}/torn.err"; then
 fi
 
 echo "scenario smoke: OK (print fixed point, deterministic bytes," \
-     "shard/merge parity, corona-run worker launch verified, figures" \
-     "rendered)"
+     "checkpoint resume parity, figures rendered)"

@@ -130,7 +130,7 @@ SummarySink::end()
         *_os << header() << "\n";
     for (CellAccumulator &acc : _cells) {
         if (!acc.touched)
-            continue; // Another shard's cell.
+            continue; // No record reached this cell.
         for (std::size_t metric = 0; metric < kMetricCount; ++metric) {
             const stats::RunningStats &stats = acc.stats[metric];
             MetricSummary &summary = acc.cell.metrics[metric];

@@ -99,8 +99,7 @@ class SummarySink : public ResultSink
     void end() override;
 
     /** Cell rows in grid order (workload-major, config, override).
-     *  Populated by end(); cells with no records are omitted (a
-     *  sharded campaign sees only its slice). */
+     *  Populated by end(); cells with no records are omitted. */
     const std::vector<CellSummary> &summaries() const
     {
         return _summaries;

@@ -159,9 +159,9 @@ readCheckpoint(std::istream &is)
         data.total_runs = header->second;
     }
 
-    // Ordered so resume replay and concatenated shard files come back
-    // in ascending run index; later rows overwrite earlier ones (a
-    // failed run re-executed in a later session appends its ok row).
+    // Ordered so resume replay comes back in ascending run index;
+    // later rows overwrite earlier ones (a failed run re-executed in a
+    // later session appends its ok row).
     std::map<std::size_t, RunRecord> by_index;
     std::size_t line_number = 1;
     while (std::getline(is, line)) {
@@ -172,18 +172,6 @@ readCheckpoint(std::istream &is)
             break;
         if (line.empty())
             continue;
-        // Concatenated shard files carry interior headers: accept
-        // them when they name the same campaign, reject otherwise.
-        if (line.rfind(kMagic, 0) == 0) {
-            const auto header = parseHeaderLine(line);
-            if (!header || header->first != data.fingerprint ||
-                header->second != data.total_runs)
-                sim::fatal("checkpoint: header at line " +
-                           std::to_string(line_number) +
-                           " names a different campaign — refusing "
-                           "to merge");
-            continue;
-        }
         auto record = parseRecordRow(line);
         if (!record)
             sim::fatal("checkpoint: malformed row at line " +
@@ -255,35 +243,6 @@ loadCheckpoint(std::istream &is, const CampaignSpec &spec)
     return data.records;
 }
 
-std::vector<RunRecord>
-mergeCheckpointFiles(const std::vector<std::string> &paths,
-                     const CampaignSpec &spec)
-{
-    // Parse each shard file on its own (so a crashed shard's torn
-    // tail is dropped by its own reader instead of fusing with the
-    // next file's header), then merge last-wins by run index — the
-    // same result as concatenating intact files and loading once.
-    std::map<std::size_t, RunRecord> by_index;
-    for (const std::string &path : paths) {
-        std::ifstream stream(path);
-        if (!stream)
-            sim::fatal("checkpoint merge: cannot read \"" + path +
-                       "\"");
-        CheckpointData data = readCheckpoint(stream);
-        validateAgainstSpec(data, spec);
-        for (RunRecord &record : data.records) {
-            const std::size_t index = record.index;
-            by_index.insert_or_assign(index, std::move(record));
-        }
-    }
-    std::vector<RunRecord> merged;
-    merged.reserve(by_index.size());
-    for (auto &[index, record] : by_index)
-        merged.push_back(std::move(record));
-    reindexRecords(merged, spec);
-    return merged;
-}
-
 void
 rewriteCheckpoint(std::ostream &os, const CampaignSpec &spec,
                   const std::vector<RunRecord> &records)
@@ -308,9 +267,6 @@ CheckpointWriter::CheckpointWriter(
 void
 CheckpointWriter::begin(const CampaignSpec &spec, std::size_t)
 {
-    // The header records the full grid cardinality (not this shard's
-    // slice) so any shard's file validates against the whole spec and
-    // shard files concatenate into one resumable checkpoint.
     if (_write_header) {
         _os << headerLine(specFingerprint(spec), spec.totalRuns())
             << "\n";

@@ -7,8 +7,8 @@
  * cardinality), followed by one CsvSink-schema row per finished run,
  * flushed as it completes. Killing a campaign at any point leaves a
  * loadable file: a final line torn mid-write is ignored, and when the
- * same file accumulates several sessions (or several shards' files are
- * concatenated) the last row for a run index wins. Resuming feeds the
+ * same file accumulates several sessions the last row for a run index
+ * wins. Resuming feeds the
  * loaded records to CampaignRunner::run(spec, completed), which skips
  * finished cells, re-executes failed ones, and replays persisted
  * records into the sinks so final sink bytes match an uninterrupted
@@ -50,8 +50,9 @@ struct CheckpointData
 };
 
 /**
- * Parse a checkpoint stream. Fatal on a malformed header or row; a
- * final row not terminated by a newline (torn by a crash) is dropped.
+ * Parse a checkpoint stream. Fatal on a malformed header or row (a
+ * second header line is a malformed row), naming its line; a final
+ * row not terminated by a newline (torn by a crash) is dropped.
  */
 CheckpointData readCheckpoint(std::istream &is);
 
@@ -65,26 +66,10 @@ std::vector<RunRecord> loadCheckpoint(std::istream &is,
                                       const CampaignSpec &spec);
 
 /**
- * Load and merge several shards' checkpoint files for one campaign —
- * the launcher's merge entry point. Semantically identical to
- * concatenating the files (any order) and calling loadCheckpoint:
- * every file must name @p spec's fingerprint and grid cardinality
- * (fatal otherwise), later rows win per run index, and each file's
- * own torn final line is dropped. Parsing per file rather than from
- * literal concatenation means a crashed shard's torn tail cannot fuse
- * with the next file's header. Missing files are fatal; pass only the
- * paths that exist (a shard that never started has nothing to merge).
- */
-std::vector<RunRecord>
-mergeCheckpointFiles(const std::vector<std::string> &paths,
-                     const CampaignSpec &spec);
-
-/**
  * Write a complete checkpoint (header + one row per record) for
  * @p spec to @p os. Used to compact a checkpoint before appending to
  * it: re-serialising what loadCheckpoint returned sheds torn trailing
- * bytes, duplicate rows, and interior shard headers, so the appended
- * file stays loadable.
+ * bytes and duplicate rows, so the appended file stays loadable.
  */
 void rewriteCheckpoint(std::ostream &os, const CampaignSpec &spec,
                        const std::vector<RunRecord> &records);
@@ -122,8 +107,7 @@ class CheckpointWriter : public ResultSink
  * records a previous session left there (compacting torn trailing
  * bytes via rewrite-and-rename so appending stays safe), then expose a
  * CheckpointWriter positioned to append this session's fresh rows.
- * Shared by runScenario ($CORONA_CHECKPOINT or the scenario's
- * checkpoint key) and the shard launcher's workers.
+ * runScenario opens one for the scenario's checkpoint key.
  */
 class CheckpointFile
 {

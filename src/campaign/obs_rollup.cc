@@ -136,27 +136,6 @@ ObsRollup::addRun(const std::string &config, std::size_t run,
 }
 
 void
-ObsRollup::merge(const ObsRollup &other)
-{
-    for (const RollupGroup &theirs : other._groups) {
-        for (const RollupRow &row : theirs.rows)
-            addRun(theirs.config, row.run, row.tick, theirs.paths,
-                   row.values);
-        if (theirs.rows.empty() && !hasGroup(theirs.config))
-            _groups.push_back(theirs);
-    }
-}
-
-std::size_t
-ObsRollup::runCount() const
-{
-    std::size_t count = 0;
-    for (const RollupGroup &group : _groups)
-        count += group.rows.size();
-    return count;
-}
-
-void
 ObsRollup::write(std::ostream &os) const
 {
     os << rollupMagic << '\n';

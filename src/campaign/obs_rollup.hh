@@ -9,17 +9,16 @@
  * end-of-run registry state (one row of ~2000 probe values) and the
  * rollup groups those rows by system configuration (each config has a
  * fixed probe set; grids can mix configs). At campaign end the runner
- * writes one rollup file; corona-launch merges per-shard rollup files
- * exactly like checkpoints; `corona-stats report` renders the
- * aggregates (top-N hottest channels/routers, utilization histograms,
- * per-probe mean/max/p95 across cells).
+ * writes one rollup file, rollup.csv; `corona-stats report` reads it
+ * back and renders the aggregates (top-N hottest channels/routers,
+ * utilization histograms, per-probe mean/max/p95 across cells).
  *
  * Determinism discipline: write() sorts groups by config label and
  * rows by run index (deduplicating by run, last wins), so the rollup
  * bytes — and every aggregate computed from them, floating-point
- * summation order included — are identical for any worker count and
- * any shard count. Values round-trip through obs::formatValue
- * (shortest-round-trip decimals), so read-then-write is byte-stable.
+ * summation order included — are identical for any worker count.
+ * Values round-trip through obs::formatValue (shortest-round-trip
+ * decimals), so read-then-write is byte-stable.
  *
  * Replay caveat: checkpoint-resumed runs are not re-executed, so they
  * contribute no rollup row — the rollup covers executed cells, the
@@ -74,12 +73,6 @@ class ObsRollup
                 sim::Tick tick, const std::vector<std::string> &paths,
                 std::vector<double> values);
 
-    /** Fold @p other in (shard merge): rows append, groups unite. */
-    void merge(const ObsRollup &other);
-
-    /** Collected rows across all groups (before run deduplication). */
-    std::size_t runCount() const;
-
     const std::vector<RollupGroup> &groups() const { return _groups; }
 
     /**
@@ -87,7 +80,7 @@ class ObsRollup
      * (sorted by config) a "group,<config>" line, a
      * "run,tick,<paths...>" header, and one CSV row per run (sorted
      * by run index, deduplicated last-wins). Deterministic bytes for
-     * a given set of runs regardless of insertion or merge order.
+     * a given set of runs regardless of insertion order.
      */
     void write(std::ostream &os) const;
 

@@ -73,8 +73,8 @@ ProgressReporter::begin(const CampaignSpec &spec,
         ++_width;
     _start = std::chrono::steady_clock::now();
     // Compose every report in a local buffer and emit it with a single
-    // insertion: piecewise writes from concurrent processes sharing the
-    // stream (sharded launches) would interleave mid-line.
+    // insertion, so another writer sharing the stream cannot split a
+    // line.
     std::ostringstream line;
     line << "campaign \"" << spec.name << "\": " << total_runs
          << " runs";

@@ -6,7 +6,7 @@
  * even when early-index runs are slow), already serialised under its
  * lock. Output goes to stderr by convention, keeping stdout clean for
  * tables and sink data. The reporter is resume-aware: begin() receives
- * both the shard's total run count and how many of those were replayed
+ * both the campaign's total run count and how many of those were replayed
  * from a checkpoint, so a resumed campaign's counter starts where the
  * previous session left off while the ETA is based on pending work
  * only.
@@ -40,7 +40,7 @@ class ProgressReporter
     /**
      * Announce the campaign before the first run starts.
      *
-     * @param total_runs All of this shard's runs, replayed included.
+     * @param total_runs All of the campaign's runs, replayed included.
      * @param replayed Runs restored from a checkpoint (never executed
      *        this session); total_runs - replayed runs are pending.
      * @param threads Worker threads executing the pending runs.

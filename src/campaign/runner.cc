@@ -9,8 +9,8 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "corona/env.hh"
@@ -22,29 +22,19 @@ namespace corona::campaign {
 
 namespace {
 
-double
-secondsSince(const std::chrono::steady_clock::time_point &start)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-}
-
 /**
  * Simulate @p plan: the shared body of the fresh-system and pooled
- * execution paths. @p workloads, @p obs, and @p lease_seconds are
- * optional extras used by the runner's worker loop: workload pooling,
- * per-run observability, and lease-cost accounting for heartbeats.
+ * execution paths. @p workloads and @p obs are optional extras used
+ * by the runner's worker loop: workload pooling and per-run
+ * observability.
  */
 RunRecord
 simulatePlan(const RunPlan &plan, core::SystemPool *pool,
-             WorkloadCache *workloads, const obs::RunObservability *obs,
-             double *lease_seconds)
+             WorkloadCache *workloads, const obs::RunObservability *obs)
 {
     RunRecord record = recordFor(plan);
     std::unique_ptr<workload::Workload> owned;
     workload::Workload *workload = nullptr;
-    const auto lease_start = std::chrono::steady_clock::now();
     if (workloads) {
         workload = &workloads->lease(plan);
     } else {
@@ -62,8 +52,6 @@ simulatePlan(const RunPlan &plan, core::SystemPool *pool,
         obs && obs->enabled() && obs->trace_capacity > 0);
     core::SimContext *ctx =
         pool ? &pool->lease(plan.system, sim_threads) : nullptr;
-    if (lease_seconds)
-        *lease_seconds = secondsSince(lease_start);
     if (obs && obs->enabled()) {
         record.metrics =
             ctx ? core::runExperiment(*ctx, *workload, plan.params, *obs)
@@ -84,13 +72,12 @@ simulatePlan(const RunPlan &plan, core::SystemPool *pool,
  */
 RunRecord
 executePlanWith(const RunPlan &plan, core::SystemPool *pool,
-                WorkloadCache *workloads, const obs::RunObservability *obs,
-                double *lease_seconds)
+                WorkloadCache *workloads, const obs::RunObservability *obs)
 {
     const auto start = std::chrono::steady_clock::now();
     RunRecord record;
     try {
-        record = simulatePlan(plan, pool, workloads, obs, lease_seconds);
+        record = simulatePlan(plan, pool, workloads, obs);
     } catch (const std::exception &e) {
         record = recordFor(plan);
         record.ok = false;
@@ -98,7 +85,9 @@ executePlanWith(const RunPlan &plan, core::SystemPool *pool,
         record.metrics.workload = plan.workload;
         record.metrics.config = plan.config;
     }
-    record.wall_seconds = secondsSince(start);
+    record.wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
     return record;
 }
 
@@ -107,13 +96,13 @@ executePlanWith(const RunPlan &plan, core::SystemPool *pool,
 RunRecord
 executePlan(const RunPlan &plan)
 {
-    return executePlanWith(plan, nullptr, nullptr, nullptr, nullptr);
+    return executePlanWith(plan, nullptr, nullptr, nullptr);
 }
 
 RunRecord
 executePlan(const RunPlan &plan, core::SystemPool &pool)
 {
-    return executePlanWith(plan, &pool, nullptr, nullptr, nullptr);
+    return executePlanWith(plan, &pool, nullptr, nullptr);
 }
 
 CampaignRunner::CampaignRunner(RunnerOptions options)
@@ -155,27 +144,22 @@ CampaignRunner::run(const CampaignSpec &spec,
                     std::vector<RunRecord> completed)
 {
     std::vector<RunPlan> plans = expand(spec);
-    applyShard(plans, _options.shard);
     const std::size_t total = plans.size();
 
-    // Replayed records fill their slot up front; only successful runs
-    // count as done (a failed run re-executes on resume), and records
-    // from other shards of the grid are simply not this process's.
+    // Replayed records fill their run's slot up front; only successful
+    // runs count as done (a failed run re-executes on resume).
     std::vector<std::optional<RunRecord>> slots(total);
-    {
-        std::unordered_map<std::size_t, std::size_t> slot_by_index;
-        slot_by_index.reserve(total);
-        for (std::size_t p = 0; p < total; ++p)
-            slot_by_index.emplace(plans[p].index, p);
-        for (RunRecord &record : completed) {
-            const auto it = slot_by_index.find(record.index);
-            if (it == slot_by_index.end() || !record.ok)
-                continue;
-            slots[it->second] = std::move(record);
-        }
+    for (RunRecord &record : completed) {
+        if (record.index >= total)
+            sim::fatal("CampaignRunner: replayed run " +
+                       std::to_string(record.index) +
+                       " is outside the campaign's " +
+                       std::to_string(total) + " runs");
+        if (record.ok)
+            slots[record.index] = std::move(record);
     }
 
-    // Slot positions still needing execution, in ascending run index.
+    // Runs still needing execution, in ascending run index.
     std::vector<std::size_t> pending;
     pending.reserve(total);
     for (std::size_t p = 0; p < total; ++p) {
@@ -183,20 +167,6 @@ CampaignRunner::run(const CampaignSpec &spec,
             pending.push_back(p);
     }
     const std::size_t threads = effectiveThreads(pending.size());
-
-    const auto campaign_start = std::chrono::steady_clock::now();
-    if (_options.heartbeat) {
-        _options.heartbeat->write(
-            obs::heartbeatEvent("campaign_begin")
-                .field("campaign", spec.name)
-                .field("runs", static_cast<std::uint64_t>(total))
-                .field("replayed", static_cast<std::uint64_t>(
-                                       total - pending.size()))
-                .field("pending",
-                       static_cast<std::uint64_t>(pending.size()))
-                .field("threads",
-                       static_cast<std::uint64_t>(threads)));
-    }
 
     for (ResultSink *sink : _sinks)
         sink->begin(spec, total);
@@ -238,7 +208,7 @@ CampaignRunner::run(const CampaignSpec &spec,
     ObsRollup rollup;
     std::mutex rollup_mutex;
 
-    const auto worker = [&](std::size_t worker_id) {
+    const auto worker = [&] {
         // Each worker thread owns its pool: contexts are leased and
         // reset between this worker's cells, never shared across
         // threads. Per-run seeds come from the plan, so pooling cannot
@@ -246,7 +216,6 @@ CampaignRunner::run(const CampaignSpec &spec,
         core::SystemPool pool;
         WorkloadCache workloads;
         const bool pooled = _options.reuse_systems;
-        std::uint64_t cells = 0;
         while (true) {
             const std::size_t at =
                 next_plan.fetch_add(1, std::memory_order_relaxed);
@@ -269,38 +238,15 @@ CampaignRunner::run(const CampaignSpec &spec,
                     run_obs.capture = &capture;
                 }
             }
-            double lease_seconds = 0.0;
             RunRecord record = executePlanWith(
                 plans[idx], pooled ? &pool : nullptr,
                 pooled ? &workloads : nullptr,
-                observe ? &run_obs : nullptr, &lease_seconds);
-            ++cells;
+                observe ? &run_obs : nullptr);
             if (rollup_on && record.ok) {
                 std::scoped_lock lock(rollup_mutex);
                 rollup.addRun(plans[idx].config, plans[idx].index,
                               capture.end_tick, capture.paths,
                               std::move(capture.values));
-            }
-            if (_options.heartbeat) {
-                const double wall = record.wall_seconds;
-                const double events = static_cast<double>(
-                    record.metrics.events_executed);
-                _options.heartbeat->write(
-                    obs::heartbeatEvent("cell")
-                        .field("worker", static_cast<std::uint64_t>(
-                                             worker_id))
-                        .field("run", static_cast<std::uint64_t>(
-                                          plans[idx].index))
-                        .field("workload", plans[idx].workload)
-                        .field("config", plans[idx].config)
-                        .field("seed", plans[idx].params.seed)
-                        .field("ok", record.ok)
-                        .field("wall_s", wall)
-                        .field("lease_s", lease_seconds)
-                        .field("events",
-                               record.metrics.events_executed)
-                        .field("ev_per_s",
-                               wall > 0.0 ? events / wall : 0.0));
             }
 
             std::scoped_lock lock(emit_mutex);
@@ -317,25 +263,16 @@ CampaignRunner::run(const CampaignSpec &spec,
                                 std::memory_order_relaxed);
             }
         }
-        if (_options.heartbeat) {
-            _options.heartbeat->write(
-                obs::heartbeatEvent("worker_done")
-                    .field("worker",
-                           static_cast<std::uint64_t>(worker_id))
-                    .field("cells", cells)
-                    .field("pool_reuses", pool.reuses())
-                    .field("workload_reuses", workloads.reuses()));
-        }
     };
 
     if (threads <= 1) {
         if (!pending.empty())
-            worker(0);
+            worker();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(threads);
         for (std::size_t t = 0; t < threads; ++t)
-            pool.emplace_back(worker, t);
+            pool.emplace_back(worker);
         for (std::thread &thread : pool)
             thread.join();
     }
@@ -348,16 +285,9 @@ CampaignRunner::run(const CampaignSpec &spec,
     if (_options.progress)
         _options.progress->end();
 
-    if (rollup_on) {
-        // One rollup file per process; a sharded shard writes a
-        // suffixed file corona-launch later merges, like checkpoints.
-        std::string path = _options.observability.dir + "/rollup";
-        if (!_options.shard.isWhole()) {
-            path += "-" + std::to_string(_options.shard.index + 1) +
-                    "-" + std::to_string(_options.shard.count);
-        }
-        writeRollupFile(path + ".csv", rollup);
-    }
+    if (rollup_on)
+        writeRollupFile(_options.observability.dir + "/rollup.csv",
+                        rollup);
 
     std::vector<RunRecord> records;
     records.reserve(total);
@@ -366,19 +296,6 @@ CampaignRunner::run(const CampaignSpec &spec,
             sim::panic("CampaignRunner: drained pool left a hole in "
                        "the result list");
         records.push_back(std::move(*slot));
-    }
-
-    if (_options.heartbeat) {
-        std::uint64_t done = 0;
-        std::uint64_t failed = 0;
-        for (const RunRecord &record : records)
-            (record.ok ? done : failed) += 1;
-        _options.heartbeat->write(
-            obs::heartbeatEvent("campaign_end")
-                .field("campaign", spec.name)
-                .field("done", done)
-                .field("failed", failed)
-                .field("wall_s", secondsSince(campaign_start)));
     }
     return records;
 }

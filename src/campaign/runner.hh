@@ -15,14 +15,14 @@
 #define CORONA_CAMPAIGN_RUNNER_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "campaign/progress.hh"
-#include "campaign/shard.hh"
 #include "campaign/sink.hh"
 #include "campaign/spec.hh"
 #include "corona/context.hh"
-#include "obs/heartbeat.hh"
 #include "obs/observe.hh"
 #include "sim/logging.hh"
 
@@ -73,9 +73,6 @@ struct RunnerOptions
     std::size_t threads = 0;
     /** Optional progress/ETA reporter (not owned). */
     ProgressReporter *progress = nullptr;
-    /** Slice of the grid this process executes (default: all of it).
-     * Sinks observe only this shard's records. */
-    ShardSpec shard{};
     /** Reuse simulation contexts and workload instances across a
      * worker's runs: each worker thread keeps a SystemPool plus a
      * WorkloadCache and leases reset instances per cell instead of
@@ -90,10 +87,6 @@ struct RunnerOptions
      * checkpoint bytes are unaffected — observability writes its own
      * files. */
     obs::CampaignObsOptions observability{};
-    /** Optional host-profiling heartbeat stream (not owned): campaign
-     * begin/end, per-cell timings and throughput, per-worker lease
-     * accounting, as JSONL. */
-    obs::HeartbeatWriter *heartbeat = nullptr;
 };
 
 /**
@@ -120,12 +113,12 @@ class CampaignRunner
 
     /**
      * Resume @p spec from previously completed records (typically
-     * loadCheckpoint output). Successful records whose run index falls
-     * in this shard are replayed to the sinks verbatim instead of
-     * re-executing; failed or missing runs execute as usual. Sinks see
-     * the same records in the same order as an uninterrupted run, so
-     * their output bytes are identical. @return all of this shard's
-     * records (replayed + executed) in run-index order.
+     * loadCheckpoint output). Successful records are replayed to the
+     * sinks verbatim instead of re-executing; failed or missing runs
+     * execute as usual. Sinks see the same records in the same order
+     * as an uninterrupted run, so their output bytes are identical.
+     * Fatal on a record whose run index lies outside the grid.
+     * @return all records (replayed + executed) in run-index order.
      */
     std::vector<RunRecord> run(const CampaignSpec &spec,
                                std::vector<RunRecord> completed);

@@ -377,8 +377,7 @@ parseScenario(std::string_view text)
     if (const ScenarioSection *execution = doc.find("execution")) {
         checkUniqueKeys(*execution,
                         {"threads", "sim_threads", "checkpoint", "csv",
-                         "jsonl", "summary", "progress",
-                         "reuse_systems"});
+                         "summary", "progress", "reuse_systems"});
         for (const ScenarioEntry &entry : execution->entries) {
             if (entry.key == "threads") {
                 spec.execution.threads =
@@ -397,8 +396,6 @@ parseScenario(std::string_view text)
                 spec.execution.checkpoint = entry.value;
             } else if (entry.key == "csv") {
                 spec.execution.csv = entry.value;
-            } else if (entry.key == "jsonl") {
-                spec.execution.jsonl = entry.value;
             } else if (entry.key == "summary") {
                 spec.execution.summary = entry.value;
             } else if (entry.key == "progress") {
@@ -421,7 +418,7 @@ parseScenario(std::string_view text)
             doc.find("observability")) {
         checkUniqueKeys(*observability,
                         {"sample_period", "trace_capacity", "snapshot",
-                         "heartbeat", "rollup", "dir"});
+                         "rollup", "dir"});
         for (const ScenarioEntry &entry : observability->entries) {
             if (entry.key == "sample_period") {
                 spec.observability.sample_period = entryUnsigned(entry);
@@ -434,12 +431,6 @@ parseScenario(std::string_view text)
                     badEntry(entry, "snapshot is on/off, got \"" +
                                         entry.value + "\"");
                 spec.observability.snapshot = *value;
-            } else if (entry.key == "heartbeat") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "heartbeat is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.observability.heartbeat = *value;
             } else if (entry.key == "rollup") {
                 const auto value = core::parseOnOff(entry.value);
                 if (!value)
@@ -532,8 +523,6 @@ serializeScenario(const ScenarioSpec &spec)
         add(execution, "checkpoint", exec.checkpoint);
     if (!exec.csv.empty())
         add(execution, "csv", exec.csv);
-    if (!exec.jsonl.empty())
-        add(execution, "jsonl", exec.jsonl);
     if (!exec.summary.empty())
         add(execution, "summary", exec.summary);
     if (!exec.progress)
@@ -553,8 +542,6 @@ serializeScenario(const ScenarioSpec &spec)
             std::to_string(obs.trace_capacity));
     if (obs.snapshot)
         add(observability, "snapshot", "on");
-    if (obs.heartbeat)
-        add(observability, "heartbeat", "on");
     if (obs.rollup)
         add(observability, "rollup", "on");
     if (obs.dir != "obs")

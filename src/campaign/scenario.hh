@@ -7,10 +7,9 @@
  * workload::registry(), configuration expressions resolved through
  * the core::namedConfig()/configKnobs() tables, and overrides as
  * knob=value lists applied through the SimParams knob table — so an
- * experiment can be parsed, fingerprinted, shipped to a remote
- * worker, and replayed byte-identically. resolve() lowers a scenario
- * to today's CampaignSpec; everything downstream (runner, sinks,
- * shard, checkpoint) is unchanged.
+ * experiment can be parsed, fingerprinted and replayed
+ * byte-identically. resolve() lowers a scenario to a CampaignSpec;
+ * everything downstream (runner, sinks, checkpoint) takes that.
  *
  * File schema (see README "Scenario files" for the full reference):
  *
@@ -43,7 +42,6 @@
  *     sample_period = 1000000      # ticks between time-series samples
  *     trace_capacity = 65536       # event-trace ring size (events)
  *     snapshot = on                # end-of-run registry snapshot CSVs
- *     heartbeat = on               # host-profiling JSONL stream
  *     dir = obs                    # output directory for all of it
  *
  * Axis expressions are whitespace-separated: leading tokens (which
@@ -60,7 +58,6 @@
 #include <utility>
 #include <vector>
 
-#include "campaign/shard.hh"
 #include "campaign/spec.hh"
 
 namespace corona::campaign {
@@ -86,9 +83,7 @@ AxisExpression parseAxisExpression(const std::string &text,
 std::string canonicalExpression(const AxisExpression &expression);
 
 /** Runtime settings carried by the scenario ([execution] section).
- * No environment variable overrides a key; only a launched shard
- * worker's contract adjusts them (applyWorkerEnvironment in
- * scenario_run.hh). */
+ * No environment variable overrides a key. */
 struct ScenarioExecution
 {
     /** Worker threads; 0 = CORONA_JOBS or hardware concurrency. */
@@ -98,13 +93,10 @@ struct ScenarioExecution
      * that cannot partition (coherent front end, non-partitionable
      * workload, warm-up, tracing) fall back to serial per run. */
     unsigned sim_threads = 0;
-    /** Slice of the grid this process executes. Not a file key:
-     * only CORONA_SHARD sets it, through applyWorkerEnvironment. */
-    ShardSpec shard{};
     /** Crash-tolerant checkpoint path; empty = none. */
     std::string checkpoint;
-    /** Per-run CSV / JSON-lines and per-cell summary sink paths. */
-    std::string csv, jsonl, summary;
+    /** Per-run CSV and per-cell summary sink paths. */
+    std::string csv, summary;
     /** Progress/ETA reporting on stderr. */
     bool progress = true;
     /** Reuse pooled simulation contexts across a worker's cells
@@ -113,8 +105,8 @@ struct ScenarioExecution
     bool reuse_systems = true;
 };
 
-/** The [observability] section: per-run in-sim recording plus campaign
- * heartbeats (see src/obs). Every plane defaults off. */
+/** The [observability] section: per-run in-sim recording plus the
+ * campaign rollup (see src/obs). Every plane defaults off. */
 struct ScenarioObservability
 {
     /** Ticks between time-series samples; 0 = no sampler. */
@@ -123,20 +115,18 @@ struct ScenarioObservability
     std::uint64_t trace_capacity = 0;
     /** Write an end-of-run registry snapshot CSV per run. */
     bool snapshot = false;
-    /** Stream host-profiling heartbeat JSONL from the runner. */
-    bool heartbeat = false;
     /** Collect end-of-run registry captures into a campaign rollup
-     * file (merged across shards by corona-launch). */
+     * file. */
     bool rollup = false;
-    /** Directory receiving per-run files and the heartbeat stream
-     * (created on demand by runScenario). */
+    /** Directory receiving per-run files and the rollup (created on
+     * demand by runScenario). */
     std::string dir = "obs";
 
     bool
     enabled() const
     {
         return sample_period > 0 || trace_capacity > 0 || snapshot ||
-               heartbeat || rollup;
+               rollup;
     }
 };
 

@@ -10,7 +10,6 @@
 #include "campaign/progress.hh"
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
-#include "corona/env.hh"
 #include "sim/logging.hh"
 
 namespace corona::campaign {
@@ -28,7 +27,6 @@ struct FileSink
 enum class FileSinkKind
 {
     Csv,
-    JsonLines,
     Summary,
 };
 
@@ -47,9 +45,6 @@ openFileSink(const std::string &path, FileSinkKind kind,
     switch (kind) {
       case FileSinkKind::Csv:
         file->sink = std::make_unique<CsvSink>(file->stream);
-        break;
-      case FileSinkKind::JsonLines:
-        file->sink = std::make_unique<JsonLinesSink>(file->stream);
         break;
       case FileSinkKind::Summary:
         file->sink = std::make_unique<SummarySink>(&file->stream);
@@ -72,35 +67,6 @@ checkWritten(FileSink *file)
 } // namespace
 
 void
-applyWorkerEnvironment(ScenarioSpec &scenario)
-{
-    ScenarioExecution &exec = scenario.execution;
-    const auto shard_text = core::env::nonEmpty("CORONA_SHARD");
-    if (shard_text) {
-        const auto shard = parseShardSpec(*shard_text);
-        if (!shard)
-            sim::fatal("CORONA_SHARD must be \"i/N\" with "
-                       "1 <= i <= N, got \"" +
-                       *shard_text + "\"");
-        exec.shard = *shard;
-        // One worker of a launched grid: its slice goes to its
-        // checkpoint, the launcher's merge writes the sinks, and the
-        // launcher's CORONA_JOBS splits the host's cores.
-        exec.csv.clear();
-        exec.jsonl.clear();
-        exec.summary.clear();
-        exec.threads = 0;
-    }
-    if (const auto path = core::env::nonEmpty("CORONA_CHECKPOINT"))
-        exec.checkpoint = *path;
-    if (shard_text && exec.checkpoint.empty())
-        sim::fatal("CORONA_SHARD=" + *shard_text +
-                   " needs CORONA_CHECKPOINT (or the scenario's "
-                   "checkpoint key): a shard worker's only output is "
-                   "its checkpoint");
-}
-
-void
 ScenarioObsSetup::apply(const ScenarioObservability &observability,
                         const std::string &scenario_name,
                         RunnerOptions &options)
@@ -108,9 +74,7 @@ ScenarioObsSetup::apply(const ScenarioObservability &observability,
     if (!observability.enabled())
         return;
     // Observability outputs live under the scenario's obs dir: per-run
-    // files are named by global run index (disjoint across shards),
-    // and the heartbeat stream and rollup file get a per-shard suffix
-    // so concurrent shard processes never truncate each other's file.
+    // files are named by run index, beside the campaign's rollup.csv.
     std::error_code ec;
     std::filesystem::create_directories(observability.dir, ec);
     if (ec)
@@ -123,21 +87,6 @@ ScenarioObsSetup::apply(const ScenarioObservability &observability,
     options.observability.snapshot = observability.snapshot;
     options.observability.rollup = observability.rollup;
     options.observability.dir = observability.dir;
-    if (observability.heartbeat) {
-        std::string path = observability.dir + "/heartbeat";
-        if (!options.shard.isWhole())
-            path += "-" + std::to_string(options.shard.index + 1) +
-                    "-" + std::to_string(options.shard.count);
-        path += ".jsonl";
-        _heartbeatStream.open(path, std::ios::trunc);
-        if (!_heartbeatStream)
-            sim::fatal("scenario \"" + scenario_name +
-                       "\": cannot open heartbeat \"" + path +
-                       "\" for writing");
-        _heartbeat =
-            std::make_unique<obs::HeartbeatWriter>(_heartbeatStream);
-        options.heartbeat = _heartbeat.get();
-    }
 }
 
 ScenarioRunResult
@@ -150,7 +99,6 @@ runScenario(const ScenarioSpec &scenario,
     ProgressReporter progress(std::cerr);
     RunnerOptions runner_options;
     runner_options.threads = exec.threads;
-    runner_options.shard = exec.shard;
     runner_options.reuse_systems = exec.reuse_systems;
     if (!options.quiet && exec.progress)
         runner_options.progress = &progress;
@@ -164,10 +112,6 @@ runScenario(const ScenarioSpec &scenario,
         openFileSink(exec.csv, FileSinkKind::Csv, "scenario csv sink");
     if (csv)
         runner.addSink(*csv->sink);
-    const auto jsonl = openFileSink(exec.jsonl, FileSinkKind::JsonLines,
-                                    "scenario jsonl sink");
-    if (jsonl)
-        runner.addSink(*jsonl->sink);
     const auto summary = openFileSink(
         exec.summary, FileSinkKind::Summary, "scenario summary sink");
     if (summary)
@@ -184,23 +128,11 @@ runScenario(const ScenarioSpec &scenario,
                                     : std::vector<RunRecord>{});
 
     checkWritten(csv.get());
-    checkWritten(jsonl.get());
     checkWritten(summary.get());
     if (checkpoint)
         checkpoint->checkWritten();
 
-    ScenarioRunResult result;
-    result.spec = spec;
-    result.shard = exec.shard;
-    result.records = std::move(records);
-
-    // No single shard holds the full grid: table rendering is left to
-    // whoever merges the shards' checkpoints.
-    if (!result.complete() && !options.quiet)
-        std::cerr << "shard " << exec.shard.label()
-                  << " complete; merge the shard checkpoints and "
-                     "re-run un-sharded to render results\n";
-    return result;
+    return ScenarioRunResult{spec, std::move(records)};
 }
 
 } // namespace corona::campaign

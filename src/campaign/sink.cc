@@ -2,7 +2,6 @@
 
 #include <array>
 #include <charconv>
-#include <cmath>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -70,48 +69,6 @@ csvEscape(const std::string &cell)
     quoted += '"';
     return quoted;
 }
-
-namespace {
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string escaped;
-    escaped.reserve(text.size());
-    for (const char ch : text) {
-        switch (ch) {
-          case '"': escaped += "\\\""; break;
-          case '\\': escaped += "\\\\"; break;
-          case '\n': escaped += "\\n"; break;
-          case '\r': escaped += "\\r"; break;
-          case '\t': escaped += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                constexpr const char *hex = "0123456789abcdef";
-                escaped += "\\u00";
-                escaped += hex[(ch >> 4) & 0xF];
-                escaped += hex[ch & 0xF];
-            } else {
-                escaped += ch;
-            }
-        }
-    }
-    return escaped;
-}
-
-/** A double as a JSON value: nan/inf are not JSON numbers (a bare
- * "nan" makes the whole line unparseable), so non-finite metrics
- * serialise as null. The CSV/checkpoint dialect keeps the nan/inf
- * spellings — std::from_chars round-trips them exactly. */
-std::string
-jsonNumber(double value)
-{
-    if (!std::isfinite(value))
-        return "null";
-    return formatShortestDouble(value);
-}
-
-} // namespace
 
 void
 ResultSink::begin(const CampaignSpec &, std::size_t)
@@ -304,32 +261,6 @@ void
 CsvSink::consume(const RunRecord &record)
 {
     _os << csvRow(record) << "\n";
-}
-
-void
-JsonLinesSink::consume(const RunRecord &record)
-{
-    const core::RunMetrics &m = record.metrics;
-    _os << "{\"run\":" << record.index << ",\"workload\":\""
-        << jsonEscape(record.workload) << "\",\"config\":\""
-        << jsonEscape(record.config) << "\",\"override\":\""
-        << jsonEscape(record.override_label) << "\",\"seed\":"
-        << record.seed << ",\"status\":\""
-        << (record.ok ? "ok" : "failed") << "\",\"error\":\""
-        << jsonEscape(record.error) << "\",\"requests_issued\":"
-        << m.requests_issued << ",\"requests_coalesced\":"
-        << m.requests_coalesced << ",\"elapsed_ticks\":" << m.elapsed
-        << ",\"avg_latency_ns\":" << jsonNumber(m.avg_latency_ns)
-        << ",\"p95_latency_ns\":" << jsonNumber(m.p95_latency_ns)
-        << ",\"achieved_bytes_per_second\":"
-        << jsonNumber(m.achieved_bytes_per_second)
-        << ",\"offered_bytes_per_second\":"
-        << jsonNumber(m.offered_bytes_per_second)
-        << ",\"network_power_w\":" << jsonNumber(m.network_power_w)
-        << ",\"token_wait_ns\":" << jsonNumber(m.token_wait_ns)
-        << ",\"hop_traversals\":" << m.hop_traversals
-        << ",\"mshr_full_stalls\":" << m.mshr_full_stalls
-        << ",\"peak_mc_queue\":" << m.peak_mc_queue << "}\n";
 }
 
 void

@@ -5,9 +5,9 @@
  * The runner hands every finished RunRecord to each attached sink in
  * run-index order (not completion order), one record at a time under the
  * runner's lock — sink output is therefore byte-identical regardless of
- * worker-thread count. CsvSink and JsonLinesSink serialise the full
- * RunMetrics field set for plotting scripts; MemorySink keeps records in
- * memory and can reshape them into a [workload][config] grid.
+ * worker-thread count. CsvSink serialises the full RunMetrics field
+ * set for plotting scripts; MemorySink keeps records in memory and can
+ * reshape them into a [workload][config] grid.
  */
 
 #ifndef CORONA_CAMPAIGN_SINK_HH
@@ -40,8 +40,8 @@ class ResultSink
 };
 
 /** Shortest round-trip decimal form (std::to_chars): the double
- * dialect every campaign CSV/JSON artifact shares — the checkpoint
- * reader depends on values surviving a parse exactly. */
+ * dialect every campaign CSV artifact shares — the checkpoint reader
+ * depends on values surviving a parse exactly. */
 std::string formatShortestDouble(double value);
 
 /** RFC-4180 quoting, shared by every campaign CSV writer. */
@@ -86,18 +86,6 @@ class CsvSink : public ResultSink
 
     /** The schema, as written on the header line. */
     static const char *header();
-
-  private:
-    std::ostream &_os;
-};
-
-/** Writes one JSON object per line per run. */
-class JsonLinesSink : public ResultSink
-{
-  public:
-    explicit JsonLinesSink(std::ostream &os) : _os(os) {}
-
-    void consume(const RunRecord &record) override;
 
   private:
     std::ostream &_os;

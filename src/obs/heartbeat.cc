@@ -1,7 +1,5 @@
 #include "obs/heartbeat.hh"
 
-#include <ostream>
-
 #include "obs/registry.hh"
 
 namespace corona::obs {
@@ -114,24 +112,6 @@ JsonObject::field(const char *name, bool value)
     key(name);
     _body += value ? "true" : "false";
     return *this;
-}
-
-JsonObject
-heartbeatEvent(const char *event)
-{
-    JsonObject object;
-    object.field("event", event);
-    return object;
-}
-
-void
-HeartbeatWriter::write(const JsonObject &object)
-{
-    const std::string line = object.str();
-    std::lock_guard<std::mutex> guard(_mutex);
-    _os << line << '\n';
-    _os.flush();
-    ++_lines;
 }
 
 } // namespace corona::obs

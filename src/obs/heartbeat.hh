@@ -1,26 +1,16 @@
 /**
  * @file
- * Host-profiling heartbeats — the campaign plane of src/obs.
+ * obs::JsonObject, a one-line JSON object builder.
  *
- * Campaign workers emit small JSON objects (one per line, JSONL) while
- * a campaign runs: campaign begin/end, one record per completed cell
- * with wall time and event throughput, one per worker on exit with its
- * lease/reset accounting, and shard lifecycle events from
- * launchShards. Unlike the in-sim planes these records describe the
- * *host* — wall seconds, ev/s, pool reuse — so their bytes are not
- * expected to be deterministic; their schema is (see README).
- *
- * The writer serializes whole lines under a mutex, so concurrent
- * workers never interleave partial records, and flushes per line so a
- * tail -f (or a dead worker's last gasp) always shows complete JSON.
+ * The file keeps its old name because perfbench/bench_trace.cc
+ * includes this path for JsonObject; it moves only together with a
+ * change to the benchmark.
  */
 
 #ifndef CORONA_OBS_HEARTBEAT_HH
 #define CORONA_OBS_HEARTBEAT_HH
 
 #include <cstdint>
-#include <iosfwd>
-#include <mutex>
 #include <string>
 
 namespace corona::obs {
@@ -48,34 +38,6 @@ class JsonObject
     void key(const char *name);
 
     std::string _body = "{";
-};
-
-/** Start a heartbeat record: {"event":"<event>",...}. */
-JsonObject heartbeatEvent(const char *event);
-
-/**
- * Thread-safe JSONL writer: one JSON object per line, flushed per
- * line, lines never interleaved.
- */
-class HeartbeatWriter
-{
-  public:
-    /** @param os Destination stream (must outlive the writer). */
-    explicit HeartbeatWriter(std::ostream &os) : _os(os) {}
-
-    HeartbeatWriter(const HeartbeatWriter &) = delete;
-    HeartbeatWriter &operator=(const HeartbeatWriter &) = delete;
-
-    /** Append @p object as one line and flush. */
-    void write(const JsonObject &object);
-
-    /** Lines written so far. */
-    std::uint64_t lines() const { return _lines; }
-
-  private:
-    std::ostream &_os;
-    std::mutex _mutex;
-    std::uint64_t _lines = 0;
 };
 
 } // namespace corona::obs

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -324,63 +323,6 @@ TEST(CampaignSinks, CsvHasHeaderAndOneRowPerRun)
     EXPECT_EQ(first_row.rfind("0,Uniform,XBar/OCM,", 0), 0u)
         << first_row;
     EXPECT_NE(first_row.find(",ok,"), std::string::npos);
-}
-
-TEST(CampaignSinks, JsonLinesEmitsOneObjectPerRun)
-{
-    auto spec = smallSpec(200);
-    std::ostringstream out;
-    campaign::JsonLinesSink sink(out);
-    campaign::CampaignRunner runner({.threads = 2});
-    runner.addSink(sink);
-    runner.run(spec);
-
-    std::istringstream lines(out.str());
-    std::string line;
-    std::size_t rows = 0;
-    while (std::getline(lines, line)) {
-        EXPECT_EQ(line.front(), '{');
-        EXPECT_EQ(line.back(), '}');
-        EXPECT_NE(line.find("\"workload\":"), std::string::npos);
-        EXPECT_NE(line.find("\"requests_issued\":200"),
-                  std::string::npos);
-        EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos);
-        ++rows;
-    }
-    EXPECT_EQ(rows, 4u);
-}
-
-TEST(CampaignSinks, JsonLinesSerialisesNonFiniteMetricsAsNull)
-{
-    // A run that ends with no completed requests can carry NaN/inf
-    // metrics; bare "nan" is not a JSON number and makes the whole
-    // line unparseable. Non-finite doubles must serialise as null.
-    campaign::RunRecord record;
-    record.index = 3;
-    record.workload = "Uniform";
-    record.config = "XBar/OCM";
-    record.metrics.avg_latency_ns =
-        std::numeric_limits<double>::quiet_NaN();
-    record.metrics.p95_latency_ns =
-        std::numeric_limits<double>::infinity();
-    record.metrics.token_wait_ns =
-        -std::numeric_limits<double>::infinity();
-    record.metrics.network_power_w = 42.5;
-
-    std::ostringstream out;
-    campaign::JsonLinesSink sink(out);
-    sink.consume(record);
-    const std::string line = out.str();
-
-    EXPECT_NE(line.find("\"avg_latency_ns\":null"), std::string::npos)
-        << line;
-    EXPECT_NE(line.find("\"p95_latency_ns\":null"), std::string::npos);
-    EXPECT_NE(line.find("\"token_wait_ns\":null"), std::string::npos);
-    EXPECT_NE(line.find("\"network_power_w\":42.5"),
-              std::string::npos);
-    // No bare non-finite token anywhere in the line.
-    EXPECT_EQ(line.find("nan"), std::string::npos) << line;
-    EXPECT_EQ(line.find("inf"), std::string::npos) << line;
 }
 
 TEST(CampaignSinks, MemoryGridRejectsReplicateAxes)

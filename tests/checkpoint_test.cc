@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for campaign checkpoint/resume: spec fingerprinting, row
- * round-trips, torn-line and interior-header tolerance, fingerprint
- * validation, resume byte-parity with an uninterrupted run, and
- * re-execution of failed runs.
+ * round-trips, torn-line tolerance, fingerprint validation, resume
+ * byte-parity with an uninterrupted run, and re-execution of failed
+ * runs.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 
 #include "campaign/checkpoint.hh"
 #include "campaign/runner.hh"
-#include "campaign/shard.hh"
 #include "campaign/sink.hh"
 #include "sim/logging.hh"
 #include "workload/splash.hh"
@@ -47,21 +46,28 @@ smallSpec(std::uint64_t requests = 400)
     return spec;
 }
 
-/** Execute @p spec (optionally one shard) into a checkpoint stream. */
+/** Execute @p spec into a checkpoint stream. */
 std::string
-runToCheckpoint(const campaign::CampaignSpec &spec,
-                campaign::ShardSpec shard = {})
+runToCheckpoint(const campaign::CampaignSpec &spec)
 {
     std::ostringstream stream;
     campaign::CheckpointWriter checkpoint(stream,
                                           /*write_header=*/true);
-    campaign::RunnerOptions options;
-    options.threads = 2;
-    options.shard = shard;
-    campaign::CampaignRunner runner(options);
+    campaign::CampaignRunner runner({.threads = 2});
     runner.addSink(checkpoint);
     runner.run(spec);
     return stream.str();
+}
+
+/** The header and first @p rows rows of checkpoint @p file: what a
+ * session killed after its first @p rows runs leaves behind. */
+std::string
+keepRows(const std::string &file, std::size_t rows)
+{
+    std::size_t end = 0;
+    for (std::size_t line = 0; line <= rows; ++line)
+        end = file.find('\n', end) + 1;
+    return file.substr(0, end);
 }
 
 TEST(SpecFingerprint, IdentifiesTheCampaign)
@@ -260,37 +266,25 @@ TEST(Checkpoint, RejectsWrongCampaignAndMalformedInput)
                      sim::FatalError);
     }
     // Well-formed header, garbage row (newline-terminated, not torn).
+    const std::string header = file.substr(0, file.find('\n') + 1);
     {
-        std::string bad = file.substr(0, file.find('\n') + 1);
-        bad += "this,is,not,a,record\n";
-        std::istringstream stream(bad);
+        std::istringstream stream(header + "this,is,not,a,record\n");
         EXPECT_THROW(campaign::readCheckpoint(stream),
                      sim::FatalError);
     }
-}
-
-TEST(Checkpoint, ConcatenatedShardFilesMerge)
-{
-    const auto spec = smallSpec();
-    // Shards written independently, merged out of order.
-    const std::string merged =
-        runToCheckpoint(spec, campaign::ShardSpec{1, 2}) +
-        runToCheckpoint(spec, campaign::ShardSpec{0, 2});
-
-    std::istringstream stream(merged);
-    const auto loaded = campaign::loadCheckpoint(stream, spec);
-    ASSERT_EQ(loaded.size(), spec.totalRuns());
-    for (std::size_t i = 0; i < loaded.size(); ++i)
-        EXPECT_EQ(loaded[i].index, i); // Deduped, ascending.
-
-    // An interior header from a different campaign refuses to merge.
-    auto other = smallSpec();
-    other.name = "unrelated";
-    const std::string conflicting =
-        runToCheckpoint(spec, campaign::ShardSpec{0, 2}) +
-        runToCheckpoint(other, campaign::ShardSpec{1, 2});
-    std::istringstream bad(conflicting);
-    EXPECT_THROW(campaign::readCheckpoint(bad), sim::FatalError);
+    // A second header line, even one naming this very campaign, is a
+    // malformed row: one file holds one campaign's header, once.
+    {
+        std::istringstream stream(header + file);
+        try {
+            campaign::readCheckpoint(stream);
+            ADD_FAILURE() << "an interior header line was accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Checkpoint, ResumeProducesByteIdenticalSinkOutput)
@@ -306,11 +300,12 @@ TEST(Checkpoint, ResumeProducesByteIdenticalSinkOutput)
         runner.run(spec);
     }
 
-    // Interrupted: only shard 1/2 completed before the "crash".
+    // Interrupted: only the first half of the runs completed before
+    // the "crash".
     const std::string checkpoint =
-        runToCheckpoint(spec, campaign::ShardSpec{0, 2});
+        keepRows(runToCheckpoint(spec), spec.totalRuns() / 2);
 
-    // Resume un-sharded from the checkpoint.
+    // Resume from the checkpoint.
     std::istringstream stream(checkpoint);
     auto completed = campaign::loadCheckpoint(stream, spec);
     EXPECT_EQ(completed.size(), spec.totalRuns() / 2);
@@ -346,11 +341,20 @@ TEST(Checkpoint, FailedRunsReExecuteOnResume)
     EXPECT_GT(records[2].metrics.requests_issued, 0u);
 }
 
+TEST(Checkpoint, ResumeRejectsARecordOutsideTheGrid)
+{
+    const auto spec = smallSpec();
+    campaign::RunRecord stray;
+    stray.index = spec.totalRuns();
+    campaign::CampaignRunner runner({.threads = 1});
+    EXPECT_THROW(runner.run(spec, {stray}), sim::FatalError);
+}
+
 TEST(Checkpoint, WriterSkipsAlreadyPersistedRows)
 {
     const auto spec = smallSpec();
     const std::string first_session =
-        runToCheckpoint(spec, campaign::ShardSpec{0, 2});
+        keepRows(runToCheckpoint(spec), spec.totalRuns() / 2);
 
     std::istringstream stream(first_session);
     auto completed = campaign::loadCheckpoint(stream, spec);

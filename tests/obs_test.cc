@@ -561,6 +561,7 @@ runGridCsv(std::size_t threads, const std::string &obs_dir)
         options.observability.sample_period = 500'000;
         options.observability.trace_capacity = 2048;
         options.observability.snapshot = true;
+        options.observability.rollup = true;
         options.observability.dir = obs_dir;
     }
     campaign::CampaignRunner runner(options);
@@ -603,6 +604,9 @@ TEST(ObservabilityDeterminism, ObsFilesAreByteIdenticalAt1And4Workers)
             EXPECT_EQ(a, b) << stem << suffix;
         }
     }
+    const std::string rollup = slurp(dir1 + "/rollup.csv");
+    EXPECT_FALSE(rollup.empty());
+    EXPECT_EQ(rollup, slurp(dir4 + "/rollup.csv"));
 }
 
 TEST(ObservabilityDeterminism, ContainerHoldsBothPlanes)
@@ -627,12 +631,13 @@ TEST(ObservabilityDeterminism, ContainerHoldsBothPlanes)
 }
 
 // ---------------------------------------------------------------------
-// Heartbeats.
+// JsonObject.
 
-TEST(Heartbeat, JsonObjectEscapesAndOrdersFields)
+TEST(JsonObject, EscapesAndOrdersFields)
 {
     const std::string line =
-        obs::heartbeatEvent("cell")
+        obs::JsonObject()
+            .field("event", "cell")
             .field("name", std::string("a\"b\\c"))
             .field("count", std::uint64_t{7})
             .field("ratio", 0.5)
@@ -640,42 +645,6 @@ TEST(Heartbeat, JsonObjectEscapesAndOrdersFields)
             .str();
     EXPECT_EQ(line, "{\"event\":\"cell\",\"name\":\"a\\\"b\\\\c\","
                     "\"count\":7,\"ratio\":0.5,\"ok\":true}");
-}
-
-TEST(Heartbeat, RunnerEmitsTheCampaignLifecycle)
-{
-    std::ostringstream stream;
-    obs::HeartbeatWriter writer(stream);
-    campaign::RunnerOptions options;
-    options.threads = 2;
-    options.heartbeat = &writer;
-    campaign::CampaignRunner runner(options);
-    runner.run(gridSpec());
-
-    const std::string text = stream.str();
-    EXPECT_NE(text.find("\"event\":\"campaign_begin\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"cell\""), std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"worker_done\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"campaign_end\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"workload_reuses\":"), std::string::npos);
-
-    // One line per record, each a complete {...} object.
-    std::istringstream lines(text);
-    std::string line;
-    std::size_t cells = 0, count = 0;
-    while (std::getline(lines, line)) {
-        ASSERT_FALSE(line.empty());
-        EXPECT_EQ(line.front(), '{');
-        EXPECT_EQ(line.back(), '}');
-        if (line.find("\"event\":\"cell\"") != std::string::npos)
-            ++cells;
-        ++count;
-    }
-    EXPECT_EQ(cells, 4u); // One per grid cell.
-    EXPECT_EQ(writer.lines(), count);
 }
 
 // ---------------------------------------------------------------------
@@ -737,14 +706,12 @@ TEST(ScenarioObservability, ParsesSerializesAndValidates)
                              "sample_period = 250000\n"
                              "trace_capacity = 4096\n"
                              "snapshot = on\n"
-                             "heartbeat = on\n"
                              "rollup = on\n"
                              "dir = out/obs\n";
     const campaign::ScenarioSpec spec = campaign::parseScenario(text);
     EXPECT_EQ(spec.observability.sample_period, 250'000u);
     EXPECT_EQ(spec.observability.trace_capacity, 4096u);
     EXPECT_TRUE(spec.observability.snapshot);
-    EXPECT_TRUE(spec.observability.heartbeat);
     EXPECT_TRUE(spec.observability.rollup);
     EXPECT_EQ(spec.observability.dir, "out/obs");
     EXPECT_TRUE(spec.observability.enabled());

@@ -2,27 +2,18 @@
  * @file
  * Tests for the campaign observability rollup (src/campaign/
  * obs_rollup): canonical write bytes (sorting, run deduplication),
- * read/write round trips, shard merging — the rollup bytes must be
- * identical whether a campaign ran as one process or as N shards —
- * and the deterministic report renderer.
+ * read/write round trips and the deterministic report renderer. The
+ * rollup's worker-count invariance is checked end to end in obs_test.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/obs_rollup.hh"
-#include "campaign/runner.hh"
-#include "campaign/shard.hh"
-#include "campaign/sink.hh"
-#include "campaign/spec.hh"
-#include "corona/config.hh"
 #include "sim/logging.hh"
-#include "workload/synthetic.hh"
 
 namespace {
 
@@ -37,7 +28,7 @@ rollupBytes(const campaign::ObsRollup &rollup)
 }
 
 // ---------------------------------------------------------------------
-// Unit: canonical form, round trip, merge.
+// Canonical form and round trip.
 
 TEST(ObsRollup, WriteSortsGroupsAndRowsAndDeduplicatesRuns)
 {
@@ -80,96 +71,6 @@ TEST(ObsRollup, ReadWriteRoundTripIsByteStable)
     const campaign::ObsRollup reread =
         campaign::ObsRollup::read(in, "round trip");
     EXPECT_EQ(rollupBytes(reread), bytes);
-}
-
-TEST(ObsRollup, MergeOrderDoesNotChangeTheBytes)
-{
-    campaign::ObsRollup a, b;
-    a.addRun("cfg", 0, 10, {"p/x"}, {1.0});
-    a.addRun("other", 2, 30, {"q/y"}, {3.0});
-    b.addRun("cfg", 1, 20, {"p/x"}, {2.0});
-
-    campaign::ObsRollup ab, ba;
-    ab.merge(a);
-    ab.merge(b);
-    ba.merge(b);
-    ba.merge(a);
-    EXPECT_EQ(rollupBytes(ab), rollupBytes(ba));
-    EXPECT_EQ(ab.runCount(), 3u);
-}
-
-// ---------------------------------------------------------------------
-// End to end: one process vs N shards produce identical rollup bytes.
-
-campaign::CampaignSpec
-rollupSpec()
-{
-    campaign::CampaignSpec spec;
-    spec.name = "rollup-parity";
-    spec.workloads = {{"Uniform", true, workload::makeUniform}};
-    spec.configs = {
-        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
-        core::makeConfig(core::NetworkKind::XBar,
-                         core::MemoryKind::ECM),
-    };
-    spec.seeds = {0, 1};
-    spec.base.requests = 200;
-    return spec;
-}
-
-/** Run the grid's @p shard slice with the rollup plane on, writing
- * into @p dir; returns the rollup file path the runner wrote. */
-std::string
-runShard(const std::string &dir, campaign::ShardSpec shard,
-         std::size_t threads)
-{
-    std::filesystem::create_directories(dir);
-    campaign::RunnerOptions options;
-    options.threads = threads;
-    options.shard = shard;
-    options.observability.rollup = true;
-    options.observability.dir = dir;
-    campaign::CampaignRunner runner(options);
-    runner.run(rollupSpec());
-    std::string path = dir + "/rollup";
-    if (!shard.isWhole())
-        path += "-" + std::to_string(shard.index + 1) + "-" +
-                std::to_string(shard.count);
-    return path + ".csv";
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    return bytes.str();
-}
-
-TEST(ObsRollup, ShardMergeMatchesTheWholeRunByteForByte)
-{
-    const std::string whole_dir = ::testing::TempDir() + "/rollup_whole";
-    const std::string whole = runShard(whole_dir, {}, 2);
-
-    const std::string shard_dir =
-        ::testing::TempDir() + "/rollup_shards";
-    campaign::ObsRollup merged;
-    for (std::size_t index = 0; index < 2; ++index) {
-        campaign::ShardSpec shard;
-        shard.index = index;
-        shard.count = 2;
-        const std::string path = runShard(shard_dir, shard, 1);
-        merged.merge(campaign::readRollupFile(path));
-    }
-
-    EXPECT_EQ(rollupBytes(merged), slurp(whole));
-    // Worker count must not matter either: the whole run above used 2
-    // threads, the shards 1 each.
-    const std::string whole1_dir =
-        ::testing::TempDir() + "/rollup_whole1";
-    EXPECT_EQ(slurp(runShard(whole1_dir, {}, 1)), slurp(whole));
 }
 
 // ---------------------------------------------------------------------

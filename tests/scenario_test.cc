@@ -6,15 +6,13 @@
  * byte-stability, registry-backed resolution (unknown names/knobs are
  * fatal), resolve() parity with the legacy hand-built CampaignSpec
  * path (identical sink and checkpoint bytes), duplicate-axis-label
- * rejection in expand(), environment overrides, and the strict
- * core::env helpers.
+ * rejection in expand(), runScenario, and the strict core::env
+ * helper.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -294,10 +292,27 @@ TEST(Scenario, RejectsUnknownSectionsKeysAndBadValues)
         campaign::parseScenario(withLine("reuse_systems =",
                                          "reuse_systems = maybe")),
         sim::FatalError);
-    // Not a key: CORONA_SHARD is the one way to run a slice.
+    // Not a key: a campaign runs its whole grid in one process.
     EXPECT_THROW(campaign::parseScenario(
                      withLine("threads =", "shard = 1/2")),
                  sim::FatalError);
+    // Neither jsonl nor heartbeat is a key: each stops at the
+    // unknown-key fatal, which names its line.
+    {
+        const std::string error =
+            parseError(withLine("threads =", "jsonl = x.jsonl"));
+        EXPECT_NE(error.find("line 21: unknown key \"jsonl\""),
+                  std::string::npos)
+            << error;
+    }
+    {
+        const std::string error =
+            parseError(std::string(kFullScenario) +
+                       "\n[observability]\nheartbeat = on\n");
+        EXPECT_NE(error.find("line 28: unknown key \"heartbeat\""),
+                  std::string::npos)
+            << error;
+    }
     // The analytical model is not an executor: every cell simulates.
     for (const char *gone :
          {"executor = magic", "executor = model", "calibration = f.csv"}) {
@@ -598,8 +613,8 @@ TEST(Scenario, ResolvedFig9SliceMatchesLegacySpecByteForByte)
         runBytes(scenario.resolve(), 2);
     const auto [legacy_csv, legacy_ckpt] = runBytes(legacySlice(400), 2);
     // Identical sink bytes AND identical checkpoint bytes (including
-    // the fingerprint header), so a scenario-driven shard can resume
-    // or merge against a legacy-driven checkpoint and vice versa.
+    // the fingerprint header), so a scenario-driven run can resume
+    // from a legacy-driven checkpoint and vice versa.
     EXPECT_EQ(scenario_csv, legacy_csv);
     EXPECT_EQ(scenario_ckpt, legacy_ckpt);
     EXPECT_NE(scenario_csv.find("Uniform"), std::string::npos);
@@ -633,70 +648,7 @@ TEST(Scenario, RegistryFactoriesMatchLegacyFactoriesAcrossTheTable)
     }
 }
 
-// ---------------------------- runScenario + the worker contract
-
-TEST(ScenarioRun, RunScenarioIgnoresTheEnvironment)
-{
-    // The file is the whole description of the run: the worker
-    // contract's variables reach a run only through
-    // applyWorkerEnvironment (corona-run).
-    campaign::ScenarioSpec scenario;
-    scenario.name = "verbatim";
-    scenario.requests = 300;
-    scenario.workloads = {"Uniform"};
-    scenario.configs = {"XBar/OCM", "HMesh/OCM"};
-    scenario.execution.progress = false;
-    const std::string checkpoint =
-        ::testing::TempDir() + "/verbatim.ckpt";
-
-    std::filesystem::remove(checkpoint);
-    setenv("CORONA_SHARD", "1/2", 1);
-    setenv("CORONA_CHECKPOINT", checkpoint.c_str(), 1);
-    const auto result = campaign::runScenario(scenario, {.quiet = true});
-    unsetenv("CORONA_SHARD");
-    unsetenv("CORONA_CHECKPOINT");
-    EXPECT_EQ(result.records.size(), 2u);
-    EXPECT_TRUE(result.complete());
-    EXPECT_FALSE(std::filesystem::exists(checkpoint));
-}
-
-TEST(ScenarioRun, ShardWorkerWritesOnlyItsCheckpoint)
-{
-    // A CORONA_SHARD worker never opens the scenario's shared sink
-    // paths: every concurrent worker would truncate the same file,
-    // and the launcher's merge writes them.
-    const std::string dir = ::testing::TempDir() + "/shard_worker";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    campaign::ScenarioSpec scenario;
-    scenario.name = "worker";
-    scenario.requests = 300;
-    scenario.workloads = {"Uniform"};
-    scenario.configs = {"XBar/OCM", "HMesh/OCM"};
-    scenario.execution.progress = false;
-    scenario.execution.csv = dir + "/runs.csv";
-    scenario.execution.jsonl = dir + "/runs.jsonl";
-    scenario.execution.summary = dir + "/summary.csv";
-    scenario.execution.threads = 3;
-    const std::string checkpoint = dir + "/shard1.ckpt";
-
-    setenv("CORONA_SHARD", "1/2", 1);
-    setenv("CORONA_CHECKPOINT", checkpoint.c_str(), 1);
-    campaign::applyWorkerEnvironment(scenario);
-    unsetenv("CORONA_SHARD");
-    unsetenv("CORONA_CHECKPOINT");
-    // The launcher's CORONA_JOBS, not the file, sizes a worker.
-    EXPECT_EQ(scenario.execution.threads, 0u);
-    const auto result = campaign::runScenario(scenario, {.quiet = true});
-    EXPECT_EQ(result.records.size(), 1u);
-    EXPECT_FALSE(result.complete());
-
-    std::ifstream in(checkpoint);
-    ASSERT_TRUE(in);
-    EXPECT_EQ(campaign::loadCheckpoint(in, result.spec).size(), 1u);
-    for (const char *sink : {"/runs.csv", "/runs.jsonl", "/summary.csv"})
-        EXPECT_FALSE(std::filesystem::exists(dir + sink)) << sink;
-}
+// ---------------------------------------------------- runScenario
 
 TEST(ScenarioRun, OutOfRangeBandwidthFailsTheRun)
 {
@@ -716,29 +668,6 @@ TEST(ScenarioRun, OutOfRangeBandwidthFailsTheRun)
         << result.records[0].error;
 }
 
-TEST(ScenarioRun, MalformedEnvOverrideIsFatal)
-{
-    campaign::ScenarioSpec scenario;
-    scenario.workloads = {"Uniform"};
-    scenario.configs = {"XBar/OCM"};
-    setenv("CORONA_SHARD", "7", 1);
-    EXPECT_THROW(campaign::applyWorkerEnvironment(scenario),
-                 sim::FatalError);
-    // A shard worker's only output is its checkpoint: without one it
-    // fails up front instead of running a slice it would discard.
-    setenv("CORONA_SHARD", "1/2", 1);
-    unsetenv("CORONA_CHECKPOINT");
-    try {
-        campaign::applyWorkerEnvironment(scenario);
-        ADD_FAILURE() << "CORONA_SHARD without a checkpoint ran";
-    } catch (const sim::FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("CORONA_CHECKPOINT"),
-                  std::string::npos)
-            << e.what();
-    }
-    unsetenv("CORONA_SHARD");
-}
-
 // ------------------------------------------------------ core::env
 
 TEST(Env, PositiveCountIsStrict)
@@ -754,19 +683,6 @@ TEST(Env, PositiveCountIsStrict)
                      sim::FatalError)
             << "\"" << bad << "\"";
     }
-    unsetenv("CORONA_TEST_ENV");
-}
-
-TEST(Env, NonEmptyIsStrict)
-{
-    unsetenv("CORONA_TEST_ENV");
-    EXPECT_FALSE(core::env::nonEmpty("CORONA_TEST_ENV"));
-    setenv("CORONA_TEST_ENV", "", 1);
-    EXPECT_TRUE(core::env::isSet("CORONA_TEST_ENV"));
-    EXPECT_THROW(core::env::nonEmpty("CORONA_TEST_ENV"),
-                 sim::FatalError);
-    setenv("CORONA_TEST_ENV", "value", 1);
-    EXPECT_EQ(core::env::nonEmpty("CORONA_TEST_ENV"), "value");
     unsetenv("CORONA_TEST_ENV");
 }
 

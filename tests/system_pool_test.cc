@@ -3,7 +3,7 @@
  * Tests for reusable simulation contexts: SimContext reset parity with
  * fresh construction, SystemPool lease semantics, and the campaign
  * runner's byte-parity contract — a pooled multi-cell grid must
- * produce the same CSV/JSONL sink bytes and checkpoint fingerprint
+ * produce the same CSV sink bytes and checkpoint fingerprint
  * rows as a pool-less one, at any worker count.
  */
 
@@ -203,38 +203,26 @@ gridSpec()
     return spec;
 }
 
-struct SinkBytes
-{
-    std::string csv;
-    std::string jsonl;
-};
-
-SinkBytes
+/** The grid's CSV sink bytes. */
+std::string
 runGrid(bool reuse_systems, std::size_t threads)
 {
-    std::ostringstream csv, jsonl;
-    campaign::CsvSink csv_sink(csv);
-    campaign::JsonLinesSink jsonl_sink(jsonl);
+    std::ostringstream csv;
+    campaign::CsvSink sink(csv);
     campaign::RunnerOptions options;
     options.threads = threads;
     options.reuse_systems = reuse_systems;
     campaign::CampaignRunner runner(options);
-    runner.addSink(csv_sink);
-    runner.addSink(jsonl_sink);
+    runner.addSink(sink);
     runner.run(gridSpec());
-    return {csv.str(), jsonl.str()};
+    return csv.str();
 }
 
 TEST(SystemPoolParity, SinkBytesMatchPoolingOnAndOffAcrossThreadCounts)
 {
-    const SinkBytes fresh_serial = runGrid(false, 1);
-    const SinkBytes pooled_serial = runGrid(true, 1);
-    const SinkBytes pooled_parallel = runGrid(true, 4);
-
-    EXPECT_EQ(fresh_serial.csv, pooled_serial.csv);
-    EXPECT_EQ(fresh_serial.jsonl, pooled_serial.jsonl);
-    EXPECT_EQ(fresh_serial.csv, pooled_parallel.csv);
-    EXPECT_EQ(fresh_serial.jsonl, pooled_parallel.jsonl);
+    const std::string fresh_serial = runGrid(false, 1);
+    EXPECT_EQ(fresh_serial, runGrid(true, 1));
+    EXPECT_EQ(fresh_serial, runGrid(true, 4));
 }
 
 std::string

@@ -5,18 +5,13 @@
  * The unified front end for declaratively described experiments: a
  * scenario file names the workload / configuration / override axes
  * (resolved through the workload and config registries), the seeding
- * discipline, and the execution settings (threads, checkpoint,
- * sinks), so the same text file runs on a laptop, a launcher-spawned
- * worker, or a remote host and produces byte-identical sink and
- * checkpoint output.
+ * discipline, and the execution settings (threads, sim_threads,
+ * checkpoint, sinks), so the same text file produces byte-identical
+ * sink and checkpoint output on any host and at any worker count.
  *
- * The file is the whole description of the run. The one exception is
- * the launcher's worker contract: CORONA_SHARD ("i/N") and
- * CORONA_CHECKPOINT make this process one shard worker of a launched
- * grid. It then writes only its checkpoint and per-run obs files;
- * the launcher's merge writes the scenario's csv, jsonl and summary,
- * and it runs at threads = 0. CORONA_JOBS is the worker count that
- * threads = 0 resolves to.
+ * The file is the whole description of the run. The one environment
+ * variable is CORONA_JOBS, the worker count that threads = 0 resolves
+ * to.
  *
  * The paper's Figures 8-11 come from one run of
  * scenarios/fig9.scenario: `corona-stats figures` renders them from
@@ -47,10 +42,7 @@ usage(std::ostream &os)
           "  --no-table  skip the per-run results table on stdout\n"
           "  --quiet     suppress progress/ETA chatter on stderr\n\n"
           "The scenario file describes the whole run. Environment:\n"
-          "CORONA_JOBS is the worker count for threads = 0;\n"
-          "CORONA_SHARD=i/N and CORONA_CHECKPOINT make this process\n"
-          "one shard worker of a launched grid (checkpoint only, no\n"
-          "csv/jsonl/summary).\n\n"
+          "CORONA_JOBS is the worker count for threads = 0.\n\n"
           "Figures 8-11: corona-run scenarios/fig9.scenario, then\n"
           "`corona-stats figures fig9.csv`.\n";
 }
@@ -99,7 +91,7 @@ main(int argc, char **argv)
     }
 
     try {
-        campaign::ScenarioSpec scenario =
+        const campaign::ScenarioSpec scenario =
             campaign::loadScenarioFile(path);
 
         if (print) {
@@ -122,8 +114,6 @@ main(int argc, char **argv)
             return 0;
         }
 
-        // After --print and --dry-run, which show the file as written.
-        campaign::applyWorkerEnvironment(scenario);
         campaign::ScenarioRunOptions options;
         options.quiet = quiet;
         const campaign::ScenarioRunResult result =
@@ -140,7 +130,7 @@ main(int argc, char **argv)
             }
         }
 
-        if (result.complete() && table) {
+        if (table) {
             stats::TableWriter out("Scenario \"" + scenario.name +
                                    "\": " +
                                    std::to_string(

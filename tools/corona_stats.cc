@@ -5,9 +5,9 @@
  *
  * The observability planes write several file shapes (see README
  * "Observability"): per-run binary time series and traces (with CSV /
- * Chrome-JSON export on demand), registry snapshot CSVs, host
- * heartbeat JSONL, and campaign rollup files. This tool checks and
- * condenses them from the command line:
+ * Chrome-JSON export on demand), registry snapshot CSVs, and the
+ * campaign rollup file. This tool checks and condenses them from the
+ * command line:
  *
  *   corona-stats summary  RUN.{obs,timeseries}.bin|.csv  column stats
  *   corona-stats export   RUN.{obs,timeseries}.bin [OUT] binary -> CSV
@@ -20,35 +20,27 @@
  * holding both the time-series and trace planes; every subcommand
  * above accepts either the container or a bare single-plane file.
  *   corona-stats snapshot RUN.snapshot.csv [PREFIX] print (filtered)
- *   corona-stats heartbeat HEARTBEAT.jsonl          count by event
  *   corona-stats report   OBS_DIR [--top N] [--probes PREFIX]
- *                         render the campaign rollup (merging
- *                         per-shard rollup files when needed)
- *   corona-stats follow   HEARTBEAT.jsonl... [--once] [--interval MS]
- *                         tail heartbeats into a live status line
+ *                         render the campaign rollup OBS_DIR/rollup.csv
  *   corona-stats figures  RUNS.csv        Figures 8-11 from the CSV of
  *                         a finished scenarios/fig9.scenario run
  *
  * Every subcommand exits non-zero on a malformed file, so the CI smoke
- * can use it as a validity gate; all output except `follow` (which
- * reports live host progress) is deterministic for a given input.
+ * can use it as a validity gate; all output is deterministic for a
+ * given input.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/figures.hh"
 #include "campaign/obs_rollup.hh"
 #include "campaign/sink.hh"
-#include "obs/follow.hh"
 #include "obs/observe.hh"
 #include "obs/registry.hh"
 #include "obs/timeseries.hh"
@@ -77,15 +69,9 @@ usage(std::ostream &os)
           "      tracks for time-series probes under PATH\n"
           "  corona-stats snapshot FILE.snapshot.csv [PREFIX]\n"
           "      print snapshot rows (only those under PREFIX)\n"
-          "  corona-stats heartbeat FILE.jsonl\n"
-          "      count heartbeat records by event type\n"
           "  corona-stats report OBS_DIR [--top N] [--probes PREFIX]\n"
-          "      render the campaign rollup report (merges per-shard\n"
-          "      rollup-*.csv files when no merged rollup.csv exists)\n"
-          "  corona-stats follow FILE.jsonl... [--once] "
-          "[--interval MS]\n"
-          "      tail heartbeat streams (multi-shard) into one\n"
-          "      refreshing status line; --once prints and exits\n"
+          "      render the campaign rollup report from\n"
+          "      OBS_DIR/rollup.csv\n"
           "  corona-stats figures RUNS.csv\n"
           "      print the Figure 8-11 tables from the CSV sink of a\n"
           "      finished paper-grid run (scenarios/fig9.scenario)\n";
@@ -462,44 +448,6 @@ printSnapshot(const std::string &path, const std::string &prefix)
 }
 
 int
-summarizeHeartbeat(const std::string &path)
-{
-    std::ifstream stream = openOrDie(path);
-    std::vector<std::string> events;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t total = 0;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(stream, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        if (line.front() != '{' || line.back() != '}')
-            die(path + ":" + std::to_string(line_no) +
-                ": not a JSON object line");
-        const std::string event =
-            jsonStringField(line, "event", path);
-        bool seen = false;
-        for (std::size_t i = 0; i < events.size(); ++i) {
-            if (events[i] == event) {
-                ++counts[i];
-                seen = true;
-                break;
-            }
-        }
-        if (!seen) {
-            events.push_back(event);
-            counts.push_back(1);
-        }
-        ++total;
-    }
-    std::cout << "records," << total << "\n";
-    for (std::size_t i = 0; i < events.size(); ++i)
-        std::cout << events[i] << "," << counts[i] << "\n";
-    return 0;
-}
-
-int
 reportCommand(const std::string &dir,
               const std::vector<std::string> &args)
 {
@@ -525,34 +473,8 @@ reportCommand(const std::string &dir,
         }
     }
 
-    namespace fs = std::filesystem;
-    const fs::path merged = fs::path(dir) / "rollup.csv";
-    campaign::ObsRollup rollup;
-    std::error_code ec;
-    if (fs::exists(merged, ec)) {
-        rollup = campaign::readRollupFile(merged.string());
-    } else {
-        // No merged file: fold this directory's per-shard rollups, in
-        // sorted name order so the report is directory-layout
-        // deterministic.
-        std::vector<std::string> shard_files;
-        for (const auto &entry : fs::directory_iterator(dir, ec)) {
-            const std::string name = entry.path().filename().string();
-            if (name.compare(0, 7, "rollup-") == 0 &&
-                name.size() > 4 &&
-                name.compare(name.size() - 4, 4, ".csv") == 0)
-                shard_files.push_back(entry.path().string());
-        }
-        if (ec)
-            die("cannot scan \"" + dir + "\": " + ec.message());
-        if (shard_files.empty())
-            die("no rollup.csv or rollup-*.csv in \"" + dir +
-                "\" (enable [observability] rollup = on)");
-        std::sort(shard_files.begin(), shard_files.end());
-        for (const std::string &file : shard_files)
-            rollup.merge(campaign::readRollupFile(file));
-    }
-    campaign::writeRollupReport(std::cout, rollup, options);
+    campaign::writeRollupReport(
+        std::cout, campaign::readRollupFile(dir + "/rollup.csv"), options);
     return 0;
 }
 
@@ -566,90 +488,6 @@ figuresCommand(const std::string &path,
     campaign::writePaperFigures(
         std::cout, campaign::readRunsCsv(stream, path), path);
     return 0;
-}
-
-int
-followCommand(const std::vector<std::string> &args)
-{
-    std::vector<std::string> paths;
-    bool once = false;
-    long interval_ms = 500;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--once") {
-            once = true;
-        } else if (arg == "--interval") {
-            if (i + 1 >= args.size())
-                die("--interval needs a value in milliseconds");
-            const std::string &value = args[++i];
-            char *end = nullptr;
-            interval_ms = std::strtol(value.c_str(), &end, 10);
-            if (end != value.c_str() + value.size() || interval_ms <= 0)
-                die("--interval needs a positive millisecond count, "
-                    "got \"" + value + "\"");
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.empty())
-        die("follow needs at least one heartbeat file");
-
-    std::vector<obs::HeartbeatFollower> followers(paths.size());
-    const bool tty_line = !once;
-    std::string chunk;
-    while (true) {
-        for (std::size_t i = 0; i < paths.size(); ++i) {
-            // Reopen per poll: simple, and immune to rotation or the
-            // file appearing after the launcher starts its shard.
-            std::ifstream stream(paths[i], std::ios::binary);
-            if (!stream)
-                continue; // Not written yet; keep watching.
-            stream.seekg(static_cast<std::streamoff>(
-                followers[i].consumed()));
-            if (!stream)
-                continue;
-            chunk.assign(std::istreambuf_iterator<char>(stream),
-                         std::istreambuf_iterator<char>());
-            if (!chunk.empty())
-                followers[i].feed(chunk);
-        }
-        std::vector<obs::FollowStreamState> states;
-        states.reserve(followers.size());
-        for (const obs::HeartbeatFollower &follower : followers)
-            states.push_back(follower.state());
-        const obs::FollowSummary summary = obs::summarize(states);
-        if (tty_line)
-            std::cerr << '\r' << obs::formatFollowLine(summary)
-                      << std::flush;
-        const bool done =
-            summary.finished == summary.streams || once;
-        if (done) {
-            if (tty_line)
-                std::cerr << '\n';
-            // Final per-stream accounting on stdout, parseable.
-            std::cout << obs::formatFollowLine(summary) << "\n";
-            for (std::size_t i = 0; i < paths.size(); ++i) {
-                const obs::FollowStreamState &state =
-                    followers[i].state();
-                std::cout << paths[i] << ": "
-                          << (state.finished() ? "finished"
-                                               : "in progress")
-                          << ", lines=" << state.lines
-                          << ", completed=" << state.completed();
-                if (state.runs > 0)
-                    std::cout << "/" << state.runs;
-                if (state.shards > 0)
-                    std::cout << ", shards=" << state.shard_exits
-                              << "/" << state.shards;
-                if (state.malformed > 0)
-                    std::cout << ", malformed=" << state.malformed;
-                std::cout << "\n";
-            }
-            return 0;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(interval_ms));
-    }
 }
 
 } // namespace
@@ -682,19 +520,10 @@ main(int argc, char **argv)
             return traceCommand(path, rest);
         if (command == "snapshot")
             return printSnapshot(path, rest.empty() ? "" : rest.front());
-        if (command == "heartbeat")
-            return summarizeHeartbeat(path);
         if (command == "report")
             return reportCommand(path, rest);
         if (command == "figures")
             return figuresCommand(path, rest);
-        if (command == "follow") {
-            std::vector<std::string> follow_args;
-            follow_args.push_back(path);
-            follow_args.insert(follow_args.end(), rest.begin(),
-                               rest.end());
-            return followCommand(follow_args);
-        }
     } catch (const sim::FatalError &e) {
         die(e.what());
     }
