@@ -13,7 +13,8 @@
 #   3. Determinism: every per-run obs file and the campaign rollup are
 #      byte-identical between a 1-worker and a 4-worker run.
 #   4. `corona-stats report` renders the campaign rollup (the CI
-#      artifact report.txt).
+#      artifact report.txt), and refuses a --top that is not a
+#      positive count with exit 1 and an error naming the value.
 #
 # Usage: scripts/obs_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -122,12 +123,23 @@ cmp -s "${DIR}/obs1/rollup.csv" "${DIR}/obs4/rollup.csv" || {
   exit 1
 }
 
-# ---- 4. The campaign report renders from the rollup.
+# ---- 4. The campaign report renders from the rollup, and a --top
+# that is not a positive count is refused.
 "${BUILD}/corona-stats" report "${DIR}/obs1" > "${DIR}/report.txt"
 grep -q "^campaign rollup:" "${DIR}/report.txt" || {
   echo "obs smoke: campaign report missing rollup header" >&2
   exit 1
 }
+for top in -1 99999999999999999999999 " 3"; do
+  status=0
+  "${BUILD}/corona-stats" report "${DIR}/obs1" --top "${top}" \
+    > /dev/null 2> "${DIR}/top.err" || status=$?
+  if [ "${status}" -ne 1 ] || ! grep -qF "\"${top}\"" "${DIR}/top.err"; then
+    echo "obs smoke: report --top \"${top}\" must exit 1 naming the" \
+         "value (exit ${status})" >&2
+    exit 1
+  fi
+done
 
 echo "obs smoke: OK (file shapes valid, sink off-parity, obs bytes" \
-     "worker-count invariant, rollup report rendered)"
+     "worker-count invariant, rollup report rendered, bad --top refused)"

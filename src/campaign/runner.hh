@@ -140,9 +140,8 @@ RunRecord executePlan(const RunPlan &plan, core::SystemPool &pool);
 
 /** Resolve a requested worker count: 0 defers to $CORONA_JOBS when
  * set (strictly parsed, fatal on garbage), else hardware concurrency;
- * never less than 1. Shared by the runner, parallelFor, and the bench
- * harness so a reported thread count always matches the pool actually
- * used and CORONA_JOBS bounds every engine entry point. */
+ * never less than 1. The runner sizes its pool with it, so
+ * CORONA_JOBS bounds every campaign. */
 std::size_t resolveWorkerThreads(std::size_t requested);
 
 } // namespace corona::campaign

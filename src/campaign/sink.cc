@@ -264,46 +264,16 @@ CsvSink::consume(const RunRecord &record)
 }
 
 void
-MemorySink::begin(const CampaignSpec &spec, std::size_t total_runs)
+MemorySink::begin(const CampaignSpec &, std::size_t total_runs)
 {
     _records.clear();
     _records.reserve(total_runs);
-    _workloads = spec.workloads.size();
-    _configs = spec.configs.size();
-    _seeds = spec.seeds.empty() ? 1 : spec.seeds.size();
-    _overrides = spec.overrides.empty() ? 1 : spec.overrides.size();
 }
 
 void
 MemorySink::consume(const RunRecord &record)
 {
     _records.push_back(record);
-}
-
-std::vector<std::vector<core::RunMetrics>>
-MemorySink::grid() const
-{
-    if (_seeds != 1 || _overrides != 1)
-        sim::fatal("MemorySink::grid: campaign has replicate seed or "
-                   "override axes; use records() instead");
-    if (_records.size() != _workloads * _configs)
-        sim::fatal("MemorySink::grid: incomplete campaign (" +
-                   std::to_string(_records.size()) + " of " +
-                   std::to_string(_workloads * _configs) + " runs)");
-
-    std::vector<std::vector<core::RunMetrics>> grid(_workloads);
-    for (auto &row : grid)
-        row.resize(_configs);
-    for (const RunRecord &record : _records) {
-        if (!record.ok)
-            sim::fatal("MemorySink::grid: run " +
-                       std::to_string(record.index) + " (" +
-                       record.workload + " on " + record.config +
-                       ") failed: " + record.error);
-        grid[record.workload_index][record.config_index] =
-            record.metrics;
-    }
-    return grid;
 }
 
 } // namespace corona::campaign

@@ -6,8 +6,7 @@
  * run-index order (not completion order), one record at a time under the
  * runner's lock — sink output is therefore byte-identical regardless of
  * worker-thread count. CsvSink serialises the full RunMetrics field
- * set for plotting scripts; MemorySink keeps records in memory and can
- * reshape them into a [workload][config] grid.
+ * set for plotting scripts; MemorySink keeps records in memory.
  */
 
 #ifndef CORONA_CAMPAIGN_SINK_HH
@@ -102,19 +101,8 @@ class MemorySink : public ResultSink
     /** All records, ordered by run index. */
     const std::vector<RunRecord> &records() const { return _records; }
 
-    /**
-     * Metrics reshaped as [workload][config]. Fatal if the campaign
-     * had replicate seed / override axes (the grid would be
-     * ambiguous) or if any run failed.
-     */
-    std::vector<std::vector<core::RunMetrics>> grid() const;
-
   private:
     std::vector<RunRecord> _records;
-    std::size_t _workloads = 0;
-    std::size_t _configs = 0;
-    std::size_t _seeds = 1;
-    std::size_t _overrides = 1;
 };
 
 } // namespace corona::campaign

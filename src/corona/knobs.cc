@@ -200,19 +200,6 @@ paperConfigNames()
     return names;
 }
 
-const std::vector<std::string> &
-configNames()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> all;
-        for (const NamedPoint &point : namedPoints)
-            all.push_back(point.name);
-        all.push_back("paper");
-        return all;
-    }();
-    return names;
-}
-
 SystemConfig
 namedConfig(const std::string &name)
 {

@@ -59,10 +59,6 @@ void applySimParamsKnob(SimParams &params, const std::string &key,
 /** Names of the five paper configurations, Figure 8 legend order. */
 const std::vector<std::string> &paperConfigNames();
 
-/** Every registered configuration name: the five paper points, the
- * Ideal/{OCM,ECM} references, and the "paper" group alias. */
-const std::vector<std::string> &configNames();
-
 /**
  * Build the named configuration point. Accepts the "Net/Mem" names
  * ("XBar/OCM", "HMesh/ECM", "Ideal/OCM", ...); fatal on anything

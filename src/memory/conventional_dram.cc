@@ -74,14 +74,6 @@ ConventionalDram::rowHitRate() const
 }
 
 double
-ConventionalDram::energyPerUsefulBitPj() const
-{
-    const double useful_bits = static_cast<double>(_accesses) *
-                               _params.line_bytes * 8.0;
-    return useful_bits > 0 ? _energyPj / useful_bits : 0.0;
-}
-
-double
 ConventionalDram::activationOverhead() const
 {
     const double useful = static_cast<double>(_accesses) *

@@ -77,9 +77,6 @@ class ConventionalDram
     /** Total energy consumed, joules. */
     double energyJ() const { return _energyPj * 1e-12; }
 
-    /** Mean energy per *useful* bit delivered, picojoules. */
-    double energyPerUsefulBitPj() const;
-
     /** Bits activated (row reads) versus bits actually used. */
     double activationOverhead() const;
 

@@ -29,13 +29,6 @@ mm1Wait(double rho, double service)
 }
 
 double
-md1QueueLength(double rho)
-{
-    const double r = clampRho(rho);
-    return r * r / (2.0 * (1.0 - r));
-}
-
-double
 utilization(double offered, double capacity)
 {
     if (capacity <= 0.0)

@@ -34,9 +34,6 @@ double md1Wait(double rho, double service);
 /** Mean M/M/1 queueing delay (service excluded): rho*s / (1-rho). */
 double mm1Wait(double rho, double service);
 
-/** Mean number waiting in an M/D/1 queue (Little on md1Wait). */
-double md1QueueLength(double rho);
-
 /** Utilization law: offered / capacity, clamped to [0, 1]. Zero or
  * negative capacity yields full utilization (a degenerate server). */
 double utilization(double offered, double capacity);

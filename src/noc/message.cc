@@ -19,12 +19,6 @@ wireBytes(MsgKind kind)
     sim::panic("wireBytes: unknown message kind");
 }
 
-bool
-carriesData(MsgKind kind)
-{
-    return kind == MsgKind::WriteReq || kind == MsgKind::ReadResp;
-}
-
 std::string
 to_string(MsgKind kind)
 {

@@ -49,9 +49,6 @@ inline constexpr std::uint32_t headerBytes = 16;
 /** Wire size in bytes of a message of the given kind. */
 std::uint32_t wireBytes(MsgKind kind);
 
-/** True for kinds that carry a data payload. */
-bool carriesData(MsgKind kind);
-
 /** Human-readable kind name. */
 std::string to_string(MsgKind kind);
 

@@ -7,8 +7,8 @@
  * estimate) designs, concluding the digital stack lands between 82 W and
  * 155 W. This module provides a small analytic model with the same
  * inputs (capacity, associativity, line size, process scaling) that
- * reproduces those bookends and gives per-access energies for the
- * examples and benches.
+ * reproduces those bookends (FIDELITY.md's 82-155 W row) and gives
+ * per-access energies.
  */
 
 #ifndef CORONA_POWER_CACHE_POWER_HH

@@ -8,7 +8,6 @@ namespace corona::sim {
 
 namespace {
 
-bool verboseFlag = false;
 std::mutex logMutex;
 std::unordered_set<std::string> warnedOnce;
 
@@ -32,27 +31,6 @@ warn(const std::string &message)
     std::scoped_lock lock(logMutex);
     if (warnedOnce.insert(message).second)
         std::cerr << "warn: " << message << "\n";
-}
-
-void
-setVerbose(bool verbose)
-{
-    verboseFlag = verbose;
-}
-
-bool
-verboseEnabled()
-{
-    return verboseFlag;
-}
-
-void
-inform(const std::string &message)
-{
-    if (!verboseFlag)
-        return;
-    std::scoped_lock lock(logMutex);
-    std::cerr << "info: " << message << "\n";
 }
 
 } // namespace corona::sim

@@ -39,15 +39,6 @@ class PanicError : public std::logic_error
 /** Emit a non-fatal warning to stderr (at most once per unique text). */
 void warn(const std::string &message);
 
-/** Enable/disable verbose informational logging. */
-void setVerbose(bool verbose);
-
-/** True when verbose informational logging is enabled. */
-bool verboseEnabled();
-
-/** Emit an informational message to stderr when verbose logging is on. */
-void inform(const std::string &message);
-
 } // namespace corona::sim
 
 #endif // CORONA_SIM_LOGGING_HH

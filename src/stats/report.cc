@@ -63,63 +63,10 @@ TableWriter::print(std::ostream &os) const
 }
 
 std::string
-TableWriter::str() const
-{
-    std::ostringstream oss;
-    print(oss);
-    return oss.str();
-}
-
-void
-TableWriter::printCsv(std::ostream &os) const
-{
-    auto emit = [&os](const std::vector<std::string> &row) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                os << ",";
-            const bool quote =
-                row[i].find_first_of(",\"\n") != std::string::npos;
-            if (!quote) {
-                os << row[i];
-                continue;
-            }
-            os << '"';
-            for (const char c : row[i]) {
-                if (c == '"')
-                    os << '"';
-                os << c;
-            }
-            os << '"';
-        }
-        os << "\n";
-    };
-    if (!_header.empty())
-        emit(_header);
-    for (const auto &row : _rows)
-        emit(row);
-}
-
-std::string
 formatDouble(double value, int digits)
 {
     std::ostringstream oss;
     oss << std::fixed << std::setprecision(digits) << value;
-    return oss.str();
-}
-
-std::string
-formatBandwidth(double bytes_per_second)
-{
-    std::ostringstream oss;
-    oss << std::fixed << std::setprecision(2);
-    if (bytes_per_second >= 1e12)
-        oss << bytes_per_second / 1e12 << " TB/s";
-    else if (bytes_per_second >= 1e9)
-        oss << bytes_per_second / 1e9 << " GB/s";
-    else if (bytes_per_second >= 1e6)
-        oss << bytes_per_second / 1e6 << " MB/s";
-    else
-        oss << bytes_per_second << " B/s";
     return oss.str();
 }
 

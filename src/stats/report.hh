@@ -2,8 +2,8 @@
  * @file
  * Plain-text table formatting for experiment output.
  *
- * Every bench binary prints its table/figure data through TableWriter so
- * that the regenerated results visually match the paper's row/column
+ * corona-run's results table and corona-stats' figures print through
+ * TableWriter, so the regenerated results match the paper's row/column
  * structure and can be diffed run to run.
  */
 
@@ -34,12 +34,6 @@ class TableWriter
     /** Render to a stream. */
     void print(std::ostream &os) const;
 
-    /** Render to a string. */
-    std::string str() const;
-
-    /** Render as CSV (RFC-4180-style quoting) for plotting scripts. */
-    void printCsv(std::ostream &os) const;
-
   private:
     std::string _title;
     std::vector<std::string> _header;
@@ -48,9 +42,6 @@ class TableWriter
 
 /** Format a double with @p digits significant decimal places. */
 std::string formatDouble(double value, int digits = 2);
-
-/** Format a byte/s figure as a human-readable TB/s / GB/s string. */
-std::string formatBandwidth(double bytes_per_second);
 
 } // namespace corona::stats
 

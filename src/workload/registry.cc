@@ -193,15 +193,6 @@ registry()
     return entries;
 }
 
-std::vector<std::string>
-registryNames()
-{
-    std::vector<std::string> names;
-    for (const RegistryEntry &entry : registry())
-        names.push_back(entry.name);
-    return names;
-}
-
 
 const RegistryEntry &
 registryEntry(const std::string &name)

@@ -2,15 +2,15 @@
  * @file
  * Named workload registry.
  *
- * Scenario files name workloads as text, so every generator the bench
- * suite can drive must be reachable by (name, knob=value...) instead
- * of a C++ factory closure. The registry holds the paper's 15
+ * Scenario files name workloads as text, so every generator a
+ * campaign can drive must be reachable by (name, knob=value...)
+ * instead of a C++ factory closure. The registry holds the paper's 15
  * Table-3 generators — the four synthetic patterns and the eleven
  * SPLASH-2 miss-stream models — in Figure 8's x-axis order, each with
  * a documented knob set (cluster-count scaling for off-nominal design
  * points, think-time / write-mix / topology knobs for the synthetic
  * patterns). Factories built from the registry with default knobs are
- * behaviourally identical to the legacy makeUniform()/makeSplash()
+ * behaviourally identical to the makeUniform()/makeSplash()
  * helpers, so historical sweeps stay bit-compatible. Three
  * sharing-pattern generators (Migratory, Producer-Consumer, False
  * Sharing) follow the suite; they exercise the coherent front end and
@@ -47,9 +47,6 @@ struct RegistryEntry
 /** The 15 Table-3 generators (Figure 8 x-axis order) followed by the
  * three sharing-pattern generators. */
 const std::vector<RegistryEntry> &registry();
-
-/** The registry's names, same order. */
-std::vector<std::string> registryNames();
 
 /** The registry row for @p name; fatal (listing the registry) when
  * the name is unknown. */

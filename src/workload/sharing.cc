@@ -110,12 +110,6 @@ makeMigratory()
 }
 
 std::unique_ptr<Workload>
-makeProducerConsumer()
-{
-    return make(SharingPattern::ProducerConsumer);
-}
-
-std::unique_ptr<Workload>
 makeFalseSharing()
 {
     return make(SharingPattern::FalseSharing);

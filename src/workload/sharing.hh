@@ -103,7 +103,6 @@ class SharingWorkload : public Workload
 
 /** Convenience factories for the harness. */
 std::unique_ptr<Workload> makeMigratory();
-std::unique_ptr<Workload> makeProducerConsumer();
 std::unique_ptr<Workload> makeFalseSharing();
 
 } // namespace corona::workload

@@ -127,9 +127,13 @@ TEST(CacheConfig, Table1Geometries)
 {
     EXPECT_EQ(cache::l1iConfig().capacity_bytes, 16u * 1024);
     EXPECT_EQ(cache::l1iConfig().associativity, 4u);
+    EXPECT_EQ(cache::l1iConfig().line_bytes, 64u);
     EXPECT_EQ(cache::l1dConfig().capacity_bytes, 32u * 1024);
+    EXPECT_EQ(cache::l1dConfig().associativity, 4u);
+    EXPECT_EQ(cache::l1dConfig().line_bytes, 64u);
     EXPECT_EQ(cache::l2Config().capacity_bytes, 4ull << 20);
     EXPECT_EQ(cache::l2Config().associativity, 16u);
+    EXPECT_EQ(cache::l2Config().line_bytes, 64u);
     EXPECT_EQ(cache::l2SimConfig().capacity_bytes, 256u * 1024);
     EXPECT_EQ(cache::l2SimConfig().line_bytes, 64u);
 }

@@ -2,11 +2,14 @@
  * @file
  * End-to-end integration tests: full NetworkSimulation runs across the
  * five paper configurations, asserting the qualitative shape of the
- * paper's results (Section 5) at reduced request counts.
+ * paper's results (Section 5) at reduced request counts, and how
+ * synthetic traffic spreads over the memory controllers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "corona/simulation.hh"
@@ -174,6 +177,48 @@ TEST(Integration, IdealNetworkUpperBounds)
                       workload::makeUniform(), quick(3000));
     // The contention-free network can only be faster.
     EXPECT_LE(ideal.elapsed, xbar.elapsed * 11 / 10);
+}
+
+/** Busiest controller's accesses over the mean: the MC load skew. */
+double
+mcLoadSkew(core::CoronaSystem &system, std::uint64_t *total_accesses)
+{
+    std::uint64_t total = 0, peak = 0;
+    const std::size_t clusters = system.config().clusters;
+    for (topology::ClusterId c = 0; c < clusters; ++c) {
+        total += system.mc(c).accesses();
+        peak = std::max(peak, system.mc(c).accesses());
+    }
+    *total_accesses = total;
+    return static_cast<double>(peak) * static_cast<double>(clusters) /
+           static_cast<double>(total);
+}
+
+TEST(McLoad, HotSpotConcentratesOnOneController)
+{
+    auto workload = workload::makeHotSpot();
+    core::NetworkSimulation simulation(
+        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
+        *workload);
+    const auto metrics = simulation.run();
+    std::uint64_t total_mc = 0;
+    // Hot Spot concentrates on cluster 0: extreme load skew.
+    EXPECT_GT(mcLoadSkew(simulation.system(), &total_mc), 10.0);
+    EXPECT_EQ(total_mc, metrics.requests_issued);
+}
+
+TEST(McLoad, UniformTrafficIsBalanced)
+{
+    auto workload = workload::makeUniform();
+    core::SimParams params;
+    params.requests = 5000;
+    core::NetworkSimulation simulation(
+        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
+        *workload, params);
+    simulation.run();
+    std::uint64_t total_mc = 0;
+    EXPECT_LT(mcLoadSkew(simulation.system(), &total_mc), 1.6)
+        << "uniform traffic must spread across controllers";
 }
 
 } // namespace

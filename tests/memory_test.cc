@@ -277,11 +277,12 @@ TEST(Mshr, MisusePanics)
 TEST(OcmSystem, Table4Numbers)
 {
     const OcmSystem ocm;
+    EXPECT_EQ(ocm.config().controllers, 64u);
     EXPECT_DOUBLE_EQ(ocm.perControllerBandwidth(), 160e9);
     EXPECT_NEAR(ocm.aggregateBandwidth(), 10.24e12, 1e3);
     EXPECT_EQ(ocm.totalFibers(), 256u);
-    // Section 3.3: ~6.4 W at 0.078 mW/Gb/s.
-    EXPECT_NEAR(ocm.interconnectPowerW(), 6.4, 0.2);
+    // Section 3.3: ~6.4 W at 0.078 mW/Gb/s (10.24 TB/s: 6.39 W).
+    EXPECT_NEAR(ocm.interconnectPowerW(), 6.39, 0.05);
     const auto params = ocm.controllerParams();
     EXPECT_EQ(params.access_latency, 20000u);
     EXPECT_EQ(params.name, "OCM");
@@ -298,6 +299,8 @@ TEST(OcmSystem, ChainDelayGrowsGently)
 TEST(EcmSystem, Table4Numbers)
 {
     const EcmSystem ecm;
+    EXPECT_EQ(ecm.config().controllers, 64u);
+    EXPECT_EQ(ecm.config().total_pins, 1536u);
     EXPECT_DOUBLE_EQ(ecm.perControllerBandwidth(), 15e9);
     EXPECT_NEAR(ecm.aggregateBandwidth(), 0.96e12, 1e3);
     // ECM at its own 0.96 TB/s burns ~15 W of link power...
@@ -305,7 +308,9 @@ TEST(EcmSystem, Table4Numbers)
     // ...and matching the OCM's 10.24 TB/s would take >160 W
     // (Section 3.3's infeasibility argument).
     EXPECT_GT(ecm.powerToMatchW(10.24e12), 160.0);
-    EXPECT_EQ(ecm.controllerParams().name, "ECM");
+    const auto params = ecm.controllerParams();
+    EXPECT_EQ(params.access_latency, 20000u);
+    EXPECT_EQ(params.name, "ECM");
 }
 
 class McFixture : public ::testing::Test

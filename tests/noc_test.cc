@@ -45,8 +45,6 @@ TEST(Message, WireSizes)
     EXPECT_EQ(noc::wireBytes(MsgKind::Invalidate), 16u);
     EXPECT_EQ(noc::wireBytes(MsgKind::WriteReq), 80u);
     EXPECT_EQ(noc::wireBytes(MsgKind::ReadResp), 80u);
-    EXPECT_TRUE(noc::carriesData(MsgKind::ReadResp));
-    EXPECT_FALSE(noc::carriesData(MsgKind::ReadReq));
     EXPECT_EQ(noc::to_string(MsgKind::ReadResp), "ReadResp");
 }
 

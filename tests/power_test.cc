@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the power models: mesh dynamic power, crossbar fixed
- * power, memory interconnect power, the bottom-up photonic estimate,
- * and the CACTI-lite digital power bookends.
+ * power, the bottom-up photonic estimate, and the CACTI-lite digital
+ * power bookends. Memory interconnect power is checked with its
+ * systems in memory_test.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 #include "photonics/inventory.hh"
 #include "photonics/loss_budget.hh"
 #include "power/cache_power.hh"
-#include "power/memory_power.hh"
 #include "power/network_power.hh"
 
 namespace {
@@ -40,18 +40,6 @@ TEST(NetworkPower, MeshPowerScalesWithTraffic)
     const double high =
         power::meshNetworkPowerW(100'000'000, sim::oneMillisecond);
     EXPECT_NEAR(high / low, 100.0, 1e-9);
-}
-
-TEST(MemoryPower, PaperConstants)
-{
-    // OCM: 10.24 TB/s at 0.078 mW/Gb/s = ~6.4 W (Section 3.3).
-    EXPECT_NEAR(power::ocmInterconnectPowerW(10.24e12), 6.39, 0.05);
-    // ECM at the same rate: >160 W (the infeasibility argument).
-    EXPECT_GT(power::ecmInterconnectPowerW(10.24e12), 160.0);
-    // ECM at its own 0.96 TB/s: ~15 W.
-    EXPECT_NEAR(power::ecmInterconnectPowerW(0.96e12), 15.36, 0.1);
-    EXPECT_THROW(power::memoryInterconnectPowerW(-1.0, 2.0),
-                 std::invalid_argument);
 }
 
 TEST(PhotonicPower, BottomUpEstimateNearPaper39W)

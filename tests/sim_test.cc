@@ -898,14 +898,6 @@ TEST(Logging, FatalAndPanicThrowTypedErrors)
     }
 }
 
-TEST(Logging, VerboseToggle)
-{
-    sim::setVerbose(true);
-    EXPECT_TRUE(sim::verboseEnabled());
-    sim::setVerbose(false);
-    EXPECT_FALSE(sim::verboseEnabled());
-}
-
 TEST(FlatMap, MatchesUnorderedMapOnRandomOperations)
 {
     // Three key pools: dense line addresses, keys that differ only

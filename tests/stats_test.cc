@@ -141,31 +141,16 @@ TEST(TableWriter, AlignsColumnsAndValidatesRows)
     table.setHeader({"name", "value"});
     table.addRow({"alpha", "1"});
     table.addRow({"bb", "22"});
-    const std::string out = table.str();
+    std::ostringstream oss;
+    table.print(oss);
+    const std::string out = oss.str();
     EXPECT_NE(out.find("== Demo =="), std::string::npos);
     EXPECT_NE(out.find("alpha"), std::string::npos);
     EXPECT_THROW(table.addRow({"only-one-cell"}), std::invalid_argument);
 }
 
-TEST(TableWriter, CsvEscapesSpecials)
+TEST(Formatting, FixedDigits)
 {
-    stats::TableWriter table("ignored in csv");
-    table.setHeader({"name", "value"});
-    table.addRow({"plain", "1"});
-    table.addRow({"with,comma", "say \"hi\""});
-    std::ostringstream oss;
-    table.printCsv(oss);
-    EXPECT_EQ(oss.str(),
-              "name,value\n"
-              "plain,1\n"
-              "\"with,comma\",\"say \"\"hi\"\"\"\n");
-}
-
-TEST(Formatting, BandwidthUnits)
-{
-    EXPECT_EQ(stats::formatBandwidth(20.48e12), "20.48 TB/s");
-    EXPECT_EQ(stats::formatBandwidth(160e9), "160.00 GB/s");
-    EXPECT_EQ(stats::formatBandwidth(5e6), "5.00 MB/s");
     EXPECT_EQ(stats::formatDouble(3.14159, 3), "3.142");
 }
 

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "sim/rng.hh"
 #include "workload/splash.hh"
@@ -27,10 +29,18 @@ using workload::SyntheticWorkload;
 TEST(Synthetic, DefaultsMatchTable3)
 {
     const Geometry geom;
-    SyntheticWorkload uniform(Pattern::Uniform, geom);
-    EXPECT_EQ(uniform.name(), "Uniform");
-    EXPECT_EQ(uniform.paperRequests(), 1'000'000u);
-    EXPECT_EQ(uniform.threads(), 1024u);
+    const std::pair<Pattern, const char *> patterns[] = {
+        {Pattern::Uniform, "Uniform"},
+        {Pattern::HotSpot, "Hot Spot"},
+        {Pattern::Tornado, "Tornado"},
+        {Pattern::Transpose, "Transpose"},
+    };
+    for (const auto &[pattern, name] : patterns) {
+        SyntheticWorkload workload(pattern, geom);
+        EXPECT_EQ(workload.name(), name);
+        EXPECT_EQ(workload.paperRequests(), 1'000'000u) << name;
+        EXPECT_EQ(workload.threads(), 1024u) << name;
+    }
 }
 
 TEST(Synthetic, HotSpotAlwaysTargetsHotCluster)
@@ -117,19 +127,32 @@ TEST(Synthetic, OfferedLoadSaturatesNetworks)
 TEST(Splash, SuiteMatchesTable3)
 {
     const auto suite = workload::splashSuite();
-    ASSERT_EQ(suite.size(), 11u);
-    const std::vector<std::string> names = {
-        "Barnes", "Cholesky", "FFT", "FMM", "LU", "Ocean",
-        "Radiosity", "Radix", "Raytrace", "Volrend", "Water-Sp",
+    // Table 3: benchmark, data set and request count, in table order.
+    const struct
+    {
+        const char *name;
+        const char *dataset;
+        std::uint64_t requests;
+    } table3[] = {
+        {"Barnes", "64 K particles", 7'200'000},
+        {"Cholesky", "tk29.O", 600'000},
+        {"FFT", "16 M points", 176'000'000},
+        {"FMM", "1 M particles", 1'800'000},
+        {"LU", "2048x2048 matrix", 34'000'000},
+        {"Ocean", "2050x2050 grid", 240'000'000},
+        {"Radiosity", "roomlarge", 4'200'000},
+        {"Radix", "64 M integers", 189'000'000},
+        {"Raytrace", "balls4", 700'000},
+        {"Volrend", "head", 3'600'000},
+        {"Water-Sp", "32 K molecules", 3'200'000},
     };
-    for (std::size_t i = 0; i < names.size(); ++i)
-        EXPECT_EQ(suite[i].name, names[i]);
-    // Table 3 request counts.
-    EXPECT_EQ(workload::splashParams("FFT").paper_requests, 176'000'000u);
-    EXPECT_EQ(workload::splashParams("Cholesky").paper_requests, 600'000u);
-    EXPECT_EQ(workload::splashParams("Ocean").paper_requests,
-              240'000'000u);
-    EXPECT_EQ(workload::splashParams("Barnes").dataset, "64 K particles");
+    ASSERT_EQ(suite.size(), std::size(table3));
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        EXPECT_EQ(suite[i].name, table3[i].name);
+        EXPECT_EQ(suite[i].dataset, table3[i].dataset) << table3[i].name;
+        EXPECT_EQ(suite[i].paper_requests, table3[i].requests)
+            << table3[i].name;
+    }
     EXPECT_THROW(workload::splashParams("NotABenchmark"),
                  std::out_of_range);
 }

@@ -41,6 +41,7 @@
 #include "campaign/figures.hh"
 #include "campaign/obs_rollup.hh"
 #include "campaign/sink.hh"
+#include "corona/simulation.hh"
 #include "obs/observe.hh"
 #include "obs/registry.hh"
 #include "obs/timeseries.hh"
@@ -461,11 +462,11 @@ reportCommand(const std::string &dir,
         };
         if (arg == "--top") {
             const std::string &value = take("--top");
-            char *end = nullptr;
-            options.top = std::strtoull(value.c_str(), &end, 10);
-            if (end != value.c_str() + value.size() || options.top == 0)
+            const auto top = core::parsePositiveCount(value);
+            if (!top)
                 die("--top needs a positive count, got \"" + value +
                     "\"");
+            options.top = *top;
         } else if (arg == "--probes") {
             options.probes = take("--probes");
         } else {
