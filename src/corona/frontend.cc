@@ -140,13 +140,13 @@ CoherentFrontEnd::homeOf(topology::Addr line) const
 CoherentFrontEnd::Outcome
 CoherentFrontEnd::access(topology::ClusterId cluster, topology::Addr line,
                          topology::ClusterId home, bool write,
-                         Hub::FillFn fill)
+                         Hub::Waiter waiter)
 {
     Hub &hub = _system.hub(cluster);
     if (_passThrough) {
         // No retention, no sharing: delegate straight to the hub so
         // the event stream matches the miss-stream front end exactly.
-        switch (hub.issueMiss(line, home, write, std::move(fill))) {
+        switch (hub.issueMiss(line, home, write, waiter)) {
           case Hub::Issue::Sent: return Outcome::Sent;
           case Hub::Issue::Coalesced: return Outcome::Coalesced;
           case Hub::Issue::MshrFull: return Outcome::MshrFull;
@@ -171,7 +171,8 @@ CoherentFrontEnd::access(topology::ClusterId cluster, topology::Addr line,
         // Hit: no protocol traffic, no victims possible. One hub
         // traversal models the L2 lookup before the fill returns.
         applyReference(cluster, line, home, write);
-        _eq.scheduleIn(_localHop, std::move(fill));
+        _eq.scheduleIn(_localHop,
+                       [hub = &hub, waiter] { hub->wake(waiter); });
         return Outcome::Hit;
     }
 
@@ -179,8 +180,7 @@ CoherentFrontEnd::access(topology::ClusterId cluster, topology::Addr line,
     // hub's ordinary request/response. Mutate the hierarchy and the
     // protocol only once the MSHR has admitted the miss, so an
     // MshrFull retry replays this access unchanged.
-    const Hub::Issue issue =
-        hub.issueMiss(line, home, write, std::move(fill));
+    const Hub::Issue issue = hub.issueMiss(line, home, write, waiter);
     if (issue == Hub::Issue::MshrFull)
         return Outcome::MshrFull;
     applyReference(cluster, line, home, write);

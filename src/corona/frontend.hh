@@ -60,14 +60,15 @@ class CoherentFrontEnd
                      const SystemConfig &config);
 
     /**
-     * Inject one reference from @p cluster. On a local hit @p fill is
-     * scheduled after one hub traversal; otherwise the reference
-     * becomes a hub miss and @p fill runs when the data returns. The
-     * hierarchy and protocol are only mutated once the MSHR admission
-     * decision is known, so an MshrFull retry replays cleanly.
+     * Inject one reference from @p cluster. On a local hit the hub
+     * wakes @p waiter after one hub traversal; otherwise the reference
+     * becomes a hub miss and @p waiter's fill runs when the data
+     * returns. The hierarchy and protocol are only mutated once the
+     * MSHR admission decision is known, so an MshrFull retry replays
+     * cleanly.
      */
     Outcome access(topology::ClusterId cluster, topology::Addr line,
-                   topology::ClusterId home, bool write, Hub::FillFn fill);
+                   topology::ClusterId home, bool write, Hub::Waiter waiter);
 
     /** Network delivered a sideband coherence message (Invalidate). */
     void deliverSideband(const noc::Message &msg);

@@ -13,17 +13,30 @@ Hub::Hub(sim::EventQueue &eq, topology::ClusterId cluster,
     _mshrs.onFree([this] {
         if (_stalled.empty())
             return;
-        auto retry = std::move(_stalled.front());
+        const std::uint32_t thread = _stalled.front();
         _stalled.pop_front();
-        retry();
+        if (!_client)
+            sim::panic("Hub: stall retry with no client bound");
+        _client->retry(thread);
     });
+    _mshrs.onWake([this](const Waiter &waiter) { wake(waiter); });
+    _mc.onResponse(
+        [this](const noc::Message &response) { respond(response); });
+}
+
+void
+Hub::wake(const Waiter &waiter)
+{
+    if (!_client)
+        sim::panic("Hub: fill with no client bound");
+    _client->fill(waiter);
 }
 
 Hub::Issue
 Hub::issueMiss(topology::Addr line, topology::ClusterId home, bool write,
-               FillFn fill)
+               Waiter waiter)
 {
-    switch (_mshrs.attach(line, _eq.now(), std::move(fill))) {
+    switch (_mshrs.attach(line, _eq.now(), waiter)) {
       case memory::MshrFile::Attach::Coalesced: return Issue::Coalesced;
       case memory::MshrFile::Attach::Full: return Issue::MshrFull;
       case memory::MshrFile::Attach::Allocated: break;
@@ -40,12 +53,7 @@ Hub::issueMiss(topology::Addr line, topology::ClusterId home, bool write,
         // Local access: one hub traversal each way, no network.
         ++_localRequests;
         _eq.scheduleIn(_localHop, [this, request] {
-            _mc.access(request, lineOf(request.tag),
-                       [this](const noc::Message &response) {
-                _eq.scheduleIn(_localHop, [this, response] {
-                    completeFill(lineOf(response.tag));
-                });
-            });
+            _mc.access(request, lineOf(request.tag));
         });
     } else {
         ++_networkRequests;
@@ -66,10 +74,9 @@ Hub::issueWriteback(topology::Addr line, topology::ClusterId home)
 
     if (home == _cluster) {
         ++_localRequests;
+        // The ack is absorbed (respond): nobody waits on a writeback.
         _eq.scheduleIn(_localHop, [this, request] {
-            // The ack is absorbed: nobody waits on a writeback.
-            _mc.access(request, lineOf(request.tag),
-                       [](const noc::Message &) {});
+            _mc.access(request, lineOf(request.tag));
         });
     } else {
         ++_networkRequests;
@@ -78,29 +85,26 @@ Hub::issueWriteback(topology::Addr line, topology::ClusterId home)
 }
 
 void
-Hub::stallOnMshr(sim::InlineFunction<void()> retry)
-{
-    _stalled.push_back(std::move(retry));
-}
-
-void
 Hub::handleRequest(const noc::Message &msg)
 {
     if (msg.dst != _cluster)
         sim::panic("Hub::handleRequest: misdelivered request");
-    _mc.access(msg, lineOf(msg.tag),
-               [this](const noc::Message &response) {
-        if (response.dst == _cluster) {
-            // Requester is co-located with the memory (possible for
-            // synthetic patterns routed over the network).
-            if (sideband(response.tag))
-                return; // Writeback ack: nobody waits.
-            _eq.scheduleIn(_localHop, [this, response] {
-                completeFill(lineOf(response.tag));
-            });
-        } else {
-            _network.send(response);
-        }
+    _mc.access(msg, lineOf(msg.tag));
+}
+
+void
+Hub::respond(const noc::Message &response)
+{
+    if (response.dst != _cluster) {
+        _network.send(response);
+        return;
+    }
+    // The requester is co-located with the memory: a local miss, a
+    // local writeback, or a synthetic pattern routed over the network.
+    if (sideband(response.tag))
+        return; // Writeback ack: nobody waits.
+    _eq.scheduleIn(_localHop, [this, line = lineOf(response.tag)] {
+        completeFill(line);
     });
 }
 

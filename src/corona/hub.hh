@@ -14,13 +14,11 @@
 #ifndef CORONA_CORONA_HUB_HH
 #define CORONA_CORONA_HUB_HH
 
-#include <deque>
-
 #include "memory/memory_controller.hh"
 #include "memory/mshr.hh"
 #include "noc/interconnect.hh"
+#include "noc/ring_fifo.hh"
 #include "sim/event_queue.hh"
-#include "sim/inline_function.hh"
 
 namespace corona::core {
 
@@ -30,8 +28,26 @@ namespace corona::core {
 class Hub
 {
   public:
-    /** Fill callback: invoked once when the line returns. */
-    using FillFn = sim::InlineFunction<void()>;
+    /** A thread waiting on a miss (thread id and ready tick). */
+    using Waiter = memory::MshrFile::Waiter;
+
+    /**
+     * The run that owns the threads. Every fill and every stall retry
+     * of a hub goes to its one bound client.
+     */
+    class Client
+    {
+      public:
+        /** The line @p waiter missed on has returned. */
+        virtual void fill(const Waiter &waiter) = 0;
+
+        /** An MSHR freed: @p thread, stalled on the full file, may
+         * issue again. */
+        virtual void retry(std::uint32_t thread) = 0;
+
+      protected:
+        ~Client() = default;
+    };
 
     /**
      * @param eq Event queue.
@@ -54,11 +70,21 @@ class Hub
     };
 
     /**
-     * Issue an L2 miss for @p line (home @p home). @p fill runs when the
-     * data returns.
+     * Bind the client fills and retries go to (null unbinds). A run
+     * binds itself for its lifetime; reset() unbinds.
+     */
+    void bind(Client *client) { _client = client; }
+
+    /**
+     * Issue an L2 miss for @p line (home @p home). The client's fill
+     * runs for @p waiter when the data returns.
      */
     Issue issueMiss(topology::Addr line, topology::ClusterId home,
-                    bool write, FillFn fill);
+                    bool write, Waiter waiter);
+
+    /** Hand @p waiter's fill to the client now; panics when no client
+     * is bound. */
+    void wake(const Waiter &waiter);
 
     /**
      * Issue a fire-and-forget writeback of @p line to @p home (coherent
@@ -73,8 +99,8 @@ class Hub
      * must stay below this bit — the coherent front end asserts it. */
     static constexpr std::uint64_t sidebandBit = 1ull << 63;
 
-    /** Register a continuation woken when an MSHR frees (FIFO). */
-    void stallOnMshr(sim::InlineFunction<void()> retry);
+    /** Queue @p thread for a retry when an MSHR frees (FIFO). */
+    void stallOnMshr(std::uint32_t thread) { _stalled.push_back(thread); }
 
     /** Network delivered a request for this cluster's memory. */
     void handleRequest(const noc::Message &msg);
@@ -91,21 +117,28 @@ class Hub
     /** Requests satisfied by the cluster-local memory controller. */
     std::uint64_t localRequests() const { return _localRequests; }
 
-    /** Drop every outstanding miss, stalled retry, and statistic,
-     * restoring the pristine post-construction state (message ids
-     * restart at 1). Requires the event queue to be reset alongside. */
+    /** Drop every outstanding miss, stalled retry, and statistic, and
+     * unbind the client, restoring the pristine post-construction
+     * state (message ids restart at 1). Requires the event queue to be
+     * reset alongside. */
     void
     reset()
     {
         _mshrs.reset();
         _stalled.clear();
+        _client = nullptr;
         _networkRequests = 0;
         _localRequests = 0;
         _nextId = 1;
     }
 
   private:
-    /** Complete a fill: retire the MSHR and run all waiters. */
+    /** The memory controller's response to @p response.dst: a remote
+     * requester gets it over the network; a co-located one drops a
+     * writeback ack or completes the fill one hub traversal later. */
+    void respond(const noc::Message &response);
+
+    /** Complete a fill: retire the MSHR and wake all waiters. */
     void completeFill(topology::Addr line);
 
     /** Encode (line) into a message tag and back. */
@@ -125,7 +158,9 @@ class Hub
     memory::MemoryController &_mc;
     memory::MshrFile _mshrs;
     sim::Tick _localHop;
-    std::deque<sim::InlineFunction<void()>> _stalled;
+    /** Threads stalled on a full MSHR file, oldest first. */
+    noc::RingFifo<std::uint32_t> _stalled;
+    Client *_client = nullptr;
 
     std::uint64_t _networkRequests = 0;
     std::uint64_t _localRequests = 0;

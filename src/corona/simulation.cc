@@ -28,6 +28,7 @@ NetworkSimulation::NetworkSimulation(const SystemConfig &config,
 {
     bindThreads();
     initLanes();
+    bindHubs(this);
 }
 
 NetworkSimulation::NetworkSimulation(SimContext &ctx,
@@ -49,6 +50,19 @@ NetworkSimulation::NetworkSimulation(SimContext &ctx,
                    "with effectiveSimThreads()");
     bindThreads();
     initLanes();
+    bindHubs(this);
+}
+
+NetworkSimulation::~NetworkSimulation()
+{
+    bindHubs(nullptr);
+}
+
+void
+NetworkSimulation::bindHubs(Hub::Client *client)
+{
+    for (topology::ClusterId c = 0; c < _config.clusters; ++c)
+        _ctx.system().hub(c).bind(client);
 }
 
 void
@@ -151,14 +165,14 @@ NetworkSimulation::tryIssue(std::size_t tid)
     }
     if (ctx.windowFull()) {
         ctx.setWaitingForWindow(true);
-        return; // Resumed by onFill.
+        return; // Resumed by fill.
     }
 
     const PendingIssue pending = *_pending[tid];
     const workload::MissRequest &req = pending.request;
     Hub &hub = _ctx.system().hub(ctx.cluster());
-    Hub::FillFn fill =
-        [this, tid, ready = pending.ready] { onFill(tid, ready); };
+    const Hub::Waiter waiter{static_cast<std::uint32_t>(tid),
+                             pending.ready};
 
     // A cache hit is a primary issue too (its fill arrives after one
     // hub traversal): references and misses share the budget, the
@@ -167,7 +181,7 @@ NetworkSimulation::tryIssue(std::size_t tid)
     bool stalled = false;
     if (CoherentFrontEnd *fe = _ctx.system().frontEnd()) {
         switch (fe->access(ctx.cluster(), req.line, req.home, req.write,
-                           std::move(fill))) {
+                           waiter)) {
           case CoherentFrontEnd::Outcome::MshrFull: stalled = true; break;
           case CoherentFrontEnd::Outcome::Hit:
           case CoherentFrontEnd::Outcome::Sent: primary = true; break;
@@ -175,8 +189,7 @@ NetworkSimulation::tryIssue(std::size_t tid)
             break;
         }
     } else {
-        switch (hub.issueMiss(req.line, req.home, req.write,
-                              std::move(fill))) {
+        switch (hub.issueMiss(req.line, req.home, req.write, waiter)) {
           case Hub::Issue::MshrFull: stalled = true; break;
           case Hub::Issue::Sent: primary = true; break;
           case Hub::Issue::Coalesced: primary = false; break;
@@ -184,11 +197,7 @@ NetworkSimulation::tryIssue(std::size_t tid)
     }
 
     if (stalled) {
-        ctx.setWaitingForMshr(true);
-        hub.stallOnMshr([this, tid] {
-            _threads[tid].setWaitingForMshr(false);
-            tryIssue(tid);
-        });
+        hub.stallOnMshr(waiter.thread);
         return;
     }
     if (primary) {
@@ -206,13 +215,14 @@ NetworkSimulation::tryIssue(std::size_t tid)
 }
 
 void
-NetworkSimulation::onFill(std::size_t tid, sim::Tick ready_since)
+NetworkSimulation::fill(const Hub::Waiter &waiter)
 {
+    const std::size_t tid = waiter.thread;
     workload::ThreadContext &ctx = _threads[tid];
     Lane &lane = laneFor(tid);
-    if (_measuring && ready_since >= _measureStart) {
+    if (_measuring && waiter.ready >= _measureStart) {
         const auto latency =
-            static_cast<double>(lane.q->now() - ready_since);
+            static_cast<double>(lane.q->now() - waiter.ready);
         lane.latency.sample(latency);
         lane.hist.sample(latency /
                          static_cast<double>(sim::oneNanosecond));

@@ -54,9 +54,11 @@ struct SimParams
 };
 
 /**
- * One simulation run binding a configuration to a workload.
+ * One simulation run binding a configuration to a workload. It is its
+ * hubs' client from construction to destruction: every fill and stall
+ * retry comes back to it as a thread id.
  */
-class NetworkSimulation
+class NetworkSimulation final : private Hub::Client
 {
   public:
     /** Build a private SimContext for @p config and run on it. */
@@ -73,6 +75,13 @@ class NetworkSimulation
      */
     NetworkSimulation(SimContext &ctx, workload::Workload &workload,
                       const SimParams &params = {});
+
+    /** Unbinds the hubs. */
+    ~NetworkSimulation();
+
+    /** The hubs hold its address. */
+    NetworkSimulation(const NetworkSimulation &) = delete;
+    NetworkSimulation &operator=(const NetworkSimulation &) = delete;
 
     /** Execute to completion and return the metrics. */
     RunMetrics run();
@@ -106,11 +115,14 @@ class NetworkSimulation
 
     void bindThreads();
     void initLanes();
+    /** Bind every hub to @p client (this run, or null). */
+    void bindHubs(Hub::Client *client);
     std::uint64_t totalBudget() const;
     void beginMeasurement();
     void scheduleNext(std::size_t tid);
     void tryIssue(std::size_t tid);
-    void onFill(std::size_t tid, sim::Tick ready_since);
+    void fill(const Hub::Waiter &waiter) override;
+    void retry(std::uint32_t thread) override { tryIssue(thread); }
 
     Lane &
     laneFor(std::size_t tid)

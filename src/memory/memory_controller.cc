@@ -75,8 +75,7 @@ MemoryController::MemoryController(sim::EventQueue &eq,
 }
 
 void
-MemoryController::access(const noc::Message &request, topology::Addr addr,
-                         Complete complete)
+MemoryController::access(const noc::Message &request, topology::Addr addr)
 {
     if (request.kind != noc::MsgKind::ReadReq &&
         request.kind != noc::MsgKind::WriteReq) {
@@ -93,7 +92,6 @@ MemoryController::access(const noc::Message &request, topology::Addr addr,
     Request &r = _slots[slot];
     r.request = request;
     r.addr = addr;
-    r.complete = std::move(complete);
     r.arrived = _eq.now();
     _queue.push_back(slot);
     _peakQueue = std::max(_peakQueue, _queue.size());
@@ -139,10 +137,9 @@ MemoryController::tryStart()
 void
 MemoryController::finish(std::uint32_t slot, sim::Tick data_ready)
 {
-    // The completion may call access() again, which can reuse this
-    // slot: move out what is needed, free the slot, then call.
-    Request &r = _slots[slot];
-    Complete complete = std::move(r.complete);
+    // The response handler may call access() again, which can reuse
+    // this slot: build the response, free the slot, then call.
+    const Request &r = _slots[slot];
     const sim::Tick arrived = r.arrived;
     const noc::Message &request = r.request;
     ++_accesses;
@@ -162,7 +159,7 @@ MemoryController::finish(std::uint32_t slot, sim::Tick data_ready)
                         : noc::MsgKind::WriteAck;
     response.tag = request.tag;
     _freeSlots.push_back(slot);
-    complete(response);
+    _respond(response);
 }
 
 void

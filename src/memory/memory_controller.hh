@@ -51,9 +51,6 @@ struct MemoryParams
 class MemoryController
 {
   public:
-    /** Completion callback: the response message to send back. */
-    using Complete = sim::InlineFunction<void(const noc::Message &)>;
-
     /** Throws std::invalid_argument, naming the bandwidth, unless
      * params.bytes_per_second is finite and positive and moves one
      * cache line in under 2^63 ticks. */
@@ -61,13 +58,22 @@ class MemoryController
                      const MemoryParams &params);
 
     /**
+     * Register the handler every response goes to when it is ready to
+     * inject into the on-stack network (the cluster's hub, wired once
+     * at construction). reset() keeps it.
+     */
+    void
+    onResponse(sim::InlineFunction<void(const noc::Message &)> respond)
+    {
+        _respond = std::move(respond);
+    }
+
+    /**
      * Service a request delivered by the on-stack network. @p addr is
      * the line address (the network message's tag carries it opaque).
-     * The completion callback fires when the response is ready to inject
-     * into the on-stack network.
+     * Its response goes to the onResponse handler.
      */
-    void access(const noc::Message &request, topology::Addr addr,
-                Complete complete);
+    void access(const noc::Message &request, topology::Addr addr);
 
     topology::ClusterId cluster() const { return _cluster; }
     const MemoryParams &params() const { return _params; }
@@ -96,21 +102,21 @@ class MemoryController
      */
     void setTracer(obs::EventTracer *tracer) { _tracer = tracer; }
 
-    /** Drop queued and in-flight requests (destroying each completion
-     * callback once) with their slots' storage, free the link, reset
-     * the DRAM mats, and zero the statistics. A saturated cell can
-     * queue thousands of requests at one controller; a pooled system
-     * does not keep that peak for its next cell. Requires the event
-     * queue to be reset alongside (pending completion events reference
-     * the slots being dropped). */
+    /** Drop queued and in-flight requests, without responding to
+     * any, with their slots' storage, free the link, reset the DRAM
+     * mats, and zero the statistics. A saturated cell can queue
+     * thousands of requests at one controller; a pooled system does
+     * not keep that peak for its next cell. Requires the event queue
+     * to be reset alongside (pending completion events reference the
+     * slots being dropped). The response handler is kept. */
     void reset();
 
   private:
+    /** One 64-byte slot. */
     struct Request
     {
         noc::Message request;
         topology::Addr addr = 0;
-        Complete complete;
         sim::Tick arrived = 0;
     };
 
@@ -142,6 +148,7 @@ class MemoryController
     stats::RunningStats _serviceTime;
     std::size_t _peakQueue = 0;
     obs::EventTracer *_tracer = nullptr;
+    sim::InlineFunction<void(const noc::Message &)> _respond;
 };
 
 /** Build the paper's OCM per-controller parameters (Table 4). */

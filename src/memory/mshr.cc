@@ -1,8 +1,6 @@
 #include "memory/mshr.hh"
 
-#include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "sim/logging.hh"
 
@@ -15,61 +13,80 @@ MshrFile::MshrFile(std::size_t entries)
         throw std::invalid_argument("MshrFile: need >= 1 entry");
 }
 
-std::size_t
-MshrFile::find(topology::Addr line) const
+std::uint32_t
+MshrFile::newNode(const Waiter &waiter)
 {
-    return static_cast<std::size_t>(
-        std::find(_lines.begin(), _lines.end(), line) - _lines.begin());
+    std::uint32_t node = _freeNodes;
+    if (node != kNone) {
+        _freeNodes = _nodes[node].next;
+    } else {
+        node = static_cast<std::uint32_t>(_nodes.size());
+        _nodes.emplace_back();
+    }
+    _nodes[node] = Node{waiter.ready, waiter.thread, kNone};
+    return node;
 }
 
 MshrFile::Attach
-MshrFile::attach(topology::Addr line, sim::Tick now, WakeFn &&waker)
+MshrFile::attach(topology::Addr line, sim::Tick now, Waiter waiter)
 {
-    const std::size_t at = find(line);
-    if (at < _lines.size()) {
-        _slots[_slotOf[at]].waiters.push_back(std::move(waker));
-        ++_coalesced;
-        return Attach::Coalesced;
-    }
+    // One probe either way: a full file only looks the line up, and
+    // one with room inserts it unless it is already in flight.
+    Entry *entry;
     if (full()) {
-        ++_fullStalls;
-        return Attach::Full;
+        entry = _lines.find(line);
+        if (!entry) {
+            ++_fullStalls;
+            return Attach::Full;
+        }
+    } else {
+        const auto [found, inserted] = _lines.tryEmplace(line);
+        entry = found;
+        if (inserted) {
+            const std::uint32_t node = newNode(waiter);
+            *entry = Entry{now, node, node};
+            return Attach::Allocated;
+        }
     }
-    if (at == _slots.size()) {
-        // Every slot made so far is in use (at == inUse()): make one.
-        _slotOf.push_back(_slots.size());
-        _slots.emplace_back();
-    }
-    _lines.push_back(line);
-    Slot &slot = _slots[_slotOf[at]];
-    slot.allocated = now;
-    slot.waiters.push_back(std::move(waker));
-    return Attach::Allocated;
+    const std::uint32_t node = newNode(waiter);
+    _nodes[entry->tail].next = node;
+    entry->tail = node;
+    ++_coalesced;
+    return Attach::Coalesced;
 }
 
 void
 MshrFile::retire(topology::Addr line, sim::Tick now)
 {
-    const std::size_t at = find(line);
-    if (at == _lines.size())
+    const Entry *found = _lines.find(line);
+    if (!found)
         sim::panic("MshrFile::retire: line not outstanding");
-    Slot &slot = _slots[_slotOf[at]];
-    _lifetime.sample(static_cast<double>(now - slot.allocated));
-
-    // Take the waiters out, leaving the spare storage, before anything
-    // can reuse the slot.
-    std::vector<WakeFn> wakers =
-        std::exchange(slot.waiters, std::move(_spare));
-    _lines[at] = _lines.back();
-    _lines.pop_back();
-    std::swap(_slotOf[at], _slotOf[_lines.size()]);
+    const Entry entry = *found;
+    _lines.erase(line);
+    _lifetime.sample(static_cast<double>(now - entry.allocated));
 
     if (_onFree)
         _onFree();
-    for (WakeFn &waker : wakers)
-        waker();
-    wakers.clear();
-    _spare = std::move(wakers);
+    // Free each node before its wake runs: the wake may attach again
+    // and take it, so copy it out first.
+    for (std::uint32_t n = entry.head; n != kNone;) {
+        const Node node = _nodes[n];
+        _nodes[n].next = _freeNodes;
+        _freeNodes = n;
+        n = node.next;
+        _onWake(Waiter{node.thread, node.ready});
+    }
+}
+
+void
+MshrFile::reset()
+{
+    _lines.clear();
+    _nodes.clear();
+    _freeNodes = kNone;
+    _lifetime.reset();
+    _coalesced = 0;
+    _fullStalls = 0;
 }
 
 } // namespace corona::memory

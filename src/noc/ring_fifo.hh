@@ -4,7 +4,8 @@
  *
  * The queue behind every hop of the mesh (router input buffers, output
  * port queues and local injection queues), the broadcast bus's waiting
- * broadcasts and the memory controllers' request queues. Unlike
+ * broadcasts, the memory controllers' request queues, the hubs'
+ * MSHR-stalled threads and the crossbar channels' credit waits. Unlike
  * std::deque, which allocates and frees a node block as elements cycle
  * through it, the ring allocates only when it grows past its largest
  * depth so far and then keeps its storage, so a queue that cycles at a

@@ -13,9 +13,8 @@
 #ifndef CORONA_WORKLOAD_THREAD_MODEL_HH
 #define CORONA_WORKLOAD_THREAD_MODEL_HH
 
-#include <cstdint>
+#include <cstddef>
 
-#include "sim/types.hh"
 #include "topology/geometry.hh"
 
 namespace corona::workload {
@@ -40,7 +39,7 @@ class ThreadContext
     bool windowFull() const { return _outstanding >= _window; }
 
     /** Record an issued miss. */
-    void issued() { ++_outstanding; ++_issuedCount; }
+    void issued() { ++_outstanding; }
 
     /** Record a returned fill. */
     void completed();
@@ -49,27 +48,12 @@ class ThreadContext
     bool waitingForWindow() const { return _waitingForWindow; }
     void setWaitingForWindow(bool waiting) { _waitingForWindow = waiting; }
 
-    /** True while the thread is parked waiting for an MSHR. */
-    bool waitingForMshr() const { return _waitingForMshr; }
-    void setWaitingForMshr(bool waiting) { _waitingForMshr = waiting; }
-
-    /** Tick at which the thread became ready to issue its current miss
-     * (latency accounting starts here). */
-    sim::Tick readySince() const { return _readySince; }
-    void setReadySince(sim::Tick tick) { _readySince = tick; }
-
-    /** Misses issued over the run. */
-    std::uint64_t issuedCount() const { return _issuedCount; }
-
   private:
     std::size_t _id;
     topology::ClusterId _cluster;
     std::size_t _window;
     std::size_t _outstanding = 0;
     bool _waitingForWindow = false;
-    bool _waitingForMshr = false;
-    sim::Tick _readySince = 0;
-    std::uint64_t _issuedCount = 0;
 };
 
 } // namespace corona::workload

@@ -15,6 +15,7 @@ BroadcastBus::BroadcastBus(sim::EventQueue &eq,
 {
     if (clusters < 2)
         throw std::invalid_argument("BroadcastBus: need >= 2 clusters");
+    _arbiter.onGrant([this](topology::ClusterId) { transmit(); });
 }
 
 sim::Tick
@@ -33,7 +34,7 @@ BroadcastBus::broadcast(const noc::Message &msg)
     _queue.push_back(stamped);
     if (!_arbitrating) {
         _arbitrating = true;
-        _arbiter.request(msg.src, [this] { transmit(); });
+        _arbiter.request(msg.src);
     }
 }
 
@@ -72,7 +73,7 @@ BroadcastBus::transmit()
         _arbitrating = false;
         if (!_queue.empty()) {
             _arbitrating = true;
-            _arbiter.request(_queue.front().src, [this] { transmit(); });
+            _arbiter.request(_queue.front().src);
         }
     });
 }

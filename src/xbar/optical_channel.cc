@@ -22,6 +22,7 @@ OpticalChannel::OpticalChannel(sim::EventQueue &eq,
 {
     if (home >= clusters)
         throw std::invalid_argument("OpticalChannel: bad home cluster");
+    _arbiter.onGrant([this](topology::ClusterId src) { transmit(src); });
     // When the home hub drains a message, hand freed slots to the
     // longest-waiting blocked sources.
     _sink.onDrain([this] {
@@ -110,7 +111,7 @@ OpticalChannel::tryArbitrate(topology::ClusterId src)
         source.creditHeld = true;
     }
     source.arbitrating = true;
-    _arbiter.request(src, [this, src] { transmit(src); });
+    _arbiter.request(src);
 }
 
 void

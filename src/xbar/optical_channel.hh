@@ -24,12 +24,12 @@
 #define CORONA_XBAR_OPTICAL_CHANNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "noc/buffer.hh"
 #include "noc/message.hh"
+#include "noc/ring_fifo.hh"
 #include "photonics/optical_clock.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
@@ -195,7 +195,8 @@ class OpticalChannel
     std::vector<Node> _nodes;
     std::uint32_t _freeNodes = kNoNode;
     std::size_t _queued = 0;
-    std::deque<topology::ClusterId> _creditWaiters;
+    /** Sources parked awaiting a home-buffer slot, oldest first. */
+    noc::RingFifo<topology::ClusterId> _creditWaiters;
     Deliver _deliver;
 
     std::uint64_t _messagesDelivered = 0;

@@ -1,6 +1,6 @@
 #include "xbar/token_arbiter.hh"
 
-#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "obs/trace.hh"
@@ -10,7 +10,8 @@ namespace corona::xbar {
 
 TokenArbiter::TokenArbiter(sim::EventQueue &eq, std::size_t clusters,
                            sim::Tick hop_time)
-    : _eq(eq), _clusters(clusters), _hopTime(hop_time)
+    : _eq(eq), _clusters(clusters), _hopTime(hop_time),
+      _waiting((clusters + 63) / 64, 0)
 {
     if (clusters < 2)
         throw std::invalid_argument("TokenArbiter: need >= 2 clusters");
@@ -22,10 +23,9 @@ std::size_t
 TokenArbiter::forwardHops(topology::ClusterId from,
                           topology::ClusterId to) const
 {
-    const std::size_t hops = (to + _clusters - from) % _clusters;
     // A cluster cannot divert the token at the instant it injects it;
     // reaching "itself" requires a full revolution.
-    return hops == 0 ? _clusters : hops;
+    return to > from ? to - from : to + _clusters - from;
 }
 
 sim::Tick
@@ -43,18 +43,41 @@ TokenArbiter::freeTokenArrival(topology::ClusterId cluster) const
     return arrival;
 }
 
+topology::ClusterId
+TokenArbiter::nextWaiter(topology::ClusterId from) const
+{
+    std::size_t word = from / 64;
+    std::uint64_t bits = _waiting[word] & (~std::uint64_t{0} << (from % 64));
+    // Past the last word the scan wraps to position 0; coming back to
+    // the first word it sees the bits below from as well.
+    while (bits == 0) {
+        word = word + 1 == _waiting.size() ? 0 : word + 1;
+        bits = _waiting[word];
+    }
+    return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
 void
-TokenArbiter::request(topology::ClusterId requester, GrantFn grant)
+TokenArbiter::request(topology::ClusterId requester)
 {
     if (requester >= _clusters)
         throw std::out_of_range("TokenArbiter::request: bad cluster");
-    for (const auto &w : _waiters) {
-        if (w.cluster == requester)
-            sim::panic("TokenArbiter: duplicate request from cluster");
+    if (waiting(requester))
+        sim::panic("TokenArbiter: duplicate request from cluster");
+    _waiting[requester / 64] |= std::uint64_t{1} << (requester % 64);
+    _waiters.push_back(Waiter{_eq.now(), requester});
+    if (_held)
+        return; // The release picks the next waiter.
+    const sim::Tick arrival = freeTokenArrival(requester);
+    // Batch: the pending grant reaches its waiter first (no two
+    // positions share an arrival tick), so the new request rides that
+    // event instead of scheduling (and later discarding) another.
+    if (_pendingGrant && *_pendingGrant < arrival) {
+        ++_grantsBatched;
+        ++_pendingBatch;
+        return;
     }
-    _waiters.push_back(Waiter{requester, std::move(grant), _eq.now()});
-    if (!_held)
-        scheduleNextGrant();
+    scheduleGrant(requester, arrival);
 }
 
 void
@@ -65,77 +88,59 @@ TokenArbiter::release(topology::ClusterId holder)
     _held = false;
     _tokenOrigin = holder;
     _tokenDeparture = _eq.now();
-    scheduleNextGrant();
+    if (_waiters.empty())
+        return;
+    // Freshly injected, the token reaches holder + 1 after one hop and
+    // the holder itself only after a full loop.
+    const topology::ClusterId winner =
+        nextWaiter(holder + 1 == _clusters ? 0 : holder + 1);
+    scheduleGrant(winner,
+                  _tokenDeparture + forwardHops(holder, winner) * _hopTime);
 }
 
 void
-TokenArbiter::scheduleNextGrant()
+TokenArbiter::scheduleGrant(topology::ClusterId winner, sim::Tick at)
 {
-    if (_held || _waiters.empty())
-        return;
-    // Find the earliest tick at which the token reaches any waiter.
-    sim::Tick best_arrival = freeTokenArrival(_waiters[0].cluster);
-    for (std::size_t i = 1; i < _waiters.size(); ++i) {
-        const sim::Tick arrival = freeTokenArrival(_waiters[i].cluster);
-        if (arrival < best_arrival)
-            best_arrival = arrival;
-    }
-    // Batch: a grant event for exactly this tick is already on the
-    // queue and still epoch-valid. It re-resolves the winning waiter
-    // at fire time, so the new request rides it for free instead of
-    // scheduling (and later discarding) another event.
-    if (_pendingGrant && *_pendingGrant == best_arrival) {
-        ++_grantsBatched;
-        ++_pendingBatch;
-        return;
-    }
     const std::uint64_t epoch = ++_grantEpoch;
-    _pendingGrant = best_arrival;
+    _pendingGrant = at;
+    _pendingWinner = winner;
     _pendingBatch = 0;
-    _eq.schedule(best_arrival, [this, epoch, best_arrival] {
+    _eq.schedule(at, [this, epoch, at] {
         if (epoch != _grantEpoch || _held)
             return; // A newer schedule superseded this one.
-        // Re-resolve the winner at fire time (waiter set may have grown;
-        // any newcomer with an even earlier arrival would have bumped the
-        // epoch, so the minimum is unchanged — but recompute defensively).
-        std::size_t winner = _waiters.size();
-        for (std::size_t i = 0; i < _waiters.size(); ++i) {
-            if (freeTokenArrival(_waiters[i].cluster) <= _eq.now()) {
-                winner = i;
-                break;
-            }
-        }
-        if (winner == _waiters.size())
-            sim::panic("TokenArbiter: grant fired with no ready waiter");
-        fireGrant(winner, best_arrival);
+        fireGrant(_pendingWinner, at);
     });
 }
 
 void
-TokenArbiter::fireGrant(std::size_t waiter_index, sim::Tick granted_at)
+TokenArbiter::fireGrant(topology::ClusterId winner, sim::Tick granted_at)
 {
-    Waiter waiter = std::move(_waiters[waiter_index]);
-    _waiters.erase(_waiters.begin() +
-                   static_cast<std::ptrdiff_t>(waiter_index));
+    std::size_t at = 0;
+    while (_waiters[at].cluster != winner)
+        ++at;
+    const sim::Tick since = _waiters[at].since;
+    _waiters[at] = _waiters.back();
+    _waiters.pop_back();
+    _waiting[winner / 64] &= ~(std::uint64_t{1} << (winner % 64));
     _held = true;
     ++_grantEpoch; // Invalidate any other scheduled grant.
     const std::uint32_t batched = _pendingBatch;
     _pendingGrant.reset();
     _pendingBatch = 0;
     ++_grants;
-    _waitStats.sample(static_cast<double>(granted_at - waiter.since));
+    _waitStats.sample(static_cast<double>(granted_at - since));
     if (_tracer) {
-        _tracer->record(obs::TraceKind::TokenHandoff, waiter.cluster,
-                        waiter.since, granted_at, _traceChannel);
+        _tracer->record(obs::TraceKind::TokenHandoff, winner, since,
+                        granted_at, _traceChannel);
         if (batched != 0) {
             // One span per coalesced drain: aux carries the batch
             // size (schedules served by this single event, survivor
             // included) so Perfetto exports show batching directly.
-            _tracer->record(obs::TraceKind::GrantBatch, waiter.cluster,
+            _tracer->record(obs::TraceKind::GrantBatch, winner,
                             granted_at, granted_at, batched + 1);
         }
     }
-    waiter.grant();
+    _grant(winner);
 }
 
 } // namespace corona::xbar

@@ -18,6 +18,8 @@
 #ifndef CORONA_XBAR_TOKEN_ARBITER_HH
 #define CORONA_XBAR_TOKEN_ARBITER_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -39,12 +41,17 @@ namespace corona::xbar {
  * (position, departure time) of its last injection and advances at one
  * cluster per hop time. Requests divert it at the requester's position;
  * releases re-inject it at the holder's position.
+ *
+ * Waiters are a bitset over ring positions plus a dense array of their
+ * request ticks. The token reaches distinct positions at distinct
+ * ticks within one loop, so the next grant goes to the first waiting
+ * position downstream of the token: a release finds it with a bitset
+ * scan, and a request against a pending grant compares one arrival
+ * tick, at most one division either way.
  */
 class TokenArbiter
 {
   public:
-    using GrantFn = sim::InlineFunction<void()>;
-
     /**
      * @param eq Event queue.
      * @param clusters Clusters on the arbitration ring.
@@ -55,11 +62,21 @@ class TokenArbiter
                  sim::Tick hop_time);
 
     /**
-     * Request the channel for @p requester. The grant callback fires when
+     * Register the handler each grant runs with the granted cluster
+     * (wired once by the owning channel or bus). reset() keeps it.
+     */
+    void
+    onGrant(sim::InlineFunction<void(topology::ClusterId)> grant)
+    {
+        _grant = std::move(grant);
+    }
+
+    /**
+     * Request the channel for @p requester. The grant handler runs when
      * the token reaches and is diverted by the requester. At most one
      * outstanding request per cluster (callers serialize their traffic).
      */
-    void request(topology::ClusterId requester, GrantFn grant);
+    void request(topology::ClusterId requester);
 
     /**
      * Release the channel: the holder re-injects the token at its own
@@ -78,10 +95,10 @@ class TokenArbiter
 
     /**
      * Grant schedules coalesced into an already-pending grant event:
-     * a request (or release) whose earliest token arrival matches the
-     * tick of the grant already on the queue rides that event instead
-     * of scheduling its own. The winner is re-resolved at fire time,
-     * so batching never changes which waiter is granted.
+     * a request the free token reaches after the grant already on the
+     * queue rides that event instead of scheduling its own. Batching
+     * never changes which waiter is granted: the event's winner is the
+     * nearest waiter downstream.
      */
     std::uint64_t grantsBatched() const { return _grantsBatched; }
 
@@ -94,7 +111,7 @@ class TokenArbiter
     /**
      * Attach a trace sink (null detaches); grants record a
      * TokenHandoff span tagged with @p channel (the owning channel's
-     * home). Observability wiring, like setDeliver: reset() keeps it.
+     * home). Observability wiring, like onGrant: reset() keeps it.
      */
     void
     setTracer(obs::EventTracer *tracer, std::uint32_t channel)
@@ -112,6 +129,7 @@ class TokenArbiter
         _held = false;
         _tokenOrigin = 0;
         _tokenDeparture = 0;
+        std::fill(_waiting.begin(), _waiting.end(), 0);
         _waiters.clear();
         _grantEpoch = 0;
         _pendingGrant.reset();
@@ -122,11 +140,11 @@ class TokenArbiter
     }
 
   private:
+    /** A waiting cluster and the tick it requested at. */
     struct Waiter
     {
-        topology::ClusterId cluster;
-        GrantFn grant;
         sim::Tick since;
+        topology::ClusterId cluster;
     };
 
     /** Ring hops from @p from to @p to; 0 distance means a full loop. */
@@ -136,10 +154,21 @@ class TokenArbiter
     /** Earliest tick >= now at which the free token reaches @p cluster. */
     sim::Tick freeTokenArrival(topology::ClusterId cluster) const;
 
-    /** Schedule the pending grant for the waiter the token reaches next. */
-    void scheduleNextGrant();
+    bool
+    waiting(topology::ClusterId cluster) const
+    {
+        return (_waiting[cluster / 64] >> (cluster % 64)) & 1;
+    }
 
-    void fireGrant(std::size_t waiter_index, sim::Tick granted_at);
+    /** First waiting position at or after @p from in ring order; some
+     * cluster must be waiting. */
+    topology::ClusterId nextWaiter(topology::ClusterId from) const;
+
+    /** Schedule the grant of @p winner at @p at, superseding any
+     * pending one. */
+    void scheduleGrant(topology::ClusterId winner, sim::Tick at);
+
+    void fireGrant(topology::ClusterId winner, sim::Tick granted_at);
 
     sim::EventQueue &_eq;
     std::size_t _clusters;
@@ -151,12 +180,20 @@ class TokenArbiter
     /** Tick the token departed _tokenOrigin. */
     sim::Tick _tokenDeparture = 0;
 
+    /** Bit c of word c / 64 is set while cluster c waits. */
+    std::vector<std::uint64_t> _waiting;
+    /** The waiters, in no order. A channel's sources reserve a home
+     * buffer slot before they request, so it holds at most as many as
+     * that buffer has slots. */
     std::vector<Waiter> _waiters;
+    sim::InlineFunction<void(topology::ClusterId)> _grant;
     /** Sequence number guarding stale scheduled grants. */
     std::uint64_t _grantEpoch = 0;
     /** Tick of the grant event scheduled under the current epoch,
      * while one is outstanding and the token is free. */
     std::optional<sim::Tick> _pendingGrant;
+    /** The waiter that event grants. */
+    topology::ClusterId _pendingWinner = 0;
     /** Schedules coalesced into the currently pending grant event. */
     std::uint32_t _pendingBatch = 0;
 

@@ -90,17 +90,36 @@ TEST(BroadcastBus, InvalidateSerializesInOneClock)
 
 TEST(BroadcastBus, LatencyBoundedByTwoCoilPasses)
 {
-    EventQueue eq;
-    BroadcastBus bus(eq, sim::coronaClock(), 64);
-    Tick last = 0;
-    bus.setDeliver([&](const Message &, topology::ClusterId) {
-        last = eq.now();
-    });
-    bus.broadcast(invalidate(1));
-    eq.run();
-    // Token (<= 1 pass) + serialization + remaining first pass +
-    // full second pass: comfortably under 4 coil passes.
-    EXPECT_LE(last, 4 * 8 * 200u);
+    // On an idle 64-cluster bus (token free at cluster 0, 25 ps per
+    // hop) a send from src is granted after src hops (a full loop for
+    // cluster 0) and modulates for one clock (a 16 B invalidate).
+    // Snooper k hears it 64 - src + k hops after modulation ends: the
+    // rest of the first pass, then k hops into the second, so every
+    // delivery lands within two passes (128 hops).
+    constexpr std::size_t kClusters = 64;
+    constexpr Tick kHop = 25;
+    for (const topology::ClusterId src : {0u, 1u, 10u, 63u}) {
+        SCOPED_TRACE(src);
+        EventQueue eq;
+        BroadcastBus bus(eq, sim::coronaClock(), kClusters);
+        ASSERT_EQ(bus.arbiter().hopTime(), kHop);
+        std::vector<Tick> heard(kClusters, 0);
+        bus.setDeliver([&](const Message &, topology::ClusterId k) {
+            heard[k] = eq.now();
+        });
+        bus.broadcast(invalidate(src));
+        eq.run();
+        const Tick grant = (src == 0 ? kClusters : src) * kHop;
+        EXPECT_EQ(bus.arbiter().waitStats().max(),
+                  static_cast<double>(grant));
+        const Tick modulated = grant + bus.serializationTime(16);
+        EXPECT_EQ(modulated, grant + 200u);
+        for (topology::ClusterId k = 0; k < kClusters; ++k) {
+            EXPECT_EQ(heard[k], modulated + (kClusters - src + k) * kHop)
+                << "snooper " << k;
+            EXPECT_LT(heard[k] - modulated, 2 * kClusters * kHop);
+        }
+    }
 }
 
 TEST(BroadcastBus, SteadyBroadcastsDoNotAllocate)

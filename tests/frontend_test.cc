@@ -350,15 +350,25 @@ TEST(CoherentFrontEnd, BroadcastAndUnicastTransportsDiffer)
 // ---------------------------------------------------------------------
 // Invalidations racing evictions.
 
+/** Takes a hub's fills without a run behind them. */
+class DiscardingClient final : public core::Hub::Client
+{
+  public:
+    void fill(const core::Hub::Waiter &) override {}
+    void retry(std::uint32_t) override {}
+};
+
 TEST(CoherentFrontEnd, LateInvalidateAfterEvictionIsCountedNotFatal)
 {
+    DiscardingClient client;
     core::SimContext ctx(coherentConfig(core::InvalTransport::Unicast));
     core::CoherentFrontEnd *fe = ctx.system().frontEnd();
     ASSERT_NE(fe, nullptr);
+    ctx.system().hub(2).bind(&client);
 
     // Make line 0x40 resident at cluster 2 (the hierarchy and protocol
     // update at admission), then drain the fill traffic.
-    const auto outcome = fe->access(2, 0x40, 1, /*write=*/false, [] {});
+    const auto outcome = fe->access(2, 0x40, 1, /*write=*/false, {0, 0});
     EXPECT_EQ(outcome, core::CoherentFrontEnd::Outcome::Sent);
     ctx.eq().run();
     EXPECT_TRUE(fe->hierarchy(2).contains(0x40));

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <deque>
+#include <iterator>
 #include <limits>
-#include <memory>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.hh"
@@ -22,6 +24,8 @@
 #include "memory/ocm.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
+#include "stats/stats.hh"
 
 namespace {
 
@@ -78,20 +82,36 @@ TEST(Dram, RejectsBadParams)
 }
 
 using Attach = MshrFile::Attach;
+using Waiter = MshrFile::Waiter;
+
+/** Threads in the order an MSHR file woke them. */
+struct WakeLog
+{
+    std::vector<std::uint32_t> threads;
+    std::vector<Tick> readies;
+
+    void
+    record(const Waiter &waiter)
+    {
+        threads.push_back(waiter.thread);
+        readies.push_back(waiter.ready);
+    }
+};
 
 TEST(Mshr, AllocateTrackRetire)
 {
     MshrFile mshrs(4);
-    int woken = 0;
-    EXPECT_EQ(mshrs.attach(0x1000, 10, [&] { ++woken; }),
-              Attach::Allocated);
+    WakeLog log;
+    mshrs.onWake([&](const Waiter &w) { log.record(w); });
+    EXPECT_EQ(mshrs.attach(0x1000, 10, {1, 10}), Attach::Allocated);
     EXPECT_EQ(mshrs.inUse(), 1u);
-    EXPECT_EQ(mshrs.attach(0x1000, 20, [&] { ++woken; }),
-              Attach::Coalesced);
+    EXPECT_EQ(mshrs.attach(0x1000, 20, {2, 20}), Attach::Coalesced);
     EXPECT_EQ(mshrs.inUse(), 1u);
     EXPECT_EQ(mshrs.coalesced(), 1u) << "only the secondary miss counts";
     mshrs.retire(0x1000, 50);
-    EXPECT_EQ(woken, 2);
+    EXPECT_EQ(log.threads, (std::vector<std::uint32_t>{1, 2}));
+    EXPECT_EQ(log.readies, (std::vector<Tick>{10, 20}))
+        << "each waiter keeps its own ready tick";
     EXPECT_EQ(mshrs.inUse(), 0u);
     // The lifetime runs from the allocating attach, not the coalesced
     // one.
@@ -101,31 +121,28 @@ TEST(Mshr, AllocateTrackRetire)
 TEST(Mshr, CapacityBoundsAllocation)
 {
     MshrFile mshrs(2);
-    EXPECT_EQ(mshrs.attach(0x0, 0, [] {}), Attach::Allocated);
-    EXPECT_EQ(mshrs.attach(0x40, 0, [] {}), Attach::Allocated);
+    EXPECT_EQ(mshrs.attach(0x0, 0, {0, 0}), Attach::Allocated);
+    EXPECT_EQ(mshrs.attach(0x40, 0, {1, 0}), Attach::Allocated);
     EXPECT_TRUE(mshrs.full());
-    EXPECT_EQ(mshrs.attach(0x80, 0, [] {}), Attach::Full);
+    EXPECT_EQ(mshrs.attach(0x80, 0, {2, 0}), Attach::Full);
     EXPECT_EQ(mshrs.fullStalls(), 1u);
     // A full file still coalesces onto its in-flight lines.
-    EXPECT_EQ(mshrs.attach(0x40, 0, [] {}), Attach::Coalesced);
+    EXPECT_EQ(mshrs.attach(0x40, 0, {3, 0}), Attach::Coalesced);
     EXPECT_EQ(mshrs.fullStalls(), 1u);
     EXPECT_EQ(mshrs.coalesced(), 1u);
 }
 
-TEST(Mshr, FullLeavesTheWakerCallable)
+TEST(Mshr, FullQueuesNothing)
 {
     MshrFile mshrs(1);
-    ASSERT_EQ(mshrs.attach(0x0, 0, [] {}), Attach::Allocated);
-    int woken = 0;
-    MshrFile::WakeFn waker = [&] { ++woken; };
-    EXPECT_EQ(mshrs.attach(0x40, 0, std::move(waker)), Attach::Full);
-    ASSERT_TRUE(waker);
-    waker();
-    EXPECT_EQ(woken, 1);
+    WakeLog log;
+    mshrs.onWake([&](const Waiter &w) { log.record(w); });
+    ASSERT_EQ(mshrs.attach(0x0, 0, {1, 0}), Attach::Allocated);
+    EXPECT_EQ(mshrs.attach(0x40, 0, {2, 0}), Attach::Full);
     EXPECT_EQ(mshrs.fullStalls(), 1u);
-    // The rejected waker is not run by the fill of another line.
+    // The rejected waiter is not woken by the fill of another line.
     mshrs.retire(0x0, 5);
-    EXPECT_EQ(woken, 1);
+    EXPECT_EQ(log.threads, (std::vector<std::uint32_t>{1}));
 }
 
 TEST(Mshr, OnFreeFiresAtRetire)
@@ -133,26 +150,29 @@ TEST(Mshr, OnFreeFiresAtRetire)
     MshrFile mshrs(1);
     int freed = 0;
     mshrs.onFree([&] { ++freed; });
-    ASSERT_EQ(mshrs.attach(0x0, 0, [] {}), Attach::Allocated);
+    mshrs.onWake([](const Waiter &) {});
+    ASSERT_EQ(mshrs.attach(0x0, 0, {0, 0}), Attach::Allocated);
     mshrs.retire(0x0, 10);
     EXPECT_EQ(freed, 1);
 }
 
 TEST(Mshr, ScrambledRetiresKeepEveryOtherLineTracked)
 {
-    // Fill the file, then retire lines in a scrambled order: each
-    // swap-remove moves the last tag, and every line must keep its own
-    // slot (its own wakers) wherever its tag ends up.
+    // Fill the file, then retire lines in a scrambled order: every
+    // line must keep its own entry (its own waiters) as the others
+    // leave the index around it. Waiter i waits on line i.
     constexpr std::size_t kLines = 16;
     MshrFile mshrs(kLines);
     std::vector<int> woken(kLines, 0);
     std::vector<int> attached(kLines, 0);
+    mshrs.onWake([&](const Waiter &w) { ++woken[w.thread]; });
     const auto lineOf = [](std::size_t i) {
         return static_cast<topology::Addr>(0x40 * (i + 1));
     };
     const auto attach = [&](std::size_t i) {
         ++attached[i];
-        return mshrs.attach(lineOf(i), 0, [&woken, i] { ++woken[i]; });
+        return mshrs.attach(lineOf(i), 0,
+                            {static_cast<std::uint32_t>(i), 0});
     };
     for (std::size_t i = 0; i < kLines; ++i)
         ASSERT_EQ(attach(i), Attach::Allocated);
@@ -179,16 +199,14 @@ TEST(Mshr, ScrambledRetiresKeepEveryOtherLineTracked)
 TEST(Mshr, WakersRunPrimaryFirstThenInAttachOrder)
 {
     MshrFile mshrs(4);
-    std::vector<int> order;
-    ASSERT_EQ(mshrs.attach(0x80, 0, [] {}), Attach::Allocated);
-    ASSERT_EQ(mshrs.attach(0x40, 0, [&] { order.push_back(0); }),
-              Attach::Allocated);
-    for (int i = 1; i <= 4; ++i) {
-        ASSERT_EQ(mshrs.attach(0x40, 0, [&order, i] { order.push_back(i); }),
-                  Attach::Coalesced);
-    }
+    WakeLog log;
+    mshrs.onWake([&](const Waiter &w) { log.record(w); });
+    ASSERT_EQ(mshrs.attach(0x80, 0, {99, 0}), Attach::Allocated);
+    ASSERT_EQ(mshrs.attach(0x40, 0, {0, 0}), Attach::Allocated);
+    for (std::uint32_t i = 1; i <= 4; ++i)
+        ASSERT_EQ(mshrs.attach(0x40, 0, {i, 0}), Attach::Coalesced);
     mshrs.retire(0x40, 10);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(log.threads, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(Mshr, OnFreeRunsFirstAndMayTakeTheFreedSlot)
@@ -196,19 +214,19 @@ TEST(Mshr, OnFreeRunsFirstAndMayTakeTheFreedSlot)
     MshrFile mshrs(1);
     std::vector<int> order;
     bool reissued = false;
+    mshrs.onWake([&](const Waiter &w) {
+        order.push_back(static_cast<int>(w.thread));
+    });
     mshrs.onFree([&] {
         order.push_back(-1);
         if (reissued)
             return;
         // A stalled miss re-issues into the slot that just freed.
         reissued = true;
-        EXPECT_EQ(mshrs.attach(0x80, 7, [&] { order.push_back(9); }),
-                  Attach::Allocated);
+        EXPECT_EQ(mshrs.attach(0x80, 7, {9, 7}), Attach::Allocated);
     });
-    ASSERT_EQ(mshrs.attach(0x40, 0, [&] { order.push_back(0); }),
-              Attach::Allocated);
-    ASSERT_EQ(mshrs.attach(0x40, 0, [&] { order.push_back(1); }),
-              Attach::Coalesced);
+    ASSERT_EQ(mshrs.attach(0x40, 0, {0, 0}), Attach::Allocated);
+    ASSERT_EQ(mshrs.attach(0x40, 0, {1, 0}), Attach::Coalesced);
     mshrs.retire(0x40, 10);
     EXPECT_EQ(order, (std::vector<int>{-1, 0, 1}));
     EXPECT_EQ(mshrs.inUse(), 1u);
@@ -221,57 +239,284 @@ TEST(Mshr, OnFreeRunsFirstAndMayTakeTheFreedSlot)
 
 TEST(Mshr, WakerMayReallocateItsOwnLine)
 {
+    // Threads 0 and 1 attach again on their wake, as threads 10 and 11.
     MshrFile mshrs(2);
     std::vector<Attach> outcomes;
-    int later = 0;
-    ASSERT_EQ(mshrs.attach(0x40, 0, [&] {
-        outcomes.push_back(mshrs.attach(0x40, 5, [&] { ++later; }));
-    }), Attach::Allocated);
-    ASSERT_EQ(mshrs.attach(0x40, 0, [&] {
-        outcomes.push_back(mshrs.attach(0x40, 5, [&] { ++later; }));
-    }), Attach::Coalesced);
+    std::vector<std::uint32_t> later;
+    mshrs.onWake([&](const Waiter &w) {
+        if (w.thread < 10)
+            outcomes.push_back(mshrs.attach(0x40, 5, {w.thread + 10, 5}));
+        else
+            later.push_back(w.thread);
+    });
+    ASSERT_EQ(mshrs.attach(0x40, 0, {0, 0}), Attach::Allocated);
+    ASSERT_EQ(mshrs.attach(0x40, 0, {1, 0}), Attach::Coalesced);
     mshrs.retire(0x40, 5);
-    // The first waker finds the line gone and allocates it afresh; the
-    // second joins that new miss.
+    // The first waiter finds the line gone and allocates it afresh;
+    // the second joins that new miss.
     EXPECT_EQ(outcomes,
               (std::vector<Attach>{Attach::Allocated, Attach::Coalesced}));
-    EXPECT_EQ(later, 0);
+    EXPECT_TRUE(later.empty());
     EXPECT_EQ(mshrs.inUse(), 1u);
     mshrs.retire(0x40, 9);
-    EXPECT_EQ(later, 2);
+    EXPECT_EQ(later, (std::vector<std::uint32_t>{10, 11}));
 }
 
-TEST(Mshr, ResetDestroysEachPendingWakerOnce)
+TEST(Mshr, ResetDropsWaitersWithoutWakingThem)
 {
     MshrFile mshrs(4);
-    const auto token = std::make_shared<int>(0);
+    WakeLog log;
+    int freed = 0;
+    mshrs.onWake([&](const Waiter &w) { log.record(w); });
+    mshrs.onFree([&] { ++freed; });
+    std::uint32_t thread = 0;
     for (topology::Addr line = 0; line < 3; ++line) {
         for (int i = 0; i < 3; ++i)
-            mshrs.attach(line * 0x40, 0, [token] { ++*token; });
+            mshrs.attach(line * 0x40, 0, {thread++, 0});
     }
-    EXPECT_EQ(token.use_count(), 10);
+    EXPECT_EQ(mshrs.coalesced(), 6u);
     mshrs.reset();
-    EXPECT_EQ(token.use_count(), 1);
-    EXPECT_EQ(*token, 0) << "reset destroys wakers without running them";
+    EXPECT_TRUE(log.threads.empty()) << "reset wakes nobody";
+    EXPECT_EQ(freed, 0);
     EXPECT_EQ(mshrs.inUse(), 0u);
     EXPECT_EQ(mshrs.coalesced(), 0u);
+    EXPECT_EQ(mshrs.lifetime().count(), 0u);
+    EXPECT_THROW(mshrs.retire(0x40, 1), sim::PanicError)
+        << "no line stays outstanding";
 
-    // The reset file allocates from scratch and wakes only new waiters.
-    EXPECT_EQ(mshrs.attach(0x0, 0, [token] { ++*token; }),
-              Attach::Allocated);
+    // The reset file allocates from scratch, keeps its handlers, and
+    // wakes only new waiters.
+    EXPECT_EQ(mshrs.attach(0x0, 0, {50, 0}), Attach::Allocated);
     mshrs.retire(0x0, 1);
-    EXPECT_EQ(*token, 1);
-    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(log.threads, (std::vector<std::uint32_t>{50}));
+    EXPECT_EQ(freed, 1);
 }
 
 TEST(Mshr, MisusePanics)
 {
     MshrFile mshrs(2);
+    mshrs.onWake([](const Waiter &) {});
     EXPECT_THROW(mshrs.retire(0x0, 0), sim::PanicError);
-    ASSERT_EQ(mshrs.attach(0x0, 0, [] {}), Attach::Allocated);
+    ASSERT_EQ(mshrs.attach(0x0, 0, {0, 0}), Attach::Allocated);
     mshrs.retire(0x0, 0);
     EXPECT_THROW(mshrs.retire(0x0, 0), sim::PanicError);
     EXPECT_THROW(MshrFile(0), std::invalid_argument);
+}
+
+/**
+ * The file's behaviour written out plainly: a map from line to its
+ * allocation tick and a deque of waiters.
+ */
+class ReferenceMshr
+{
+  public:
+    explicit ReferenceMshr(std::size_t capacity) : _capacity(capacity) {}
+
+    Attach
+    attach(topology::Addr line, Tick now, Waiter waiter)
+    {
+        const auto it = _lines.find(line);
+        if (it != _lines.end()) {
+            it->second.waiters.push_back(waiter);
+            ++coalesced;
+            return Attach::Coalesced;
+        }
+        if (_lines.size() >= _capacity) {
+            ++fullStalls;
+            return Attach::Full;
+        }
+        _lines[line] = Entry{now, {waiter}};
+        return Attach::Allocated;
+    }
+
+    template <typename OnFree, typename OnWake>
+    void
+    retire(topology::Addr line, Tick now, OnFree &&on_free,
+           OnWake &&on_wake)
+    {
+        const auto it = _lines.find(line);
+        ASSERT_NE(it, _lines.end());
+        const Entry entry = it->second;
+        _lines.erase(it);
+        lifetime.sample(static_cast<double>(now - entry.allocated));
+        on_free();
+        for (const Waiter &waiter : entry.waiters)
+            on_wake(waiter);
+    }
+
+    std::size_t inUse() const { return _lines.size(); }
+
+    /** The @p k-th in-flight line in address order. */
+    topology::Addr
+    lineAt(std::size_t k) const
+    {
+        auto it = _lines.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(k));
+        return it->first;
+    }
+
+    std::uint64_t coalesced = 0;
+    std::uint64_t fullStalls = 0;
+    stats::RunningStats lifetime;
+
+  private:
+    struct Entry
+    {
+        Tick allocated = 0;
+        std::deque<Waiter> waiters;
+    };
+
+    std::size_t _capacity;
+    std::map<topology::Addr, Entry> _lines;
+};
+
+class MshrOracle : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(MshrOracle, MatchesAMapOfDequesOnRandomScripts)
+{
+    // Random attach/retire scripts over four times as many lines as
+    // entries, with random 64-bit addresses, so the index sees long
+    // probe runs and its backward-shift erase moves entries. Some
+    // wakes and frees attach again (to any line, the retiring one
+    // included); both sides log every outcome and wake.
+    const std::size_t capacity = GetParam();
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(seed);
+        sim::Rng rng(seed * 7919 + capacity);
+        std::vector<topology::Addr> pool(4 * capacity + 3);
+        for (topology::Addr &line : pool)
+            line = rng.next() >> 1;
+
+        MshrFile file(capacity);
+        ReferenceMshr ref(capacity);
+        std::vector<std::pair<int, std::uint32_t>> file_log, ref_log;
+        std::uint32_t next_thread = 0;
+        Tick now = 0;
+
+        // Threads below 1 << 20 attach again on one wake in three, as
+        // a thread that never does; each free attaches one in two.
+        const auto rejoin = [&](std::uint32_t thread) {
+            return thread < (1u << 20) && thread % 3 == 0;
+        };
+        const auto rejoinLine = [&](std::uint32_t thread) {
+            return pool[(thread * 2654435761u) % pool.size()];
+        };
+        file.onWake([&](const Waiter &w) {
+            file_log.emplace_back(1, w.thread);
+            file_log.emplace_back(2, static_cast<std::uint32_t>(w.ready));
+            if (rejoin(w.thread)) {
+                file_log.emplace_back(
+                    0, static_cast<std::uint32_t>(file.attach(
+                           rejoinLine(w.thread), now,
+                           {w.thread | (1u << 20), now})));
+            }
+        });
+        std::uint32_t file_frees = 0;
+        file.onFree([&] {
+            if (++file_frees % 2 == 0) {
+                file_log.emplace_back(
+                    3, static_cast<std::uint32_t>(file.attach(
+                           pool[file_frees % pool.size()], now,
+                           {(1u << 21) + file_frees, now})));
+            }
+        });
+        std::uint32_t ref_frees = 0;
+        const auto refWake = [&](const Waiter &w) {
+            ref_log.emplace_back(1, w.thread);
+            ref_log.emplace_back(2, static_cast<std::uint32_t>(w.ready));
+            if (rejoin(w.thread)) {
+                ref_log.emplace_back(
+                    0, static_cast<std::uint32_t>(ref.attach(
+                           rejoinLine(w.thread), now,
+                           {w.thread | (1u << 20), now})));
+            }
+        };
+        const auto refFree = [&] {
+            if (++ref_frees % 2 == 0) {
+                ref_log.emplace_back(
+                    3, static_cast<std::uint32_t>(ref.attach(
+                           pool[ref_frees % pool.size()], now,
+                           {(1u << 21) + ref_frees, now})));
+            }
+        };
+
+        for (int step = 0; step < 4000; ++step) {
+            now += rng.below(50);
+            if (ref.inUse() > 0 && rng.below(5) < 2) {
+                const topology::Addr line =
+                    ref.lineAt(rng.below(ref.inUse()));
+                file.retire(line, now);
+                ref.retire(line, now, refFree, refWake);
+            } else {
+                const topology::Addr line = pool[rng.below(pool.size())];
+                const Waiter waiter{next_thread++, now};
+                file_log.emplace_back(
+                    0, static_cast<std::uint32_t>(
+                           file.attach(line, now, waiter)));
+                ref_log.emplace_back(
+                    0, static_cast<std::uint32_t>(
+                           ref.attach(line, now, waiter)));
+            }
+            ASSERT_EQ(file.inUse(), ref.inUse()) << "step " << step;
+        }
+        // Drain whatever is left.
+        while (ref.inUse() > 0) {
+            const topology::Addr line = ref.lineAt(0);
+            file.retire(line, now);
+            ref.retire(line, now, refFree, refWake);
+        }
+        EXPECT_EQ(file_log, ref_log);
+        EXPECT_GT(file.coalesced(), 0u);
+        EXPECT_EQ(file.coalesced(), ref.coalesced);
+        EXPECT_EQ(file.fullStalls(), ref.fullStalls);
+        EXPECT_EQ(file.inUse(), 0u);
+        EXPECT_EQ(file.lifetime().count(), ref.lifetime.count());
+        EXPECT_EQ(file.lifetime().mean(), ref.lifetime.mean());
+        EXPECT_EQ(file.lifetime().variance(), ref.lifetime.variance());
+        EXPECT_EQ(file.lifetime().min(), ref.lifetime.min());
+        EXPECT_EQ(file.lifetime().max(), ref.lifetime.max());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, MshrOracle,
+                         ::testing::Values(1u, 7u, 128u));
+
+TEST(Mshr, SteadyMissesDoNotAllocate)
+{
+    // Every round fills the file with 32 lines, 1 to 4 waiters each
+    // (80 in all), then retires them. The depths rotate among the
+    // lines from round to round, and so do the lines and the retire
+    // order, so a line's next waiters never fit storage sized by its
+    // last ones; the shared pool, sized by the first round, serves
+    // them all.
+    constexpr std::size_t kLines = 32;
+    MshrFile mshrs(kLines);
+    std::size_t woken = 0;
+    mshrs.onWake([&](const Waiter &) { ++woken; });
+    std::uint32_t thread = 0;
+    const auto round = [&](std::size_t r) {
+        const auto lineOf = [r](std::size_t i) {
+            return static_cast<topology::Addr>(0x40 * (i + 1 + r * kLines));
+        };
+        for (std::size_t i = 0; i < kLines; ++i) {
+            const std::size_t depth = (i + r) % 4 + 1;
+            for (std::size_t d = 0; d < depth; ++d)
+                mshrs.attach(lineOf(i), r, {thread++, r});
+        }
+        for (std::size_t k = 0; k < kLines; ++k)
+            mshrs.retire(lineOf((k * 5 + r) % kLines), r + 1);
+    };
+    round(0);
+    ASSERT_EQ(woken, 80u);
+    const std::size_t before = test::allocations.load();
+    for (std::size_t r = 1; r <= 50; ++r)
+        round(r);
+    EXPECT_EQ(test::allocations.load() - before, 0u);
+    EXPECT_EQ(woken, 51u * 80);
+    EXPECT_EQ(mshrs.coalesced(), 51u * 48);
+    EXPECT_EQ(mshrs.inUse(), 0u);
 }
 
 TEST(OcmSystem, Table4Numbers)
@@ -335,11 +580,11 @@ TEST_F(McFixture, ReadLatencyIsAccessPlusSerialization)
     MemoryController mc(eq_, 7, memory::ocmParams());
     std::vector<Tick> completions;
     Message resp_seen;
-    mc.access(request(MsgKind::ReadReq, 3, 0xAA), 0x1000,
-              [&](const Message &resp) {
+    mc.onResponse([&](const Message &resp) {
         completions.push_back(eq_.now());
         resp_seen = resp;
     });
+    mc.access(request(MsgKind::ReadReq, 3, 0xAA), 0x1000);
     eq_.run();
     ASSERT_EQ(completions.size(), 1u);
     // 20 ns access dominates (serialization 64 B / 160 GB/s = 400 ps).
@@ -381,8 +626,8 @@ TEST_F(McFixture, WriteProducesAck)
 {
     MemoryController mc(eq_, 7, memory::ocmParams());
     MsgKind kind = MsgKind::ReadReq;
-    mc.access(request(MsgKind::WriteReq, 4, 1), 0x2000,
-              [&](const Message &resp) { kind = resp.kind; });
+    mc.onResponse([&](const Message &resp) { kind = resp.kind; });
+    mc.access(request(MsgKind::WriteReq, 4, 1), 0x2000);
     eq_.run();
     EXPECT_EQ(kind, MsgKind::WriteAck);
 }
@@ -391,12 +636,12 @@ TEST_F(McFixture, ThroughputBoundedByLinkRate)
 {
     MemoryController mc(eq_, 7, memory::ecmParams());
     int done = 0;
+    mc.onResponse([&](const Message &) { ++done; });
     const int n = 100;
     for (int i = 0; i < n; ++i) {
         mc.access(request(MsgKind::ReadReq, 1,
                           static_cast<std::uint64_t>(i)),
-                  static_cast<topology::Addr>(i) * 64,
-                  [&](const Message &) { ++done; });
+                  static_cast<topology::Addr>(i) * 64);
     }
     eq_.run();
     EXPECT_EQ(done, n);
@@ -410,11 +655,11 @@ TEST_F(McFixture, ThroughputBoundedByLinkRate)
 TEST_F(McFixture, QueueDepthObserved)
 {
     MemoryController mc(eq_, 7, memory::ecmParams());
+    mc.onResponse([](const Message &) {});
     for (int i = 0; i < 10; ++i) {
         mc.access(request(MsgKind::ReadReq, 1,
                           static_cast<std::uint64_t>(i)),
-                  static_cast<topology::Addr>(i) * 64,
-                  [](const Message &) {});
+                  static_cast<topology::Addr>(i) * 64);
     }
     eq_.run();
     EXPECT_GE(mc.peakQueueDepth(), 8u);
@@ -426,12 +671,12 @@ TEST_F(McFixture, SteadyRequestsDoNotAllocate)
     MemoryController mc(eq_, 7, memory::ecmParams());
     std::uint64_t next = 0;
     int done = 0;
+    mc.onResponse([&done](const Message &) { ++done; });
     // Eight requests at once: the link queues seven behind the first.
     const auto burst = [&] {
         for (int i = 0; i < 8; ++i, ++next) {
             mc.access(request(MsgKind::ReadReq, 1, next),
-                      static_cast<topology::Addr>(next) * 64,
-                      [&done](const Message &) { ++done; });
+                      static_cast<topology::Addr>(next) * 64);
         }
         eq_.run();
     };
@@ -451,25 +696,23 @@ TEST_F(McFixture, SteadyRequestsDoNotAllocate)
 
 TEST_F(McFixture, CompletionMayIssueMoreRequests)
 {
-    // Each completion issues two more requests until 40 are issued: the
+    // Each response issues two more requests until 40 are issued: the
     // slot it frees is taken again and the slots grow while the
-    // completion runs.
+    // handler runs.
     MemoryController mc(eq_, 7, memory::ocmParams());
     std::uint64_t issued = 0;
     std::vector<std::uint64_t> completed;
-    std::function<void(const Message &)> on_done;
     const auto issue = [&] {
         mc.access(request(MsgKind::ReadReq, 1, issued),
-                  static_cast<topology::Addr>(issued) * 64,
-                  [&on_done](const Message &resp) { on_done(resp); });
+                  static_cast<topology::Addr>(issued) * 64);
         ++issued;
     };
-    on_done = [&](const Message &resp) {
+    mc.onResponse([&](const Message &resp) {
         EXPECT_EQ(resp.kind, MsgKind::ReadResp);
         completed.push_back(resp.tag);
         for (int k = 0; k < 2 && issued < 40; ++k)
             issue();
-    };
+    });
     issue();
     eq_.run();
     ASSERT_EQ(completed.size(), 40u);
@@ -481,43 +724,39 @@ TEST_F(McFixture, CompletionMayIssueMoreRequests)
     EXPECT_EQ(mc.queueDepth(), 0u);
 }
 
-TEST_F(McFixture, ResetDestroysEachQueuedAndInFlightCallbackOnce)
+TEST_F(McFixture, ResetDropsQueuedAndInFlightRequests)
 {
     MemoryController mc(eq_, 7, memory::ecmParams());
-    const auto token = std::make_shared<int>(0);
+    std::vector<std::uint64_t> responded;
+    mc.onResponse([&](const Message &resp) { responded.push_back(resp.tag); });
     for (std::uint64_t i = 0; i < 6; ++i) {
         mc.access(request(MsgKind::ReadReq, 1, i),
-                  static_cast<topology::Addr>(i) * 64,
-                  [token](const Message &) { ++*token; });
+                  static_cast<topology::Addr>(i) * 64);
     }
     // One ECM line takes 4267 ticks on the link: by 10 ns three
     // requests are past it, in flight, and three still queue.
     eq_.run(10000);
     EXPECT_EQ(mc.queueDepth(), 3u);
-    EXPECT_EQ(token.use_count(), 7);
+    EXPECT_TRUE(responded.empty());
     mc.reset();
     eq_.reset();
-    EXPECT_EQ(token.use_count(), 1);
-    EXPECT_EQ(*token, 0) << "reset destroys completions without running them";
     EXPECT_EQ(mc.queueDepth(), 0u);
     EXPECT_EQ(mc.peakQueueDepth(), 0u);
+    EXPECT_EQ(mc.accesses(), 0u);
 
-    // The reset controller serves new requests only.
-    mc.access(request(MsgKind::ReadReq, 1, 9), 0,
-              [token](const Message &) { ++*token; });
+    // The reset controller keeps its handler and serves new requests
+    // only.
+    mc.access(request(MsgKind::ReadReq, 1, 9), 0);
     eq_.run();
-    EXPECT_EQ(*token, 1);
-    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(responded, (std::vector<std::uint64_t>{9}));
     EXPECT_EQ(mc.accesses(), 1u);
 }
 
 TEST_F(McFixture, NonMemoryRequestPanics)
 {
     MemoryController mc(eq_, 7, memory::ocmParams());
-    EXPECT_THROW(
-        mc.access(request(MsgKind::ReadResp, 1, 0), 0,
-                  [](const Message &) {}),
-        sim::PanicError);
+    EXPECT_THROW(mc.access(request(MsgKind::ReadResp, 1, 0), 0),
+                 sim::PanicError);
 }
 
 TEST(MemoryParams, OcmVsEcmContrast)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "memory/memory_controller.hh"
 #include "mesh/electrical_mesh.hh"
@@ -47,27 +48,28 @@ mcQueueingDelay(double rho, int arrivals, std::uint64_t seed)
     sim::Rng rng(seed);
     double total_wait = 0.0;
     int completed = 0;
+    std::vector<Tick> arrived(static_cast<std::size_t>(arrivals));
+    mc.onResponse([&](const noc::Message &resp) {
+        // The 20 ns array access overlaps the 400-tick serialization
+        // and dominates it, so the service pipeline contributes a flat
+        // 20 ns; what remains is the time spent waiting for the link
+        // server.
+        const double in_system =
+            static_cast<double>(eq.now() - arrived[resp.tag]);
+        total_wait += in_system - 20000.0;
+        ++completed;
+    });
     Tick arrival = 0;
     for (int i = 0; i < arrivals; ++i) {
         arrival += static_cast<Tick>(rng.exponential(mean_gap));
-        eq.schedule(arrival, [&, i, arrival] {
+        eq.schedule(arrival, [&, i] {
             noc::Message req;
             req.src = 1;
             req.dst = 0;
             req.kind = noc::MsgKind::ReadReq;
             req.tag = static_cast<std::uint64_t>(i);
-            const Tick arrived = eq.now();
-            mc.access(req, static_cast<topology::Addr>(i) * 64,
-                      [&, arrived](const noc::Message &) {
-                // The 20 ns array access overlaps the 400-tick
-                // serialization and dominates it, so the service
-                // pipeline contributes a flat 20 ns; what remains is
-                // the time spent waiting for the link server.
-                const double in_system =
-                    static_cast<double>(eq.now() - arrived);
-                total_wait += in_system - 20000.0;
-                ++completed;
-            });
+            arrived[req.tag] = eq.now();
+            mc.access(req, static_cast<topology::Addr>(i) * 64);
         });
     }
     eq.run();
@@ -152,17 +154,19 @@ TEST(QueueingLaws, LittlesLawHoldsForMcQueue)
     const int n = 5000;
     int completed = 0;
     double total_time = 0.0;
+    std::vector<Tick> started(static_cast<std::size_t>(n));
+    mc.onResponse([&](const noc::Message &resp) {
+        total_time += static_cast<double>(eq.now() - started[resp.tag]);
+        ++completed;
+    });
     for (int i = 0; i < n; ++i) {
         arrival += static_cast<Tick>(rng.exponential(6000.0));
         eq.schedule(arrival, [&, i] {
             noc::Message req;
             req.kind = noc::MsgKind::ReadReq;
-            const Tick t0 = eq.now();
-            mc.access(req, static_cast<topology::Addr>(i) * 64,
-                      [&, t0](const noc::Message &) {
-                total_time += static_cast<double>(eq.now() - t0);
-                ++completed;
-            });
+            req.tag = static_cast<std::uint64_t>(i);
+            started[req.tag] = eq.now();
+            mc.access(req, static_cast<topology::Addr>(i) * 64);
         });
     }
     eq.run();

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "corona/config.hh"
 #include "corona/hub.hh"
 #include "corona/system.hh"
@@ -20,6 +24,36 @@ using core::MemoryKind;
 using core::NetworkKind;
 using core::SystemConfig;
 using sim::EventQueue;
+
+/** Stands in for the run a hub hands its fills and retries to. */
+class RecordingClient final : public Hub::Client
+{
+  public:
+    explicit RecordingClient(const EventQueue &eq) : _eq(eq) {}
+
+    void
+    fill(const Hub::Waiter &waiter) override
+    {
+        fills.push_back(waiter.thread);
+        fillTicks.push_back(_eq.now());
+    }
+
+    void
+    retry(std::uint32_t thread) override
+    {
+        retries.push_back(thread);
+        if (onRetry)
+            onRetry(thread);
+    }
+
+    std::vector<std::uint32_t> fills;
+    std::vector<sim::Tick> fillTicks;
+    std::vector<std::uint32_t> retries;
+    std::function<void(std::uint32_t)> onRetry;
+
+  private:
+    const EventQueue &_eq;
+};
 
 TEST(Config, PaperConfigsInFigureOrder)
 {
@@ -74,19 +108,17 @@ TEST(System, RemoteMissRoundTrip)
     EventQueue eq;
     CoronaSystem system(eq, core::makeConfig(NetworkKind::XBar,
                                              MemoryKind::OCM));
-    bool filled = false;
-    sim::Tick fill_time = 0;
+    RecordingClient client(eq);
+    system.hub(3).bind(&client);
     const auto outcome = system.hub(3).issueMiss(
-        /*line=*/0x1000, /*home=*/9, /*write=*/false, [&] {
-            filled = true;
-            fill_time = eq.now();
-        });
+        /*line=*/0x1000, /*home=*/9, /*write=*/false, {7, 0});
     EXPECT_EQ(outcome, Hub::Issue::Sent);
     eq.run();
-    EXPECT_TRUE(filled);
+    ASSERT_EQ(client.fills, (std::vector<std::uint32_t>{7}));
     // Round trip: network there (+ token + serialization), 20 ns
     // memory, network back. Must exceed the raw 20 ns memory latency
     // and stay well under a microsecond in an idle system.
+    const sim::Tick fill_time = client.fillTicks[0];
     EXPECT_GT(fill_time, 20000u);
     EXPECT_LT(fill_time, 100000u);
     EXPECT_EQ(system.hub(3).networkRequests(), 1u);
@@ -99,20 +131,17 @@ TEST(System, LocalMissBypassesNetwork)
     EventQueue eq;
     CoronaSystem system(eq, core::makeConfig(NetworkKind::XBar,
                                              MemoryKind::OCM));
-    bool filled = false;
-    sim::Tick fill_time = 0;
-    system.hub(5).issueMiss(0x2000, /*home=*/5, false, [&] {
-        filled = true;
-        fill_time = eq.now();
-    });
+    RecordingClient client(eq);
+    system.hub(5).bind(&client);
+    system.hub(5).issueMiss(0x2000, /*home=*/5, false, {4, 0});
     eq.run();
-    EXPECT_TRUE(filled);
+    ASSERT_EQ(client.fills, (std::vector<std::uint32_t>{4}));
     EXPECT_EQ(system.hub(5).localRequests(), 1u);
     EXPECT_EQ(system.hub(5).networkRequests(), 0u);
     EXPECT_EQ(system.network().netStats().messages.value(), 0u);
     // 20 ns memory + two hub hops.
-    EXPECT_NEAR(static_cast<double>(fill_time), 20000.0 + 2 * 200 + 600,
-                1500.0);
+    EXPECT_NEAR(static_cast<double>(client.fillTicks[0]),
+                20000.0 + 2 * 200 + 600, 1500.0);
 }
 
 TEST(System, CoalescingMergesSameLine)
@@ -120,16 +149,15 @@ TEST(System, CoalescingMergesSameLine)
     EventQueue eq;
     CoronaSystem system(eq, core::makeConfig(NetworkKind::XBar,
                                              MemoryKind::OCM));
-    int fills = 0;
-    auto first = system.hub(2).issueMiss(0x40, 11, false,
-                                         [&] { ++fills; });
-    auto second = system.hub(2).issueMiss(0x40, 11, false,
-                                          [&] { ++fills; });
+    RecordingClient client(eq);
+    system.hub(2).bind(&client);
+    auto first = system.hub(2).issueMiss(0x40, 11, false, {1, 0});
+    auto second = system.hub(2).issueMiss(0x40, 11, false, {2, 0});
     EXPECT_EQ(first, Hub::Issue::Sent);
     EXPECT_EQ(second, Hub::Issue::Coalesced);
     eq.run();
-    EXPECT_EQ(fills, 2);
-    EXPECT_EQ(system.mc(11).accesses(), 1u) << "one fill, two wakers";
+    EXPECT_EQ(client.fills, (std::vector<std::uint32_t>{1, 2}));
+    EXPECT_EQ(system.mc(11).accesses(), 1u) << "one fill, two waiters";
 }
 
 TEST(System, MshrFullStallsAndWakes)
@@ -138,23 +166,21 @@ TEST(System, MshrFullStallsAndWakes)
     auto config = core::makeConfig(NetworkKind::XBar, MemoryKind::OCM);
     config.mshrs_per_cluster = 2;
     CoronaSystem system(eq, config);
-    int fills = 0;
+    RecordingClient client(eq);
     Hub &hub = system.hub(0);
-    EXPECT_EQ(hub.issueMiss(0x40, 1, false, [&] { ++fills; }),
-              Hub::Issue::Sent);
-    EXPECT_EQ(hub.issueMiss(0x80, 2, false, [&] { ++fills; }),
-              Hub::Issue::Sent);
-    EXPECT_EQ(hub.issueMiss(0xC0, 3, false, [&] { ++fills; }),
+    hub.bind(&client);
+    EXPECT_EQ(hub.issueMiss(0x40, 1, false, {0, 0}), Hub::Issue::Sent);
+    EXPECT_EQ(hub.issueMiss(0x80, 2, false, {1, 0}), Hub::Issue::Sent);
+    EXPECT_EQ(hub.issueMiss(0xC0, 3, false, {2, 0}),
               Hub::Issue::MshrFull);
-    bool retried = false;
-    hub.stallOnMshr([&] {
-        retried = true;
-        EXPECT_EQ(hub.issueMiss(0xC0, 3, false, [&] { ++fills; }),
+    hub.stallOnMshr(2);
+    client.onRetry = [&](std::uint32_t thread) {
+        EXPECT_EQ(hub.issueMiss(0xC0, 3, false, {thread, 0}),
                   Hub::Issue::Sent);
-    });
+    };
     eq.run();
-    EXPECT_TRUE(retried);
-    EXPECT_EQ(fills, 3);
+    EXPECT_EQ(client.retries, (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(client.fills.size(), 3u);
     EXPECT_EQ(hub.mshrs().fullStalls(), 1u);
 }
 
@@ -163,12 +189,28 @@ TEST(System, WriteMissGetsAck)
     EventQueue eq;
     CoronaSystem system(eq, core::makeConfig(NetworkKind::HMesh,
                                              MemoryKind::ECM));
-    bool filled = false;
-    system.hub(1).issueMiss(0x3000, 8, /*write=*/true,
-                            [&] { filled = true; });
+    RecordingClient client(eq);
+    system.hub(1).bind(&client);
+    system.hub(1).issueMiss(0x3000, 8, /*write=*/true, {3, 0});
     eq.run();
-    EXPECT_TRUE(filled);
+    EXPECT_EQ(client.fills, (std::vector<std::uint32_t>{3}));
     EXPECT_EQ(system.mc(8).accesses(), 1u);
+}
+
+TEST(System, FillWithNoClientPanics)
+{
+    // reset() unbinds the client: a pooled system's next run must bind
+    // its own before a fill can reach it.
+    EventQueue eq;
+    CoronaSystem system(eq, core::makeConfig(NetworkKind::XBar,
+                                             MemoryKind::OCM));
+    RecordingClient client(eq);
+    Hub &hub = system.hub(5);
+    hub.bind(&client);
+    hub.reset();
+    hub.issueMiss(0x2000, /*home=*/5, false, {4, 0});
+    EXPECT_THROW(eq.run(), sim::PanicError);
+    EXPECT_TRUE(client.fills.empty());
 }
 
 } // namespace
