@@ -6,7 +6,8 @@
 #      corona-stats validates each produced file shape (per-run
 #      run<N>.obs.bin container, registry snapshot CSV), exports the
 #      trace to Chrome JSON (the CI artifact), and the trace actually
-#      contains crossbar + memory spans.
+#      contains crossbar + memory spans. The exported JSON and CSV are
+#      not containers, so corona-stats trace and summary refuse them.
 #   2. Off-parity: the same scenario with the [observability] section
 #      deleted writes byte-identical CSV sink output — observing a
 #      campaign never changes its results.
@@ -94,6 +95,24 @@ grep -q '"ph":"C"' "${DIR}/run0.trace.json" || {
   exit 1
 }
 
+# summary, trace and export read only containers: the JSON and CSV
+# they export are refused with exit 1 and an error naming the file.
+"${BUILD}/corona-stats" export "${DIR}/obs1/run0.obs.bin" \
+  "${DIR}/run0.timeseries.csv"
+refused() { # $1 = subcommand, $2 = a file that is not a container
+  local status=0
+  "${BUILD}/corona-stats" "$1" "$2" > /dev/null 2> "${DIR}/bare.err" ||
+    status=$?
+  if [ "${status}" -ne 1 ] || ! grep -qF "$2" "${DIR}/bare.err"; then
+    echo "obs smoke: corona-stats $1 on $2 must exit 1 naming the" \
+         "file (exit ${status})" >&2
+    exit 1
+  fi
+}
+refused trace "${DIR}/run0.trace.json"
+refused summary "${DIR}/run0.timeseries.csv"
+refused export "${DIR}/run0.timeseries.csv"
+
 # ---- 2. Observability never changes the results.
 CORONA_JOBS=1 \
   "${BUILD}/corona-run" --quiet --no-table "${DIR}/off.scenario"
@@ -141,5 +160,6 @@ for top in -1 99999999999999999999999 " 3"; do
   fi
 done
 
-echo "obs smoke: OK (file shapes valid, sink off-parity, obs bytes" \
-     "worker-count invariant, rollup report rendered, bad --top refused)"
+echo "obs smoke: OK (file shapes valid, exports refused as input, sink" \
+     "off-parity, obs bytes worker-count invariant, rollup report" \
+     "rendered, bad --top refused)"

@@ -1,13 +1,14 @@
 #include "campaign/obs_rollup.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
 
+#include "corona/knobs.hh"
 #include "obs/registry.hh"
 #include "sim/logging.hh"
 
@@ -18,7 +19,7 @@ namespace {
 constexpr const char *rollupMagic = "corona-rollup-v1";
 
 std::vector<std::string>
-splitCsv(const std::string &line)
+splitRollupLine(const std::string &line)
 {
     std::vector<std::string> fields;
     std::size_t at = 0;
@@ -33,27 +34,38 @@ splitCsv(const std::string &line)
     }
 }
 
-std::uint64_t
-parseIndex(const std::string &field, const std::string &what)
+/** Where a rollup diagnostic points: "<what>:<line>". */
+std::string
+location(const std::string &what, std::size_t line_no)
 {
-    if (field.empty())
-        sim::fatal(what + ": empty index field in rollup");
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(field.c_str(), &end, 10);
-    if (end != field.c_str() + field.size())
-        sim::fatal(what + ": bad index field in rollup: " + field);
-    return value;
+    return what + ":" + std::to_string(line_no);
 }
 
-double
-parseValue(const std::string &field, const std::string &what)
+/** A run index or tick: core::parseUnsigned, fatal naming the line. */
+std::uint64_t
+parseIndex(const std::string &field, const std::string &what,
+           std::size_t line_no)
 {
-    if (field.empty())
-        sim::fatal(what + ": empty value field in rollup");
-    char *end = nullptr;
-    const double value = std::strtod(field.c_str(), &end);
-    if (end != field.c_str() + field.size())
-        sim::fatal(what + ": bad value field in rollup: " + field);
+    const auto value = core::parseUnsigned(field);
+    if (!value)
+        sim::fatal(location(what, line_no) +
+                   ": bad index field in rollup: \"" + field + "\"");
+    return *value;
+}
+
+/** A probe value: a full-match std::from_chars, which also reads the
+ * "nan" and "inf" that obs::formatValue writes; fatal naming the
+ * line. */
+double
+parseValue(const std::string &field, const std::string &what,
+           std::size_t line_no)
+{
+    double value = 0.0;
+    const char *end = field.data() + field.size();
+    const auto res = std::from_chars(field.data(), end, value);
+    if (field.empty() || res.ec != std::errc{} || res.ptr != end)
+        sim::fatal(location(what, line_no) +
+                   ": bad value field in rollup: \"" + field + "\"");
     return value;
 }
 
@@ -158,24 +170,29 @@ ObsRollup
 ObsRollup::read(std::istream &is, const std::string &what)
 {
     std::string line;
+    std::size_t line_no = 1;
+    // Every diagnostic names the line it read last.
+    const auto at = [&what, &line_no] { return location(what, line_no); };
     if (!std::getline(is, line) || line != rollupMagic)
-        sim::fatal(what + ": not a rollup file (bad magic line)");
+        sim::fatal(at() + ": not a rollup file (bad magic line)");
 
     ObsRollup rollup;
     RollupGroup *group = nullptr;
     while (std::getline(is, line)) {
+        ++line_no;
         if (line.empty())
-            sim::fatal(what + ": blank line in rollup");
+            sim::fatal(at() + ": blank line in rollup");
         if (line.compare(0, 6, "group,") == 0) {
             const std::string config = line.substr(6);
             if (config.empty() || rollup.hasGroup(config))
-                sim::fatal(what + ": bad or repeated rollup group \"" +
+                sim::fatal(at() + ": bad or repeated rollup group \"" +
                            config + "\"");
+            ++line_no; // The header line, present or not.
             if (!std::getline(is, line) ||
                 line.compare(0, 8, "run,tick") != 0)
-                sim::fatal(what + ": rollup group \"" + config +
+                sim::fatal(at() + ": rollup group \"" + config +
                            "\" lacks its header line");
-            std::vector<std::string> header = splitCsv(line);
+            std::vector<std::string> header = splitRollupLine(line);
             rollup._groups.push_back(RollupGroup{
                 config,
                 {header.begin() + 2, header.end()},
@@ -184,17 +201,18 @@ ObsRollup::read(std::istream &is, const std::string &what)
             continue;
         }
         if (!group)
-            sim::fatal(what + ": rollup data before any group line");
-        const std::vector<std::string> fields = splitCsv(line);
+            sim::fatal(at() + ": rollup data before any group line");
+        const std::vector<std::string> fields = splitRollupLine(line);
         if (fields.size() != group->paths.size() + 2)
-            sim::fatal(what + ": rollup row width mismatch in \"" +
+            sim::fatal(at() + ": rollup row width mismatch in \"" +
                        group->config + "\"");
         RollupRow row;
-        row.run = static_cast<std::size_t>(parseIndex(fields[0], what));
-        row.tick = parseIndex(fields[1], what);
+        row.run = static_cast<std::size_t>(
+            parseIndex(fields[0], what, line_no));
+        row.tick = parseIndex(fields[1], what, line_no);
         row.values.reserve(group->paths.size());
         for (std::size_t i = 2; i < fields.size(); ++i)
-            row.values.push_back(parseValue(fields[i], what));
+            row.values.push_back(parseValue(fields[i], what, line_no));
         group->rows.push_back(std::move(row));
     }
     return rollup;
@@ -257,13 +275,13 @@ entityId(const std::string &path, const std::string &prefix,
     const std::size_t slash = path.find('/', prefix.size());
     if (slash == std::string::npos || path.substr(slash + 1) != leaf)
         return false;
-    const std::string digits = path.substr(prefix.size(),
-                                           slash - prefix.size());
-    if (digits.empty())
+    const auto parsed = core::parseUnsigned(
+        std::string_view(path).substr(prefix.size(),
+                                      slash - prefix.size()));
+    if (!parsed)
         return false;
-    char *end = nullptr;
-    id = std::strtoull(digits.c_str(), &end, 10);
-    return end == digits.c_str() + digits.size();
+    id = *parsed;
+    return true;
 }
 
 void

@@ -84,8 +84,9 @@ class ObsRollup
      */
     void write(std::ostream &os) const;
 
-    /** Parse a rollup file (fatal on malformed input; @p what names
-     * the input in error messages). */
+    /** Parse a rollup file strictly: run and tick are unsigned
+     * decimals, values full-match decimals (nan and inf included).
+     * Fatal on malformed input, naming @p what and the line. */
     static ObsRollup read(std::istream &is, const std::string &what);
 
   private:

@@ -23,46 +23,35 @@ namespace corona::campaign {
 namespace {
 
 /**
- * Simulate @p plan: the shared body of the fresh-system and pooled
- * execution paths. @p workloads and @p obs are optional extras used
- * by the runner's worker loop: workload pooling and per-run
- * observability.
+ * Simulate @p plan under @p obs. With reuse_systems on, @p pool and
+ * @p workloads are the worker's own and the run leases its context
+ * and workload from them; with it off both are null and the run
+ * builds its own.
  */
 RunRecord
 simulatePlan(const RunPlan &plan, core::SystemPool *pool,
-             WorkloadCache *workloads, const obs::RunObservability *obs)
+             WorkloadCache *workloads, const obs::RunObservability &obs)
 {
     RunRecord record = recordFor(plan);
-    std::unique_ptr<workload::Workload> owned;
-    workload::Workload *workload = nullptr;
-    if (workloads) {
-        workload = &workloads->lease(plan);
-    } else {
-        owned = plan.make_workload();
-        if (!owned)
+    if (!pool) {
+        const std::unique_ptr<workload::Workload> workload =
+            plan.make_workload();
+        if (!workload)
             sim::fatal("campaign: workload factory for \"" +
                        plan.workload + "\" returned null");
-        workload = owned.get();
+        record.metrics = core::runExperiment(plan.system, *workload,
+                                             plan.params, obs);
+        return record;
     }
+    workload::Workload &workload = workloads->lease(plan);
     // The pooled lease must match what the run will effectively use:
     // serial and sharded contexts are distinct pool entries.
     const unsigned sim_threads = core::effectiveSimThreads(
-        plan.params.sim_threads, plan.system, *workload,
-        plan.params.warmup_requests,
-        obs && obs->enabled() && obs->trace_capacity > 0);
-    core::SimContext *ctx =
-        pool ? &pool->lease(plan.system, sim_threads) : nullptr;
-    if (obs && obs->enabled()) {
-        record.metrics =
-            ctx ? core::runExperiment(*ctx, *workload, plan.params, *obs)
-                : core::runExperiment(plan.system, *workload,
-                                      plan.params, *obs);
-    } else {
-        record.metrics =
-            ctx ? core::runExperiment(*ctx, *workload, plan.params)
-                : core::runExperiment(plan.system, *workload,
-                                      plan.params);
-    }
+        plan.params.sim_threads, plan.system, workload,
+        plan.params.warmup_requests, obs.trace_capacity > 0);
+    record.metrics =
+        core::runExperiment(pool->lease(plan.system, sim_threads),
+                            workload, plan.params, obs);
     return record;
 }
 
@@ -72,7 +61,7 @@ simulatePlan(const RunPlan &plan, core::SystemPool *pool,
  */
 RunRecord
 executePlanWith(const RunPlan &plan, core::SystemPool *pool,
-                WorkloadCache *workloads, const obs::RunObservability *obs)
+                WorkloadCache *workloads, const obs::RunObservability &obs)
 {
     const auto start = std::chrono::steady_clock::now();
     RunRecord record;
@@ -92,18 +81,6 @@ executePlanWith(const RunPlan &plan, core::SystemPool *pool,
 }
 
 } // namespace
-
-RunRecord
-executePlan(const RunPlan &plan)
-{
-    return executePlanWith(plan, nullptr, nullptr, nullptr);
-}
-
-RunRecord
-executePlan(const RunPlan &plan, core::SystemPool &pool)
-{
-    return executePlanWith(plan, &pool, nullptr, nullptr);
-}
 
 CampaignRunner::CampaignRunner(RunnerOptions options)
     : _options(options)
@@ -240,8 +217,7 @@ CampaignRunner::run(const CampaignSpec &spec,
             }
             RunRecord record = executePlanWith(
                 plans[idx], pooled ? &pool : nullptr,
-                pooled ? &workloads : nullptr,
-                observe ? &run_obs : nullptr);
+                pooled ? &workloads : nullptr, run_obs);
             if (rollup_on && record.ok) {
                 std::scoped_lock lock(rollup_mutex);
                 rollup.addRun(plans[idx].config, plans[idx].index,

@@ -22,7 +22,6 @@
 #include "campaign/progress.hh"
 #include "campaign/sink.hh"
 #include "campaign/spec.hh"
-#include "corona/context.hh"
 #include "obs/observe.hh"
 #include "sim/logging.hh"
 
@@ -130,13 +129,6 @@ class CampaignRunner
     RunnerOptions _options;
     std::vector<ResultSink *> _sinks;
 };
-
-/** Execute one plan on the calling thread (also used by the pool). */
-RunRecord executePlan(const RunPlan &plan);
-
-/** Execute one plan on a context leased from @p pool (the runner's
- * reuse_systems path). The pool must belong to the calling thread. */
-RunRecord executePlan(const RunPlan &plan, core::SystemPool &pool);
 
 /** Resolve a requested worker count: 0 defers to $CORONA_JOBS when
  * set (strictly parsed, fatal on garbage), else hardware concurrency;

@@ -263,17 +263,4 @@ CsvSink::consume(const RunRecord &record)
     _os << csvRow(record) << "\n";
 }
 
-void
-MemorySink::begin(const CampaignSpec &, std::size_t total_runs)
-{
-    _records.clear();
-    _records.reserve(total_runs);
-}
-
-void
-MemorySink::consume(const RunRecord &record)
-{
-    _records.push_back(record);
-}
-
 } // namespace corona::campaign

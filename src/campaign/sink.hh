@@ -6,7 +6,8 @@
  * run-index order (not completion order), one record at a time under the
  * runner's lock — sink output is therefore byte-identical regardless of
  * worker-thread count. CsvSink serialises the full RunMetrics field
- * set for plotting scripts; MemorySink keeps records in memory.
+ * set for plotting scripts; a caller that wants the records in memory
+ * takes the vector CampaignRunner::run returns.
  */
 
 #ifndef CORONA_CAMPAIGN_SINK_HH
@@ -88,21 +89,6 @@ class CsvSink : public ResultSink
 
   private:
     std::ostream &_os;
-};
-
-/** Retains records in memory. */
-class MemorySink : public ResultSink
-{
-  public:
-    void begin(const CampaignSpec &spec,
-               std::size_t total_runs) override;
-    void consume(const RunRecord &record) override;
-
-    /** All records, ordered by run index. */
-    const std::vector<RunRecord> &records() const { return _records; }
-
-  private:
-    std::vector<RunRecord> _records;
 };
 
 } // namespace corona::campaign

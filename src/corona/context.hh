@@ -39,11 +39,12 @@ namespace corona::core {
  *
  * With @p sim_threads > 0 the context instead owns a ShardedExecutor
  * (K lockstep event queues; see sim/parallel.hh) and builds the
- * system across its entity queues. Callers must pass a value vetted
- * by effectiveSimThreads() — the context clamps to the cluster count
- * but does not re-check workload or front-end partitionability. The
- * engine choice is part of the context's identity (SystemPool keys
- * on it): a context never switches engines across leases.
+ * system across its entity queues. Callers size it with
+ * effectiveSimThreads() — the context clamps to the cluster count,
+ * and NetworkSimulation refuses a run for which effectiveSimThreads()
+ * gives another shard count. The engine choice is part of the
+ * context's identity (SystemPool keys on it): a context never
+ * switches engines across leases.
  */
 class SimContext
 {

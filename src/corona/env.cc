@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "corona/simulation.hh"
+#include "corona/knobs.hh"
 #include "sim/logging.hh"
 
 namespace corona::core::env {

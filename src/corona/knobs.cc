@@ -113,6 +113,15 @@ parseUnsigned(std::string_view text)
     return value;
 }
 
+std::optional<std::uint64_t>
+parsePositiveCount(std::string_view text)
+{
+    const auto value = parseUnsigned(text);
+    if (!value || *value == 0)
+        return std::nullopt;
+    return value;
+}
+
 std::optional<double>
 parseStrictDouble(std::string_view text)
 {

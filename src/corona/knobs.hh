@@ -21,6 +21,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corona/config.hh"
@@ -31,6 +32,9 @@ namespace corona::core {
 /** Strict decimal uint64 (leading/trailing garbage rejected; zero
  * allowed, unlike parsePositiveCount). */
 std::optional<std::uint64_t> parseUnsigned(std::string_view text);
+
+/** Strict positive decimal count: parseUnsigned, and non-zero. */
+std::optional<std::uint64_t> parsePositiveCount(std::string_view text);
 
 /** Strict finite double (full-string match, no inf/nan). */
 std::optional<double> parseStrictDouble(std::string_view text);

@@ -3,33 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 #include "corona/exec_plan.hh"
 #include "corona/frontend.hh"
-#include "obs/observe.hh"
 #include "power/network_power.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 
 namespace corona::core {
-
-NetworkSimulation::NetworkSimulation(const SystemConfig &config,
-                                     workload::Workload &workload,
-                                     const SimParams &params)
-    : _ownedContext(std::make_unique<SimContext>(
-          config,
-          effectiveSimThreads(params.sim_threads, config, workload,
-                              params.warmup_requests,
-                              /*tracing=*/false))),
-      _ctx(*_ownedContext), _config(config), _workload(workload),
-      _params(params), _eq(_ctx.eq()), _exec(_ctx.executor())
-{
-    bindThreads();
-    initLanes();
-    bindHubs(this);
-}
 
 NetworkSimulation::NetworkSimulation(SimContext &ctx,
                                      workload::Workload &workload,
@@ -38,16 +20,18 @@ NetworkSimulation::NetworkSimulation(SimContext &ctx,
       _params(params), _eq(_ctx.eq()), _exec(_ctx.executor())
 {
     if (!_ctx.pristine())
-        sim::fatal("NetworkSimulation: leased context is not pristine "
+        sim::fatal("NetworkSimulation: the context is not pristine "
                    "(reset it, or lease through SystemPool)");
-    if (_exec &&
-        (_params.warmup_requests > 0 ||
-         _config.frontend == FrontendKind::Coherent ||
-         !_workload.partitionable(_config.clusters,
-                                  _config.threads_per_cluster)))
-        sim::fatal("NetworkSimulation: run is not partitionable but "
-                   "the leased context is sharded; size the lease "
-                   "with effectiveSimThreads()");
+    // Tracing is the observer's to refuse (RunObserver), so the
+    // engine check asks for an untraced run.
+    const unsigned shards = effectiveSimThreads(
+        _ctx.simThreads(), _config, _workload, _params.warmup_requests,
+        /*tracing=*/false);
+    if (shards != _ctx.simThreads())
+        sim::fatal("NetworkSimulation: the context runs " +
+                   std::to_string(_ctx.simThreads()) +
+                   " shards, but effectiveSimThreads() gives this run " +
+                   std::to_string(shards) + "; size the context with it");
     bindThreads();
     initLanes();
     bindHubs(this);
@@ -327,45 +311,12 @@ NetworkSimulation::run()
 }
 
 RunMetrics
-runExperiment(const SystemConfig &config, workload::Workload &workload,
-              const SimParams &params)
-{
-    NetworkSimulation sim(config, workload, params);
-    return sim.run();
-}
-
-RunMetrics
-runExperiment(SimContext &ctx, workload::Workload &workload,
-              const SimParams &params)
-{
-    NetworkSimulation sim(ctx, workload, params);
-    return sim.run();
-}
-
-RunMetrics
-runExperiment(const SystemConfig &config, workload::Workload &workload,
-              const SimParams &params, const obs::RunObservability &obs)
-{
-    if (!obs.enabled())
-        return runExperiment(config, workload, params);
-    // A fresh context is pristine, so the pooled path below applies.
-    // Tracing pins the run to the classic engine: the shared trace
-    // ring's eviction order is not shard-count-invariant.
-    SimContext ctx(config,
-                   effectiveSimThreads(params.sim_threads, config,
-                                       workload,
-                                       params.warmup_requests,
-                                       obs.trace_capacity > 0));
-    return runExperiment(ctx, workload, params, obs);
-}
-
-RunMetrics
 runExperiment(SimContext &ctx, workload::Workload &workload,
               const SimParams &params, const obs::RunObservability &obs)
 {
-    if (!obs.enabled())
-        return runExperiment(ctx, workload, params);
     NetworkSimulation sim(ctx, workload, params);
+    if (!obs.enabled())
+        return sim.run();
     // Constructed after the simulation: the pristine check above must
     // not see sampler events, and the destructor detaches the tracer so
     // a pooled system never keeps a dangling pointer across leases.
@@ -376,23 +327,18 @@ runExperiment(SimContext &ctx, workload::Workload &workload,
     return metrics;
 }
 
-std::optional<std::uint64_t>
-parsePositiveCount(std::string_view text)
+RunMetrics
+runExperiment(const SystemConfig &config, workload::Workload &workload,
+              const SimParams &params, const obs::RunObservability &obs)
 {
-    if (text.empty())
-        return std::nullopt;
-    std::uint64_t value = 0;
-    for (const char ch : text) {
-        if (ch < '0' || ch > '9')
-            return std::nullopt;
-        const auto digit = static_cast<std::uint64_t>(ch - '0');
-        if (value > (UINT64_MAX - digit) / 10)
-            return std::nullopt; // Would overflow.
-        value = value * 10 + digit;
-    }
-    if (value == 0)
-        return std::nullopt;
-    return value;
+    // Tracing pins the run to the classic engine: the shared trace
+    // ring's eviction order is not shard-count-invariant.
+    SimContext ctx(config,
+                   effectiveSimThreads(params.sim_threads, config,
+                                       workload,
+                                       params.warmup_requests,
+                                       obs.trace_capacity > 0));
+    return runExperiment(ctx, workload, params, obs);
 }
 
 } // namespace corona::core

@@ -13,22 +13,17 @@
 #ifndef CORONA_CORONA_SIMULATION_HH
 #define CORONA_CORONA_SIMULATION_HH
 
-#include <memory>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "corona/context.hh"
 #include "corona/metrics.hh"
 #include "corona/system.hh"
+#include "obs/observe.hh"
 #include "sim/rng.hh"
 #include "stats/stats.hh"
 #include "workload/thread_model.hh"
 #include "workload/workload.hh"
-
-namespace corona::obs {
-struct RunObservability;
-} // namespace corona::obs
 
 namespace corona::core {
 
@@ -61,17 +56,13 @@ struct SimParams
 class NetworkSimulation final : private Hub::Client
 {
   public:
-    /** Build a private SimContext for @p config and run on it. */
-    NetworkSimulation(const SystemConfig &config,
-                      workload::Workload &workload,
-                      const SimParams &params = {});
-
     /**
-     * Run on an externally owned (typically pooled) context. @p ctx
+     * Run on @p ctx, freshly built or leased from a SystemPool. It
      * must be pristine — freshly constructed or reset(), as
      * SystemPool::lease guarantees — and its configuration is the
      * system under test. Fatal when the context carries prior-run
-     * state.
+     * state, or when its shard count is not the one
+     * effectiveSimThreads() gives this run.
      */
     NetworkSimulation(SimContext &ctx, workload::Workload &workload,
                       const SimParams &params = {});
@@ -130,8 +121,6 @@ class NetworkSimulation final : private Hub::Client
         return _lanes[_exec ? tid / _config.threads_per_cluster : 0];
     }
 
-    /** Null when running on a caller-owned context. */
-    std::unique_ptr<SimContext> _ownedContext;
     SimContext &_ctx;
     SystemConfig _config;
     workload::Workload &_workload;
@@ -160,41 +149,29 @@ class NetworkSimulation final : private Hub::Client
 };
 
 /**
- * Convenience harness: run @p workload on @p config.
+ * Run @p workload on a pristine context (see the constructor). The
+ * context is left dirty afterwards; a pool resets it on the next
+ * lease.
+ *
+ * When @p obs requests any plane, the run carries a fully wired
+ * obs::RunObserver (registry instrumentation, optional event tracer,
+ * optional time-series sampler) and its output files are written
+ * before returning. A disabled @p obs (the default) runs no observer —
+ * metrics and sink bytes cannot differ.
+ */
+RunMetrics runExperiment(SimContext &ctx, workload::Workload &workload,
+                         const SimParams &params = {},
+                         const obs::RunObservability &obs = {});
+
+/**
+ * Run @p workload on a fresh context for @p config, sized by
+ * effectiveSimThreads() (an observed run that traces is serial), as
+ * the campaign runner's reuse_systems = off cells do.
  */
 RunMetrics runExperiment(const SystemConfig &config,
                          workload::Workload &workload,
-                         const SimParams &params = {});
-
-/**
- * Run @p workload on a pristine leased context (see the pooled
- * constructor). The context is left dirty afterwards; the pool resets
- * it on the next lease.
- */
-RunMetrics runExperiment(SimContext &ctx, workload::Workload &workload,
-                         const SimParams &params = {});
-
-/**
- * Observed variants: when @p obs requests any plane, the run carries a
- * fully wired obs::RunObserver (registry instrumentation, optional
- * event tracer, optional time-series sampler) and its output files are
- * written before returning. A disabled @p obs takes exactly the
- * unobserved code path — metrics and sink bytes cannot differ.
- */
-RunMetrics runExperiment(const SystemConfig &config,
-                         workload::Workload &workload,
-                         const SimParams &params,
-                         const obs::RunObservability &obs);
-RunMetrics runExperiment(SimContext &ctx, workload::Workload &workload,
-                         const SimParams &params,
-                         const obs::RunObservability &obs);
-
-/**
- * Strictly parse a positive decimal count: digits only (no sign,
- * whitespace, or trailing garbage), non-zero, and within uint64 range.
- * @return std::nullopt on any violation.
- */
-std::optional<std::uint64_t> parsePositiveCount(std::string_view text);
+                         const SimParams &params = {},
+                         const obs::RunObservability &obs = {});
 
 } // namespace corona::core
 

@@ -14,8 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 #include "topology/geometry.hh"
 
@@ -46,11 +46,22 @@ inline constexpr std::uint32_t cacheLineBytes = 64;
 /** Address/command header size, bytes. */
 inline constexpr std::uint32_t headerBytes = 16;
 
-/** Wire size in bytes of a message of the given kind. */
-std::uint32_t wireBytes(MsgKind kind);
-
-/** Human-readable kind name. */
-std::string to_string(MsgKind kind);
+/** Wire size in bytes of a message of the given kind. Inline: every
+ * channel serialization and mesh hop timing asks for it. */
+inline std::uint32_t
+wireBytes(MsgKind kind)
+{
+    switch (kind) {
+      case MsgKind::ReadReq:
+      case MsgKind::WriteAck:
+      case MsgKind::Invalidate:
+        return headerBytes;
+      case MsgKind::WriteReq:
+      case MsgKind::ReadResp:
+        return headerBytes + cacheLineBytes;
+    }
+    sim::panic("wireBytes: unknown message kind");
+}
 
 /**
  * A network message. Plain value type; models pass it around by value

@@ -69,11 +69,9 @@ appendU64(std::string &out, std::uint64_t value)
 }
 
 /**
- * Open @p path and position the stream at the start of the container
- * section of kind @p want (see obsContainerMagic for the layout), or
- * at offset 0 when the file is not a container — the bare per-plane
- * files open with their own magic, which @p load re-checks. Returns
- * load(stream, path).
+ * Open the container at @p path and position the stream at the start
+ * of its section of kind @p want (see obsContainerMagic for the
+ * layout). Returns load(stream, path).
  */
 template <typename Load>
 auto
@@ -85,35 +83,30 @@ loadObsSection(const std::string &path, std::uint64_t want,
         sim::fatal("obs: cannot read " + path);
     char magic[8] = {};
     is.read(magic, sizeof(magic));
-    if (is && std::equal(magic, magic + sizeof(magic),
-                         obsContainerMagic)) {
-        const auto readU64 = [&is, &path]() {
-            std::uint64_t value = 0;
-            is.read(reinterpret_cast<char *>(&value), sizeof(value));
-            if (!is)
-                sim::fatal(path +
-                           ": truncated observability container");
-            return value;
-        };
-        const std::uint64_t sections = readU64();
-        if (sections > 64)
-            sim::fatal(path + ": implausible container section count");
-        for (std::uint64_t i = 0; i < sections; ++i) {
-            const std::uint64_t kind = readU64();
-            const std::uint64_t bytes = readU64();
-            if (kind == want)
-                return load(is, path);
-            is.seekg(static_cast<std::istream::off_type>(bytes),
-                     std::ios::cur);
-            if (!is)
-                sim::fatal(path +
-                           ": truncated observability container");
-        }
-        sim::fatal(path + ": container has no " + plane + " section");
+    if (!is ||
+        !std::equal(magic, magic + sizeof(magic), obsContainerMagic))
+        sim::fatal(path + ": not an observability container");
+    const auto readU64 = [&is, &path]() {
+        std::uint64_t value = 0;
+        is.read(reinterpret_cast<char *>(&value), sizeof(value));
+        if (!is)
+            sim::fatal(path + ": truncated observability container");
+        return value;
+    };
+    const std::uint64_t sections = readU64();
+    if (sections > 64)
+        sim::fatal(path + ": implausible container section count");
+    for (std::uint64_t i = 0; i < sections; ++i) {
+        const std::uint64_t kind = readU64();
+        const std::uint64_t bytes = readU64();
+        if (kind == want)
+            return load(is, path);
+        is.seekg(static_cast<std::istream::off_type>(bytes),
+                 std::ios::cur);
+        if (!is)
+            sim::fatal(path + ": truncated observability container");
     }
-    is.clear();
-    is.seekg(0);
-    return load(is, path);
+    sim::fatal(path + ": container has no " + plane + " section");
 }
 
 } // namespace
@@ -246,14 +239,6 @@ RunObserver::finish()
             });
         writeWholeFileOrDie(_obs.obs_path, buf);
     }
-    if (_sampler && !_obs.timeseries_path.empty())
-        writeFileOrDie(_obs.timeseries_path, [this](std::ostream &os) {
-            _sampler->writeBinary(os);
-        });
-    if (_tracer && !_obs.trace_path.empty())
-        writeFileOrDie(_obs.trace_path, [this](std::ostream &os) {
-            _tracer->writeBinary(os);
-        });
     if (_obs.snapshot && !_obs.snapshot_path.empty())
         writeFileOrDie(_obs.snapshot_path, [this](std::ostream &os) {
             _registry.writeSnapshotCsv(os);

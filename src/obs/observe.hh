@@ -4,10 +4,12 @@
  *
  * RunObservability is the resolved request for one run: which planes
  * are on (sample period, trace capacity, snapshot, rollup capture) and
- * where each output file goes. RunObserver owns the per-run machinery
- * — the context's cached Registry, an optional EventTracer attached to
- * the components, an optional TimeSeriesSampler on the event queue —
- * and writes the requested files after the run.
+ * where its two output files go — one container holding the sampled
+ * and traced planes, and the snapshot CSV. RunObserver owns the
+ * per-run machinery — the context's cached Registry, an optional
+ * EventTracer attached to the components, an optional
+ * TimeSeriesSampler on the event queue — and writes the requested
+ * files after the run.
  *
  * Lifecycle against the pooled-context discipline:
  *
@@ -52,14 +54,14 @@ class ShardedExecutor;
 namespace corona::obs {
 
 /**
- * 8-byte magic opening a per-run observability container file: the
- * campaign default that packs the time-series and trace planes into
- * one file per run. After the magic: u64 section count, then per
- * section u64 kind (1 = time series, 2 = trace), u64 payload bytes,
- * and the payload — byte-identical to the standalone file of that
- * plane, own magic included, so the per-plane parsers read a section
- * as-is. One file instead of two because on the filesystems campaigns
- * write to, creating a file costs more than its bytes do.
+ * 8-byte magic opening a per-run observability container file, the
+ * one file a run writes for its time-series and trace planes. After
+ * the magic: u64 section count, then per section u64 kind (1 = time
+ * series, 2 = trace), u64 payload bytes, and the payload — the
+ * plane's own encoding, its magic included, which the per-plane
+ * parsers read as-is. One file instead of two because on the
+ * filesystems campaigns write to, creating a file costs more than its
+ * bytes do.
  */
 extern const char obsContainerMagic[8];
 
@@ -88,18 +90,11 @@ struct RunObservability
     /** Write an end-of-run registry snapshot CSV. */
     bool snapshot = false;
 
-    /** Output paths; an empty path skips that file. The time-series
-     * and trace files are the compact binary formats (corona-stats
-     * exports CSV/JSON on demand); the snapshot stays CSV. */
-    std::string timeseries_path;
-    std::string trace_path;
+    /** Output paths; an empty path skips that file. The sampler and
+     * tracer planes are written as sections of the obs_path container
+     * (see obsContainerMagic; corona-stats exports CSV/JSON on
+     * demand); the snapshot stays CSV. */
     std::string snapshot_path;
-
-    /** When non-empty, the active sampler/tracer planes are written
-     * as sections of this single container file (see
-     * obsContainerMagic) — the campaign default, one file create per
-     * run instead of two. Explicit timeseries_path / trace_path dumps
-     * still work alongside it. */
     std::string obs_path;
 
     /** When non-null, finish() fills this with the end-of-run registry
@@ -142,9 +137,9 @@ struct CampaignObsOptions
 };
 
 /**
- * Load the time-series plane from @p path: either a bare binary
- * time-series file or a per-run container holding a time-series
- * section. Fatal when the file is neither or the section is absent.
+ * Load the time-series plane from the per-run container at @p path.
+ * Fatal, naming the path, when the file is not a container or the
+ * section is absent.
  */
 TimeSeriesData loadTimeSeriesFile(const std::string &path);
 

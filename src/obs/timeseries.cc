@@ -53,22 +53,6 @@ packsAsInteger(double value, std::int64_t &integer)
            std::bit_cast<std::uint64_t>(value);
 }
 
-/** The shared CSV row formatting: the sampler and the binary-file
- * exporter both emit rows through here, so their bytes cannot
- * diverge. */
-void
-writeCsvRows(std::ostream &os, const std::vector<sim::Tick> &ticks,
-             const std::vector<double> &values, std::size_t probes)
-{
-    for (std::size_t row = 0; row < ticks.size(); ++row) {
-        os << ticks[row];
-        const double *cells = values.data() + row * probes;
-        for (std::size_t p = 0; p < probes; ++p)
-            os << ',' << formatValue(cells[p]);
-        os << '\n';
-    }
-}
-
 } // namespace
 
 TimeSeriesData
@@ -191,7 +175,14 @@ writeTimeSeriesCsv(std::ostream &os, const TimeSeriesData &data)
     for (const std::string &path : data.paths)
         os << ',' << path;
     os << '\n';
-    writeCsvRows(os, data.ticks, data.values, data.paths.size());
+    const std::size_t probes = data.paths.size();
+    for (std::size_t row = 0; row < data.rows(); ++row) {
+        os << data.ticks[row];
+        const double *cells = data.values.data() + row * probes;
+        for (std::size_t p = 0; p < probes; ++p)
+            os << ',' << formatValue(cells[p]);
+        os << '\n';
+    }
 }
 
 TimeSeriesSampler::TimeSeriesSampler(const Registry &registry,
@@ -276,16 +267,6 @@ TimeSeriesSampler::scheduleNext()
         if (!_eq.empty())
             scheduleNext();
     });
-}
-
-void
-TimeSeriesSampler::writeCsv(std::ostream &os) const
-{
-    os << "tick";
-    for (const Probe &probe : _registry.probes())
-        os << ',' << probe.path;
-    os << '\n';
-    writeCsvRows(os, _ticks, _values, _probeCount);
 }
 
 /*
@@ -373,14 +354,6 @@ TimeSeriesSampler::appendBinary(std::string &out) const
     }
     putU64(value_size, static_cast<std::uint64_t>(at - value_size - 8));
     out.resize(static_cast<std::size_t>(at - out.data()));
-}
-
-void
-TimeSeriesSampler::writeBinary(std::ostream &os) const
-{
-    std::string bytes;
-    appendBinary(bytes);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 } // namespace corona::obs

@@ -13,12 +13,10 @@
  * The fast path: start() resolves the registry once into a flat table
  * of probe closures, and rows land in one preallocated columnar block
  * — no registry walk, path formatting, or per-row allocation at sample
- * time. After the run the block is written either as the legacy
- * columnar CSV ("tick,<path>,<path>,...") or, the campaign default,
- * as a compact binary file (writeBinary) that corona-stats exports
- * back to the exact CSV bytes on demand (readTimeSeriesBinary +
- * writeTimeSeriesCsv share the CSV formatting below, so the byte
- * parity is structural, not coincidental).
+ * time. After the run the block is written as a compact binary
+ * section of the run's container (appendBinary), which corona-stats
+ * decodes (readTimeSeriesBinary) and exports on demand as columnar CSV
+ * ("tick,<path>,<path>,...", writeTimeSeriesCsv).
  */
 
 #ifndef CORONA_OBS_TIMESERIES_HH
@@ -44,7 +42,7 @@ namespace corona::obs {
 
 class Registry;
 
-/** 8-byte magic opening every binary time-series file. */
+/** 8-byte magic opening every binary time-series section. */
 extern const char timeSeriesMagic[8];
 
 /**
@@ -62,15 +60,15 @@ struct TimeSeriesData
 };
 
 /**
- * Parse one binary time-series file (fatal on malformed bytes;
+ * Parse one binary time-series section (fatal on malformed bytes;
  * @p what names the input in error messages).
  */
 TimeSeriesData readTimeSeriesBinary(std::istream &is,
                                     const std::string &what);
 
 /**
- * Render @p data as the legacy columnar CSV: byte-identical to what
- * TimeSeriesSampler::writeCsv emits for the same samples.
+ * Render @p data as columnar CSV: a "tick,<paths...>" header, then one
+ * row per sample with values in registration order.
  */
 void writeTimeSeriesCsv(std::ostream &os, const TimeSeriesData &data);
 
@@ -120,21 +118,12 @@ class TimeSeriesSampler
     }
 
     /**
-     * Write the samples as CSV: a "tick,<paths...>" header then one
-     * row per sample, values in registration order.
-     */
-    void writeCsv(std::ostream &os) const;
-
-    /**
-     * Append the compact binary file bytes (magic, period, path
-     * table, tick column, row-major value block) to @p out.
-     * Deterministic bytes for a given run; appending lets the per-run
-     * writer pack several planes into one container file.
+     * Append the compact binary bytes (magic, period, path table,
+     * tick column, row-major value block) to @p out. Deterministic
+     * bytes for a given run; appending lets the per-run writer pack
+     * several planes into one container file.
      */
     void appendBinary(std::string &out) const;
-
-    /** writeBinary = appendBinary to a fresh buffer, streamed out. */
-    void writeBinary(std::ostream &os) const;
 
   private:
     void prepare();

@@ -254,12 +254,6 @@ EventTracer::events() const
 }
 
 void
-EventTracer::writeChromeJson(std::ostream &os) const
-{
-    writeChromeTraceJson(os, events());
-}
-
-void
 EventTracer::appendBinary(std::string &out) const
 {
     // Size for the worst case (31 bytes per event: 10+10+5+5+1) and
@@ -300,14 +294,6 @@ EventTracer::appendBinary(std::string &out) const
     packU64(header + 8, held);
     packU64(header + 16, static_cast<std::uint64_t>(at - header - 24));
     out.resize(static_cast<std::size_t>(at - out.data()));
-}
-
-void
-EventTracer::writeBinary(std::ostream &os) const
-{
-    std::string bytes;
-    appendBinary(bytes);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 void

@@ -8,10 +8,11 @@
  * ring: recording is a couple of stores, never an allocation, and when
  * the ring fills the oldest events are overwritten so the trace always
  * holds the most recent window. At run end the ring is written as a
- * compact binary file (varint-packed records, a few bytes per event);
- * `corona-stats trace --export` renders it as Chrome trace-event JSON
- * (complete "X" events), loadable in Perfetto or chrome://tracing: one row
- * per actor (cluster), one slice per span. Time-series probes can ride
+ * compact binary section of the run's container (varint-packed
+ * records, a few bytes per event); `corona-stats trace --export`
+ * renders it as Chrome trace-event JSON (complete "X" events),
+ * loadable in Perfetto or chrome://tracing: one row per actor
+ * (cluster), one slice per span. Time-series probes can ride
  * along as Chrome counter ("C") events so utilization curves render
  * next to the spans.
  *
@@ -57,7 +58,7 @@ const char *traceCategory(TraceKind kind);
 /** Chrome trace-event slice name for @p kind. */
 const char *traceName(TraceKind kind);
 
-/** 8-byte magic opening every binary trace file. */
+/** 8-byte magic opening every binary trace section. */
 extern const char traceMagic[8];
 
 /** One recorded span. */
@@ -82,18 +83,19 @@ struct TraceData
 };
 
 /**
- * Parse one binary trace file (fatal on malformed bytes; @p what names
+ * Parse one binary trace section (fatal on malformed bytes; @p what names
  * the input in error messages).
  */
 TraceData readTraceBinary(std::istream &is, const std::string &what);
 
 /**
  * Render spans (and, when @p counters is non-null, time-series probes
- * as Chrome counter tracks) as Chrome trace-event JSON. With no
- * counters the bytes are identical to what EventTracer::writeChromeJson
- * emits for the same events. @p counter_prefix, when non-empty, keeps
- * only probes whose path starts with it (a full Registry easily holds
- * ~2000 probes; Perfetto renders a handful of tracks well).
+ * as Chrome counter tracks) as Chrome trace-event JSON: an object with
+ * a "traceEvents" array of complete events, timestamps in microseconds
+ * with tick resolution preserved. The bytes are deterministic: pure
+ * integer formatting, event order. @p counter_prefix, when non-empty,
+ * keeps only probes whose path starts with it (a full Registry easily
+ * holds ~2000 probes; Perfetto renders a handful of tracks well).
  */
 void writeChromeTraceJson(std::ostream &os,
                           const std::vector<TraceEvent> &events,
@@ -148,23 +150,12 @@ class EventTracer
     std::vector<TraceEvent> events() const;
 
     /**
-     * Export the held events as Chrome trace-event JSON (an object
-     * with a "traceEvents" array of complete events; timestamps in
-     * microseconds with tick resolution preserved). The byte output
-     * is deterministic: pure integer formatting, insertion order.
-     */
-    void writeChromeJson(std::ostream &os) const;
-
-    /**
-     * Append the compact binary file bytes (magic, counts header,
+     * Append the compact binary bytes (magic, counts header,
      * varint-packed records oldest first) to @p out. Deterministic
      * bytes for a given run; appending lets the per-run writer pack
      * several planes into one container file with one buffer.
      */
     void appendBinary(std::string &out) const;
-
-    /** writeBinary = appendBinary to a fresh buffer, streamed out. */
-    void writeBinary(std::ostream &os) const;
 
     /** Drop every event and zero the counters. */
     void reset();

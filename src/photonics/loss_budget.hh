@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "photonics/laser.hh"
-#include "photonics/ring_resonator.hh"
 #include "photonics/waveguide.hh"
 
 namespace corona::photonics {

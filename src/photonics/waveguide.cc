@@ -1,6 +1,5 @@
 #include "photonics/waveguide.hh"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace corona::photonics {
@@ -18,39 +17,6 @@ Waveguide::lossDb() const
     return _lengthCm * _params.loss_db_per_cm +
            static_cast<double>(_bends) * _params.bend_loss_db +
            static_cast<double>(_ringPassBys) * _ringThroughLossDb;
-}
-
-Splitter::Splitter(double tap_fraction)
-    : _tapFraction(tap_fraction)
-{
-    if (tap_fraction <= 0.0 || tap_fraction >= 1.0)
-        throw std::invalid_argument("Splitter: tap fraction must be in (0,1)");
-}
-
-double
-Splitter::tapLossDb() const
-{
-    return -ratioToDb(_tapFraction);
-}
-
-double
-Splitter::throughLossDb() const
-{
-    return -ratioToDb(1.0 - _tapFraction);
-}
-
-double
-ratioToDb(double ratio)
-{
-    if (ratio <= 0)
-        throw std::invalid_argument("ratioToDb: ratio must be > 0");
-    return 10.0 * std::log10(ratio);
-}
-
-double
-dbToRatio(double db)
-{
-    return std::pow(10.0, db / 10.0);
 }
 
 } // namespace corona::photonics

@@ -1,12 +1,12 @@
 /**
  * @file
- * Waveguide and splitter models.
+ * Waveguide model.
  *
  * Silicon waveguides confine light between a crystalline-Si core and an
  * oxide cladding (Section 2). The model tracks propagation delay (light in
  * a Si waveguide covers ~2 cm per 5 GHz clock, i.e. a group velocity of
- * ~1e8 m/s) and accumulated loss from distance, bends, rings passed, and
- * splitter taps — the inputs to the loss-budget solver.
+ * ~1e8 m/s) and accumulated loss from distance, bends and rings passed —
+ * the inputs to the loss-budget solver.
  */
 
 #ifndef CORONA_PHOTONICS_WAVEGUIDE_HH
@@ -77,34 +77,6 @@ class Waveguide
     std::size_t _ringPassBys = 0;
     double _ringThroughLossDb = 0.01;
 };
-
-/**
- * Broadband splitter: diverts a fixed power fraction of all wavelengths
- * from one waveguide onto another (Section 2, last component).
- */
-class Splitter
-{
-  public:
-    /** @param tap_fraction Fraction of power diverted, in (0, 1). */
-    explicit Splitter(double tap_fraction);
-
-    double tapFraction() const { return _tapFraction; }
-
-    /** Loss on the tapped (diverted) path, dB. */
-    double tapLossDb() const;
-
-    /** Loss on the through (unsplit) path, dB. */
-    double throughLossDb() const;
-
-  private:
-    double _tapFraction;
-};
-
-/** Convert a linear power ratio to dB. */
-double ratioToDb(double ratio);
-
-/** Convert dB to a linear power ratio. */
-double dbToRatio(double db);
 
 } // namespace corona::photonics
 

@@ -9,12 +9,11 @@
  * SPLASH-2 miss-stream models — in Figure 8's x-axis order, each with
  * a documented knob set (cluster-count scaling for off-nominal design
  * points, think-time / write-mix / topology knobs for the synthetic
- * patterns). Factories built from the registry with default knobs are
- * behaviourally identical to the makeUniform()/makeSplash()
- * helpers, so historical sweeps stay bit-compatible. Three
- * sharing-pattern generators (Migratory, Producer-Consumer, False
- * Sharing) follow the suite; they exercise the coherent front end and
- * are addressable by name but excluded from the "all" alias.
+ * patterns). Scenarios and tests alike build a named workload with
+ * registryFactory(name). Three sharing-pattern generators (Migratory,
+ * Producer-Consumer, False Sharing) follow the suite; they exercise
+ * the coherent front end and are addressable by name but excluded
+ * from the "all" alias.
  */
 
 #ifndef CORONA_WORKLOAD_REGISTRY_HH

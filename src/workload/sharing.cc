@@ -92,27 +92,4 @@ SharingWorkload::offeredBytesPerSecond() const
     return per_thread * static_cast<double>(threads());
 }
 
-namespace {
-
-std::unique_ptr<Workload>
-make(SharingPattern pattern)
-{
-    return std::make_unique<SharingWorkload>(pattern,
-                                             topology::Geometry());
-}
-
-} // namespace
-
-std::unique_ptr<Workload>
-makeMigratory()
-{
-    return make(SharingPattern::Migratory);
-}
-
-std::unique_ptr<Workload>
-makeFalseSharing()
-{
-    return make(SharingPattern::FalseSharing);
-}
-
 } // namespace corona::workload

@@ -26,7 +26,6 @@
 #ifndef CORONA_WORKLOAD_SHARING_HH
 #define CORONA_WORKLOAD_SHARING_HH
 
-#include <memory>
 #include <vector>
 
 #include "topology/geometry.hh"
@@ -100,10 +99,6 @@ class SharingWorkload : public Workload
     /** Per-thread sequence numbers drive the phase structure. */
     std::vector<std::uint64_t> _sequence;
 };
-
-/** Convenience factories for the harness. */
-std::unique_ptr<Workload> makeMigratory();
-std::unique_ptr<Workload> makeFalseSharing();
 
 } // namespace corona::workload
 

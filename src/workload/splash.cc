@@ -169,10 +169,4 @@ splashParams(const std::string &name)
     throw std::out_of_range("splashParams: unknown benchmark " + name);
 }
 
-std::unique_ptr<Workload>
-makeSplash(const std::string &name)
-{
-    return std::make_unique<SplashWorkload>(splashParams(name));
-}
-
 } // namespace corona::workload

@@ -24,7 +24,6 @@
 #ifndef CORONA_WORKLOAD_SPLASH_HH
 #define CORONA_WORKLOAD_SPLASH_HH
 
-#include <memory>
 #include <vector>
 
 #include "topology/geometry.hh"
@@ -114,9 +113,6 @@ std::vector<SplashParams> splashSuite();
 
 /** Look up one benchmark's parameters by name (e.g. "FFT"). */
 SplashParams splashParams(const std::string &name);
-
-/** Build a workload for one benchmark by name. */
-std::unique_ptr<Workload> makeSplash(const std::string &name);
 
 } // namespace corona::workload
 

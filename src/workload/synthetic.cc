@@ -86,20 +86,4 @@ SyntheticWorkload::offeredBytesPerSecond() const
     return per_thread * static_cast<double>(threads());
 }
 
-namespace {
-
-std::unique_ptr<Workload>
-make(Pattern pattern)
-{
-    return std::make_unique<SyntheticWorkload>(pattern,
-                                               topology::Geometry());
-}
-
-} // namespace
-
-std::unique_ptr<Workload> makeUniform() { return make(Pattern::Uniform); }
-std::unique_ptr<Workload> makeHotSpot() { return make(Pattern::HotSpot); }
-std::unique_ptr<Workload> makeTornado() { return make(Pattern::Tornado); }
-std::unique_ptr<Workload> makeTranspose() { return make(Pattern::Transpose); }
-
 } // namespace corona::workload

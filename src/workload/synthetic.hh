@@ -16,7 +16,6 @@
 #ifndef CORONA_WORKLOAD_SYNTHETIC_HH
 #define CORONA_WORKLOAD_SYNTHETIC_HH
 
-#include <memory>
 #include <vector>
 
 #include "topology/geometry.hh"
@@ -93,12 +92,6 @@ class SyntheticWorkload : public Workload
     /** Per-thread sequence numbers keep line addresses distinct. */
     std::vector<std::uint64_t> _sequence;
 };
-
-/** Convenience factories for the harness. */
-std::unique_ptr<Workload> makeUniform();
-std::unique_ptr<Workload> makeHotSpot();
-std::unique_ptr<Workload> makeTornado();
-std::unique_ptr<Workload> makeTranspose();
 
 } // namespace corona::workload
 

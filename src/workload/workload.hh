@@ -14,7 +14,6 @@
 #define CORONA_WORKLOAD_WORKLOAD_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "sim/rng.hh"
@@ -120,9 +119,6 @@ class Workload
      */
     virtual void reset() = 0;
 };
-
-/** Factory type used by the experiment harness. */
-using WorkloadFactory = std::unique_ptr<Workload> (*)();
 
 } // namespace corona::workload
 

@@ -16,7 +16,7 @@
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
 #include "sim/logging.hh"
-#include "workload/synthetic.hh"
+#include "workload/registry.hh"
 
 namespace {
 
@@ -28,7 +28,7 @@ cellSpec()
 {
     campaign::CampaignSpec spec;
     spec.name = "aggregate-test";
-    spec.workloads = {{"Uniform", true, workload::makeUniform}};
+    spec.workloads = {{"Uniform", true, workload::registryFactory("Uniform")}};
     spec.configs = {core::makeConfig(core::NetworkKind::XBar,
                                      core::MemoryKind::OCM)};
     spec.seeds = {0, 1, 2};

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "corona/simulation.hh"
+#include "workload/registry.hh"
 #include "workload/splash.hh"
 
 namespace {
@@ -26,7 +27,7 @@ class BenchmarkCalibration
 TEST_P(BenchmarkCalibration, CoronaDeliversTheOfferedLoad)
 {
     const std::string name = GetParam();
-    auto workload = workload::makeSplash(name);
+    auto workload = workload::registryFactory(name)();
     const double offered = workload->offeredBytesPerSecond();
 
     SimParams params;

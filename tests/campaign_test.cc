@@ -17,10 +17,10 @@
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
 #include "campaign/spec.hh"
+#include "corona/knobs.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "workload/splash.hh"
-#include "workload/synthetic.hh"
+#include "workload/registry.hh"
 
 namespace {
 
@@ -34,8 +34,8 @@ smallSpec(std::uint64_t requests = 500)
     campaign::CampaignSpec spec;
     spec.name = "test";
     spec.workloads = {
-        {"Uniform", true, workload::makeUniform},
-        {"FFT", false, [] { return workload::makeSplash("FFT"); }},
+        {"Uniform", true, workload::registryFactory("Uniform")},
+        {"FFT", false, workload::registryFactory("FFT")},
     };
     spec.configs = {
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
@@ -102,7 +102,8 @@ TEST(CampaignSpec, RejectsDegenerateGrids)
     EXPECT_THROW(campaign::expand(no_workloads), sim::FatalError);
 
     campaign::CampaignSpec no_configs;
-    no_configs.workloads = {{"Uniform", true, workload::makeUniform}};
+    no_configs.workloads = {
+        {"Uniform", true, workload::registryFactory("Uniform")}};
     EXPECT_THROW(campaign::expand(no_configs), sim::FatalError);
 
     auto null_factory = smallSpec();
@@ -133,12 +134,13 @@ TEST(CampaignSpec, RejectsARunBudgetThatOverflows)
             EXPECT_NE(what.find(part), std::string::npos) << what;
     }
     // The runner expands first, so no cell runs and no sink hears of
-    // the campaign.
-    campaign::MemorySink sink;
+    // the campaign (a CsvSink writes its header on begin()).
+    std::ostringstream csv;
+    campaign::CsvSink sink(csv);
     campaign::CampaignRunner runner;
     runner.addSink(sink);
     EXPECT_THROW(runner.run(spec), sim::FatalError);
-    EXPECT_TRUE(sink.records().empty());
+    EXPECT_TRUE(csv.str().empty());
 
     // The largest budget that fits is accepted.
     spec.overrides[1].apply = [](core::SimParams &p) {
@@ -181,18 +183,8 @@ TEST(CampaignRunner, MetricsAreIdenticalForOneAndManyThreads)
     auto spec = smallSpec();
     spec.seed_policy = campaign::SeedPolicy::Derived;
 
-    campaign::MemorySink serial_sink;
-    campaign::CampaignRunner serial({.threads = 1});
-    serial.addSink(serial_sink);
-    serial.run(spec);
-
-    campaign::MemorySink parallel_sink;
-    campaign::CampaignRunner parallel({.threads = 4});
-    parallel.addSink(parallel_sink);
-    parallel.run(spec);
-
-    const auto &a = serial_sink.records();
-    const auto &b = parallel_sink.records();
+    const auto a = campaign::CampaignRunner({.threads = 1}).run(spec);
+    const auto b = campaign::CampaignRunner({.threads = 4}).run(spec);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].index, b[i].index);
@@ -233,11 +225,8 @@ TEST(CampaignRunner, MatchesTheHistoricalSerialLoop)
     spec.seed_policy = campaign::SeedPolicy::Fixed;
     spec.base.warmup_requests = spec.base.requests / 5;
 
-    campaign::MemorySink sink;
-    campaign::CampaignRunner runner({.threads = 3});
-    runner.addSink(sink);
-    runner.run(spec);
-    const auto &records = sink.records();
+    const auto records =
+        campaign::CampaignRunner({.threads = 3}).run(spec);
 
     const std::size_t configs = spec.configs.size();
     ASSERT_EQ(records.size(), spec.workloads.size() * configs);
@@ -370,13 +359,9 @@ TEST(CampaignProgress, ResumedCampaignsReportReplayedCounts)
     // the progress log must surface replayed/total instead of
     // pretending the campaign is two runs long ("[1/2]").
     auto spec = smallSpec(200);
-    campaign::MemorySink memory;
-    campaign::CampaignRunner plain({.threads = 1});
-    plain.addSink(memory);
-    plain.run(spec);
+    const auto full = campaign::CampaignRunner({.threads = 1}).run(spec);
 
-    std::vector<campaign::RunRecord> completed = {
-        memory.records()[0], memory.records()[1]};
+    std::vector<campaign::RunRecord> completed = {full[0], full[1]};
     std::ostringstream out;
     campaign::ProgressReporter progress(out);
     campaign::RunnerOptions options;

@@ -20,8 +20,7 @@
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
 #include "sim/logging.hh"
-#include "workload/splash.hh"
-#include "workload/synthetic.hh"
+#include "workload/registry.hh"
 
 namespace {
 
@@ -33,8 +32,8 @@ smallSpec(std::uint64_t requests = 400)
     campaign::CampaignSpec spec;
     spec.name = "checkpoint-test";
     spec.workloads = {
-        {"Uniform", true, workload::makeUniform},
-        {"FFT", false, [] { return workload::makeSplash("FFT"); }},
+        {"Uniform", true, workload::registryFactory("Uniform")},
+        {"FFT", false, workload::registryFactory("FFT")},
     };
     spec.configs = {
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
@@ -112,21 +111,15 @@ TEST(Checkpoint, RoundTripsEveryRecordExactly)
 
     // Re-run to get reference records; rows must match byte-for-byte
     // (csvRow covers every serialised field, doubles round-trip).
-    campaign::MemorySink memory;
-    campaign::CampaignRunner runner({.threads = 2});
-    runner.addSink(memory);
-    runner.run(spec);
+    const auto records = campaign::CampaignRunner({.threads = 2}).run(spec);
     for (std::size_t i = 0; i < loaded.size(); ++i) {
         EXPECT_EQ(campaign::csvRow(loaded[i]),
-                  campaign::csvRow(memory.records()[i]));
+                  campaign::csvRow(records[i]));
         // Axis indices are reconstructed from the run index.
-        EXPECT_EQ(loaded[i].workload_index,
-                  memory.records()[i].workload_index);
-        EXPECT_EQ(loaded[i].config_index,
-                  memory.records()[i].config_index);
-        EXPECT_EQ(loaded[i].seed_index, memory.records()[i].seed_index);
-        EXPECT_EQ(loaded[i].override_index,
-                  memory.records()[i].override_index);
+        EXPECT_EQ(loaded[i].workload_index, records[i].workload_index);
+        EXPECT_EQ(loaded[i].config_index, records[i].config_index);
+        EXPECT_EQ(loaded[i].seed_index, records[i].seed_index);
+        EXPECT_EQ(loaded[i].override_index, records[i].override_index);
     }
 }
 
@@ -331,10 +324,8 @@ TEST(Checkpoint, FailedRunsReExecuteOnResume)
     completed[2].error = "injected";
     completed[2].metrics = core::RunMetrics{};
 
-    campaign::MemorySink memory;
-    campaign::CampaignRunner runner({.threads = 2});
-    runner.addSink(memory);
-    const auto records = runner.run(spec, std::move(completed));
+    const auto records = campaign::CampaignRunner({.threads = 2})
+                             .run(spec, std::move(completed));
     ASSERT_EQ(records.size(), spec.totalRuns());
     // The failed cell re-executed and now carries real metrics.
     EXPECT_TRUE(records[2].ok);

@@ -192,21 +192,19 @@ TEST(PaperFigures, SimulatedGridRoundTripsThroughTheCsv)
 
     std::ostringstream csv;
     campaign::CsvSink csv_sink(csv);
-    campaign::MemorySink memory;
     campaign::CampaignRunner runner;
     runner.addSink(csv_sink);
-    runner.addSink(memory);
-    runner.run(scenario.resolve());
+    const std::vector<campaign::RunRecord> records =
+        runner.run(scenario.resolve());
 
     std::istringstream in(csv.str());
     const std::vector<campaign::RunRecord> parsed =
         campaign::readRunsCsv(in, "runs.csv");
     ASSERT_EQ(parsed.size(), 75u);
-    ASSERT_EQ(parsed.size(), memory.records().size());
+    ASSERT_EQ(parsed.size(), records.size());
     for (std::size_t i = 0; i < parsed.size(); ++i)
-        EXPECT_EQ(campaign::csvRow(parsed[i]),
-                  campaign::csvRow(memory.records()[i]));
-    EXPECT_EQ(render(parsed), render(memory.records()));
+        EXPECT_EQ(campaign::csvRow(parsed[i]), campaign::csvRow(records[i]));
+    EXPECT_EQ(render(parsed), render(records));
 }
 
 // ---------------------------------------------------------------------

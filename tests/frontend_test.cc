@@ -25,8 +25,7 @@
 #include "corona/context.hh"
 #include "corona/frontend.hh"
 #include "corona/simulation.hh"
-#include "workload/sharing.hh"
-#include "workload/synthetic.hh"
+#include "workload/registry.hh"
 
 namespace {
 
@@ -167,10 +166,10 @@ TEST(FrontEndParity, PassThroughMetricsMatchMissStream)
 {
     const auto base =
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
-    auto w1 = workload::makeUniform();
+    auto w1 = workload::registryFactory("Uniform")();
     const auto miss_stream = core::runExperiment(base, *w1, tinyParams());
 
-    auto w2 = workload::makeUniform();
+    auto w2 = workload::registryFactory("Uniform")();
     const auto coherent = core::runExperiment(
         passThroughConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
         *w2, tinyParams());
@@ -181,10 +180,10 @@ TEST(FrontEndParity, PassThroughMetricsMatchOnAMeshSystemToo)
 {
     const auto base = core::makeConfig(core::NetworkKind::LMesh,
                                        core::MemoryKind::ECM);
-    auto w1 = workload::makeUniform();
+    auto w1 = workload::registryFactory("Uniform")();
     const auto miss_stream = core::runExperiment(base, *w1, tinyParams());
 
-    auto w2 = workload::makeUniform();
+    auto w2 = workload::registryFactory("Uniform")();
     const auto coherent = core::runExperiment(
         passThroughConfig(core::NetworkKind::LMesh,
                           core::MemoryKind::ECM),
@@ -198,8 +197,8 @@ gridSpec(bool coherent_passthrough)
     campaign::CampaignSpec spec;
     spec.name = "frontend-parity";
     spec.workloads = {
-        {"Uniform", true, workload::makeUniform},
-        {"Migratory", false, workload::makeMigratory},
+        {"Uniform", true, workload::registryFactory("Uniform")},
+        {"Migratory", false, workload::registryFactory("Migratory")},
     };
     if (coherent_passthrough) {
         spec.configs = {
@@ -294,8 +293,9 @@ coherentSpec()
     campaign::CampaignSpec spec;
     spec.name = "coherent-pool-parity";
     spec.workloads = {
-        {"Migratory", false, workload::makeMigratory},
-        {"False Sharing", false, workload::makeFalseSharing},
+        {"Migratory", false, workload::registryFactory("Migratory")},
+        {"False Sharing", false,
+         workload::registryFactory("False Sharing")},
     };
     spec.configs = {config};
     spec.seeds = {0, 1};
@@ -327,13 +327,13 @@ coherentConfig(core::InvalTransport transport)
 TEST(CoherentFrontEnd, BroadcastAndUnicastTransportsDiffer)
 {
     core::SimContext bcast(coherentConfig(core::InvalTransport::Broadcast));
-    auto w1 = workload::makeFalseSharing();
+    auto w1 = workload::registryFactory("False Sharing")();
     core::runExperiment(bcast, *w1, tinyParams(2000, 3));
     const core::CoherentFrontEnd *bus_fe = bcast.system().frontEnd();
     ASSERT_NE(bus_fe, nullptr);
 
     core::SimContext uni(coherentConfig(core::InvalTransport::Unicast));
-    auto w2 = workload::makeFalseSharing();
+    auto w2 = workload::registryFactory("False Sharing")();
     core::runExperiment(uni, *w2, tinyParams(2000, 3));
     const core::CoherentFrontEnd *uni_fe = uni.system().frontEnd();
     ASSERT_NE(uni_fe, nullptr);

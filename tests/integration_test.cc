@@ -12,9 +12,9 @@
 #include <cstdint>
 #include <map>
 
+#include "corona/context.hh"
 #include "corona/simulation.hh"
-#include "workload/splash.hh"
-#include "workload/synthetic.hh"
+#include "workload/registry.hh"
 
 namespace {
 
@@ -35,18 +35,17 @@ quick(std::uint64_t requests = 6000)
 }
 
 RunMetrics
-runOn(NetworkKind net, MemoryKind mem,
-      std::unique_ptr<workload::Workload> wl,
+runOn(NetworkKind net, MemoryKind mem, const std::string &workload,
       const SimParams &params = quick())
 {
     const SystemConfig config = core::makeConfig(net, mem);
+    const auto wl = workload::registryFactory(workload)();
     return core::runExperiment(config, *wl, params);
 }
 
 TEST(Integration, SimulationCompletesAndConserves)
 {
-    auto metrics = runOn(NetworkKind::XBar, MemoryKind::OCM,
-                         workload::makeUniform());
+    auto metrics = runOn(NetworkKind::XBar, MemoryKind::OCM, "Uniform");
     EXPECT_EQ(metrics.requests_issued, 6000u);
     EXPECT_GT(metrics.elapsed, 0u);
     EXPECT_GT(metrics.achieved_bytes_per_second, 0.0);
@@ -57,10 +56,8 @@ TEST(Integration, SimulationCompletesAndConserves)
 
 TEST(Integration, DeterministicAcrossRuns)
 {
-    auto a = runOn(NetworkKind::HMesh, MemoryKind::OCM,
-                   workload::makeTornado(), quick(3000));
-    auto b = runOn(NetworkKind::HMesh, MemoryKind::OCM,
-                   workload::makeTornado(), quick(3000));
+    auto a = runOn(NetworkKind::HMesh, MemoryKind::OCM, "Tornado", quick(3000));
+    auto b = runOn(NetworkKind::HMesh, MemoryKind::OCM, "Tornado", quick(3000));
     EXPECT_EQ(a.elapsed, b.elapsed);
     EXPECT_EQ(a.requests_issued, b.requests_issued);
     EXPECT_DOUBLE_EQ(a.avg_latency_ns, b.avg_latency_ns);
@@ -69,12 +66,9 @@ TEST(Integration, DeterministicAcrossRuns)
 TEST(Integration, UniformXbarBeatsMeshesBeatEcm)
 {
     // The headline ordering of Figure 8 on a saturating pattern.
-    auto lmesh_ecm = runOn(NetworkKind::LMesh, MemoryKind::ECM,
-                           workload::makeUniform());
-    auto hmesh_ocm = runOn(NetworkKind::HMesh, MemoryKind::OCM,
-                           workload::makeUniform());
-    auto xbar_ocm = runOn(NetworkKind::XBar, MemoryKind::OCM,
-                          workload::makeUniform());
+    auto lmesh_ecm = runOn(NetworkKind::LMesh, MemoryKind::ECM, "Uniform");
+    auto hmesh_ocm = runOn(NetworkKind::HMesh, MemoryKind::OCM, "Uniform");
+    auto xbar_ocm = runOn(NetworkKind::XBar, MemoryKind::OCM, "Uniform");
     const double s_hmesh = xbar_ocm.speedupOver(lmesh_ecm);
     (void)s_hmesh;
     EXPECT_GT(hmesh_ocm.speedupOver(lmesh_ecm), 1.5)
@@ -87,8 +81,7 @@ TEST(Integration, UniformXbarBeatsMeshesBeatEcm)
 
 TEST(Integration, EcmBandwidthCeiling)
 {
-    auto metrics = runOn(NetworkKind::HMesh, MemoryKind::ECM,
-                         workload::makeUniform());
+    auto metrics = runOn(NetworkKind::HMesh, MemoryKind::ECM, "Uniform");
     // ECM aggregate is 0.96 TB/s; achieved bandwidth must respect it.
     EXPECT_LE(metrics.achieved_bytes_per_second, 0.96e12 * 1.05);
     EXPECT_GE(metrics.achieved_bytes_per_second, 0.3e12)
@@ -101,9 +94,9 @@ TEST(Integration, HotSpotIsMemoryLimitedNotNetworkLimited)
     // is less pressure on the interconnect" — the crossbar should add
     // little over the fast mesh under Hot Spot.
     auto hmesh = runOn(NetworkKind::HMesh, MemoryKind::OCM,
-                       workload::makeHotSpot(), quick(3000));
+                       "Hot Spot", quick(3000));
     auto xbar = runOn(NetworkKind::XBar, MemoryKind::OCM,
-                      workload::makeHotSpot(), quick(3000));
+                      "Hot Spot", quick(3000));
     const double crossbar_gain = xbar.speedupOver(hmesh);
     EXPECT_LT(crossbar_gain, 1.3);
     // Achieved bandwidth pinned near one controller's 160 GB/s.
@@ -115,9 +108,9 @@ TEST(Integration, LowDemandWorkloadIndifferentToConfiguration)
     // Barnes-class applications "perform well due to their low
     // cache-miss rates" on every system (Section 5).
     auto lmesh_ecm = runOn(NetworkKind::LMesh, MemoryKind::ECM,
-                           workload::makeSplash("Water-Sp"), quick(3000));
+                           "Water-Sp", quick(3000));
     auto xbar_ocm = runOn(NetworkKind::XBar, MemoryKind::OCM,
-                          workload::makeSplash("Water-Sp"), quick(3000));
+                          "Water-Sp", quick(3000));
     EXPECT_LT(xbar_ocm.speedupOver(lmesh_ecm), 1.35)
         << "low-bandwidth workloads gain little from Corona";
 }
@@ -125,9 +118,8 @@ TEST(Integration, LowDemandWorkloadIndifferentToConfiguration)
 TEST(Integration, MemoryIntensiveSplashGainsFromCrossbar)
 {
     auto hmesh = runOn(NetworkKind::HMesh, MemoryKind::OCM,
-                       workload::makeSplash("Radix"), quick(6000));
-    auto xbar = runOn(NetworkKind::XBar, MemoryKind::OCM,
-                      workload::makeSplash("Radix"), quick(6000));
+                       "Radix", quick(6000));
+    auto xbar = runOn(NetworkKind::XBar, MemoryKind::OCM, "Radix", quick(6000));
     EXPECT_GT(xbar.speedupOver(hmesh), 1.15)
         << "Radix-class demand is realized only with the crossbar";
 }
@@ -136,22 +128,20 @@ TEST(Integration, LatencyOrderingAcrossMemorySystems)
 {
     // Figure 10: ECM queueing inflates L2-miss latency dramatically on
     // demanding workloads; OCM deflates it.
-    auto ecm = runOn(NetworkKind::HMesh, MemoryKind::ECM,
-                     workload::makeSplash("FFT"), quick(4000));
-    auto ocm = runOn(NetworkKind::HMesh, MemoryKind::OCM,
-                     workload::makeSplash("FFT"), quick(4000));
+    auto ecm = runOn(NetworkKind::HMesh, MemoryKind::ECM, "FFT", quick(4000));
+    auto ocm = runOn(NetworkKind::HMesh, MemoryKind::OCM, "FFT", quick(4000));
     EXPECT_GT(ecm.avg_latency_ns, ocm.avg_latency_ns * 1.5);
 }
 
 TEST(Integration, NetworkPowerModelsDiffer)
 {
     auto xbar = runOn(NetworkKind::XBar, MemoryKind::OCM,
-                      workload::makeUniform(), quick(3000));
+                      "Uniform", quick(3000));
     EXPECT_DOUBLE_EQ(xbar.network_power_w, 26.0);
     EXPECT_GT(xbar.token_wait_ns, 0.0);
 
     auto mesh = runOn(NetworkKind::HMesh, MemoryKind::OCM,
-                      workload::makeUniform(), quick(3000));
+                      "Uniform", quick(3000));
     EXPECT_GT(mesh.network_power_w, 0.0);
     EXPECT_GT(mesh.hop_traversals, 0u);
     EXPECT_DOUBLE_EQ(mesh.token_wait_ns, 0.0);
@@ -162,19 +152,17 @@ TEST(Integration, BurstyWorkloadBenefitsFromCrossbarLatency)
     // LU "appears to benefit mainly from the improved latency offered
     // by XBar/OCM" (Section 5): latency drops even though bandwidth
     // demand is moderate.
-    auto hmesh = runOn(NetworkKind::HMesh, MemoryKind::OCM,
-                       workload::makeSplash("LU"), quick(4000));
-    auto xbar = runOn(NetworkKind::XBar, MemoryKind::OCM,
-                      workload::makeSplash("LU"), quick(4000));
+    auto hmesh = runOn(NetworkKind::HMesh, MemoryKind::OCM, "LU", quick(4000));
+    auto xbar = runOn(NetworkKind::XBar, MemoryKind::OCM, "LU", quick(4000));
     EXPECT_LT(xbar.avg_latency_ns, hmesh.avg_latency_ns);
 }
 
 TEST(Integration, IdealNetworkUpperBounds)
 {
     auto ideal = runOn(NetworkKind::Ideal, MemoryKind::OCM,
-                       workload::makeUniform(), quick(3000));
+                       "Uniform", quick(3000));
     auto xbar = runOn(NetworkKind::XBar, MemoryKind::OCM,
-                      workload::makeUniform(), quick(3000));
+                      "Uniform", quick(3000));
     // The contention-free network can only be faster.
     EXPECT_LE(ideal.elapsed, xbar.elapsed * 11 / 10);
 }
@@ -196,10 +184,10 @@ mcLoadSkew(core::CoronaSystem &system, std::uint64_t *total_accesses)
 
 TEST(McLoad, HotSpotConcentratesOnOneController)
 {
-    auto workload = workload::makeHotSpot();
-    core::NetworkSimulation simulation(
-        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
-        *workload);
+    auto workload = workload::registryFactory("Hot Spot")();
+    core::SimContext ctx(
+        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM));
+    core::NetworkSimulation simulation(ctx, *workload);
     const auto metrics = simulation.run();
     std::uint64_t total_mc = 0;
     // Hot Spot concentrates on cluster 0: extreme load skew.
@@ -209,12 +197,12 @@ TEST(McLoad, HotSpotConcentratesOnOneController)
 
 TEST(McLoad, UniformTrafficIsBalanced)
 {
-    auto workload = workload::makeUniform();
+    auto workload = workload::registryFactory("Uniform")();
     core::SimParams params;
     params.requests = 5000;
-    core::NetworkSimulation simulation(
-        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
-        *workload, params);
+    core::SimContext ctx(
+        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM));
+    core::NetworkSimulation simulation(ctx, *workload, params);
     simulation.run();
     std::uint64_t total_mc = 0;
     EXPECT_LT(mcLoadSkew(simulation.system(), &total_mc), 1.6)

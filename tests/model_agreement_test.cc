@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "campaign/runner.hh"
+#include "workload/registry.hh"
 #include "workload/splash.hh"
-#include "workload/synthetic.hh"
 
 namespace {
 
@@ -31,16 +31,14 @@ figGridSpec(std::uint64_t campaign_seed)
     campaign::CampaignSpec spec;
     spec.name = "fig9-agreement";
     spec.workloads = {
-        {"Uniform", true, workload::makeUniform},
-        {"Hot Spot", true, workload::makeHotSpot},
-        {"Tornado", true, workload::makeTornado},
-        {"Transpose", true, workload::makeTranspose},
+        {"Uniform", true, workload::registryFactory("Uniform")},
+        {"Hot Spot", true, workload::registryFactory("Hot Spot")},
+        {"Tornado", true, workload::registryFactory("Tornado")},
+        {"Transpose", true, workload::registryFactory("Transpose")},
     };
     for (const auto &params : workload::splashSuite()) {
         spec.workloads.push_back(
-            {params.name, false, [name = params.name] {
-                 return workload::makeSplash(name);
-             }});
+            {params.name, false, workload::registryFactory(params.name)});
     }
     spec.configs = core::paperConfigs();
     spec.base.requests = 4000;

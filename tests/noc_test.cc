@@ -45,7 +45,6 @@ TEST(Message, WireSizes)
     EXPECT_EQ(noc::wireBytes(MsgKind::Invalidate), 16u);
     EXPECT_EQ(noc::wireBytes(MsgKind::WriteReq), 80u);
     EXPECT_EQ(noc::wireBytes(MsgKind::ReadResp), 80u);
-    EXPECT_EQ(noc::to_string(MsgKind::ReadResp), "ReadResp");
 }
 
 TEST(CreditBuffer, CreditsTrackOccupancy)

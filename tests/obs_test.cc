@@ -3,7 +3,8 @@
  * Tests for the observability subsystem (src/obs): registry path
  * discipline and snapshots, the event-tracer ring, sampler
  * termination, the binary readers' bounds on forged length fields,
- * the RunObserver lifecycle against pooled contexts, and
+ * the loaders' refusal of anything but a container, the RunObserver
+ * lifecycle against pooled contexts, and
  * the end-to-end determinism contracts — observability output bytes
  * identical across worker counts, and sink/checkpoint bytes identical
  * with observability on vs off.
@@ -34,7 +35,7 @@
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "workload/synthetic.hh"
+#include "workload/registry.hh"
 
 // This binary refuses single allocations above 256 MiB. No test here
 // needs one, so a reader that sizes a buffer by a forged length field
@@ -198,7 +199,7 @@ TEST(EventTracer, ChromeJsonIsDeterministicIntegerMicroseconds)
     obs::EventTracer tracer(4);
     tracer.record(obs::TraceKind::ChannelGrant, 7, 1, 1'000'001, 3);
     std::ostringstream json;
-    tracer.writeChromeJson(json);
+    obs::writeChromeTraceJson(json, tracer.events());
     EXPECT_EQ(json.str(),
               "{\"displayTimeUnit\":\"ns\",\"traceEvents\":["
               "{\"name\":\"channel_grant\",\"cat\":\"xbar\","
@@ -211,26 +212,31 @@ TEST(EventTracer, RejectsZeroCapacity)
     EXPECT_THROW(obs::EventTracer(0), std::invalid_argument);
 }
 
-TEST(EventTracer, BinaryRoundTripsToIdenticalChromeJson)
+TEST(EventTracer, BinaryRoundTripsToTheRecordedEvents)
 {
-    obs::EventTracer tracer(8);
+    // Capacity 3 for four spans: the ring wraps, so the decoded trace
+    // must carry the lifetime count beside the three held events.
+    obs::EventTracer tracer(3);
+    tracer.record(obs::TraceKind::McIssue, 1, 0, 4, 2);
     tracer.record(obs::TraceKind::ChannelGrant, 7, 1, 1'000'001, 3);
     tracer.record(obs::TraceKind::CohInval, 2, 10, 12, 1);
     tracer.record(obs::TraceKind::CohWriteback, 5, 20, 20, 9);
-    std::ostringstream direct;
-    tracer.writeChromeJson(direct);
 
-    std::ostringstream binary;
-    tracer.writeBinary(binary);
-    std::istringstream in(binary.str());
+    std::string binary;
+    tracer.appendBinary(binary);
+    std::istringstream in(binary);
     const obs::TraceData data = obs::readTraceBinary(in, "trace test");
-    EXPECT_EQ(data.recorded, 3u);
-    ASSERT_EQ(data.events.size(), 3u);
-    EXPECT_EQ(data.events[1].kind, obs::TraceKind::CohInval);
-
-    std::ostringstream exported;
-    obs::writeChromeTraceJson(exported, data.events);
-    EXPECT_EQ(exported.str(), direct.str());
+    EXPECT_EQ(data.recorded, 4u);
+    const std::vector<obs::TraceEvent> events = tracer.events();
+    ASSERT_EQ(events.size(), 3u);
+    ASSERT_EQ(data.events.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(data.events[i].start, events[i].start) << i;
+        EXPECT_EQ(data.events[i].end, events[i].end) << i;
+        EXPECT_EQ(data.events[i].actor, events[i].actor) << i;
+        EXPECT_EQ(data.events[i].aux, events[i].aux) << i;
+        EXPECT_EQ(data.events[i].kind, events[i].kind) << i;
+    }
 }
 
 TEST(ChromeTrace, EmitsCounterTracksForTimeSeriesProbes)
@@ -287,14 +293,11 @@ TEST(TimeSeriesSampler, SamplesPeriodicallyAndStopsWithTheQueue)
     EXPECT_EQ(sampler.value(0, 0), 0.0);
     EXPECT_EQ(sampler.value(sampler.rowCount() - 1, 0),
               3.0); // All work observed.
-
-    std::ostringstream csv;
-    sampler.writeCsv(csv);
-    const std::string text = csv.str();
-    EXPECT_EQ(text.rfind("tick,work\n0,0\n10,1\n", 0), 0u);
+    EXPECT_EQ(sampler.rowTick(1), 10u);
+    EXPECT_EQ(sampler.value(1, 0), 1.0); // The t=5 work only.
 }
 
-TEST(TimeSeriesSampler, BinaryFileExportsToIdenticalCsvBytes)
+TEST(TimeSeriesSampler, BinaryRoundTripsToTheSampledRows)
 {
     sim::EventQueue eq;
     obs::Registry registry;
@@ -309,24 +312,31 @@ TEST(TimeSeriesSampler, BinaryFileExportsToIdenticalCsvBytes)
     sampler.start();
     eq.run();
 
-    // The binary format must export to exactly the bytes the direct
-    // CSV writer produces — the compact per-run file loses nothing.
-    std::ostringstream direct;
-    sampler.writeCsv(direct);
-
-    std::ostringstream binary;
-    sampler.writeBinary(binary);
-    std::istringstream in(binary.str());
+    // The compact encoding loses nothing: every tick and every value
+    // decodes to exactly what the sampler recorded.
+    std::string binary;
+    sampler.appendBinary(binary);
+    std::istringstream in(binary);
     const obs::TimeSeriesData data =
         obs::readTimeSeriesBinary(in, "sampler test");
-    EXPECT_EQ(data.period, 10u);
-    ASSERT_EQ(data.paths.size(), 2u);
-    EXPECT_EQ(data.paths[0], "a/count");
-    EXPECT_EQ(data.rows(), sampler.rowCount());
+    EXPECT_EQ(data.period, sampler.period());
+    EXPECT_EQ(data.paths,
+              (std::vector<std::string>{"a/count", "a/half"}));
+    ASSERT_EQ(data.rows(), sampler.rowCount());
+    ASSERT_EQ(data.values.size(), data.rows() * sampler.probeCount());
+    for (std::size_t row = 0; row < data.rows(); ++row) {
+        EXPECT_EQ(data.ticks[row], sampler.rowTick(row)) << row;
+        for (std::size_t p = 0; p < sampler.probeCount(); ++p)
+            EXPECT_EQ(data.values[row * sampler.probeCount() + p],
+                      sampler.value(row, p))
+                << row << "," << p;
+    }
 
-    std::ostringstream exported;
-    obs::writeTimeSeriesCsv(exported, data);
-    EXPECT_EQ(exported.str(), direct.str());
+    // corona-stats export renders the decoded rows as columnar CSV.
+    std::ostringstream csv;
+    obs::writeTimeSeriesCsv(csv, data);
+    EXPECT_EQ(csv.str(), "tick,a/count,a/half\n"
+                         "0,0,0\n10,2,1\n20,2,1\n30,3,1.5\n40,4,2\n");
 }
 
 // ---------------------------------------------------------------------
@@ -385,6 +395,37 @@ TEST(ObsBinaryReaders, TimeSeriesPathOverTheLimitIsFatal)
               "fatal: ts: corrupt probe path table");
 }
 
+TEST(ObsContainer, BarePlaneFilesAreFatal)
+{
+    // Each plane's own encoding, written alone instead of as a
+    // container section, is refused naming the path.
+    sim::EventQueue eq;
+    obs::Registry registry;
+    registry.add("a/one", [] { return 1.0; });
+    eq.schedule(5, [] {});
+    obs::TimeSeriesSampler sampler(registry, eq, 10);
+    sampler.start();
+    eq.run();
+    obs::EventTracer tracer(4);
+    tracer.record(obs::TraceKind::McIssue, 0, 1, 2);
+
+    const std::string dir = ::testing::TempDir() + "/obs_bare";
+    std::filesystem::create_directories(dir);
+    const std::string series_file = dir + "/run.timeseries.bin";
+    const std::string trace_file = dir + "/run.trace.bin";
+    std::string series_bytes, trace_bytes;
+    sampler.appendBinary(series_bytes);
+    tracer.appendBinary(trace_bytes);
+    std::ofstream(series_file, std::ios::binary) << series_bytes;
+    std::ofstream(trace_file, std::ios::binary) << trace_bytes;
+
+    EXPECT_EQ(
+        fatalMessage([&] { obs::loadTimeSeriesFile(series_file); }),
+        "fatal: " + series_file + ": not an observability container");
+    EXPECT_EQ(fatalMessage([&] { obs::loadTraceFile(trace_file); }),
+              "fatal: " + trace_file + ": not an observability container");
+}
+
 TEST(ObsBinaryReaders, TracePayloadBeyondTheFileIsFatal)
 {
     // 32 bytes: no events, but a 5 * 10^9-byte payload.
@@ -410,7 +451,7 @@ TEST(RunObserver, ObservedRunMetricsMatchAnUnobservedRun)
 {
     const auto config =
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
-    auto w1 = workload::makeUniform();
+    auto w1 = workload::registryFactory("Uniform")();
     const auto plain = core::runExperiment(config, *w1, tinyParams());
 
     const std::string dir = ::testing::TempDir() + "/obs_parity";
@@ -419,10 +460,9 @@ TEST(RunObserver, ObservedRunMetricsMatchAnUnobservedRun)
     obs.sample_period = 1'000'000;
     obs.trace_capacity = 1024;
     obs.snapshot = true;
-    obs.timeseries_path = dir + "/run.timeseries.bin";
-    obs.trace_path = dir + "/run.trace.bin";
+    obs.obs_path = dir + "/run.obs.bin";
     obs.snapshot_path = dir + "/run.snapshot.csv";
-    auto w2 = workload::makeUniform();
+    auto w2 = workload::registryFactory("Uniform")();
     const auto observed =
         core::runExperiment(config, *w2, tinyParams(), obs);
 
@@ -436,9 +476,8 @@ TEST(RunObserver, ObservedRunMetricsMatchAnUnobservedRun)
     EXPECT_DOUBLE_EQ(plain.token_wait_ns, observed.token_wait_ns);
     EXPECT_GT(observed.events_executed, plain.events_executed);
 
-    // All three files materialised and are non-trivial.
-    for (const std::string &path :
-         {obs.timeseries_path, obs.trace_path, obs.snapshot_path}) {
+    // Both files materialised and are non-trivial.
+    for (const std::string &path : {obs.obs_path, obs.snapshot_path}) {
         std::ifstream in(path);
         ASSERT_TRUE(in.good()) << path;
         std::ostringstream bytes;
@@ -458,7 +497,7 @@ TEST(RunObserver, SnapshotListsCacheAndCoherencePaths)
     obs::RunObservability obs;
     obs.snapshot = true;
     obs.snapshot_path = dir + "/run.snapshot.csv";
-    auto w = workload::makeUniform();
+    auto w = workload::registryFactory("Uniform")();
     core::runExperiment(config, *w, tinyParams(), obs);
 
     std::ifstream in(obs.snapshot_path);
@@ -494,14 +533,11 @@ TEST(RunObserver, CoherentRunEmitsCoherenceTraceSpans)
     std::filesystem::create_directories(dir);
     obs::RunObservability obs;
     obs.trace_capacity = std::size_t{1} << 16;
-    obs.trace_path = dir + "/run.trace.bin";
-    auto w = workload::makeUniform();
+    obs.obs_path = dir + "/run.obs.bin";
+    auto w = workload::registryFactory("Uniform")();
     core::runExperiment(config, *w, tinyParams(6000, 7), obs);
 
-    std::ifstream in(obs.trace_path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    const obs::TraceData data =
-        obs::readTraceBinary(in, obs.trace_path);
+    const obs::TraceData data = obs::loadTraceFile(obs.obs_path);
     std::size_t coherence = 0;
     for (const obs::TraceEvent &event : data.events)
         if (event.kind == obs::TraceKind::CohInval ||
@@ -521,13 +557,13 @@ TEST(RunObserver, DetachesTheTracerFromAPooledContext)
 
     obs::RunObservability obs;
     obs.trace_capacity = 64; // No file paths: pure in-memory tracing.
-    auto w1 = workload::makeUniform();
+    auto w1 = workload::registryFactory("Uniform")();
     core::runExperiment(ctx, *w1, tinyParams(), obs);
 
     // The observer died inside runExperiment; a later un-observed run
     // on the same pooled context must not touch the dead tracer.
     core::SimContext &again = pool.lease(config);
-    auto w2 = workload::makeUniform();
+    auto w2 = workload::registryFactory("Uniform")();
     const auto metrics = core::runExperiment(again, *w2, tinyParams());
     EXPECT_EQ(metrics.requests_issued, 300u);
 }
@@ -540,7 +576,7 @@ gridSpec()
 {
     campaign::CampaignSpec spec;
     spec.name = "obs-parity";
-    spec.workloads = {{"Uniform", true, workload::makeUniform}};
+    spec.workloads = {{"Uniform", true, workload::registryFactory("Uniform")}};
     spec.configs = {
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
     };

@@ -30,7 +30,7 @@
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "topology/geometry.hh"
-#include "workload/splash.hh"
+#include "workload/registry.hh"
 #include "workload/synthetic.hh"
 
 namespace {
@@ -101,7 +101,7 @@ TEST(ExecPlan, EntityShardMapIsContiguousAndComplete)
 TEST(ExecPlan, EffectiveSimThreadsFallsBackToSerial)
 {
     const auto xbar = core::makeConfig(NetworkKind::XBar, MemoryKind::OCM);
-    const auto uniform = workload::makeUniform();
+    const auto uniform = workload::registryFactory("Uniform")();
 
     EXPECT_EQ(core::effectiveSimThreads(0, xbar, *uniform, 0, false), 0u)
         << "0 requested is the classic engine, not 1 shard";
@@ -124,7 +124,7 @@ TEST(ExecPlan, EffectiveSimThreadsFallsBackToSerial)
               0u);
 
     // SPLASH models draw from one shared trace state: no lane split.
-    const auto barnes = workload::makeSplash("Barnes");
+    const auto barnes = workload::registryFactory("Barnes")();
     EXPECT_EQ(core::effectiveSimThreads(4, xbar, *barnes, 0, false), 0u);
 
     // A workload built for a different cluster count must not be
@@ -137,7 +137,7 @@ TEST(ExecPlan, EffectiveSimThreadsFallsBackToSerial)
     // would make windows of width <= 1 — serial fallback instead.
     auto mesh = core::makeConfig(NetworkKind::HMesh, MemoryKind::ECM);
     mesh.mesh.hop_latency_clocks = 0;
-    const auto tornado = workload::makeTornado();
+    const auto tornado = workload::registryFactory("Tornado")();
     EXPECT_EQ(core::effectiveSimThreads(4, mesh, *tornado, 0, false), 0u);
 }
 
@@ -566,7 +566,7 @@ TEST(ParallelParity, PooledLeasesMatchFreshContexts)
     params.requests = 2000;
     params.sim_threads = 4;
     for (int lease = 0; lease < 2; ++lease) {
-        auto workload = workload::makeUniform();
+        auto workload = workload::registryFactory("Uniform")();
         core::SimContext &ctx = pool.lease(config, 4);
         ASSERT_TRUE(ctx.pristine());
         ASSERT_NE(ctx.executor(), nullptr);
@@ -588,11 +588,11 @@ TEST(ParallelParity, FallbackRunsMatchTheClassicEngine)
                                          MemoryKind::OCM);
     SimParams params;
     params.requests = 1500;
-    const auto classic_wl = workload::makeSplash("Barnes");
+    const auto classic_wl = workload::registryFactory("Barnes")();
     const RunMetrics classic =
         core::runExperiment(config, *classic_wl, params);
     params.sim_threads = 4;
-    const auto fallback_wl = workload::makeSplash("Barnes");
+    const auto fallback_wl = workload::registryFactory("Barnes")();
     expectSameMetrics(core::runExperiment(config, *fallback_wl, params),
                       classic, "splash fallback");
 }

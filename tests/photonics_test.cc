@@ -1,106 +1,21 @@
 /**
  * @file
- * Unit and property tests for the photonic device models, the component
- * inventory (Table 2), the loss-budget solver, and optical clocking.
+ * Unit tests for the waveguide model, the component inventory (Table 2),
+ * the loss-budget solver, and optical clocking.
  */
 
 #include <gtest/gtest.h>
 
 #include "photonics/inventory.hh"
-#include "photonics/laser.hh"
 #include "photonics/loss_budget.hh"
 #include "photonics/optical_clock.hh"
-#include "photonics/ring_resonator.hh"
 #include "photonics/waveguide.hh"
-#include "photonics/wavelength.hh"
 #include "sim/clock.hh"
 
 namespace {
 
 using namespace corona;
 using namespace corona::photonics;
-
-TEST(DwdmComb, SixtyFourLinesCentredAt1300)
-{
-    const DwdmComb comb;
-    EXPECT_EQ(comb.count(), 64u);
-    const auto lines = comb.wavelengths();
-    EXPECT_EQ(lines.size(), 64u);
-    // Centre of the comb is the band centre.
-    const double mid = (lines.front() + lines.back()) / 2.0;
-    EXPECT_NEAR(mid, centreWavelengthNm, 1e-9);
-    // Even spacing.
-    for (std::size_t i = 1; i < lines.size(); ++i)
-        EXPECT_NEAR(lines[i] - lines[i - 1], channelSpacingNm, 1e-12);
-}
-
-TEST(DwdmComb, NearestIndexRoundTrips)
-{
-    const DwdmComb comb;
-    for (std::size_t i = 0; i < comb.count(); ++i)
-        EXPECT_EQ(comb.nearestIndex(comb.wavelength(i)), i);
-    EXPECT_THROW(comb.nearestIndex(9999.0), std::out_of_range);
-}
-
-TEST(DwdmComb, AggregateRateIs640Gbps)
-{
-    const DwdmComb comb;
-    EXPECT_DOUBLE_EQ(comb.aggregateBitsPerSecond(), 64.0 * 10e9);
-}
-
-TEST(DwdmComb, RejectsBadParameters)
-{
-    EXPECT_THROW(DwdmComb(0), std::invalid_argument);
-    EXPECT_THROW(DwdmComb(4, 1300.0, -1.0), std::invalid_argument);
-}
-
-TEST(RingResonator, ResonanceSelectivity)
-{
-    const RingResonator ring(RingRole::Modulator, 1300.0);
-    EXPECT_TRUE(ring.onResonance(1300.0));
-    EXPECT_TRUE(ring.onResonance(1300.05));
-    EXPECT_FALSE(ring.onResonance(1300.8)); // Next comb line.
-    EXPECT_FALSE(ring.onResonance(1299.2));
-}
-
-TEST(RingResonator, ChargeInjectionDetunes)
-{
-    RingResonator ring(RingRole::Modulator, 1300.0);
-    ring.setCharge(true);
-    // On-resonance wavelength passes when the ring is charge-shifted:
-    // this is exactly how a 1 is distinguished from a 0.
-    EXPECT_FALSE(ring.onResonance(1300.0));
-    ring.setCharge(false);
-    EXPECT_TRUE(ring.onResonance(1300.0));
-}
-
-TEST(RingResonator, TrimmingCancelsFabricationError)
-{
-    RingResonator ring(RingRole::Detector, 1300.0);
-    ring.setFabricationError(0.3);
-    EXPECT_FALSE(ring.onResonance(1300.0));
-    const double power = ring.trimToDesign();
-    EXPECT_TRUE(ring.onResonance(1300.0));
-    EXPECT_GT(power, 0.0);
-    // Trimming power grows with the correction magnitude.
-    RingResonator worse(RingRole::Detector, 1300.0);
-    worse.setFabricationError(0.6);
-    EXPECT_GT(worse.trimToDesign(), power);
-}
-
-TEST(RingResonator, ThroughLossSmallOffResonance)
-{
-    const RingResonator ring(RingRole::Modulator, 1300.0);
-    EXPECT_LE(ring.throughLossDb(1310.0), 0.05);
-    EXPECT_GT(ring.throughLossDb(1300.0), ring.throughLossDb(1310.0));
-}
-
-TEST(RingResonator, ModulationSupports10Gbps)
-{
-    const RingResonator ring(RingRole::Modulator, 1300.0);
-    // 10 Gb/s needs a bit time of 100 ps; toggling must fit in half.
-    EXPECT_LE(ring.params().modulation_time, 100u);
-}
 
 TEST(Waveguide, DelayMatchesPaperConstant)
 {
@@ -126,42 +41,6 @@ TEST(Waveguide, LossComposition)
 TEST(Waveguide, RejectsNegativeLength)
 {
     EXPECT_THROW(Waveguide(-1.0), std::invalid_argument);
-}
-
-TEST(Splitter, EnergyConservation)
-{
-    const Splitter splitter(0.25);
-    const double tapped = dbToRatio(-splitter.tapLossDb());
-    const double through = dbToRatio(-splitter.throughLossDb());
-    EXPECT_NEAR(tapped + through, 1.0, 1e-9);
-    EXPECT_THROW(Splitter(0.0), std::invalid_argument);
-    EXPECT_THROW(Splitter(1.0), std::invalid_argument);
-}
-
-TEST(DbHelpers, RoundTrip)
-{
-    EXPECT_NEAR(ratioToDb(0.5), -3.0103, 1e-3);
-    EXPECT_NEAR(dbToRatio(ratioToDb(0.123)), 0.123, 1e-12);
-    EXPECT_THROW(ratioToDb(0.0), std::invalid_argument);
-}
-
-TEST(Laser, CombAndPower)
-{
-    const ModeLockedLaser laser;
-    EXPECT_EQ(laser.comb().count(), 64u);
-    EXPECT_DOUBLE_EQ(laser.opticalPowerMw(), 64.0 * 2.0);
-    EXPECT_DOUBLE_EQ(laser.electricalPowerMw(),
-                     laser.opticalPowerMw() / 0.15);
-}
-
-TEST(Laser, RejectsBadParams)
-{
-    LaserParams bad;
-    bad.power_per_line_mw = 0.0;
-    EXPECT_THROW(ModeLockedLaser{bad}, std::invalid_argument);
-    LaserParams bad2;
-    bad2.wall_plug_efficiency = 0.0;
-    EXPECT_THROW(ModeLockedLaser{bad2}, std::invalid_argument);
 }
 
 // -------------------------------------------------------------------

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,6 +73,43 @@ TEST(ObsRollup, ReadWriteRoundTripIsByteStable)
     const campaign::ObsRollup reread =
         campaign::ObsRollup::read(in, "round trip");
     EXPECT_EQ(rollupBytes(reread), bytes);
+}
+
+TEST(ObsRollup, ReadRejectsNonCanonicalNumbersNamingTheLine)
+{
+    // Each bad row follows one good row, so it sits on line 5: a
+    // negative or padded run index, a signed tick, a hex value and a
+    // run index past 2^64 - 1.
+    const std::string head = "corona-rollup-v1\n"
+                             "group,cfg\n"
+                             "run,tick,p/a\n"
+                             "0,10,1.5\n";
+    for (const char *row :
+         {"-1,10,1.5", " 7,10,1.5", "7,+5,1.5", "7,10,0x10",
+          "18446744073709551616,10,1.5"}) {
+        std::istringstream in(head + row + "\n");
+        try {
+            campaign::ObsRollup::read(in, "rollup.csv");
+            ADD_FAILURE() << "accepted \"" << row << "\"";
+        } catch (const sim::FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("rollup.csv:5: "),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+
+    // The nan and inf that obs::formatValue writes read back, and
+    // write out as the same bytes.
+    const std::string special = head + "1,20,nan\n2,30,-inf\n";
+    std::istringstream in(special);
+    const campaign::ObsRollup rollup =
+        campaign::ObsRollup::read(in, "rollup.csv");
+    ASSERT_EQ(rollup.groups().size(), 1u);
+    ASSERT_EQ(rollup.groups()[0].rows.size(), 3u);
+    EXPECT_TRUE(std::isnan(rollup.groups()[0].rows[1].values[0]));
+    EXPECT_EQ(rollup.groups()[0].rows[2].values[0],
+              -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(rollupBytes(rollup), special);
 }
 
 // ---------------------------------------------------------------------

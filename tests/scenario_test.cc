@@ -28,8 +28,6 @@
 #include "corona/knobs.hh"
 #include "sim/logging.hh"
 #include "workload/registry.hh"
-#include "workload/splash.hh"
-#include "workload/synthetic.hh"
 
 namespace {
 
@@ -513,7 +511,8 @@ tinySpec()
 {
     campaign::CampaignSpec spec;
     spec.name = "dup";
-    spec.workloads = {{"Uniform", true, workload::makeUniform}};
+    spec.workloads = {
+        {"Uniform", true, workload::registryFactory("Uniform")}};
     spec.configs = {core::makeConfig(core::NetworkKind::XBar,
                                      core::MemoryKind::OCM)};
     spec.base.requests = 100;
@@ -554,17 +553,17 @@ TEST(CampaignSpec, ExpandRejectsDuplicateOverrideLabels)
 
 // ------------------------------------------------- resolve() parity
 
-/** A hand-built slice of the fig9 grid, constructed in C++ from the
- * workload factories rather than the registry — Uniform + FFT on the
- * first two paper configs, fixed seed, warmup = 1/5. */
+/** A hand-built slice of the fig9 grid, constructed in C++ rather than
+ * parsed — Uniform + FFT on the first two paper configs, fixed seed,
+ * warmup = 1/5. */
 campaign::CampaignSpec
 legacySlice(std::uint64_t requests)
 {
     campaign::CampaignSpec spec;
     spec.name = "paper-sweep";
     spec.workloads = {
-        {"Uniform", true, workload::makeUniform},
-        {"FFT", false, [] { return workload::makeSplash("FFT"); }},
+        {"Uniform", true, workload::registryFactory("Uniform")},
+        {"FFT", false, workload::registryFactory("FFT")},
     };
     auto paper = core::paperConfigs();
     spec.configs = {paper[0], paper[1]};
@@ -618,34 +617,6 @@ TEST(Scenario, ResolvedFig9SliceMatchesLegacySpecByteForByte)
     EXPECT_EQ(scenario_csv, legacy_csv);
     EXPECT_EQ(scenario_ckpt, legacy_ckpt);
     EXPECT_NE(scenario_csv.find("Uniform"), std::string::npos);
-}
-
-TEST(Scenario, RegistryFactoriesMatchLegacyFactoriesAcrossTheTable)
-{
-    // Beyond the fig9 slice: every registry entry's default factory
-    // must behave identically to the legacy hand-built one. One
-    // cheap synthetic + one SPLASH + one bursty SPLASH model.
-    for (const char *name : {"Tornado", "Cholesky", "Raytrace"}) {
-        campaign::CampaignSpec legacy;
-        legacy.name = "factory-parity";
-        if (std::string(name) == "Tornado")
-            legacy.workloads = {{name, true, workload::makeTornado}};
-        else
-            legacy.workloads = {{name, false, [name] {
-                                     return workload::makeSplash(name);
-                                 }}};
-        legacy.configs = {core::makeConfig(core::NetworkKind::XBar,
-                                           core::MemoryKind::OCM)};
-        legacy.base.requests = 300;
-        legacy.seed_policy = campaign::SeedPolicy::Fixed;
-
-        campaign::CampaignSpec registry = legacy;
-        registry.workloads = {{name, legacy.workloads[0].synthetic,
-                               workload::registryFactory(name)}};
-        EXPECT_EQ(runBytes(registry, 1).first,
-                  runBytes(legacy, 1).first)
-            << name;
-    }
 }
 
 // ---------------------------------------------------- runScenario

@@ -18,8 +18,7 @@
 #include "corona/simulation.hh"
 #include "obs/registry.hh"
 #include "sim/logging.hh"
-#include "workload/sharing.hh"
-#include "workload/splash.hh"
+#include "workload/registry.hh"
 #include "workload/synthetic.hh"
 
 namespace {
@@ -34,7 +33,7 @@ using core::SystemConfig;
 TEST(Simulation, IssuesExactlyTheBudget)
 {
     for (const std::uint64_t budget : {100ull, 1357ull, 5000ull}) {
-        auto workload = workload::makeUniform();
+        auto workload = workload::registryFactory("Uniform")();
         SimParams params;
         params.requests = budget;
         const auto metrics = core::runExperiment(
@@ -46,9 +45,10 @@ TEST(Simulation, IssuesExactlyTheBudget)
 
 TEST(Simulation, RunTwiceIsRejected)
 {
-    auto workload = workload::makeUniform();
-    core::NetworkSimulation simulation(
-        core::makeConfig(NetworkKind::XBar, MemoryKind::OCM), *workload);
+    auto workload = workload::registryFactory("Uniform")();
+    core::SimContext ctx(
+        core::makeConfig(NetworkKind::XBar, MemoryKind::OCM));
+    core::NetworkSimulation simulation(ctx, *workload);
     (void)simulation.run();
     EXPECT_THROW((void)simulation.run(), corona::sim::FatalError);
 }
@@ -59,10 +59,9 @@ TEST(Simulation, ThreadMismatchIsFatal)
     params.threads_per_cluster = 4; // 256 threads, system wants 1024.
     workload::SyntheticWorkload workload(workload::Pattern::Uniform,
                                          topology::Geometry(), params);
-    EXPECT_THROW(core::NetworkSimulation(
-                     core::makeConfig(NetworkKind::XBar, MemoryKind::OCM),
-                     workload),
-                 sim::FatalError);
+    core::SimContext ctx(
+        core::makeConfig(NetworkKind::XBar, MemoryKind::OCM));
+    EXPECT_THROW(core::NetworkSimulation(ctx, workload), sim::FatalError);
 }
 
 TEST(Simulation, TinyMshrFileStillCompletes)
@@ -70,7 +69,7 @@ TEST(Simulation, TinyMshrFileStillCompletes)
     auto config = core::makeConfig(NetworkKind::XBar, MemoryKind::OCM);
     config.mshrs_per_cluster = 2;
     config.thread_window = 4;
-    auto workload = workload::makeUniform();
+    auto workload = workload::registryFactory("Uniform")();
     SimParams params;
     params.requests = 2000;
     const auto metrics = core::runExperiment(config, *workload, params);
@@ -148,23 +147,21 @@ TEST(Simulation, CsvColumnsMatchRegistryProbes)
         core::makeConfig(NetworkKind::HMesh, MemoryKind::ECM);
     auto coherent = xbar;
     coherent.frontend = core::FrontendKind::Coherent;
-    using Factory = std::unique_ptr<workload::Workload> (*)();
-    const Factory raytrace = [] { return workload::makeSplash("Raytrace"); };
     const struct
     {
         SystemConfig config;
-        Factory make;
+        const char *workload;
         unsigned sim_threads;
         bool coalesces;
     } cases[] = {
-        {xbar, raytrace, 0, true},
-        {xbar, workload::makeUniform, 0, false},
-        {xbar, workload::makeUniform, 1, false},
-        {xbar, workload::makeUniform, 4, false},
-        {hmesh, workload::makeUniform, 0, false},
-        {hmesh, workload::makeUniform, 1, false},
-        {hmesh, workload::makeUniform, 4, false},
-        {coherent, workload::makeMigratory, 0, false},
+        {xbar, "Raytrace", 0, true},
+        {xbar, "Uniform", 0, false},
+        {xbar, "Uniform", 1, false},
+        {xbar, "Uniform", 4, false},
+        {hmesh, "Uniform", 0, false},
+        {hmesh, "Uniform", 1, false},
+        {hmesh, "Uniform", 4, false},
+        {coherent, "Migratory", 0, false},
     };
     SimParams params;
     params.requests = 3000;
@@ -173,23 +170,25 @@ TEST(Simulation, CsvColumnsMatchRegistryProbes)
         params.sim_threads = c.sim_threads;
         const bool miss_stream =
             c.config.frontend == core::FrontendKind::MissStream;
-        auto fresh_workload = c.make();
+        const auto make = workload::registryFactory(c.workload);
+        auto fresh_workload = make();
         SCOPED_TRACE(fresh_workload->name() + " on " + c.config.name() +
                      " at sim_threads " + std::to_string(c.sim_threads));
-        core::NetworkSimulation fresh(c.config, *fresh_workload, params);
+        const unsigned effective = core::effectiveSimThreads(
+            c.sim_threads, c.config, *fresh_workload, 0, false);
+        EXPECT_EQ(effective, c.sim_threads); // No serial fallback.
+        core::SimContext fresh_ctx(c.config, effective);
+        core::NetworkSimulation fresh(fresh_ctx, *fresh_workload, params);
         const RunMetrics m = fresh.run();
         EXPECT_EQ(m.requests_coalesced > 0, c.coalesces);
         expectCsvMatchesProbes(m, fresh.system(), miss_stream);
 
         // A pooled context on its second lease: reset, not rebuilt.
         core::SystemPool pool;
-        const unsigned effective = core::effectiveSimThreads(
-            c.sim_threads, c.config, *fresh_workload, 0, false);
-        EXPECT_EQ(effective, c.sim_threads); // No serial fallback.
-        auto first = c.make();
+        auto first = make();
         core::runExperiment(pool.lease(c.config, effective), *first,
                             params);
-        auto second = c.make();
+        auto second = make();
         core::SimContext &ctx = pool.lease(c.config, effective);
         const RunMetrics pooled = core::runExperiment(ctx, *second, params);
         ASSERT_EQ(pool.reuses(), 1u);
@@ -201,14 +200,14 @@ TEST(Simulation, WindowOfOneSerializesEachThread)
 {
     auto config = core::makeConfig(NetworkKind::XBar, MemoryKind::OCM);
     config.thread_window = 1;
-    auto narrow_wl = workload::makeUniform();
+    auto narrow_wl = workload::registryFactory("Uniform")();
     SimParams params;
     params.requests = 4000;
     const auto narrow = core::runExperiment(config, *narrow_wl, params);
 
     auto wide_config = core::makeConfig(NetworkKind::XBar,
                                         MemoryKind::OCM);
-    auto wide_wl = workload::makeUniform();
+    auto wide_wl = workload::registryFactory("Uniform")();
     const auto wide = core::runExperiment(wide_config, *wide_wl, params);
     EXPECT_LT(narrow.achieved_bytes_per_second,
               wide.achieved_bytes_per_second)
@@ -217,7 +216,7 @@ TEST(Simulation, WindowOfOneSerializesEachThread)
 
 TEST(Simulation, MetricsSelfConsistent)
 {
-    auto workload = workload::makeTornado();
+    auto workload = workload::registryFactory("Tornado")();
     SimParams params;
     params.requests = 3000;
     const auto m = core::runExperiment(
@@ -251,14 +250,14 @@ TEST(Simulation, SpeedupRequiresEqualWork)
 
 TEST(Simulation, WarmupExcludedFromMeasurement)
 {
-    auto cold_wl = workload::makeUniform();
+    auto cold_wl = workload::registryFactory("Uniform")();
     SimParams cold;
     cold.requests = 3000;
     const auto cold_m = core::runExperiment(
         core::makeConfig(NetworkKind::XBar, MemoryKind::OCM), *cold_wl,
         cold);
 
-    auto warm_wl = workload::makeUniform();
+    auto warm_wl = workload::registryFactory("Uniform")();
     SimParams warm;
     warm.requests = 3000;
     warm.warmup_requests = 2000;
@@ -292,7 +291,7 @@ class EveryConfig : public ::testing::TestWithParam<ConfigCase>
 TEST_P(EveryConfig, ConservesRequestsAndProducesSaneMetrics)
 {
     const auto param = GetParam();
-    auto workload = workload::makeSplash("FMM");
+    auto workload = workload::registryFactory("FMM")();
     SimParams params;
     params.requests = 2500;
     const auto m = core::runExperiment(
@@ -325,7 +324,7 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(SeedSweep, StatisticallyStableAcrossSeeds)
 {
-    auto workload = workload::makeUniform();
+    auto workload = workload::registryFactory("Uniform")();
     SimParams params;
     params.requests = 3000;
     params.seed = GetParam();

@@ -22,8 +22,7 @@
 #include "corona/context.hh"
 #include "corona/simulation.hh"
 #include "sim/logging.hh"
-#include "workload/splash.hh"
-#include "workload/synthetic.hh"
+#include "workload/registry.hh"
 
 namespace {
 
@@ -62,15 +61,15 @@ TEST(SimContext, ResetRunIsBitIdenticalToAFreshSystem)
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
 
     // Fresh system per run.
-    auto w1 = workload::makeUniform();
+    auto w1 = workload::registryFactory("Uniform")();
     const auto fresh = core::runExperiment(config, *w1, tinyParams());
 
     // One context, dirtied by a different run first, then reset.
     core::SimContext ctx(config);
-    auto dirty = workload::makeSplash("FFT");
+    auto dirty = workload::registryFactory("FFT")();
     core::runExperiment(ctx, *dirty, tinyParams(300, 3));
     ctx.reset();
-    auto w2 = workload::makeUniform();
+    auto w2 = workload::registryFactory("Uniform")();
     const auto reused = core::runExperiment(ctx, *w2, tinyParams());
 
     expectSameMetrics(fresh, reused);
@@ -80,14 +79,14 @@ TEST(SimContext, ResetRunMatchesOnAMeshSystemToo)
 {
     const auto config = core::makeConfig(core::NetworkKind::HMesh,
                                          core::MemoryKind::ECM);
-    auto w1 = workload::makeUniform();
+    auto w1 = workload::registryFactory("Uniform")();
     const auto fresh = core::runExperiment(config, *w1, tinyParams());
 
     core::SimContext ctx(config);
-    auto dirty = workload::makeUniform();
+    auto dirty = workload::registryFactory("Uniform")();
     core::runExperiment(ctx, *dirty, tinyParams(250, 99));
     ctx.reset();
-    auto w2 = workload::makeUniform();
+    auto w2 = workload::registryFactory("Uniform")();
     const auto reused = core::runExperiment(ctx, *w2, tinyParams());
 
     expectSameMetrics(fresh, reused);
@@ -99,9 +98,57 @@ TEST(SimContext, LeasedConstructorRejectsADirtyContext)
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
     core::SimContext ctx(config);
     ctx.eq().schedule(10, [] {});
-    auto workload = workload::makeUniform();
+    auto workload = workload::registryFactory("Uniform")();
     EXPECT_THROW(core::NetworkSimulation(ctx, *workload, tinyParams()),
                  sim::FatalError);
+}
+
+/** The FatalError message @p fn throws ("" when it returns). */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const sim::FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(SimContext, ShardedContextRefusesARunThatCannotPartition)
+{
+    // effectiveSimThreads() plans warm-up and SPLASH runs serial, so a
+    // context built with two shards is the wrong size for them.
+    const auto config =
+        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
+    const std::string refusal =
+        "NetworkSimulation: the context runs 2 shards, but "
+        "effectiveSimThreads() gives this run 0";
+
+    core::SimContext warm_ctx(config, 2);
+    auto uniform = workload::registryFactory("Uniform")();
+    core::SimParams warm = tinyParams();
+    warm.warmup_requests = 100;
+    EXPECT_NE(fatalMessage([&] {
+                  core::NetworkSimulation sim(warm_ctx, *uniform, warm);
+              }).find(refusal),
+              std::string::npos);
+
+    core::SimContext splash_ctx(config, 2);
+    auto fft = workload::registryFactory("FFT")();
+    EXPECT_NE(fatalMessage([&] {
+                  core::NetworkSimulation sim(splash_ctx, *fft, tinyParams());
+              }).find(refusal),
+              std::string::npos);
+
+    // A coherent config never reaches the simulation: the system
+    // refuses to build its front end on a sharded context.
+    auto coherent = config;
+    coherent.frontend = core::FrontendKind::Coherent;
+    EXPECT_NE(fatalMessage([&] { core::SimContext ctx(coherent, 2); })
+                  .find("CoronaSystem: the coherent front end"),
+              std::string::npos);
 }
 
 TEST(SystemPool, LeasesAreCachedPerConfiguration)
@@ -190,8 +237,8 @@ gridSpec()
     campaign::CampaignSpec spec;
     spec.name = "pool-parity";
     spec.workloads = {
-        {"Uniform", true, workload::makeUniform},
-        {"FFT", false, [] { return workload::makeSplash("FFT"); }},
+        {"Uniform", true, workload::registryFactory("Uniform")},
+        {"FFT", false, workload::registryFactory("FFT")},
     };
     spec.configs = {
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "sim/rng.hh"
+#include "workload/registry.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
 
@@ -162,16 +163,16 @@ TEST(Splash, BandwidthClassesMatchFigure9)
     // Low-demand applications that the paper says run fine on LMesh/ECM
     // must offer less than the ECM's 0.96 TB/s...
     for (const auto *name : {"Barnes", "Radiosity", "Volrend", "Water-Sp"}) {
-        const auto wl = workload::makeSplash(name);
+        const auto wl = workload::registryFactory(name)();
         EXPECT_LT(wl->offeredBytesPerSecond(), 0.96e12) << name;
     }
     // ...FMM needs somewhat more than the ECM provides...
-    const auto fmm = workload::makeSplash("FMM");
+    const auto fmm = workload::registryFactory("FMM")();
     EXPECT_GT(fmm->offeredBytesPerSecond(), 0.96e12);
     EXPECT_LT(fmm->offeredBytesPerSecond(), 2e12);
     // ...and the memory-intensive four demand 2-5+ TB/s.
     for (const auto *name : {"Cholesky", "FFT", "Ocean", "Radix"}) {
-        const auto wl = workload::makeSplash(name);
+        const auto wl = workload::registryFactory(name)();
         EXPECT_GT(wl->offeredBytesPerSecond(), 2e12) << name;
         EXPECT_LT(wl->offeredBytesPerSecond(), 6e12) << name;
     }
