@@ -7,14 +7,12 @@
 #      engine), across a multi-seed grid with pooled contexts.
 #   2. Mesh scenario: same gate on the electrical-mesh fabric (distinct
 #      lookahead and fabric-entity wiring).
-#   3. Fresh-context parity: reuse_systems = off at 4 shards matches
-#      the pooled bytes — pooling and sharding compose.
-#   4. Observability: sampler + snapshot + rollup files are
+#   3. Observability: sampler + snapshot + rollup files are
 #      shard-count-invariant byte for byte (barrier-driven sampling
 #      sees the same quiescent states the serial sampler sees).
-#   5. Fallback: a scenario the executor cannot partition (warm-up)
-#      runs with sim_threads = 4 anyway, bit-identical to serial — the
-#      fallback is silent and safe.
+#   4. Fallback: a scenario the executor cannot partition (warm-up)
+#      runs with sim_threads = 4 anyway, bit-identical to the classic
+#      engine (sim_threads = 0) — the fallback is silent and safe.
 #
 # Each run is a copy of its scenario with sim_threads and the two
 # sink paths written under [execution].
@@ -91,13 +89,7 @@ run "${DIR}/mesh.scenario" mesh-serial 1
 run "${DIR}/mesh.scenario" mesh-s4 4
 expect_same mesh-serial mesh-s4 "mesh at 4 shards"
 
-# ---- 3. Fresh contexts compose with sharding.
-sed 's/^progress = off$/progress = off\nreuse_systems = off/' \
-  "${DIR}/xbar.scenario" > "${DIR}/fresh.scenario"
-run "${DIR}/fresh.scenario" xbar-fresh4 4
-expect_same xbar-serial xbar-fresh4 "fresh contexts at 4 shards"
-
-# ---- 4. Observability planes are shard-count-invariant.
+# ---- 3. Observability planes are shard-count-invariant.
 scenario "XBar/OCM" 0 "${DIR}/obs1" > "${DIR}/obs1.scenario"
 scenario "XBar/OCM" 0 "${DIR}/obs4" > "${DIR}/obs4.scenario"
 run "${DIR}/obs1.scenario" obs-serial 1
@@ -117,11 +109,11 @@ cmp -s "${DIR}/obs1/rollup.csv" "${DIR}/obs4/rollup.csv" || {
   exit 1
 }
 
-# ---- 5. Warm-up cannot partition: the fallback is silent and exact.
+# ---- 4. Warm-up cannot partition: the fallback is silent and exact.
 scenario "XBar/OCM" 500 "" > "${DIR}/warm.scenario"
 run "${DIR}/warm.scenario" warm-serial 0
 run "${DIR}/warm.scenario" warm-s4 4
 expect_same warm-serial warm-s4 "warm-up fallback"
 
 echo "parallel smoke: OK (xbar + mesh byte parity at 2/4 shards," \
-     "pooled + fresh, obs invariant, warm-up fallback exact)"
+     "obs invariant, warm-up fallback exact)"

@@ -23,34 +23,22 @@ namespace corona::campaign {
 namespace {
 
 /**
- * Simulate @p plan under @p obs. With reuse_systems on, @p pool and
- * @p workloads are the worker's own and the run leases its context
- * and workload from them; with it off both are null and the run
- * builds its own.
+ * Simulate @p plan under @p obs on a context and workload leased from
+ * the worker's own @p pool and @p workloads.
  */
 RunRecord
-simulatePlan(const RunPlan &plan, core::SystemPool *pool,
-             WorkloadCache *workloads, const obs::RunObservability &obs)
+simulatePlan(const RunPlan &plan, core::SystemPool &pool,
+             WorkloadCache &workloads, const obs::RunObservability &obs)
 {
     RunRecord record = recordFor(plan);
-    if (!pool) {
-        const std::unique_ptr<workload::Workload> workload =
-            plan.make_workload();
-        if (!workload)
-            sim::fatal("campaign: workload factory for \"" +
-                       plan.workload + "\" returned null");
-        record.metrics = core::runExperiment(plan.system, *workload,
-                                             plan.params, obs);
-        return record;
-    }
-    workload::Workload &workload = workloads->lease(plan);
+    workload::Workload &workload = workloads.lease(plan);
     // The pooled lease must match what the run will effectively use:
     // serial and sharded contexts are distinct pool entries.
     const unsigned sim_threads = core::effectiveSimThreads(
         plan.params.sim_threads, plan.system, workload,
         plan.params.warmup_requests, obs.trace_capacity > 0);
     record.metrics =
-        core::runExperiment(pool->lease(plan.system, sim_threads),
+        core::runExperiment(pool.lease(plan.system, sim_threads),
                             workload, plan.params, obs);
     return record;
 }
@@ -60,8 +48,8 @@ simulatePlan(const RunPlan &plan, core::SystemPool *pool,
  * record with the plan's identity fields and zeroed metrics.
  */
 RunRecord
-executePlanWith(const RunPlan &plan, core::SystemPool *pool,
-                WorkloadCache *workloads, const obs::RunObservability &obs)
+executePlanWith(const RunPlan &plan, core::SystemPool &pool,
+                WorkloadCache &workloads, const obs::RunObservability &obs)
 {
     const auto start = std::chrono::steady_clock::now();
     RunRecord record;
@@ -192,7 +180,6 @@ CampaignRunner::run(const CampaignSpec &spec,
         // perturb results regardless of which worker runs which cell.
         core::SystemPool pool;
         WorkloadCache workloads;
-        const bool pooled = _options.reuse_systems;
         while (true) {
             const std::size_t at =
                 next_plan.fetch_add(1, std::memory_order_relaxed);
@@ -215,9 +202,8 @@ CampaignRunner::run(const CampaignSpec &spec,
                     run_obs.capture = &capture;
                 }
             }
-            RunRecord record = executePlanWith(
-                plans[idx], pooled ? &pool : nullptr,
-                pooled ? &workloads : nullptr, run_obs);
+            RunRecord record =
+                executePlanWith(plans[idx], pool, workloads, run_obs);
             if (rollup_on && record.ok) {
                 std::scoped_lock lock(rollup_mutex);
                 rollup.addRun(plans[idx].config, plans[idx].index,

@@ -3,12 +3,14 @@
  * Multi-threaded campaign execution.
  *
  * CampaignRunner expands a CampaignSpec and executes the resulting runs
- * on a std::thread worker pool. Each run owns its NetworkSimulation,
- * EventQueue, Rng, and workload instance, so runs never share mutable
- * state; per-run seeds come from the plan (derived from the campaign
- * seed and grid index), so results are bit-identical for any worker
- * count and any completion order. Sinks observe records in run-index
- * order; the progress reporter observes them in completion order.
+ * on a std::thread worker pool. Each worker leases every run's
+ * simulation context and workload instance, reset to their pristine
+ * state, from its own core::SystemPool and WorkloadCache, so runs
+ * never share mutable state; per-run seeds come from the plan
+ * (derived from the campaign seed and grid index), so results are
+ * bit-identical for any worker count and any completion order. Sinks
+ * observe records in run-index order; the progress reporter observes
+ * them in completion order.
  */
 
 #ifndef CORONA_CAMPAIGN_RUNNER_HH
@@ -72,15 +74,6 @@ struct RunnerOptions
     std::size_t threads = 0;
     /** Optional progress/ETA reporter (not owned). */
     ProgressReporter *progress = nullptr;
-    /** Reuse simulation contexts and workload instances across a
-     * worker's runs: each worker thread keeps a SystemPool plus a
-     * WorkloadCache and leases reset instances per cell instead of
-     * reconstructing a full 64-cluster CoronaSystem (and a workload
-     * model) every time. Results and sink bytes are bit-identical
-     * either way (a reset context/workload is observationally a fresh
-     * one — locked in by tests); off is the fresh-context reference
-     * the pooled-parity tests compare against, and a bisection aid. */
-    bool reuse_systems = true;
     /** Per-run observability: registry time-series sampling, event
      * tracing, end-of-run snapshots (all off by default). Sink and
      * checkpoint bytes are unaffected — observability writes its own

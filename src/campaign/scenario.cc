@@ -3,8 +3,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
-#include "campaign/scenario_format.hh"
 #include "corona/knobs.hh"
 #include "sim/logging.hh"
 #include "workload/registry.hh"
@@ -77,40 +77,227 @@ badEntry(const ScenarioEntry &entry, const std::string &message)
                message);
 }
 
-std::uint64_t
-entryUnsigned(const ScenarioEntry &entry)
+/** @p entry's value; its errors read "scenario: line N: <key> ...". */
+core::KnobValue
+entryValue(const ScenarioEntry &entry)
 {
-    const auto value = core::parseUnsigned(entry.value);
+    return {"scenario: line " + std::to_string(entry.line) + ": " +
+                entry.key + " ",
+            entry.value};
+}
+
+bool
+entryOnOff(const ScenarioEntry &entry)
+{
+    const auto value = core::parseOnOff(entry.value);
     if (!value)
-        badEntry(entry, entry.key +
-                            " expects an unsigned decimal integer, "
-                            "got \"" +
-                            entry.value + "\"");
+        badEntry(entry, entry.key + " is on/off, got \"" + entry.value +
+                            "\"");
     return *value;
 }
 
-std::uint64_t
-entryPositive(const ScenarioEntry &entry)
+const std::string &
+entryNonEmpty(const ScenarioEntry &entry)
 {
-    const auto value = core::parsePositiveCount(entry.value);
-    if (!value)
-        badEntry(entry, entry.key +
-                            " expects a strictly positive decimal "
-                            "integer, got \"" +
-                            entry.value + "\"");
-    return *value;
+    if (entry.value.empty())
+        badEntry(entry, entry.key + " is empty");
+    return entry.value;
 }
 
-/** Enforce that @p section only holds keys from @p allowed, each at
- * most once. */
+/** @p target's @p field as value text (on/off, the string itself or a
+ * decimal), or nothing when it holds its default: its value in a
+ * default-built Target. */
+template <typename Target, typename Field>
+std::optional<std::string>
+unlessDefault(const Target &target, Field Target::*field)
+{
+    const Field &value = target.*field;
+    if (value == Target{}.*field)
+        return std::nullopt;
+    if constexpr (std::is_same_v<Field, bool>)
+        return value ? "on" : "off";
+    else if constexpr (std::is_same_v<Field, std::string>)
+        return value;
+    else
+        return std::to_string(value);
+}
+
+constexpr ScenarioKey<ScenarioSpec> scenarioKeyRows[] = {
+    {"name",
+     [](ScenarioSpec &s, const ScenarioEntry &e) {
+         s.name = entryNonEmpty(e);
+     },
+     [](const ScenarioSpec &s) -> std::optional<std::string> {
+         return s.name;
+     }},
+    {"requests",
+     [](ScenarioSpec &s, const ScenarioEntry &e) {
+         s.requests = core::expectPositive(entryValue(e));
+     },
+     [](const ScenarioSpec &s) -> std::optional<std::string> {
+         return std::to_string(s.requests);
+     }},
+    {"warmup_requests",
+     [](ScenarioSpec &s, const ScenarioEntry &e) {
+         s.warmup_requests = core::expectUnsigned(entryValue(e));
+     },
+     [](const ScenarioSpec &s) {
+         return unlessDefault(s, &ScenarioSpec::warmup_requests);
+     }},
+    {"seed",
+     [](ScenarioSpec &s, const ScenarioEntry &e) {
+         s.seed = core::expectUnsigned(entryValue(e));
+     },
+     [](const ScenarioSpec &s) {
+         return unlessDefault(s, &ScenarioSpec::seed);
+     }},
+    {"campaign_seed",
+     [](ScenarioSpec &s, const ScenarioEntry &e) {
+         s.campaign_seed = core::expectUnsigned(entryValue(e));
+     },
+     [](const ScenarioSpec &s) {
+         return unlessDefault(s, &ScenarioSpec::campaign_seed);
+     }},
+    {"seed_policy",
+     [](ScenarioSpec &s, const ScenarioEntry &e) {
+         if (e.value == "fixed")
+             s.seed_policy = SeedPolicy::Fixed;
+         else if (e.value == "derived")
+             s.seed_policy = SeedPolicy::Derived;
+         else
+             badEntry(e, "seed_policy is \"fixed\" or \"derived\", "
+                         "got \"" +
+                             e.value + "\"");
+     },
+     [](const ScenarioSpec &s) -> std::optional<std::string> {
+         return s.seed_policy == SeedPolicy::Fixed ? "fixed" : "derived";
+     }},
+    {"seeds",
+     [](ScenarioSpec &s, const ScenarioEntry &e) {
+         std::istringstream is(e.value);
+         std::string item;
+         while (std::getline(is, item, ',')) {
+             const auto salt = core::parseUnsigned(item);
+             if (!salt)
+                 badEntry(e, "seeds is a comma-separated list of "
+                             "unsigned integers, got \"" +
+                                 e.value + "\"");
+             s.seeds.push_back(*salt);
+         }
+         if (s.seeds.empty())
+             badEntry(e, "seeds list is empty");
+     },
+     [](const ScenarioSpec &s) -> std::optional<std::string> {
+         if (s.seeds.empty())
+             return std::nullopt;
+         std::string salts;
+         for (const std::uint64_t salt : s.seeds) {
+             if (!salts.empty())
+                 salts += ",";
+             salts += std::to_string(salt);
+         }
+         return salts;
+     }},
+};
+
+constexpr ScenarioKey<ScenarioExecution> executionKeyRows[] = {
+    {"threads",
+     [](ScenarioExecution &x, const ScenarioEntry &e) {
+         x.threads =
+             static_cast<std::size_t>(core::expectUnsigned(entryValue(e)));
+     },
+     [](const ScenarioExecution &x) {
+         return unlessDefault(x, &ScenarioExecution::threads);
+     }},
+    {"sim_threads",
+     [](ScenarioExecution &x, const ScenarioEntry &e) {
+         constexpr unsigned most = std::numeric_limits<unsigned>::max();
+         const std::uint64_t shards = core::expectUnsigned(entryValue(e));
+         if (shards > most)
+             badEntry(e, "sim_threads " + e.value +
+                             " exceeds the maximum " +
+                             std::to_string(most));
+         x.sim_threads = static_cast<unsigned>(shards);
+     },
+     [](const ScenarioExecution &x) {
+         return unlessDefault(x, &ScenarioExecution::sim_threads);
+     }},
+    {"checkpoint",
+     [](ScenarioExecution &x, const ScenarioEntry &e) {
+         x.checkpoint = e.value;
+     },
+     [](const ScenarioExecution &x) {
+         return unlessDefault(x, &ScenarioExecution::checkpoint);
+     }},
+    {"csv",
+     [](ScenarioExecution &x, const ScenarioEntry &e) { x.csv = e.value; },
+     [](const ScenarioExecution &x) {
+         return unlessDefault(x, &ScenarioExecution::csv);
+     }},
+    {"summary",
+     [](ScenarioExecution &x, const ScenarioEntry &e) {
+         x.summary = e.value;
+     },
+     [](const ScenarioExecution &x) {
+         return unlessDefault(x, &ScenarioExecution::summary);
+     }},
+    {"progress",
+     [](ScenarioExecution &x, const ScenarioEntry &e) {
+         x.progress = entryOnOff(e);
+     },
+     [](const ScenarioExecution &x) {
+         return unlessDefault(x, &ScenarioExecution::progress);
+     }},
+};
+
+using ObsOptions = obs::CampaignObsOptions;
+
+constexpr ScenarioKey<ObsOptions> observabilityKeyRows[] = {
+    {"sample_period",
+     [](ObsOptions &o, const ScenarioEntry &e) {
+         o.sample_period = core::expectUnsigned(entryValue(e));
+     },
+     [](const ObsOptions &o) {
+         return unlessDefault(o, &ObsOptions::sample_period);
+     }},
+    {"trace_capacity",
+     [](ObsOptions &o, const ScenarioEntry &e) {
+         o.trace_capacity =
+             static_cast<std::size_t>(core::expectUnsigned(entryValue(e)));
+     },
+     [](const ObsOptions &o) {
+         return unlessDefault(o, &ObsOptions::trace_capacity);
+     }},
+    {"snapshot",
+     [](ObsOptions &o, const ScenarioEntry &e) {
+         o.snapshot = entryOnOff(e);
+     },
+     [](const ObsOptions &o) {
+         return unlessDefault(o, &ObsOptions::snapshot);
+     }},
+    {"rollup",
+     [](ObsOptions &o, const ScenarioEntry &e) {
+         o.rollup = entryOnOff(e);
+     },
+     [](const ObsOptions &o) {
+         return unlessDefault(o, &ObsOptions::rollup);
+     }},
+    {"dir",
+     [](ObsOptions &o, const ScenarioEntry &e) { o.dir = entryNonEmpty(e); },
+     [](const ObsOptions &o) { return unlessDefault(o, &ObsOptions::dir); }},
+};
+
+/** Enforce that @p section only holds keys of @p keys, each at most
+ * once. */
+template <typename Target>
 void
 checkUniqueKeys(const ScenarioSection &section,
-                const std::vector<std::string> &allowed)
+                std::span<const ScenarioKey<Target>> keys)
 {
     for (const ScenarioEntry &entry : section.entries) {
         bool known = false;
-        for (const std::string &key : allowed)
-            known = known || key == entry.key;
+        for (const ScenarioKey<Target> &key : keys)
+            known = known || entry.key == key.key;
         if (!known)
             badEntry(entry, "unknown key \"" + entry.key +
                                 "\" in [" + section.name + "]");
@@ -123,6 +310,38 @@ checkUniqueKeys(const ScenarioSection &section,
             badEntry(entry, "duplicate key \"" + entry.key +
                                 "\" in [" + section.name + "]");
     }
+}
+
+/** Check @p section's keys, then parse each entry, in file order,
+ * into @p target. */
+template <typename Target>
+void
+parseKeys(const ScenarioSection &section,
+          std::span<const ScenarioKey<Target>> keys, Target &target)
+{
+    checkUniqueKeys(section, keys);
+    for (const ScenarioEntry &entry : section.entries) {
+        for (const ScenarioKey<Target> &key : keys) {
+            if (entry.key == key.key)
+                key.parse(target, entry);
+        }
+    }
+}
+
+/** Append the [@p name] section of @p target to @p doc: every key not
+ * at its default, in table order; no section when every key is. */
+template <typename Target>
+void
+formatKeys(ScenarioDoc &doc, const char *name,
+           std::span<const ScenarioKey<Target>> keys, const Target &target)
+{
+    ScenarioSection section{name, {}, 0};
+    for (const ScenarioKey<Target> &key : keys) {
+        if (std::optional<std::string> text = key.format(target))
+            section.entries.push_back({key.key, std::move(*text), 0});
+    }
+    if (!section.entries.empty())
+        doc.sections.push_back(std::move(section));
 }
 
 /** A section whose only (repeatable) key is @p key; returns values. */
@@ -143,6 +362,24 @@ listSection(const ScenarioSection &section, const char *key)
 }
 
 } // namespace
+
+std::span<const ScenarioKey<ScenarioSpec>>
+scenarioKeys()
+{
+    return scenarioKeyRows;
+}
+
+std::span<const ScenarioKey<ScenarioExecution>>
+executionKeys()
+{
+    return executionKeyRows;
+}
+
+std::span<const ScenarioKey<obs::CampaignObsOptions>>
+observabilityKeys()
+{
+    return observabilityKeyRows;
+}
 
 AxisExpression
 parseAxisExpression(const std::string &text, const char *what)
@@ -315,47 +552,7 @@ parseScenario(std::string_view text)
     const ScenarioSection *header = doc.find("scenario");
     if (!header)
         badScenario("missing [scenario] section");
-    checkUniqueKeys(*header,
-                    {"name", "requests", "warmup_requests", "seed",
-                     "campaign_seed", "seed_policy", "seeds"});
-    for (const ScenarioEntry &entry : header->entries) {
-        if (entry.key == "name") {
-            if (entry.value.empty())
-                badEntry(entry, "name is empty");
-            spec.name = entry.value;
-        } else if (entry.key == "requests") {
-            spec.requests = entryPositive(entry);
-        } else if (entry.key == "warmup_requests") {
-            spec.warmup_requests = entryUnsigned(entry);
-        } else if (entry.key == "seed") {
-            spec.seed = entryUnsigned(entry);
-        } else if (entry.key == "campaign_seed") {
-            spec.campaign_seed = entryUnsigned(entry);
-        } else if (entry.key == "seed_policy") {
-            if (entry.value == "fixed")
-                spec.seed_policy = SeedPolicy::Fixed;
-            else if (entry.value == "derived")
-                spec.seed_policy = SeedPolicy::Derived;
-            else
-                badEntry(entry, "seed_policy is \"fixed\" or "
-                                "\"derived\", got \"" +
-                                    entry.value + "\"");
-        } else if (entry.key == "seeds") {
-            std::istringstream is(entry.value);
-            std::string item;
-            while (std::getline(is, item, ',')) {
-                const auto salt = core::parseUnsigned(item);
-                if (!salt)
-                    badEntry(entry,
-                             "seeds is a comma-separated list of "
-                             "unsigned integers, got \"" +
-                                 entry.value + "\"");
-                spec.seeds.push_back(*salt);
-            }
-            if (spec.seeds.empty())
-                badEntry(entry, "seeds list is empty");
-        }
-    }
+    parseKeys(*header, scenarioKeys(), spec);
 
     const ScenarioSection *workloads = doc.find("workloads");
     if (!workloads)
@@ -374,76 +571,13 @@ parseScenario(std::string_view text)
     if (const ScenarioSection *overrides = doc.find("overrides"))
         spec.overrides = listSection(*overrides, "override");
 
-    if (const ScenarioSection *execution = doc.find("execution")) {
-        checkUniqueKeys(*execution,
-                        {"threads", "sim_threads", "checkpoint", "csv",
-                         "summary", "progress", "reuse_systems"});
-        for (const ScenarioEntry &entry : execution->entries) {
-            if (entry.key == "threads") {
-                spec.execution.threads =
-                    static_cast<std::size_t>(entryUnsigned(entry));
-            } else if (entry.key == "sim_threads") {
-                constexpr unsigned most =
-                    std::numeric_limits<unsigned>::max();
-                const std::uint64_t shards = entryUnsigned(entry);
-                if (shards > most)
-                    badEntry(entry, "sim_threads " + entry.value +
-                                        " exceeds the maximum " +
-                                        std::to_string(most));
-                spec.execution.sim_threads =
-                    static_cast<unsigned>(shards);
-            } else if (entry.key == "checkpoint") {
-                spec.execution.checkpoint = entry.value;
-            } else if (entry.key == "csv") {
-                spec.execution.csv = entry.value;
-            } else if (entry.key == "summary") {
-                spec.execution.summary = entry.value;
-            } else if (entry.key == "progress") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "progress is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.execution.progress = *value;
-            } else if (entry.key == "reuse_systems") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "reuse_systems is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.execution.reuse_systems = *value;
-            }
-        }
-    }
+    if (const ScenarioSection *execution = doc.find("execution"))
+        parseKeys(*execution, executionKeys(), spec.execution);
 
     if (const ScenarioSection *observability =
-            doc.find("observability")) {
-        checkUniqueKeys(*observability,
-                        {"sample_period", "trace_capacity", "snapshot",
-                         "rollup", "dir"});
-        for (const ScenarioEntry &entry : observability->entries) {
-            if (entry.key == "sample_period") {
-                spec.observability.sample_period = entryUnsigned(entry);
-            } else if (entry.key == "trace_capacity") {
-                spec.observability.trace_capacity =
-                    entryUnsigned(entry);
-            } else if (entry.key == "snapshot") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "snapshot is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.observability.snapshot = *value;
-            } else if (entry.key == "rollup") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "rollup is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.observability.rollup = *value;
-            } else if (entry.key == "dir") {
-                if (entry.value.empty())
-                    badEntry(entry, "dir is empty");
-                spec.observability.dir = entry.value;
-            }
-        }
-    }
+            doc.find("observability"))
+        parseKeys(*observability, observabilityKeys(),
+                  spec.observability);
 
     // Surface resolution errors (unknown workload/config/knob) at
     // parse time: a scenario that parses is a scenario that runs.
@@ -466,89 +600,24 @@ std::string
 serializeScenario(const ScenarioSpec &spec)
 {
     ScenarioDoc doc;
+    // Never empty: name, requests and seed_policy always print.
+    formatKeys(doc, "scenario", scenarioKeys(), spec);
 
-    ScenarioSection header{"scenario", {}, 0};
-    const auto add = [](ScenarioSection &section, const char *key,
-                        const std::string &value) {
-        section.entries.push_back({key, value, 0});
+    const auto list = [&doc](const char *name, const char *key,
+                             const std::vector<std::string> &values) {
+        ScenarioSection section{name, {}, 0};
+        for (const std::string &value : values)
+            section.entries.push_back({key, value, 0});
+        doc.sections.push_back(std::move(section));
     };
-    add(header, "name", spec.name);
-    add(header, "requests", std::to_string(spec.requests));
-    if (spec.warmup_requests != 0)
-        add(header, "warmup_requests",
-            std::to_string(spec.warmup_requests));
-    if (spec.seed != 1)
-        add(header, "seed", std::to_string(spec.seed));
-    if (spec.campaign_seed != 1)
-        add(header, "campaign_seed",
-            std::to_string(spec.campaign_seed));
-    add(header, "seed_policy",
-        spec.seed_policy == SeedPolicy::Fixed ? "fixed" : "derived");
-    if (!spec.seeds.empty()) {
-        std::string salts;
-        for (const std::uint64_t salt : spec.seeds) {
-            if (!salts.empty())
-                salts += ",";
-            salts += std::to_string(salt);
-        }
-        add(header, "seeds", salts);
-    }
-    doc.sections.push_back(std::move(header));
+    list("workloads", "workload", spec.workloads);
+    list("configs", "config", spec.configs);
+    if (!spec.overrides.empty())
+        list("overrides", "override", spec.overrides);
 
-    ScenarioSection workloads{"workloads", {}, 0};
-    for (const std::string &expression : spec.workloads)
-        add(workloads, "workload", expression);
-    doc.sections.push_back(std::move(workloads));
-
-    ScenarioSection configs{"configs", {}, 0};
-    for (const std::string &expression : spec.configs)
-        add(configs, "config", expression);
-    doc.sections.push_back(std::move(configs));
-
-    if (!spec.overrides.empty()) {
-        ScenarioSection overrides{"overrides", {}, 0};
-        for (const std::string &expression : spec.overrides)
-            add(overrides, "override", expression);
-        doc.sections.push_back(std::move(overrides));
-    }
-
-    ScenarioSection execution{"execution", {}, 0};
-    const ScenarioExecution &exec = spec.execution;
-    if (exec.threads != 0)
-        add(execution, "threads", std::to_string(exec.threads));
-    if (exec.sim_threads != 0)
-        add(execution, "sim_threads",
-            std::to_string(exec.sim_threads));
-    if (!exec.checkpoint.empty())
-        add(execution, "checkpoint", exec.checkpoint);
-    if (!exec.csv.empty())
-        add(execution, "csv", exec.csv);
-    if (!exec.summary.empty())
-        add(execution, "summary", exec.summary);
-    if (!exec.progress)
-        add(execution, "progress", "off");
-    if (!exec.reuse_systems)
-        add(execution, "reuse_systems", "off");
-    if (!execution.entries.empty())
-        doc.sections.push_back(std::move(execution));
-
-    ScenarioSection observability{"observability", {}, 0};
-    const ScenarioObservability &obs = spec.observability;
-    if (obs.sample_period != 0)
-        add(observability, "sample_period",
-            std::to_string(obs.sample_period));
-    if (obs.trace_capacity != 0)
-        add(observability, "trace_capacity",
-            std::to_string(obs.trace_capacity));
-    if (obs.snapshot)
-        add(observability, "snapshot", "on");
-    if (obs.rollup)
-        add(observability, "rollup", "on");
-    if (obs.dir != "obs")
-        add(observability, "dir", obs.dir);
-    if (!observability.entries.empty())
-        doc.sections.push_back(std::move(observability));
-
+    formatKeys(doc, "execution", executionKeys(), spec.execution);
+    formatKeys(doc, "observability", observabilityKeys(),
+               spec.observability);
     return serializeScenarioDoc(doc);
 }
 

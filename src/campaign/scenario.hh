@@ -35,7 +35,6 @@
  *     threads = 0
  *     sim_threads = 4              # conservative shards per simulation
  *     checkpoint = fig9.ckpt
- *     reuse_systems = on           # pool simulation contexts per worker
  *     csv = fig9.csv
  *
  *     [observability]              # optional; all planes off by default
@@ -43,6 +42,12 @@
  *     trace_capacity = 65536       # event-trace ring size (events)
  *     snapshot = on                # end-of-run registry snapshot CSVs
  *     dir = obs                    # output directory for all of it
+ *
+ * Each key of [scenario], [execution] and [observability] is one row
+ * of its section's table (scenarioKeys(), executionKeys(),
+ * observabilityKeys()): the row parses the value and prints it back
+ * unless it holds its default, so the allowed keys, the parse and the
+ * canonical serialisation all come from that one row.
  *
  * Axis expressions are whitespace-separated: leading tokens (which
  * may contain spaces, e.g. "Hot Spot") name the registry entry or
@@ -54,11 +59,15 @@
 #define CORONA_CAMPAIGN_SCENARIO_HH
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "campaign/scenario_format.hh"
 #include "campaign/spec.hh"
+#include "obs/observe.hh"
 
 namespace corona::campaign {
 
@@ -99,35 +108,6 @@ struct ScenarioExecution
     std::string csv, summary;
     /** Progress/ETA reporting on stderr. */
     bool progress = true;
-    /** Reuse pooled simulation contexts across a worker's cells
-     * (RunnerOptions::reuse_systems); results are bit-identical either
-     * way. */
-    bool reuse_systems = true;
-};
-
-/** The [observability] section: per-run in-sim recording plus the
- * campaign rollup (see src/obs). Every plane defaults off. */
-struct ScenarioObservability
-{
-    /** Ticks between time-series samples; 0 = no sampler. */
-    std::uint64_t sample_period = 0;
-    /** Event-trace ring capacity in events; 0 = no tracer. */
-    std::uint64_t trace_capacity = 0;
-    /** Write an end-of-run registry snapshot CSV per run. */
-    bool snapshot = false;
-    /** Collect end-of-run registry captures into a campaign rollup
-     * file. */
-    bool rollup = false;
-    /** Directory receiving per-run files and the rollup (created on
-     * demand by runScenario). */
-    std::string dir = "obs";
-
-    bool
-    enabled() const
-    {
-        return sample_period > 0 || trace_capacity > 0 || snapshot ||
-               rollup;
-    }
 };
 
 /** A serializable experiment description. */
@@ -152,7 +132,9 @@ struct ScenarioSpec
     std::vector<std::string> overrides;
 
     ScenarioExecution execution;
-    ScenarioObservability observability;
+    /** The [observability] section: per-run in-sim recording plus the
+     * campaign rollup (see src/obs). Every plane defaults off. */
+    obs::CampaignObsOptions observability;
 
     /**
      * Lower to an executable CampaignSpec: workload expressions
@@ -165,6 +147,29 @@ struct ScenarioSpec
      */
     CampaignSpec resolve() const;
 };
+
+/** One key of a scenario section. */
+template <typename Target>
+struct ScenarioKey
+{
+    const char *key;
+    /** Set the key's field from @p entry; fatal naming its line on a
+     * malformed value. */
+    void (*parse)(Target &target, const ScenarioEntry &entry);
+    /** The field as value text, or nothing when it holds its default
+     * and the canonical form leaves the key out. */
+    std::optional<std::string> (*format)(const Target &target);
+};
+
+/** The [scenario] section's keys, in canonical order. */
+std::span<const ScenarioKey<ScenarioSpec>> scenarioKeys();
+
+/** The [execution] section's keys, in canonical order. */
+std::span<const ScenarioKey<ScenarioExecution>> executionKeys();
+
+/** The [observability] section's keys, in canonical order. */
+std::span<const ScenarioKey<obs::CampaignObsOptions>>
+observabilityKeys();
 
 /** Parse scenario text; fatal (with line numbers) on any violation. */
 ScenarioSpec parseScenario(std::string_view text);

@@ -67,7 +67,7 @@ checkWritten(FileSink *file)
 } // namespace
 
 void
-ScenarioObsSetup::apply(const ScenarioObservability &observability,
+ScenarioObsSetup::apply(const obs::CampaignObsOptions &observability,
                         const std::string &scenario_name,
                         RunnerOptions &options)
 {
@@ -81,12 +81,7 @@ ScenarioObsSetup::apply(const ScenarioObservability &observability,
         sim::fatal("scenario \"" + scenario_name +
                    "\": cannot create observability dir \"" +
                    observability.dir + "\": " + ec.message());
-    options.observability.sample_period = observability.sample_period;
-    options.observability.trace_capacity =
-        static_cast<std::size_t>(observability.trace_capacity);
-    options.observability.snapshot = observability.snapshot;
-    options.observability.rollup = observability.rollup;
-    options.observability.dir = observability.dir;
+    options.observability = observability;
 }
 
 ScenarioRunResult
@@ -99,7 +94,6 @@ runScenario(const ScenarioSpec &scenario,
     ProgressReporter progress(std::cerr);
     RunnerOptions runner_options;
     runner_options.threads = exec.threads;
-    runner_options.reuse_systems = exec.reuse_systems;
     if (!options.quiet && exec.progress)
         runner_options.progress = &progress;
 

@@ -32,7 +32,7 @@ struct ScenarioRunOptions
  * Observability wiring of runScenario, exposed so other hosts of a
  * scenario (perfbench's traced driver) observe it the same way:
  * creates the obs dir and copies the [observability] settings
- * (sampling, tracing, snapshots, rollup) into
+ * (sampling, tracing, snapshots, rollup, dir) into
  * RunnerOptions::observability.
  */
 class ScenarioObsSetup
@@ -40,7 +40,7 @@ class ScenarioObsSetup
   public:
     /** Wire @p observability into @p options. No-op when the section
      * is disabled. */
-    void apply(const ScenarioObservability &observability,
+    void apply(const obs::CampaignObsOptions &observability,
                const std::string &scenario_name,
                RunnerOptions &options);
 };

@@ -25,26 +25,6 @@ to_string(MemoryKind kind)
 }
 
 std::string
-to_string(FrontendKind kind)
-{
-    switch (kind) {
-      case FrontendKind::MissStream: return "miss-stream";
-      case FrontendKind::Coherent: return "coherent";
-    }
-    return "Unknown";
-}
-
-std::string
-to_string(InvalTransport transport)
-{
-    switch (transport) {
-      case InvalTransport::Unicast: return "unicast";
-      case InvalTransport::Broadcast: return "broadcast";
-    }
-    return "Unknown";
-}
-
-std::string
 SystemConfig::name() const
 {
     if (!label.empty())
@@ -70,18 +50,6 @@ makeConfig(NetworkKind network, MemoryKind memory)
         break;
     }
     return config;
-}
-
-std::vector<SystemConfig>
-paperConfigs()
-{
-    return {
-        makeConfig(NetworkKind::LMesh, MemoryKind::ECM),
-        makeConfig(NetworkKind::HMesh, MemoryKind::ECM),
-        makeConfig(NetworkKind::LMesh, MemoryKind::OCM),
-        makeConfig(NetworkKind::HMesh, MemoryKind::OCM),
-        makeConfig(NetworkKind::XBar, MemoryKind::OCM),
-    };
 }
 
 } // namespace corona::core

@@ -4,8 +4,10 @@
  *
  * The paper simulates five combinations of on-stack network and memory
  * interconnect: XBar/OCM (Corona), HMesh/OCM, LMesh/OCM, HMesh/ECM, and
- * LMesh/ECM (the normalization baseline). SystemConfig carries all the
- * knobs; paperConfigs() returns the five in the paper's order.
+ * LMesh/ECM (the normalization baseline). SystemConfig carries every
+ * setting of one simulated system; corona/knobs.hh names the points
+ * (paperConfigs() returns the five in the paper's order) and the knobs
+ * a scenario may set.
  */
 
 #ifndef CORONA_CORONA_CONFIG_HH
@@ -13,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "mesh/electrical_mesh.hh"
 #include "xbar/optical_channel.hh"
@@ -52,8 +53,6 @@ enum class InvalTransport
 
 std::string to_string(NetworkKind kind);
 std::string to_string(MemoryKind kind);
-std::string to_string(FrontendKind kind);
-std::string to_string(InvalTransport transport);
 
 /** Full system configuration. */
 struct SystemConfig
@@ -104,14 +103,13 @@ struct SystemConfig
     std::string name() const;
 
     std::size_t threads() const { return clusters * threads_per_cluster; }
+
+    /** Every field equal: the identity SystemPool keys contexts on. */
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** Build one configuration. */
 SystemConfig makeConfig(NetworkKind network, MemoryKind memory);
-
-/** The five paper configurations, in Figure 8's legend order:
- * LMesh/ECM, HMesh/ECM, LMesh/OCM, HMesh/OCM, XBar/OCM. */
-std::vector<SystemConfig> paperConfigs();
 
 } // namespace corona::core
 

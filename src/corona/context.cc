@@ -1,10 +1,8 @@
 #include "corona/context.hh"
 
 #include <algorithm>
-#include <string>
 
 #include "corona/exec_plan.hh"
-#include "corona/knobs.hh"
 #include "sim/logging.hh"
 
 namespace corona::core {
@@ -27,46 +25,14 @@ SimContext::SimContext(const SystemConfig &config, unsigned sim_threads)
     }
 }
 
-namespace {
-
-/**
- * Identity key for a SystemConfig. The knob expression covers every
- * scenario-reachable field (network, memory, clusters, channel
- * parameters, label); the mesh parameters are not knobs, so configs
- * built programmatically with a tweaked MeshParams are distinguished
- * by appending those fields explicitly.
- */
-std::string
-configKey(const SystemConfig &config)
-{
-    std::string key = configKnobExpression(config);
-    key += "|mesh:";
-    key += std::to_string(config.mesh.bisection_bytes_per_second);
-    key += ',';
-    key += std::to_string(config.mesh.hop_latency_clocks);
-    key += ',';
-    key += std::to_string(config.mesh.link_efficiency);
-    key += ',';
-    key += std::to_string(config.mesh.router.input_buffer_depth);
-    key += ',';
-    key += std::to_string(config.mesh.router.link_queue_depth);
-    return key;
-}
-
-} // namespace
-
 SimContext &
 SystemPool::lease(const SystemConfig &config, unsigned sim_threads)
 {
-    std::string key = configKey(config);
-    if (sim_threads > 0) {
+    for (Slot &slot : _slots) {
         // Engine choice is context identity: a sharded system's
         // components live on different queues than a serial one's.
-        key += "|simthreads:";
-        key += std::to_string(sim_threads);
-    }
-    for (Slot &slot : _slots) {
-        if (slot.key == key) {
+        if (slot.sim_threads == sim_threads &&
+            slot.context->config() == config) {
             slot.last_used = ++_clock;
             ++_reuses;
             slot.context->reset();
@@ -86,7 +52,8 @@ SystemPool::lease(const SystemConfig &config, unsigned sim_threads)
         _slots.erase(victim);
     }
     _slots.push_back(
-        Slot{key, std::make_unique<SimContext>(config, sim_threads),
+        Slot{sim_threads,
+             std::make_unique<SimContext>(config, sim_threads),
              ++_clock});
     return *_slots.back().context;
 }

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "corona/system.hh"
@@ -114,9 +113,10 @@ class SimContext
 };
 
 /**
- * A per-worker cache of SimContexts keyed by configuration, bounded
- * by LRU eviction so a config-heavy grid cannot hold an unbounded
- * number of full systems resident.
+ * A per-worker cache of SimContexts keyed by configuration (every
+ * SystemConfig field, compared with ==) and shard count, bounded by
+ * LRU eviction so a config-heavy grid cannot hold an unbounded number
+ * of full systems resident.
  */
 class SystemPool
 {
@@ -153,7 +153,9 @@ class SystemPool
   private:
     struct Slot
     {
-        std::string key;
+        /** The shard count leased with; the context clamps its own
+         * to the cluster count. */
+        unsigned sim_threads = 0;
         std::unique_ptr<SimContext> context;
         std::uint64_t last_used = 0;
     };

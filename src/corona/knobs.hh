@@ -1,31 +1,34 @@
 /**
  * @file
- * Central knob tables: named SystemConfig points and data-driven
- * SimParams / SystemConfig mutation.
+ * Knob tables: the named SystemConfig points, one table of
+ * {key, apply} rows per knob family, and the strict value parsers
+ * every knob and scenario key shares.
  *
  * Scenario files describe experiments as text, so every tunable the
  * engine exposes must be reachable by (name, value) pairs instead of
- * C++ closures. This header is the single source of truth for those
- * names: the named-configuration registry ("XBar/OCM", "paper", ...),
- * the SystemConfig knob table (clusters, memory_bandwidth_scale,
- * token_node_pause, ...), and the SimParams knob table (requests,
- * warmup_requests, seed). Appliers are strict — an unknown knob or a
- * malformed value is fatal, never silently ignored — and
- * configKnobExpression() inverts the table so any knobbed config can
- * be serialised back to a text expression that resolves to the same
- * configuration.
+ * C++ closures. Each knob is declared once, as one row of its
+ * family's table: the SystemConfig knobs a config expression may set
+ * (clusters, memory_bandwidth_scale, token_node_pause, ...) and the
+ * SimParams knobs an override may set (requests, warmup_requests,
+ * seed) live here; the workload knobs are a table of the same shape
+ * in workload/registry.cc. applyKnob() searches a table, and its
+ * "valid knobs" fatal lists the rows in table order. Appliers are
+ * strict — an unknown knob or a malformed value is fatal, never
+ * silently ignored.
  */
 
 #ifndef CORONA_CORONA_KNOBS_HH
 #define CORONA_CORONA_KNOBS_HH
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "corona/config.hh"
 #include "corona/simulation.hh"
+#include "sim/logging.hh"
 
 namespace corona::core {
 
@@ -42,19 +45,77 @@ std::optional<double> parseStrictDouble(std::string_view text);
 /** Strict boolean: on/off, true/false, 1/0. */
 std::optional<bool> parseOnOff(std::string_view text);
 
-/** One documented knob (for --help texts and the README schema). */
-struct KnobInfo
+// ------------------------------------------------- checked values
+
+/** The text of a knob or scenario key, with the prefix its value
+ * errors take: "config knob: knob clusters ",
+ * "scenario: line 4: requests ". */
+struct KnobValue
 {
-    std::string key;
-    std::string help;
+    std::string what;
+    const std::string &text;
 };
+
+/** parseUnsigned, else fatal "<what>expects an unsigned decimal
+ * integer, got \"<text>\"" (every value error takes that form). */
+std::uint64_t expectUnsigned(const KnobValue &value);
+
+/** parsePositiveCount, else "a strictly positive decimal integer". */
+std::uint64_t expectPositive(const KnobValue &value);
+
+/** expectPositive, and a perfect square (topology::Geometry needs a
+ * square grid), else "a perfect-square cluster count". */
+std::uint64_t expectClusters(const KnobValue &value);
+
+/** A number in [0, 1], else "a fraction in [0, 1]". */
+double expectFraction(const KnobValue &value);
+
+// ---------------------------------------------------- knob tables
+
+/** One knob of a family: its key, and how its value sets Target. */
+template <typename Target>
+struct Knob
+{
+    const char *key;
+    void (*apply)(Target &target, const KnobValue &value);
+};
+
+/**
+ * Set knob @p key of @p target to @p value through the row of
+ * @p rows with that key that @p accepts. The row's value errors read
+ * "<family>: knob <key> expects ..."; a key no accepted row has is
+ * fatal "<family>: unknown knob \"<key>\" (valid knobs: ...)", listing
+ * the accepted rows in table order.
+ */
+template <typename Rows, typename Accepts, typename Target>
+void
+applyKnob(const Rows &rows, Accepts accepts, const std::string &family,
+          Target &target, const std::string &key,
+          const std::string &value)
+{
+    for (const auto &row : rows) {
+        if (accepts(row) && key == row.key) {
+            row.apply(target, KnobValue{family + ": knob " + key + " ",
+                                        value});
+            return;
+        }
+    }
+    std::string valid;
+    for (const auto &row : rows) {
+        if (!accepts(row))
+            continue;
+        if (!valid.empty())
+            valid += ", ";
+        valid += row.key;
+    }
+    sim::fatal(family + ": unknown knob \"" + key +
+               "\" (valid knobs: " + valid + ")");
+}
 
 // ------------------------------------------------------- SimParams
 
-/** The SimParams knobs scenario overrides may set. */
-const std::vector<KnobInfo> &simParamsKnobs();
-
-/** Apply one knob; fatal on an unknown key or malformed value. */
+/** Apply one SimParams knob; fatal on an unknown key or malformed
+ * value. */
 void applySimParamsKnob(SimParams &params, const std::string &key,
                         const std::string &value);
 
@@ -62,6 +123,9 @@ void applySimParamsKnob(SimParams &params, const std::string &key,
 
 /** Names of the five paper configurations, Figure 8 legend order. */
 const std::vector<std::string> &paperConfigNames();
+
+/** The five paper configurations, built from paperConfigNames(). */
+std::vector<SystemConfig> paperConfigs();
 
 /**
  * Build the named configuration point. Accepts the "Net/Mem" names
@@ -71,22 +135,13 @@ const std::vector<std::string> &paperConfigNames();
  */
 SystemConfig namedConfig(const std::string &name);
 
-/** The SystemConfig knobs config expressions may set. */
-const std::vector<KnobInfo> &configKnobs();
+/** The SystemConfig knobs a config expression may set, one row each. */
+std::span<const Knob<SystemConfig>> configKnobs();
 
-/** Apply one knob; fatal on an unknown key or malformed value. */
+/** Apply one SystemConfig knob; fatal on an unknown key or malformed
+ * value. */
 void applyConfigKnob(SystemConfig &config, const std::string &key,
                      const std::string &value);
-
-/**
- * Serialise @p config as a resolvable text expression:
- * "Net/Mem knob=value ..." listing exactly the knobs that differ from
- * makeConfig(network, memory) defaults, label last (quoted when it
- * contains spaces). Resolving the expression reproduces every
- * knob-covered field, so tools can ship a programmatically built
- * config (e.g. a design-space point) to a worker as text.
- */
-std::string configKnobExpression(const SystemConfig &config);
 
 } // namespace corona::core
 

@@ -165,8 +165,9 @@ RunMetrics runExperiment(SimContext &ctx, workload::Workload &workload,
 
 /**
  * Run @p workload on a fresh context for @p config, sized by
- * effectiveSimThreads() (an observed run that traces is serial), as
- * the campaign runner's reuse_systems = off cells do.
+ * effectiveSimThreads() (an observed run that traces is serial). The
+ * campaign runner always leases pooled contexts; this is the
+ * fresh-context reference its records are checked against.
  */
 RunMetrics runExperiment(const SystemConfig &config,
                          workload::Workload &workload,

@@ -165,8 +165,13 @@ MemoryController::finish(std::uint32_t slot, sim::Tick data_ready)
 void
 MemoryController::reset()
 {
-    _slots.clear();
+    if (_slots.size() > keptSlots)
+        _slots.clear();
+    // Kept slots are free, stacked so the next cell takes them in the
+    // order a fresh controller would make them.
     _freeSlots.clear();
+    for (auto slot = static_cast<std::uint32_t>(_slots.size()); slot-- > 0;)
+        _freeSlots.push_back(slot);
     _queue.clear();
     _busy = false;
     _dram.reset();

@@ -103,13 +103,18 @@ class MemoryController
     void setTracer(obs::EventTracer *tracer) { _tracer = tracer; }
 
     /** Drop queued and in-flight requests, without responding to
-     * any, with their slots' storage, free the link, reset the DRAM
-     * mats, and zero the statistics. A saturated cell can queue
-     * thousands of requests at one controller; a pooled system does
-     * not keep that peak for its next cell. Requires the event queue
-     * to be reset alongside (pending completion events reference the
-     * slots being dropped). The response handler is kept. */
+     * any, free the link, reset the DRAM mats, and zero the
+     * statistics. The slots' storage stays for the next cell while it
+     * holds at most keptSlots slots, so a pooled cell does not grow it
+     * again; a saturated cell can queue thousands of requests at one
+     * controller, and a pooled system does not keep that peak. Requires
+     * the event queue to be reset alongside (pending completion events
+     * reference the slots being dropped). The response handler is
+     * kept. */
     void reset();
+
+    /** The most slots whose storage reset() keeps. */
+    static constexpr std::size_t keptSlots = 32;
 
   private:
     /** One 64-byte slot. */

@@ -40,6 +40,8 @@ struct MeshParams
     double link_efficiency = 0.8;
     /** Router buffering. */
     RouterParams router;
+
+    bool operator==(const MeshParams &) const = default;
 };
 
 /** HMesh configuration (1.28 TB/s bisection). */

@@ -39,6 +39,8 @@ struct RouterParams
     std::size_t input_buffer_depth = 8;
     /** Depth of each output port's queue, messages. */
     std::size_t link_queue_depth = 4;
+
+    bool operator==(const RouterParams &) const = default;
 };
 
 /** Per-hop timing, the same for every link of one mesh. */

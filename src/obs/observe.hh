@@ -109,16 +109,21 @@ struct RunObservability
     }
 };
 
-/** Campaign-wide observability knobs (the [observability] section). */
+/** Campaign-wide observability settings: a scenario's
+ * [observability] section. Every plane defaults off. */
 struct CampaignObsOptions
 {
+    /** Ticks between time-series samples; 0 = no sampler. */
     sim::Tick sample_period = 0;
+    /** Event-trace ring capacity in events; 0 = no tracer. */
     std::size_t trace_capacity = 0;
+    /** Write an end-of-run registry snapshot CSV per run. */
     bool snapshot = false;
     /** Collect end-of-run registry values into a campaign rollup. */
     bool rollup = false;
-    /** Directory receiving per-run files (created by the caller). */
-    std::string dir;
+    /** Directory receiving per-run files and the rollup (created by
+     * the caller). */
+    std::string dir = "obs";
 
     bool
     enabled() const

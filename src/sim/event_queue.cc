@@ -8,8 +8,7 @@
 namespace corona::sim {
 
 EventQueue::EventQueue()
-    : _ring(ringWindow), _occupied(ringWindow / 64, 0),
-      _summary(ringWindow / (64 * 64), 0)
+    : _ring(ringWindow)
 {
     static_assert((ringWindow & (ringWindow - 1)) == 0,
                   "ring window must be a power of two");

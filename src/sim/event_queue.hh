@@ -41,6 +41,7 @@
 #ifndef CORONA_SIM_EVENT_QUEUE_HH
 #define CORONA_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -59,8 +60,14 @@ namespace corona::sim {
  * The queue owns the notion of "now"; all model components schedule
  * callbacks against it and must never move time themselves. Events
  * scheduled for the same tick fire in FIFO order of scheduling.
+ *
+ * The sharded executor runs one queue per thread, and each writes its
+ * queue's fields and occupancy bitmaps on every event. The queue owns
+ * its cache lines (alignas(64), bitmaps inline) so that no other
+ * queue's or thread's data shares them, wherever the allocator puts
+ * the queues.
  */
-class EventQueue
+class alignas(64) EventQueue
 {
   public:
     using Callback = InlineFunction<void()>;
@@ -287,11 +294,11 @@ class EventQueue
 
     std::vector<Bucket> _ring;
     /** One bit per bucket; set while the bucket has unexecuted events. */
-    std::vector<std::uint64_t> _occupied;
+    std::array<std::uint64_t, ringWindow / 64> _occupied{};
     /** One bit per _occupied word (two-level bitmap): the next
      * non-empty bucket is found by scanning at most a handful of
      * summary words instead of hundreds of leaf words. */
-    std::vector<std::uint64_t> _summary;
+    std::array<std::uint64_t, ringWindow / (64 * 64)> _summary{};
     /** Tick of the cursor bucket: ring events span
      * [_ringBase, _ringBase + ringWindow). */
     Tick _ringBase = 0;

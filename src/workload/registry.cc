@@ -1,7 +1,5 @@
 #include "workload/registry.hh"
 
-#include <cmath>
-
 #include "corona/knobs.hh"
 #include "sim/logging.hh"
 #include "topology/geometry.hh"
@@ -13,52 +11,6 @@ namespace corona::workload {
 
 namespace {
 
-constexpr const char *syntheticKnobsHelp =
-    "clusters, mean_think, write_fraction, threads_per_cluster, "
-    "hot_cluster";
-constexpr const char *splashKnobsHelp = "clusters";
-constexpr const char *sharingKnobsHelp =
-    "clusters, mean_think, write_fraction, threads_per_cluster, lines, "
-    "phase_length";
-
-[[noreturn]] void
-badKnobValue(const std::string &name, const std::string &key,
-             const std::string &value, const char *expected)
-{
-    sim::fatal("workload \"" + name + "\": knob " + key + " expects " +
-               expected + ", got \"" + value + "\"");
-}
-
-std::uint64_t
-knobPositive(const std::string &name, const WorkloadKnob &knob)
-{
-    const auto parsed = core::parsePositiveCount(knob.second);
-    if (!parsed)
-        badKnobValue(name, knob.first, knob.second,
-                     "a strictly positive decimal integer");
-    return *parsed;
-}
-
-std::uint64_t
-knobUnsigned(const std::string &name, const WorkloadKnob &knob)
-{
-    const auto parsed = core::parseUnsigned(knob.second);
-    if (!parsed)
-        badKnobValue(name, knob.first, knob.second,
-                     "an unsigned decimal integer");
-    return *parsed;
-}
-
-double
-knobFraction(const std::string &name, const WorkloadKnob &knob)
-{
-    const auto parsed = core::parseStrictDouble(knob.second);
-    if (!parsed || *parsed < 0.0 || *parsed > 1.0)
-        badKnobValue(name, knob.first, knob.second,
-                     "a fraction in [0, 1]");
-    return *parsed;
-}
-
 /** Everything a registered factory needs, resolved from knobs. */
 struct ResolvedKnobs
 {
@@ -67,83 +19,75 @@ struct ResolvedKnobs
     SharingParams sharing{};
 };
 
+/** The generator kinds a knob row applies to. */
+enum KnobKinds : unsigned
+{
+    Synthetic = 1,
+    Splash = 2,
+    Sharing = 4,
+};
+
+/** One workload knob: the generator kinds that take it, and how its
+ * value sets the resolved parameters. A row that synthetic and
+ * sharing generators share sets both parameter sets; each generator
+ * reads only its own. */
+struct KnobRow
+{
+    const char *key;
+    unsigned kinds;
+    void (*apply)(ResolvedKnobs &resolved, const core::KnobValue &value);
+};
+
+constexpr KnobRow knobRows[] = {
+    {"clusters", Synthetic | Splash | Sharing,
+     [](ResolvedKnobs &r, const core::KnobValue &v) {
+         r.clusters = static_cast<std::size_t>(core::expectClusters(v));
+     }},
+    {"mean_think", Synthetic | Sharing,
+     [](ResolvedKnobs &r, const core::KnobValue &v) {
+         r.synthetic.mean_think = r.sharing.mean_think =
+             core::expectPositive(v);
+     }},
+    {"write_fraction", Synthetic | Sharing,
+     [](ResolvedKnobs &r, const core::KnobValue &v) {
+         r.synthetic.write_fraction = r.sharing.write_fraction =
+             core::expectFraction(v);
+     }},
+    {"threads_per_cluster", Synthetic | Sharing,
+     [](ResolvedKnobs &r, const core::KnobValue &v) {
+         r.synthetic.threads_per_cluster = r.sharing.threads_per_cluster =
+             static_cast<std::size_t>(core::expectPositive(v));
+     }},
+    {"hot_cluster", Synthetic,
+     [](ResolvedKnobs &r, const core::KnobValue &v) {
+         r.synthetic.hot_cluster =
+             static_cast<topology::ClusterId>(core::expectUnsigned(v));
+     }},
+    {"lines", Sharing,
+     [](ResolvedKnobs &r, const core::KnobValue &v) {
+         r.sharing.lines = static_cast<std::size_t>(core::expectPositive(v));
+     }},
+    {"phase_length", Sharing,
+     [](ResolvedKnobs &r, const core::KnobValue &v) {
+         r.sharing.phase_length =
+             static_cast<std::size_t>(core::expectPositive(v));
+     }},
+};
+
 ResolvedKnobs
 resolveKnobs(const RegistryEntry &entry,
              const std::vector<WorkloadKnob> &knobs)
 {
+    const unsigned kind =
+        entry.synthetic ? Synthetic : entry.sharing ? Sharing : Splash;
+    const auto accepts = [kind](const KnobRow &row) {
+        return (row.kinds & kind) != 0;
+    };
+    const std::string family = "workload \"" + entry.name + "\"";
     ResolvedKnobs resolved;
-    for (const WorkloadKnob &knob : knobs) {
-        if (knob.first == "clusters") {
-            const std::uint64_t clusters =
-                knobPositive(entry.name, knob);
-            // topology::Geometry requires a square grid; reject here
-            // so a bad expression dies at resolve time, not on a
-            // worker thread mid-campaign.
-            const auto radix = static_cast<std::uint64_t>(
-                std::lround(std::sqrt(static_cast<double>(clusters))));
-            if (radix * radix != clusters)
-                badKnobValue(entry.name, knob.first, knob.second,
-                             "a perfect-square cluster count");
-            resolved.clusters = static_cast<std::size_t>(clusters);
-            continue;
-        }
-        if (entry.synthetic) {
-            if (knob.first == "mean_think") {
-                resolved.synthetic.mean_think =
-                    knobPositive(entry.name, knob);
-                continue;
-            }
-            if (knob.first == "write_fraction") {
-                resolved.synthetic.write_fraction =
-                    knobFraction(entry.name, knob);
-                continue;
-            }
-            if (knob.first == "threads_per_cluster") {
-                resolved.synthetic.threads_per_cluster =
-                    static_cast<std::size_t>(
-                        knobPositive(entry.name, knob));
-                continue;
-            }
-            if (knob.first == "hot_cluster") {
-                resolved.synthetic.hot_cluster =
-                    static_cast<topology::ClusterId>(
-                        knobUnsigned(entry.name, knob));
-                continue;
-            }
-        }
-        if (entry.sharing) {
-            if (knob.first == "mean_think") {
-                resolved.sharing.mean_think =
-                    knobPositive(entry.name, knob);
-                continue;
-            }
-            if (knob.first == "write_fraction") {
-                resolved.sharing.write_fraction =
-                    knobFraction(entry.name, knob);
-                continue;
-            }
-            if (knob.first == "threads_per_cluster") {
-                resolved.sharing.threads_per_cluster =
-                    static_cast<std::size_t>(
-                        knobPositive(entry.name, knob));
-                continue;
-            }
-            if (knob.first == "lines") {
-                resolved.sharing.lines = static_cast<std::size_t>(
-                    knobPositive(entry.name, knob));
-                continue;
-            }
-            if (knob.first == "phase_length") {
-                resolved.sharing.phase_length =
-                    static_cast<std::size_t>(
-                        knobPositive(entry.name, knob));
-                continue;
-            }
-        }
-        sim::fatal("workload \"" + entry.name +
-                   "\": unknown knob \"" + knob.first +
-                   "\" (valid knobs: " + entry.knobs_help + ")");
-    }
+    for (const auto &[key, value] : knobs)
+        core::applyKnob(knobRows, accepts, family, resolved,
+                        key, value);
     return resolved;
 }
 
@@ -176,18 +120,17 @@ registry()
 {
     static const std::vector<RegistryEntry> entries = [] {
         std::vector<RegistryEntry> all = {
-            {"Uniform", true, syntheticKnobsHelp},
-            {"Hot Spot", true, syntheticKnobsHelp},
-            {"Tornado", true, syntheticKnobsHelp},
-            {"Transpose", true, syntheticKnobsHelp},
+            {"Uniform", true},
+            {"Hot Spot", true},
+            {"Tornado", true},
+            {"Transpose", true},
         };
         for (const SplashParams &params : splashSuite())
-            all.push_back({params.name, false, splashKnobsHelp});
+            all.push_back({params.name, false});
         // Sharing patterns (coherent front end) follow the suite.
-        all.push_back({"Migratory", false, sharingKnobsHelp, true});
-        all.push_back(
-            {"Producer-Consumer", false, sharingKnobsHelp, true});
-        all.push_back({"False Sharing", false, sharingKnobsHelp, true});
+        all.push_back({"Migratory", false, true});
+        all.push_back({"Producer-Consumer", false, true});
+        all.push_back({"False Sharing", false, true});
         return all;
     }();
     return entries;

@@ -6,9 +6,10 @@
  * campaign can drive must be reachable by (name, knob=value...)
  * instead of a C++ factory closure. The registry holds the paper's 15
  * Table-3 generators — the four synthetic patterns and the eleven
- * SPLASH-2 miss-stream models — in Figure 8's x-axis order, each with
- * a documented knob set (cluster-count scaling for off-nominal design
- * points, think-time / write-mix / topology knobs for the synthetic
+ * SPLASH-2 miss-stream models — in Figure 8's x-axis order, each
+ * taking the rows of one knob table that apply to its kind
+ * (cluster-count scaling for off-nominal design points, think-time /
+ * write-mix / topology knobs for the synthetic and sharing
  * patterns). Scenarios and tests alike build a named workload with
  * registryFactory(name). Three sharing-pattern generators (Migratory,
  * Producer-Consumer, False Sharing) follow the suite; they exercise
@@ -37,8 +38,6 @@ struct RegistryEntry
 {
     std::string name;
     bool synthetic = false;
-    /** Comma-separated knob names this generator accepts. */
-    std::string knobs_help;
     /** Sharing-pattern generator (coherent-front-end exerciser). */
     bool sharing = false;
 };

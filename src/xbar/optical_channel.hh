@@ -57,6 +57,8 @@ struct ChannelParams
      * token rings stop at every node to sample it electrically
      * (Section 6) — set one clock here to model that scheme. */
     sim::Tick token_node_pause = 0;
+
+    bool operator==(const ChannelParams &) const = default;
 };
 
 /**

@@ -5,13 +5,12 @@
  * hierarchy must reproduce the miss-stream front end bit for bit, in
  * metrics and in campaign sink/checkpoint bytes, pooled and fresh, at
  * any worker count), pooled-vs-fresh parity with real caches and
- * sharing traffic, broadcast-vs-unicast invalidation transport, and
- * invalidations racing evictions.
+ * sharing traffic, the write-through store path, broadcast-vs-unicast
+ * invalidation transport, and invalidations racing evictions.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,12 +18,15 @@
 
 #include "campaign/checkpoint.hh"
 #include "campaign/runner.hh"
+#include "campaign/scenario.hh"
 #include "campaign/sink.hh"
 #include "campaign/spec.hh"
 #include "cache/hierarchy.hh"
 #include "corona/context.hh"
 #include "corona/frontend.hh"
 #include "corona/simulation.hh"
+#include "fresh_runs.hh"
+#include "test_dir.hh"
 #include "workload/registry.hh"
 
 namespace {
@@ -220,16 +222,14 @@ gridSpec(bool coherent_passthrough)
     return spec;
 }
 
-/** The CSV sink bytes of @p spec. */
+/** The CSV sink bytes of @p spec from the runner. */
 std::string
-runGrid(const campaign::CampaignSpec &spec, bool reuse_systems,
-        std::size_t threads)
+runGrid(const campaign::CampaignSpec &spec, std::size_t threads)
 {
     std::ostringstream csv;
     campaign::CsvSink sink(csv);
     campaign::RunnerOptions options;
     options.threads = threads;
-    options.reuse_systems = reuse_systems;
     campaign::CampaignRunner runner(options);
     runner.addSink(sink);
     runner.run(spec);
@@ -238,47 +238,47 @@ runGrid(const campaign::CampaignSpec &spec, bool reuse_systems,
 
 TEST(FrontEndParity, SinkBytesMatchMissStreamPooledAndFreshAt1And4Workers)
 {
-    const std::string baseline = runGrid(gridSpec(false), false, 1);
+    const std::string baseline = test::freshCsv(gridSpec(false));
     ASSERT_FALSE(baseline.empty());
-    for (const bool pooled : {false, true}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            EXPECT_EQ(baseline, runGrid(gridSpec(true), pooled, threads))
-                << "pooled=" << pooled << " threads=" << threads;
-        }
-    }
+    EXPECT_EQ(baseline, test::freshCsv(gridSpec(true)));
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}})
+        EXPECT_EQ(baseline, runGrid(gridSpec(true), threads))
+            << "threads=" << threads;
 }
 
 std::string
-runGridToCheckpoint(const campaign::CampaignSpec &spec, bool reuse_systems,
-                    const std::string &path)
+slurp(const std::string &path)
 {
-    std::remove(path.c_str());
-    {
-        campaign::CheckpointFile checkpoint(path, spec);
-        campaign::RunnerOptions options;
-        options.threads = 2;
-        options.reuse_systems = reuse_systems;
-        campaign::CampaignRunner runner(options);
-        runner.addSink(checkpoint.sink());
-        runner.run(spec);
-        checkpoint.checkWritten();
-    }
     std::ifstream in(path);
     std::ostringstream bytes;
     bytes << in.rdbuf();
-    std::remove(path.c_str());
     return bytes.str();
 }
 
 TEST(FrontEndParity, CheckpointBytesMatchMissStream)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string miss_stream = runGridToCheckpoint(
-        gridSpec(false), false, dir + "/fe_miss.ckpt");
-    const std::string coherent = runGridToCheckpoint(
-        gridSpec(true), true, dir + "/fe_coherent.ckpt");
-    EXPECT_FALSE(miss_stream.empty());
-    EXPECT_EQ(miss_stream, coherent);
+    const test::TestDir dir;
+    const auto miss_stream = gridSpec(false);
+    {
+        campaign::CheckpointFile checkpoint(dir.file("miss.ckpt"),
+                                            miss_stream);
+        test::writeFreshRecords(miss_stream, checkpoint.sink());
+        checkpoint.checkWritten();
+    }
+    const auto coherent = gridSpec(true);
+    {
+        campaign::CheckpointFile checkpoint(dir.file("coherent.ckpt"),
+                                            coherent);
+        campaign::RunnerOptions options;
+        options.threads = 2;
+        campaign::CampaignRunner runner(options);
+        runner.addSink(checkpoint.sink());
+        runner.run(coherent);
+        checkpoint.checkWritten();
+    }
+    const std::string expected = slurp(dir.file("miss.ckpt"));
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(expected, slurp(dir.file("coherent.ckpt")));
 }
 
 // ---------------------------------------------------------------------
@@ -305,10 +305,60 @@ coherentSpec()
 
 TEST(CoherentFrontEnd, PooledRunsAreByteIdenticalToFreshOnes)
 {
-    const std::string fresh = runGrid(coherentSpec(), false, 1);
+    const std::string fresh = test::freshCsv(coherentSpec());
     ASSERT_FALSE(fresh.empty());
-    EXPECT_EQ(fresh, runGrid(coherentSpec(), true, 1));
-    EXPECT_EQ(fresh, runGrid(coherentSpec(), true, 4));
+    EXPECT_EQ(fresh, runGrid(coherentSpec(), 1));
+    EXPECT_EQ(fresh, runGrid(coherentSpec(), 4));
+}
+
+// ---------------------------------------------------------------------
+// Store policy: a write-through store hit sends its word to memory.
+
+TEST(CoherentFrontEnd, WriteThroughStoreHitsReachMemory)
+{
+    const campaign::CampaignSpec spec = campaign::parseScenario(R"(
+[scenario]
+name = write-policy
+requests = 3000
+seed = 3
+seed_policy = fixed
+
+[workloads]
+workload = Producer-Consumer
+workload = False Sharing lines=32
+
+[configs]
+config = XBar/OCM frontend=coherent write_policy=writeback
+config = XBar/OCM frontend=coherent write_policy=writethrough
+)")
+                                            .resolve();
+    // Workload-major: each workload under writeback, then
+    // writethrough.
+    const std::vector<campaign::RunPlan> plans = campaign::expand(spec);
+    ASSERT_EQ(plans.size(), 4u);
+    std::vector<std::uint64_t> writebacks;
+    for (const campaign::RunPlan &plan : plans) {
+        core::SimContext ctx(plan.system);
+        const auto workload = plan.make_workload();
+        core::runExperiment(ctx, *workload, plan.params);
+        const core::CoherentFrontEnd *fe = ctx.system().frontEnd();
+        ASSERT_NE(fe, nullptr);
+        writebacks.push_back(fe->writebacks());
+
+        // Every request a hub sends to memory, over the network or
+        // locally, is one memory-controller access.
+        std::uint64_t mc_accesses = 0, hub_requests = 0;
+        for (topology::ClusterId c = 0; c < plan.system.clusters; ++c) {
+            mc_accesses += ctx.system().mc(c).accesses();
+            hub_requests += ctx.system().hub(c).networkRequests() +
+                            ctx.system().hub(c).localRequests();
+        }
+        EXPECT_GT(mc_accesses, 0u) << plan.workload << " on " << plan.config;
+        EXPECT_EQ(mc_accesses, hub_requests)
+            << plan.workload << " on " << plan.config;
+    }
+    EXPECT_GT(writebacks[1], writebacks[0]) << plans[0].workload;
+    EXPECT_GT(writebacks[3], writebacks[2]) << plans[2].workload;
 }
 
 // ---------------------------------------------------------------------

@@ -45,6 +45,7 @@
 #include "campaign/scenario.hh"
 #include "campaign/scenario_run.hh"
 #include "campaign/sink.hh"
+#include "test_dir.hh"
 
 namespace {
 
@@ -185,14 +186,12 @@ recordedTable()
 TEST(GoldenGrid, EveryCellMatchesTheRecordedDigest)
 {
     std::vector<std::string> table = digestLines("paper", paperGrid);
-    const std::filesystem::path obs_dir =
-        std::filesystem::path(::testing::TempDir()) / "golden_obs";
-    std::filesystem::remove_all(obs_dir);
+    const test::TestDir obs_dir;
     const std::vector<std::string> coherent =
-        digestLines("coherent", observedCoherentGrid(obs_dir));
+        digestLines("coherent", observedCoherentGrid(obs_dir.path()));
     table.insert(table.end(), coherent.begin(), coherent.end());
-    const std::vector<std::string> obs_lines = obsDigestLines(obs_dir);
-    std::filesystem::remove_all(obs_dir);
+    const std::vector<std::string> obs_lines =
+        obsDigestLines(obs_dir.path());
 
     const std::vector<std::string> one_shard =
         digestLines("xbar256", xbar256Cell, 1);

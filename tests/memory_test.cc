@@ -694,6 +694,38 @@ TEST_F(McFixture, SteadyRequestsDoNotAllocate)
     EXPECT_EQ(mc.queueDepth(), 0u);
 }
 
+TEST_F(McFixture, ResetKeepsSlotStorageUpToTheCap)
+{
+    MemoryController mc(eq_, 7, memory::ecmParams());
+    std::uint64_t next = 0;
+    mc.onResponse([](const Message &) {});
+    // @p requests at once: each holds a slot until its response.
+    const auto burst = [&](std::size_t requests) {
+        for (std::size_t i = 0; i < requests; ++i, ++next) {
+            mc.access(request(MsgKind::ReadReq, 1, next),
+                      static_cast<topology::Addr>(next) * 64);
+        }
+        eq_.run();
+    };
+    // The heap allocations of one pooled cell of @p requests.
+    const auto cell = [&](std::size_t requests) {
+        eq_.reset();
+        mc.reset();
+        const std::size_t before = test::allocations.load();
+        burst(requests);
+        return test::allocations.load() - before;
+    };
+    const std::size_t kept = MemoryController::keptSlots;
+    burst(kept);
+    // A cell that fits the kept slots grows nothing again...
+    EXPECT_EQ(cell(kept), 0u);
+    // ...but a saturated cell's slots are freed by the reset after it,
+    // and the next saturated cell grows them again.
+    cell(4 * kept);
+    EXPECT_GT(cell(4 * kept), 0u);
+    EXPECT_EQ(mc.accesses(), 4 * kept);
+}
+
 TEST_F(McFixture, CompletionMayIssueMoreRequests)
 {
     // Each response issues two more requests until 40 are issued: the

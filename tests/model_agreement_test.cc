@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "campaign/runner.hh"
+#include "corona/knobs.hh"
 #include "workload/registry.hh"
 #include "workload/splash.hh"
 

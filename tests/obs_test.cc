@@ -28,6 +28,7 @@
 #include "corona/config.hh"
 #include "corona/context.hh"
 #include "corona/simulation.hh"
+#include "fresh_runs.hh"
 #include "obs/heartbeat.hh"
 #include "obs/observe.hh"
 #include "obs/registry.hh"
@@ -35,6 +36,7 @@
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "test_dir.hh"
 #include "workload/registry.hh"
 
 // This binary refuses single allocations above 256 MiB. No test here
@@ -409,8 +411,8 @@ TEST(ObsContainer, BarePlaneFilesAreFatal)
     obs::EventTracer tracer(4);
     tracer.record(obs::TraceKind::McIssue, 0, 1, 2);
 
-    const std::string dir = ::testing::TempDir() + "/obs_bare";
-    std::filesystem::create_directories(dir);
+    const test::TestDir scratch;
+    const std::string dir = scratch.path().string();
     const std::string series_file = dir + "/run.timeseries.bin";
     const std::string trace_file = dir + "/run.trace.bin";
     std::string series_bytes, trace_bytes;
@@ -454,8 +456,8 @@ TEST(RunObserver, ObservedRunMetricsMatchAnUnobservedRun)
     auto w1 = workload::registryFactory("Uniform")();
     const auto plain = core::runExperiment(config, *w1, tinyParams());
 
-    const std::string dir = ::testing::TempDir() + "/obs_parity";
-    std::filesystem::create_directories(dir);
+    const test::TestDir scratch;
+    const std::string dir = scratch.path().string();
     obs::RunObservability obs;
     obs.sample_period = 1'000'000;
     obs.trace_capacity = 1024;
@@ -492,8 +494,8 @@ TEST(RunObserver, SnapshotListsCacheAndCoherencePaths)
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
     config.frontend = core::FrontendKind::Coherent;
 
-    const std::string dir = ::testing::TempDir() + "/obs_coherent";
-    std::filesystem::create_directories(dir);
+    const test::TestDir scratch;
+    const std::string dir = scratch.path().string();
     obs::RunObservability obs;
     obs.snapshot = true;
     obs.snapshot_path = dir + "/run.snapshot.csv";
@@ -529,8 +531,8 @@ TEST(RunObserver, CoherentRunEmitsCoherenceTraceSpans)
     config.l1_kib = 1;
     config.l2_kib = 2;
 
-    const std::string dir = ::testing::TempDir() + "/obs_cohtrace";
-    std::filesystem::create_directories(dir);
+    const test::TestDir scratch;
+    const std::string dir = scratch.path().string();
     obs::RunObservability obs;
     obs.trace_capacity = std::size_t{1} << 16;
     obs.obs_path = dir + "/run.obs.bin";
@@ -618,7 +620,8 @@ slurp(const std::string &path)
 
 TEST(ObservabilityDeterminism, SinkBytesMatchWithObservabilityOnVsOff)
 {
-    const std::string dir = ::testing::TempDir() + "/obs_onoff";
+    const test::TestDir scratch;
+    const std::string dir = scratch.file("obs");
     const std::string off = runGridCsv(2, "");
     const std::string on = runGridCsv(2, dir);
     EXPECT_EQ(off, on);
@@ -626,8 +629,9 @@ TEST(ObservabilityDeterminism, SinkBytesMatchWithObservabilityOnVsOff)
 
 TEST(ObservabilityDeterminism, ObsFilesAreByteIdenticalAt1And4Workers)
 {
-    const std::string dir1 = ::testing::TempDir() + "/obs_w1";
-    const std::string dir4 = ::testing::TempDir() + "/obs_w4";
+    const test::TestDir scratch;
+    const std::string dir1 = scratch.file("w1");
+    const std::string dir4 = scratch.file("w4");
     runGridCsv(1, dir1);
     runGridCsv(4, dir4);
 
@@ -647,7 +651,8 @@ TEST(ObservabilityDeterminism, ObsFilesAreByteIdenticalAt1And4Workers)
 
 TEST(ObservabilityDeterminism, ContainerHoldsBothPlanes)
 {
-    const std::string dir = ::testing::TempDir() + "/obs_container";
+    const test::TestDir scratch;
+    const std::string dir = scratch.file("obs");
     runGridCsv(1, dir);
 
     // The per-run container must yield the same planes as explicit
@@ -689,28 +694,17 @@ TEST(JsonObject, EscapesAndOrdersFields)
 TEST(WorkloadCache, LeasedWorkloadsResetToPristineSequences)
 {
     campaign::CampaignSpec spec = gridSpec();
-    // Two identical-seed cells: with workload pooling the second lease
-    // reuses the reset instance, and results must match a fresh one.
-    std::ostringstream pooled_csv, fresh_csv;
-    {
-        campaign::CsvSink sink(pooled_csv);
-        campaign::RunnerOptions options;
-        options.threads = 1;
-        options.reuse_systems = true;
-        campaign::CampaignRunner runner(options);
-        runner.addSink(sink);
-        runner.run(spec);
-    }
-    {
-        campaign::CsvSink sink(fresh_csv);
-        campaign::RunnerOptions options;
-        options.threads = 1;
-        options.reuse_systems = false;
-        campaign::CampaignRunner runner(options);
-        runner.addSink(sink);
-        runner.run(spec);
-    }
-    EXPECT_EQ(pooled_csv.str(), fresh_csv.str());
+    // Four cells of one workload on one worker: every lease after the
+    // first reuses the reset instance, and results must match fresh
+    // ones.
+    std::ostringstream pooled_csv;
+    campaign::CsvSink sink(pooled_csv);
+    campaign::RunnerOptions options;
+    options.threads = 1;
+    campaign::CampaignRunner runner(options);
+    runner.addSink(sink);
+    runner.run(spec);
+    EXPECT_EQ(pooled_csv.str(), test::freshCsv(spec));
 }
 
 TEST(WorkloadCache, CountsReuses)

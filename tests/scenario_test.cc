@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -181,7 +183,7 @@ const char *const kFullScenario =
     "checkpoint = /tmp/full.ckpt\n"
     "csv = /tmp/full.csv\n"
     "progress = off\n"
-    "reuse_systems = off\n";
+    "summary = /tmp/full.summary.csv\n";
 
 TEST(Scenario, ParseSerializeParseIsByteStable)
 {
@@ -200,17 +202,75 @@ TEST(Scenario, ParseSerializeParseIsByteStable)
     EXPECT_EQ(reparsed.execution.checkpoint, "/tmp/full.ckpt");
     EXPECT_EQ(reparsed.execution.csv, "/tmp/full.csv");
     EXPECT_FALSE(reparsed.execution.progress);
-    EXPECT_FALSE(reparsed.execution.reuse_systems);
+    EXPECT_EQ(reparsed.execution.summary, "/tmp/full.summary.csv");
 }
 
-TEST(Scenario, ReuseSystemsDefaultsOnAndIsOmittedFromSerialisation)
+/** A value other than the default for every key of one section, and
+ * the section's name. */
+struct SectionValues
 {
-    campaign::ScenarioSpec spec;
-    spec.workloads = {"Uniform"};
-    spec.configs = {"XBar/OCM"};
-    EXPECT_TRUE(spec.execution.reuse_systems);
-    EXPECT_EQ(campaign::serializeScenario(spec).find("reuse_systems"),
-              std::string::npos);
+    const char *section;
+    std::map<std::string, std::string> values;
+};
+
+/** Every row of @p keys, set alone to its value in @p changed, must
+ * print as "key = value" and survive parse -> serialize -> parse byte
+ * for byte. */
+template <typename Target>
+void
+expectEveryKeyRoundTrips(std::span<const campaign::ScenarioKey<Target>> keys,
+                         const SectionValues &changed)
+{
+    EXPECT_EQ(changed.values.size(), keys.size()) << changed.section;
+    for (const campaign::ScenarioKey<Target> &key : keys) {
+        const auto value = changed.values.find(key.key);
+        ASSERT_NE(value, changed.values.end())
+            << "no non-default value for [" << changed.section << "] "
+            << key.key;
+        const std::string line = std::string(key.key) + " = " + value->second;
+        const bool header = std::string(changed.section) == "scenario";
+        std::string text = "[scenario]\n" + (header ? line + "\n" : "") +
+                           "[workloads]\nworkload = Uniform\n"
+                           "[configs]\nconfig = XBar/OCM\n";
+        if (!header)
+            text += "[" + std::string(changed.section) + "]\n" + line + "\n";
+        const std::string bytes =
+            campaign::serializeScenario(campaign::parseScenario(text));
+        EXPECT_NE(bytes.find("\n" + line + "\n"), std::string::npos)
+            << line << " printed as:\n" << bytes;
+        EXPECT_EQ(campaign::serializeScenario(campaign::parseScenario(bytes)),
+                  bytes)
+            << line;
+    }
+}
+
+TEST(Scenario, EverySectionKeyRoundTripsItsNonDefaultValue)
+{
+    expectEveryKeyRoundTrips(
+        campaign::scenarioKeys(),
+        {"scenario",
+         {{"name", "renamed"},
+          {"requests", "2500"},
+          {"warmup_requests", "300"},
+          {"seed", "7"},
+          {"campaign_seed", "9"},
+          {"seed_policy", "fixed"},
+          {"seeds", "0,4,2"}}});
+    expectEveryKeyRoundTrips(campaign::executionKeys(),
+                             {"execution",
+                              {{"threads", "3"},
+                               {"sim_threads", "2"},
+                               {"checkpoint", "run.ckpt"},
+                               {"csv", "run.csv"},
+                               {"summary", "summary.csv"},
+                               {"progress", "off"}}});
+    expectEveryKeyRoundTrips(campaign::observabilityKeys(),
+                             {"observability",
+                              {{"sample_period", "250000"},
+                               {"trace_capacity", "4096"},
+                               {"snapshot", "on"},
+                               {"rollup", "on"},
+                               {"dir", "out/obs"}}});
 }
 
 TEST(Scenario, SerializationOmitsDefaults)
@@ -286,10 +346,6 @@ TEST(Scenario, RejectsUnknownSectionsKeysAndBadValues)
     EXPECT_THROW(campaign::parseScenario(
                      withLine("progress =", "progress = maybe")),
                  sim::FatalError);
-    EXPECT_THROW(
-        campaign::parseScenario(withLine("reuse_systems =",
-                                         "reuse_systems = maybe")),
-        sim::FatalError);
     // Not a key: a campaign runs its whole grid in one process.
     EXPECT_THROW(campaign::parseScenario(
                      withLine("threads =", "shard = 1/2")),
@@ -483,25 +539,6 @@ TEST(Scenario, ResolveLabelsKnobbedVariantsDistinctly)
     EXPECT_EQ(spec.configs[2].name(), "fat");
     // And the grid passes expand()'s duplicate-label check.
     EXPECT_NO_THROW(campaign::expand(spec));
-}
-
-TEST(Scenario, ConfigKnobExpressionRoundTrips)
-{
-    auto config =
-        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
-    core::applyConfigKnob(config, "clusters", "256");
-    core::applyConfigKnob(config, "memory_bandwidth_scale", "2");
-    core::applyConfigKnob(config, "label", "big point");
-    const std::string expression = core::configKnobExpression(config);
-    const auto parsed =
-        campaign::parseAxisExpression(expression, "config");
-    auto rebuilt = core::namedConfig(parsed.name);
-    for (const auto &[key, value] : parsed.knobs)
-        core::applyConfigKnob(rebuilt, key, value);
-    EXPECT_EQ(rebuilt.name(), config.name());
-    EXPECT_EQ(rebuilt.clusters, config.clusters);
-    EXPECT_EQ(rebuilt.memory_bandwidth_scale,
-              config.memory_bandwidth_scale);
 }
 
 // --------------------------------- duplicate-axis-label rejection

@@ -1,16 +1,18 @@
 /**
  * @file
  * Tests for reusable simulation contexts: SimContext reset parity with
- * fresh construction, SystemPool lease semantics, and the campaign
- * runner's byte-parity contract — a pooled multi-cell grid must
- * produce the same CSV sink bytes and checkpoint fingerprint
- * rows as a pool-less one, at any worker count.
+ * fresh construction, SystemPool lease semantics (a context per
+ * distinct configuration, compared field by field), and the campaign
+ * runner's byte-parity contract — the runner's pooled multi-cell grid
+ * must produce the same CSV sink bytes and checkpoint fingerprint rows
+ * as every cell run on a fresh context, at any worker count.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,8 +22,11 @@
 #include "campaign/sink.hh"
 #include "campaign/spec.hh"
 #include "corona/context.hh"
+#include "corona/knobs.hh"
 #include "corona/simulation.hh"
+#include "fresh_runs.hh"
 #include "sim/logging.hh"
+#include "test_dir.hh"
 #include "workload/registry.hh"
 
 namespace {
@@ -186,9 +191,9 @@ TEST(SystemPool, KnobbedVariantsOfOneKindDoNotAlias)
 
 TEST(SystemPool, MeshParameterTweaksDoNotAlias)
 {
-    // Mesh parameters are not scenario knobs, so the pool key covers
-    // them explicitly: a programmatically tweaked MeshParams must get
-    // its own context.
+    // Mesh parameters are not scenario knobs, but they are config
+    // fields: a programmatically tweaked MeshParams gets its own
+    // context.
     core::SystemPool pool;
     auto base = core::makeConfig(core::NetworkKind::HMesh,
                                  core::MemoryKind::ECM);
@@ -198,6 +203,78 @@ TEST(SystemPool, MeshParameterTweaksDoNotAlias)
     core::SimContext &b = pool.lease(tweaked);
     EXPECT_NE(&a, &b);
     EXPECT_EQ(pool.size(), 2u);
+}
+
+TEST(SystemPool, ConfigsDifferingInTheSeventhDecimalDoNotAlias)
+{
+    // A six-decimal rendering of the config reads 0.800000 for both.
+    core::SystemPool pool;
+    const auto base = core::makeConfig(core::NetworkKind::HMesh,
+                                       core::MemoryKind::ECM);
+    ASSERT_EQ(base.mesh.link_efficiency, 0.8);
+    auto nudged = base;
+    nudged.mesh.link_efficiency = 0.8000001;
+    core::SimContext &a = pool.lease(base);
+    core::SimContext &b = pool.lease(nudged);
+    EXPECT_NE(&a, &b);
+    EXPECT_EQ(pool.size(), 2u);
+    EXPECT_EQ(a.config().mesh.link_efficiency, 0.8);
+    EXPECT_EQ(b.config().mesh.link_efficiency, 0.8000001);
+}
+
+TEST(SystemPool, EveryConfigKnobRowChangesTheConfig)
+{
+    // A value other than XBar/OCM's default for every config knob.
+    const std::map<std::string, std::string> changed = {
+        {"clusters", "16"},
+        {"threads_per_cluster", "8"},
+        {"mshrs_per_cluster", "64"},
+        {"thread_window", "6"},
+        {"local_hop", "400"},
+        {"memory_bandwidth_scale", "2"},
+        {"bytes_per_clock", "32"},
+        {"sink_buffer_depth", "8"},
+        {"loop_clocks", "4"},
+        {"max_batch", "4"},
+        {"token_node_pause", "200"},
+        {"frontend", "coherent"},
+        {"l1_kib", "16"},
+        {"l1_assoc", "2"},
+        {"l2_kib", "128"},
+        {"l2_assoc", "8"},
+        {"cache_line", "128"},
+        {"write_policy", "writethrough"},
+        {"inval_policy", "unicast"},
+        {"broadcast_threshold", "3"},
+        {"label", "variant"},
+    };
+    const std::span<const core::Knob<core::SystemConfig>> rows =
+        core::configKnobs();
+    EXPECT_EQ(changed.size(), rows.size());
+    const auto base =
+        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
+    // @p config with row @p r set to its changed value.
+    const auto knobbed = [&](core::SystemConfig config, std::size_t r) {
+        const auto value = changed.find(rows[r].key);
+        if (value == changed.end())
+            ADD_FAILURE() << "no non-default value for knob " << rows[r].key;
+        else
+            core::applyConfigKnob(config, rows[r].key, value->second);
+        return config;
+    };
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const core::SystemConfig one = knobbed(base, i);
+        EXPECT_NE(one, base) << rows[i].key;
+        for (std::size_t j = 0; j < rows.size(); ++j) {
+            if (j == i)
+                continue;
+            EXPECT_NE(one, knobbed(base, j))
+                << rows[i].key << " and " << rows[j].key;
+            // Row j leaves row i's field alone.
+            EXPECT_NE(knobbed(one, j), knobbed(base, j))
+                << rows[i].key << " and " << rows[j].key;
+        }
+    }
 }
 
 TEST(SystemPool, EvictsLeastRecentlyUsedPastTheCap)
@@ -250,59 +327,58 @@ gridSpec()
     return spec;
 }
 
-/** The grid's CSV sink bytes. */
+/** The grid's CSV sink bytes from the runner. */
 std::string
-runGrid(bool reuse_systems, std::size_t threads)
+runGrid(std::size_t threads)
 {
     std::ostringstream csv;
     campaign::CsvSink sink(csv);
     campaign::RunnerOptions options;
     options.threads = threads;
-    options.reuse_systems = reuse_systems;
     campaign::CampaignRunner runner(options);
     runner.addSink(sink);
     runner.run(gridSpec());
     return csv.str();
 }
 
-TEST(SystemPoolParity, SinkBytesMatchPoolingOnAndOffAcrossThreadCounts)
+TEST(SystemPoolParity, PooledSinkBytesMatchFreshContextsAcrossThreadCounts)
 {
-    const std::string fresh_serial = runGrid(false, 1);
-    EXPECT_EQ(fresh_serial, runGrid(true, 1));
-    EXPECT_EQ(fresh_serial, runGrid(true, 4));
+    const std::string fresh = test::freshCsv(gridSpec());
+    ASSERT_FALSE(fresh.empty());
+    EXPECT_EQ(fresh, runGrid(1));
+    EXPECT_EQ(fresh, runGrid(4));
 }
 
 std::string
-runGridToCheckpoint(bool reuse_systems, const std::string &path)
+slurp(const std::string &path)
 {
-    const auto spec = gridSpec();
-    std::remove(path.c_str());
-    {
-        campaign::CheckpointFile checkpoint(path, spec);
-        campaign::RunnerOptions options;
-        options.threads = 2;
-        options.reuse_systems = reuse_systems;
-        campaign::CampaignRunner runner(options);
-        runner.addSink(checkpoint.sink());
-        runner.run(spec);
-        checkpoint.checkWritten();
-    }
     std::ifstream in(path);
     std::ostringstream bytes;
     bytes << in.rdbuf();
-    std::remove(path.c_str());
     return bytes.str();
 }
 
 TEST(SystemPoolParity, CheckpointFingerprintsAndRowsMatch)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string fresh =
-        runGridToCheckpoint(false, dir + "/pool_off.ckpt");
-    const std::string pooled =
-        runGridToCheckpoint(true, dir + "/pool_on.ckpt");
+    const test::TestDir dir;
+    const auto spec = gridSpec();
+    {
+        campaign::CheckpointFile checkpoint(dir.file("fresh.ckpt"), spec);
+        test::writeFreshRecords(spec, checkpoint.sink());
+        checkpoint.checkWritten();
+    }
+    {
+        campaign::CheckpointFile checkpoint(dir.file("pooled.ckpt"), spec);
+        campaign::RunnerOptions options;
+        options.threads = 2;
+        campaign::CampaignRunner runner(options);
+        runner.addSink(checkpoint.sink());
+        runner.run(spec);
+        checkpoint.checkWritten();
+    }
+    const std::string fresh = slurp(dir.file("fresh.ckpt"));
     EXPECT_FALSE(fresh.empty());
-    EXPECT_EQ(fresh, pooled);
+    EXPECT_EQ(fresh, slurp(dir.file("pooled.ckpt")));
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include "corona/config.hh"
 #include "corona/hub.hh"
+#include "corona/knobs.hh"
 #include "corona/system.hh"
 #include "sim/logging.hh"
 
