@@ -361,6 +361,91 @@ listSection(const ScenarioSection &section, const char *key)
     return values;
 }
 
+/** listSection() of a section that must hold an entry. */
+std::vector<std::string>
+requiredList(const ScenarioSection &section, const char *key)
+{
+    std::vector<std::string> values = listSection(section, key);
+    if (values.empty())
+        badScenario("[" + section.name + "] has no \"" + key +
+                    " = ...\" entries");
+    return values;
+}
+
+/** Append the [@p name] section holding one @p key entry per value. */
+void
+formatList(ScenarioDoc &doc, const char *name, const char *key,
+           const std::vector<std::string> &values)
+{
+    ScenarioSection section{name, {}, 0};
+    for (const std::string &value : values)
+        section.entries.push_back({key, value, 0});
+    doc.sections.push_back(std::move(section));
+}
+
+/** One section of a scenario file. */
+struct SectionRow
+{
+    const char *name;
+    /** A file without the section is refused. */
+    bool required;
+    /** Parse the section's entries into @p spec; fatal on a bad one. */
+    void (*parse)(ScenarioSpec &spec, const ScenarioSection &section);
+    /** Append the section to @p doc, unless the canonical form leaves
+     * it out. */
+    void (*format)(ScenarioDoc &doc, const char *name,
+                   const ScenarioSpec &spec);
+};
+
+/** The sections in canonical order, which is also the order they are
+ * parsed and checked in. */
+constexpr SectionRow sectionRows[] = {
+    {"scenario", true,
+     [](ScenarioSpec &s, const ScenarioSection &section) {
+         parseKeys(section, scenarioKeys(), s);
+     },
+     [](ScenarioDoc &doc, const char *name, const ScenarioSpec &s) {
+         // Never empty: name, requests and seed_policy always print.
+         formatKeys(doc, name, scenarioKeys(), s);
+     }},
+    {"workloads", true,
+     [](ScenarioSpec &s, const ScenarioSection &section) {
+         s.workloads = requiredList(section, "workload");
+     },
+     [](ScenarioDoc &doc, const char *name, const ScenarioSpec &s) {
+         formatList(doc, name, "workload", s.workloads);
+     }},
+    {"configs", true,
+     [](ScenarioSpec &s, const ScenarioSection &section) {
+         s.configs = requiredList(section, "config");
+     },
+     [](ScenarioDoc &doc, const char *name, const ScenarioSpec &s) {
+         formatList(doc, name, "config", s.configs);
+     }},
+    {"overrides", false,
+     [](ScenarioSpec &s, const ScenarioSection &section) {
+         s.overrides = listSection(section, "override");
+     },
+     [](ScenarioDoc &doc, const char *name, const ScenarioSpec &s) {
+         if (!s.overrides.empty())
+             formatList(doc, name, "override", s.overrides);
+     }},
+    {"execution", false,
+     [](ScenarioSpec &s, const ScenarioSection &section) {
+         parseKeys(section, executionKeys(), s.execution);
+     },
+     [](ScenarioDoc &doc, const char *name, const ScenarioSpec &s) {
+         formatKeys(doc, name, executionKeys(), s.execution);
+     }},
+    {"observability", false,
+     [](ScenarioSpec &s, const ScenarioSection &section) {
+         parseKeys(section, observabilityKeys(), s.observability);
+     },
+     [](ScenarioDoc &doc, const char *name, const ScenarioSpec &s) {
+         formatKeys(doc, name, observabilityKeys(), s.observability);
+     }},
+};
+
 } // namespace
 
 std::span<const ScenarioKey<ScenarioSpec>>
@@ -536,48 +621,26 @@ parseScenario(std::string_view text)
     ScenarioSpec spec;
 
     for (const ScenarioSection &section : doc.sections) {
-        if (section.name != "scenario" &&
-            section.name != "workloads" &&
-            section.name != "configs" &&
-            section.name != "overrides" &&
-            section.name != "execution" &&
-            section.name != "observability")
-            badScenario(
-                "line " + std::to_string(section.line) +
-                ": unknown section [" + section.name +
-                "] (known: scenario, workloads, configs, overrides, "
-                "execution, observability)");
+        bool known = false;
+        std::string names;
+        for (const SectionRow &row : sectionRows) {
+            known = known || section.name == row.name;
+            names += std::string(names.empty() ? "" : ", ") + row.name;
+        }
+        if (!known)
+            badScenario("line " + std::to_string(section.line) +
+                        ": unknown section [" + section.name +
+                        "] (known: " + names + ")");
     }
 
-    const ScenarioSection *header = doc.find("scenario");
-    if (!header)
-        badScenario("missing [scenario] section");
-    parseKeys(*header, scenarioKeys(), spec);
-
-    const ScenarioSection *workloads = doc.find("workloads");
-    if (!workloads)
-        badScenario("missing [workloads] section");
-    spec.workloads = listSection(*workloads, "workload");
-    if (spec.workloads.empty())
-        badScenario("[workloads] has no \"workload = ...\" entries");
-
-    const ScenarioSection *configs = doc.find("configs");
-    if (!configs)
-        badScenario("missing [configs] section");
-    spec.configs = listSection(*configs, "config");
-    if (spec.configs.empty())
-        badScenario("[configs] has no \"config = ...\" entries");
-
-    if (const ScenarioSection *overrides = doc.find("overrides"))
-        spec.overrides = listSection(*overrides, "override");
-
-    if (const ScenarioSection *execution = doc.find("execution"))
-        parseKeys(*execution, executionKeys(), spec.execution);
-
-    if (const ScenarioSection *observability =
-            doc.find("observability"))
-        parseKeys(*observability, observabilityKeys(),
-                  spec.observability);
+    for (const SectionRow &row : sectionRows) {
+        const ScenarioSection *section = doc.find(row.name);
+        if (section)
+            row.parse(spec, *section);
+        else if (row.required)
+            badScenario(std::string("missing [") + row.name +
+                        "] section");
+    }
 
     // Surface resolution errors (unknown workload/config/knob) at
     // parse time: a scenario that parses is a scenario that runs.
@@ -600,24 +663,8 @@ std::string
 serializeScenario(const ScenarioSpec &spec)
 {
     ScenarioDoc doc;
-    // Never empty: name, requests and seed_policy always print.
-    formatKeys(doc, "scenario", scenarioKeys(), spec);
-
-    const auto list = [&doc](const char *name, const char *key,
-                             const std::vector<std::string> &values) {
-        ScenarioSection section{name, {}, 0};
-        for (const std::string &value : values)
-            section.entries.push_back({key, value, 0});
-        doc.sections.push_back(std::move(section));
-    };
-    list("workloads", "workload", spec.workloads);
-    list("configs", "config", spec.configs);
-    if (!spec.overrides.empty())
-        list("overrides", "override", spec.overrides);
-
-    formatKeys(doc, "execution", executionKeys(), spec.execution);
-    formatKeys(doc, "observability", observabilityKeys(),
-               spec.observability);
+    for (const SectionRow &row : sectionRows)
+        row.format(doc, row.name, spec);
     return serializeScenarioDoc(doc);
 }
 

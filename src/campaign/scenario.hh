@@ -47,7 +47,9 @@
  * of its section's table (scenarioKeys(), executionKeys(),
  * observabilityKeys()): the row parses the value and prints it back
  * unless it holds its default, so the allowed keys, the parse and the
- * canonical serialisation all come from that one row.
+ * canonical serialisation all come from that one row. The sections
+ * are rows of one table too, so the known sections, their parse order
+ * and their canonical order come from it.
  *
  * Axis expressions are whitespace-separated: leading tokens (which
  * may contain spaces, e.g. "Hot Spot") name the registry entry or

@@ -243,7 +243,6 @@ CoherentFrontEnd::emitProtocol(coherence::CoherenceMsg msg,
                 : static_cast<topology::ClusterId>(to);
         if (_bus) {
             noc::Message m;
-            m.id = _nextId++;
             m.src = static_cast<topology::ClusterId>(from);
             m.dst = spared; // The requester the snoop spares.
             m.kind = noc::MsgKind::Invalidate;
@@ -284,7 +283,6 @@ CoherentFrontEnd::sendSideband(coherence::CoherenceMsg msg,
                                topology::Addr line)
 {
     noc::Message m;
-    m.id = _nextId++;
     m.src = src;
     m.dst = dst;
     m.kind = noc::MsgKind::Invalidate;
@@ -369,7 +367,6 @@ CoherentFrontEnd::reset()
     _coherence.reset();
     if (_bus)
         _bus->reset();
-    _nextId = 1;
     _sidebandMessages = 0;
     _broadcasts = 0;
     _invalHits = 0;

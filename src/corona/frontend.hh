@@ -149,7 +149,6 @@ class CoherentFrontEnd
     std::unique_ptr<xbar::BroadcastBus> _bus; ///< XBar systems only.
 
     obs::EventTracer *_tracer = nullptr; ///< Not owned; may be null.
-    noc::MsgId _nextId = 1;
     std::uint64_t _sidebandMessages = 0;
     std::uint64_t _broadcasts = 0;
     std::uint64_t _invalHits = 0;

@@ -43,7 +43,6 @@ Hub::issueMiss(topology::Addr line, topology::ClusterId home, bool write,
     }
 
     noc::Message request;
-    request.id = _nextId++;
     request.src = _cluster;
     request.dst = home;
     request.kind = write ? noc::MsgKind::WriteReq : noc::MsgKind::ReadReq;
@@ -66,7 +65,6 @@ void
 Hub::issueWriteback(topology::Addr line, topology::ClusterId home)
 {
     noc::Message request;
-    request.id = _nextId++;
     request.src = _cluster;
     request.dst = home;
     request.kind = noc::MsgKind::WriteReq;

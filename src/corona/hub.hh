@@ -119,8 +119,7 @@ class Hub
 
     /** Drop every outstanding miss, stalled retry, and statistic, and
      * unbind the client, restoring the pristine post-construction
-     * state (message ids restart at 1). Requires the event queue to be
-     * reset alongside. */
+     * state. Requires the event queue to be reset alongside. */
     void
     reset()
     {
@@ -129,7 +128,6 @@ class Hub
         _client = nullptr;
         _networkRequests = 0;
         _localRequests = 0;
-        _nextId = 1;
     }
 
   private:
@@ -164,7 +162,6 @@ class Hub
 
     std::uint64_t _networkRequests = 0;
     std::uint64_t _localRequests = 0;
-    noc::MsgId _nextId = 1;
 };
 
 } // namespace corona::core

@@ -151,7 +151,6 @@ MemoryController::finish(std::uint32_t slot, sim::Tick data_ready)
                         static_cast<std::uint32_t>(request.src));
 
     noc::Message response;
-    response.id = request.id;
     response.src = _cluster;
     response.dst = request.src;
     response.kind = request.kind == noc::MsgKind::ReadReq

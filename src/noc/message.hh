@@ -21,9 +21,6 @@
 
 namespace corona::noc {
 
-/** Unique, monotonically assigned message identifier. */
-using MsgId = std::uint64_t;
-
 /** Message kinds moved by the on-stack interconnect. */
 enum class MsgKind : std::uint8_t
 {
@@ -69,7 +66,6 @@ wireBytes(MsgKind kind)
  */
 struct Message
 {
-    MsgId id = 0;
     topology::ClusterId src = 0;
     topology::ClusterId dst = 0;
     MsgKind kind = MsgKind::ReadReq;

@@ -14,6 +14,9 @@ EventQueue::EventQueue()
                   "ring window must be a power of two");
     static_assert(ringWindow % (64 * 64) == 0,
                   "two-level occupancy bitmap needs whole words");
+    static_assert((wheelSlots & (wheelSlots - 1)) == 0 &&
+                      wheelSlots % 64 == 0,
+                  "wheel slots must be a power of two, in whole words");
 }
 
 void
@@ -48,6 +51,7 @@ EventQueue::growPool()
     if (_next.size() == _chunks.size() * chunkNodes)
         _chunks.push_back(std::make_unique<Node[]>(chunkNodes));
     _next.push_back(noNode);
+    _when.push_back(0);
     return node;
 }
 
@@ -63,6 +67,41 @@ EventQueue::append(std::size_t bucket, NodeId node)
     list.tail = node;
     markOccupied(bucket);
     ++_ringCount;
+}
+
+void
+EventQueue::appendToSlot(Tick when, NodeId node)
+{
+    const std::size_t index = slotOf(when);
+    Slot &slot = _wheel[index];
+    _when[node] = when;
+    _next[node] = noNode;
+    if (slot.head == noNode) {
+        slot.head = node;
+        _wheelOccupied[index / 64] |= std::uint64_t{1} << (index % 64);
+    } else {
+        _next[slot.tail] = node;
+    }
+    slot.tail = node;
+    slot.first = std::min(slot.first, when);
+    ++_wheelCount;
+}
+
+void
+EventQueue::cascade(std::size_t index)
+{
+    const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+    if ((_wheelOccupied[index / 64] & bit) == 0)
+        return;
+    _wheelOccupied[index / 64] &= ~bit;
+    Slot &slot = _wheel[index];
+    for (NodeId node = slot.head; node != noNode;) {
+        const NodeId next = _next[node];
+        append(bucketOf(_when[node]), node);
+        --_wheelCount;
+        node = next;
+    }
+    slot = Slot{};
 }
 
 EventQueue::NodeId
@@ -106,8 +145,10 @@ EventQueue::schedule(Tick when, Callback &&cb)
 void
 EventQueue::enqueue(Tick when, NodeId node)
 {
-    if (when - _ringBase < ringWindow) {
+    if (when < _ringLimit) {
         append(bucketOf(when), node);
+    } else if (when - _ringLimit < wheelReach) {
+        appendToSlot(when, node);
     } else {
         _heap.push_back(HeapEntry{when, _nextSeq, node});
         std::push_heap(_heap.begin(), _heap.end(), later);
@@ -119,8 +160,6 @@ EventQueue::enqueue(Tick when, NodeId node)
 std::size_t
 EventQueue::nextRingOffset() const
 {
-    if (_ringCount == 0)
-        return ringWindow;
     // Scan from the cursor: leaf word first, then the summary bitmap
     // locates the next non-empty leaf word directly. Every occupied
     // bucket's tick is >= _ringBase, so a set bit "behind" the cursor
@@ -155,8 +194,6 @@ EventQueue::nextRingOffset() const
             }
         }
     }
-    if (next_word == words)
-        return ringWindow; // Unreachable while _ringCount > 0.
     const std::uint64_t bits = _occupied[next_word % words];
     const std::size_t bucket =
         (next_word % words) * 64 +
@@ -165,57 +202,69 @@ EventQueue::nextRingOffset() const
     return (bucket + ringWindow - cursor) & (ringWindow - 1);
 }
 
+std::size_t
+EventQueue::nextWheelSlot() const
+{
+    // From the ring line's slot on, the slots hold increasing ticks,
+    // wrapping around the wheel; the last pass re-reads the start
+    // word for the slots below the line's.
+    const std::size_t start = slotOf(_ringLimit);
+    const std::size_t words = _wheelOccupied.size();
+    std::uint64_t bits =
+        _wheelOccupied[start / 64] & (~std::uint64_t{0} << (start % 64));
+    std::size_t word = start / 64;
+    for (std::size_t i = 1; bits == 0 && i <= words; ++i) {
+        word = (start / 64 + i) % words;
+        bits = _wheelOccupied[word];
+    }
+    return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
 Tick
 EventQueue::nextEventTick() const
 {
-    const std::size_t offset = nextRingOffset();
-    const Tick ring_tick =
-        offset < ringWindow ? _ringBase + offset : maxTick;
-    const Tick heap_tick = _heap.empty() ? maxTick : _heap.front().when;
-    return std::min(ring_tick, heap_tick);
-}
-
-void
-EventQueue::promoteHeapTop()
-{
-    std::pop_heap(_heap.begin(), _heap.end(), later);
-    const HeapEntry entry = _heap.back();
-    _heap.pop_back();
-    append(bucketOf(entry.when), entry.node);
+    // Ring ticks lie below the ring line, wheel ticks below its reach,
+    // and heap ticks beyond: the first non-empty level holds the
+    // minimum.
+    if (_ringCount != 0)
+        return _ringBase + nextRingOffset();
+    if (_wheelCount != 0)
+        return _wheel[nextWheelSlot()].first;
+    return _heap.empty() ? maxTick : _heap.front().when;
 }
 
 void
 EventQueue::advanceTo(Tick tick)
 {
-    // Sliding the base admits the ticks [oldBase + W, tick + W) into
-    // the window; heap events on those ticks must enter their buckets
-    // now, before any direct schedule() for the same tick can append
-    // behind them — that is what keeps global same-tick FIFO exact.
-    // Every heap event's tick was outside the window when it was
-    // scheduled, so none can land in a bucket the cursor has already
-    // passed.
     _ringBase = tick;
-    while (!_heap.empty() && _heap.front().when - _ringBase < ringWindow)
-        promoteHeapTop();
-}
-
-bool
-EventQueue::step(Tick limit)
-{
-    if (_pending == 0)
-        return false;
-    const Tick next = nextEventTick();
-    if (next > limit)
-        return false;
-    if (next != _ringBase)
-        advanceTo(next);
-
-    const NodeId node = popFront(bucketOf(next));
-    --_pending;
-    _now = next;
-    ++_executed;
-    invoke(node);
-    return true;
+    const Tick line = (tick / wheelSlotTicks + 2) * wheelSlotTicks;
+    if (line == _ringLimit)
+        return;
+    // The ring now takes [_ringLimit, line). Every wheel node on those
+    // ticks was scheduled before any direct schedule() could reach
+    // them, so each passed slot is appended, in list order, to its
+    // ticks' buckets before the line moves. The slots lie in distinct
+    // slot-width ranges, so their order does not matter; past a whole
+    // turn, every slot is due.
+    const Tick due = std::min(line - _ringLimit, wheelReach) / wheelSlotTicks;
+    for (Tick n = 0; n < due && _wheelCount != 0; ++n)
+        cascade(slotOf(_ringLimit + n * wheelSlotTicks));
+    _ringLimit = line;
+    // Heap events that entered the wheel's reach were all scheduled
+    // before any direct schedule() could reach their slots, which the
+    // cascade above just emptied: admit them now, in (tick, sequence)
+    // order. After a jump, those below the new line go straight to
+    // their buckets, on ticks no other node holds.
+    const Tick reach = line + wheelReach;
+    while (!_heap.empty() && _heap.front().when < reach) {
+        std::pop_heap(_heap.begin(), _heap.end(), later);
+        const HeapEntry entry = _heap.back();
+        _heap.pop_back();
+        if (entry.when < line)
+            append(bucketOf(entry.when), entry.node);
+        else
+            appendToSlot(entry.when, entry.node);
+    }
 }
 
 Tick
@@ -245,6 +294,16 @@ EventQueue::run(Tick limit)
 }
 
 void
+EventQueue::freeList(NodeId head)
+{
+    for (NodeId node = head; node != noNode;) {
+        const NodeId next = _next[node];
+        freeNode(node);
+        node = next;
+    }
+}
+
+void
 EventQueue::reset()
 {
     // The summary bitmap narrows the walk to occupied leaf words, so a
@@ -263,11 +322,7 @@ EventQueue::reset()
                     static_cast<std::size_t>(std::countr_zero(bits));
                 bits &= bits - 1;
                 Bucket &bucket = _ring[word * 64 + bit];
-                for (NodeId node = bucket.head; node != noNode;) {
-                    const NodeId next = _next[node];
-                    freeNode(node);
-                    node = next;
-                }
+                freeList(bucket.head);
                 bucket = Bucket{};
                 ++_resetBucketsWalked;
             }
@@ -275,11 +330,25 @@ EventQueue::reset()
         }
         _summary[sw] = 0;
     }
+    for (std::size_t word = 0; word < _wheelOccupied.size(); ++word) {
+        for (std::uint64_t bits = _wheelOccupied[word]; bits != 0;
+             bits &= bits - 1) {
+            Slot &slot =
+                _wheel[word * 64 +
+                       static_cast<std::size_t>(std::countr_zero(bits))];
+            freeList(slot.head);
+            slot = Slot{};
+            ++_resetBucketsWalked;
+        }
+        _wheelOccupied[word] = 0;
+    }
     for (const HeapEntry &entry : _heap)
         freeNode(entry.node);
     _heap.clear();
     _ringBase = 0;
+    _ringLimit = 2 * wheelSlotTicks;
     _ringCount = 0;
+    _wheelCount = 0;
     _pending = 0;
     _now = 0;
     _nextSeq = 0;

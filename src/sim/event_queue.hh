@@ -14,28 +14,42 @@
  * the node an event frees is the next one scheduled and the working set
  * stays as small as the peak number of pending events.
  *
- * The pool is indexed by a two-level scheduler tuned for the traffic the
- * network models generate:
+ * The pool is indexed by a three-level scheduler (a hierarchical timing
+ * wheel in the sense of Varghese & Lauck, SOSP 1987) tuned for the
+ * traffic the network models generate:
  *
- *  - a near-future bucket ring covering ringWindow ticks from the current
- *    base tick. One bucket is the {head, tail} of one tick's node list,
- *    in insertion order, so same-tick FIFO needs no comparisons at all.
- *    The dense short-horizon events (clock edges, token hops,
- *    serialization, mesh hops) all land here. A two-level occupancy
- *    bitmap finds the next non-empty bucket a word (64 ticks) at a time.
+ *  - a near-future bucket ring of ringWindow one-tick buckets. It takes
+ *    every tick below the ring line, (floor(base / wheelSlotTicks) + 2) *
+ *    wheelSlotTicks, which is never more than one window past the
+ *    current base tick. One bucket is the {head, tail} of one tick's
+ *    node list, in insertion order, so same-tick FIFO needs no
+ *    comparisons at all. The dense short-horizon events (clock edges,
+ *    token hops, serialization, mesh hops) all land here. A two-level
+ *    occupancy bitmap finds the next non-empty bucket a word (64 ticks)
+ *    at a time.
+ *
+ *  - a calendar wheel of wheelSlots slots, each wheelSlotTicks wide,
+ *    for the next 8.4 us past the ring line (memory latencies, think
+ *    times). A slot is the {head, tail} of its ticks' node list in
+ *    schedule order; each wheel node records its tick. When the ring
+ *    line moves, each slot it passes is appended, in list order, to its
+ *    ticks' buckets before any direct schedule() can reach those ticks,
+ *    so filing and cascading are O(1) per event and same-tick FIFO
+ *    still needs no comparator.
  *
  *  - a binary heap of (tick, sequence, node) entries for events beyond
- *    the ring window (memory latencies, think times). Entries are
- *    promoted into the ring, in (tick, sequence) order, when the window
- *    slides over their tick — always before any new same-tick event can
- *    be appended directly, which preserves the global FIFO contract
- *    exactly. Promotion relinks a node index; the callable never moves.
+ *    the wheel's reach. Whenever the ring line moves, the entries that
+ *    entered the wheel's reach are admitted into their slots, in
+ *    (tick, sequence) order, before any direct schedule() can reach
+ *    those slots.
+ *
+ * Cascading and admission relink node indices; the callable never moves.
  *
  * Callbacks are InlineFunctions: captures up to 56 B (this + a full
- * 48-B noc::Message) are stored in the node itself, so the steady-state
- * hot path performs no heap allocation per event. schedule() builds a
- * callable directly in the node it takes, so a capture is moved at most
- * once on its way in.
+ * 40-B noc::Message, with room to spare) are stored in the node itself,
+ * so the steady-state hot path performs no heap allocation per event.
+ * schedule() builds a callable directly in the node it takes, so a
+ * capture is moved at most once on its way in.
  */
 
 #ifndef CORONA_SIM_EVENT_QUEUE_HH
@@ -75,8 +89,20 @@ class alignas(64) EventQueue
     /** Ring coverage in ticks (one bucket per tick; power of two).
      * 16384 ticks = 16.4 ns at the picosecond time base — wide enough
      * for every on-stack network event; off-stack memory latencies and
-     * think times overflow to the heap. */
+     * think times go to the wheel. */
     static constexpr std::size_t ringWindow = 16384;
+
+    /** Ticks per wheel slot: half the ring, so the ring line, a slot
+     * edge, is always more than one slot and at most one window ahead
+     * of the base tick. */
+    static constexpr std::size_t wheelSlotTicks = ringWindow / 2;
+
+    /** Wheel slots (power of two). */
+    static constexpr std::size_t wheelSlots = 1024;
+
+    /** Ticks the wheel reaches past the ring line: 1024 slots of 8192
+     * ticks, 8.4 us. Only events further out wait in the heap. */
+    static constexpr Tick wheelReach = wheelSlots * wheelSlotTicks;
 
     EventQueue();
 
@@ -135,10 +161,10 @@ class alignas(64) EventQueue
      * global minimum next tick across several queues. */
     Tick nextTick() const { return nextEventTick(); }
 
-    /** Cumulative ring buckets cleared by reset() over this queue's
-     * lifetime (never zeroed by reset itself): the pooled-lease cost,
-     * which grows by the buckets a run left occupied and by nothing
-     * after a drained run. */
+    /** Cumulative ring buckets and wheel slots cleared by reset() over
+     * this queue's lifetime (never zeroed by reset itself): the
+     * pooled-lease cost, which grows by the buckets and slots a run
+     * left occupied and by nothing after a drained run. */
     std::uint64_t resetBucketsWalked() const
     {
         return _resetBucketsWalked;
@@ -148,12 +174,12 @@ class alignas(64) EventQueue
      * Run until the queue drains or @p limit is reached.
      *
      * Batch-drain kernel: the outer loop locates the next occupied
-     * tick once per bucket (bitmap scan + heap promotion amortized
-     * over the whole tick), then the inner loop pops the bucket's node
-     * list and calls each callback in place. Same-tick events appended
-     * by a running callback land at the list tail and execute in the
-     * same pass, so the FIFO contract is exactly that of repeated
-     * step() calls.
+     * tick once per bucket (bitmap scan, and cascading when the ring
+     * line moves, amortized over the whole tick), then the inner loop
+     * pops the bucket's node list and calls each callback in place.
+     * Same-tick events appended by a running callback land at the list
+     * tail and execute in the same pass, after every event scheduled
+     * before them.
      *
      * @param limit Stop (without executing) events scheduled after this
      *              tick; defaults to "run to completion".
@@ -161,12 +187,10 @@ class alignas(64) EventQueue
      */
     Tick run(Tick limit = maxTick);
 
-    /** Execute at most one event; @return false if none was ready. */
-    bool step(Tick limit = maxTick);
-
     /** Drop all pending events and restore the pristine state
      * (now == 0, fresh sequence numbers, zero executed count). Node
-     * pool, bucket and heap storage is retained for reuse. */
+     * pool, bucket and heap storage is retained for reuse; only
+     * occupied buckets and slots are walked. */
     void reset();
 
   private:
@@ -191,7 +215,16 @@ class alignas(64) EventQueue
         NodeId tail = noNode;
     };
 
-    /** A far-future event awaiting promotion into the ring. */
+    /** One wheel slot: the node list of its wheelSlotTicks ticks, in
+     * schedule order, and the earliest tick the list holds. */
+    struct Slot
+    {
+        NodeId head = noNode;
+        NodeId tail = noNode;
+        Tick first = maxTick;
+    };
+
+    /** An event beyond the wheel's reach awaiting admission. */
     struct HeapEntry
     {
         Tick when;
@@ -200,7 +233,7 @@ class alignas(64) EventQueue
     };
 
     /** True when @p a fires after @p b (max-heap comparator inverted
-     * into the min-heap the overflow level needs). */
+     * into the min-heap the last level needs). */
     static bool
     later(const HeapEntry &a, const HeapEntry &b)
     {
@@ -210,6 +243,12 @@ class alignas(64) EventQueue
     }
 
     std::size_t bucketOf(Tick when) const { return when & (ringWindow - 1); }
+
+    static std::size_t
+    slotOf(Tick when)
+    {
+        return (when / wheelSlotTicks) & (wheelSlots - 1);
+    }
 
     Callback &
     callback(NodeId node)
@@ -252,12 +291,24 @@ class alignas(64) EventQueue
         releaseNode(node);
     }
 
+    /** Free every node of the list that starts at @p head. */
+    void freeList(NodeId head);
+
     /** File a node holding its callback as the next event at @p when:
-     * into that tick's bucket, or the overflow heap beyond the ring. */
+     * into that tick's bucket below the ring line, into its wheel slot
+     * within the wheel's reach, or the heap beyond it. */
     void enqueue(Tick when, NodeId node);
 
     /** Link @p node at the tail of @p bucket's list. */
     void append(std::size_t bucket, NodeId node);
+
+    /** Link @p node, an event at @p when, at the tail of its wheel
+     * slot's list. */
+    void appendToSlot(Tick when, NodeId node);
+
+    /** Append every node of slot @p slot, in list order, to its tick's
+     * bucket and empty the slot. */
+    void cascade(std::size_t slot);
 
     /** Unlink and return the head of @p bucket's list (non-empty),
      * clearing its occupancy bit when the list drains. */
@@ -267,20 +318,22 @@ class alignas(64) EventQueue
      * when the callback throws. */
     void invoke(NodeId node);
 
-    /** Offset from _ringBase of the earliest occupied bucket, or
-     * ringWindow when the ring is empty. */
+    /** Offset from _ringBase of the earliest occupied bucket; the ring
+     * must hold an event. */
     std::size_t nextRingOffset() const;
+
+    /** The earliest occupied wheel slot from the ring line on; the
+     * wheel must hold an event. */
+    std::size_t nextWheelSlot() const;
 
     /** Earliest pending event tick, or maxTick when drained. */
     Tick nextEventTick() const;
 
-    /** Slide the window so @p tick is the cursor bucket, promoting any
-     * heap events that fall inside the new window. @p tick must hold
+    /** Slide the window so @p tick is the cursor bucket. When that
+     * moves the ring line, cascade the slots it passed and admit the
+     * heap events that entered the wheel's reach. @p tick must hold
      * the next pending event. */
     void advanceTo(Tick tick);
-
-    /** Pop the heap minimum and append its node to its ring bucket. */
-    void promoteHeapTop();
 
     void markOccupied(std::size_t bucket);
     void clearOccupied(std::size_t bucket);
@@ -300,11 +353,23 @@ class alignas(64) EventQueue
      * summary words instead of hundreds of leaf words. */
     std::array<std::uint64_t, ringWindow / (64 * 64)> _summary{};
     /** Tick of the cursor bucket: ring events span
-     * [_ringBase, _ringBase + ringWindow). */
+     * [_ringBase, _ringLimit). */
     Tick _ringBase = 0;
+    /** The ring line: (floor(_ringBase / wheelSlotTicks) + 2) *
+     * wheelSlotTicks. Wheel events span [_ringLimit, _ringLimit +
+     * wheelReach); heap events lie beyond. */
+    Tick _ringLimit = 2 * wheelSlotTicks;
     std::size_t _ringCount = 0;
 
-    /** Overflow min-heap (std::push_heap/std::pop_heap over a vector). */
+    /** Per node: its tick while it waits in a wheel slot. */
+    std::vector<Tick> _when;
+    std::array<Slot, wheelSlots> _wheel{};
+    /** One bit per slot; set while the slot holds events. */
+    std::array<std::uint64_t, wheelSlots / 64> _wheelOccupied{};
+    std::size_t _wheelCount = 0;
+
+    /** Min-heap beyond the wheel (std::push_heap/std::pop_heap over a
+     * vector). */
     std::vector<HeapEntry> _heap;
 
     std::size_t _pending = 0;

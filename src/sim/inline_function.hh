@@ -6,10 +6,10 @@
  * run; wrapping each in a std::function heap-allocates whenever the
  * capture list outgrows the implementation's tiny internal buffer
  * (typically 16 B). InlineFunction stores captures up to inlineCapacity
- * bytes (56 B — enough for `this` plus a full 48-B noc::Message)
- * directly in the object and only falls back to the heap beyond that.
- * The object stays 64 B: one cache line, the size the 16-B aligned
- * buffer plus the ops pointer pads to anyway. It is
+ * bytes (56 B — enough for `this` plus a full 40-B noc::Message and
+ * one more word) directly in the object and only falls back to the
+ * heap beyond that. The object stays 64 B: one cache line, the size
+ * the 16-B aligned buffer plus the ops pointer pads to anyway. It is
  * move-only, so callables may own move-only state (including other
  * InlineFunctions) without the copyability tax std::function imposes.
  */
@@ -179,9 +179,8 @@ class InlineFunction<R(Args...)>
             if (_ops->relocate) {
                 _ops->relocate(_storage, other._storage);
             } else {
-                // Constant-size copy: a runtime length here measurably
-                // slows the overflow-heap slab (every far event moves
-                // through it twice). Bytes past the stored object are
+                // Constant-size copy, which measured faster than a
+                // runtime length. Bytes past the stored object are
                 // indeterminate padding; copying indeterminate
                 // unsigned chars is well-defined, so the
                 // maybe-uninitialized diagnostic is a false positive.
@@ -214,7 +213,7 @@ class InlineFunction<R(Args...)>
 };
 
 static_assert(InlineFunction<void()>::inlineCapacity == 56,
-              "`this` plus a 48-B noc::Message must stay inline");
+              "`this` plus a 40-B noc::Message must stay inline");
 static_assert(sizeof(InlineFunction<void()>) == 64,
               "an event callback is one 64-B cache line");
 

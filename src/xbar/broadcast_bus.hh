@@ -111,8 +111,8 @@ class BroadcastBus
     /** Broadcasts waiting for the token, oldest first. */
     noc::RingFifo<noc::Message> _queue;
     /** Transmitted messages, by slot: each delivery event captures a
-     * slot rather than the 48-B message, so it fits the event
-     * kernel's inline capture and never allocates. */
+     * slot rather than the 40-B message, so a transmission's
+     * deliveries share one copy and never allocate. */
     std::vector<InFlight> _inFlight;
     std::vector<std::uint32_t> _freeSlots;
     bool _arbitrating = false;

@@ -429,7 +429,8 @@ INSTANTIATE_TEST_SUITE_P(
 struct GoldenRun
 {
     std::uint64_t delivered = 0;
-    /** FNV-1a over the ordered (tick, message id) deliveries. */
+    /** FNV-1a over the ordered (tick, message tag) deliveries; each
+     * message's tag is its send number. */
     std::uint64_t digest = 14695981039346656037ull;
     /** Largest input depth of any router seen at a delivery. */
     std::size_t peakInputDepth = 0;
@@ -462,7 +463,7 @@ runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
     mesh.setDeliver([&](const Message &msg) {
         ++run.delivered;
         fnv1a(run.digest, eq.now());
-        fnv1a(run.digest, msg.id);
+        fnv1a(run.digest, msg.tag);
         for (ClusterId id = 0; id < geom.clusters(); ++id) {
             for (std::size_t d = 0; d < 4; ++d)
                 run.peakInputDepth = std::max(
@@ -477,7 +478,7 @@ runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
             ++run.delayed;
         if (replies && msg.kind == MsgKind::ReadReq) {
             Message reply = makeMsg(msg.dst, msg.src, MsgKind::ReadResp);
-            reply.id = next_id++;
+            reply.tag = next_id++;
             mesh.send(reply);
         }
     });
@@ -494,7 +495,7 @@ runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
             Message msg = makeMsg(src, dst,
                                   rng.chance(0.6) ? MsgKind::ReadResp
                                                   : MsgKind::ReadReq);
-            msg.id = next_id++;
+            msg.tag = next_id++;
             batch.push_back(msg);
         }
         eq.schedule(static_cast<Tick>(burst) * 4000,

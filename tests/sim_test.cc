@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering and
- * determinism (including the bucket-ring/overflow-heap boundaries),
+ * determinism (including the ring/wheel/heap boundaries),
  * pooled callback lifetimes, the inline callable type, clock-domain
  * arithmetic, RNG distributions, the flat hash map.
  */
@@ -147,36 +147,12 @@ TEST(EventQueue, EventAtLimitMaySpawnSameTickWork)
     EXPECT_EQ(eq.pending(), 1u); // The tick-51 event waits.
 }
 
-TEST(EventQueue, StepHonoursTheSameInclusiveLimit)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(50, [&] { ++fired; });
-    EXPECT_FALSE(eq.step(49));
-    EXPECT_EQ(fired, 0);
-    EXPECT_TRUE(eq.step(50));
-    EXPECT_EQ(fired, 1);
-}
-
 TEST(EventQueue, ThrowsOnPastScheduling)
 {
     EventQueue eq;
     eq.schedule(100, [] {});
     eq.run();
     EXPECT_THROW(eq.schedule(50, [] {}), std::logic_error);
-}
-
-TEST(EventQueue, StepExecutesExactlyOne)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1, [&] { ++fired; });
-    eq.schedule(2, [&] { ++fired; });
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(eq.step());
-    EXPECT_FALSE(eq.step());
-    EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueue, ResetClearsState)
@@ -200,14 +176,15 @@ TEST(EventQueue, CountsExecutedEvents)
 }
 
 // ---------------------------------------------------------------------
-// Two-level kernel boundaries: bucket-ring wrap, ring<->heap promotion,
-// and parity with a trivially correct reference implementation.
+// Three-level kernel boundaries: bucket-ring wrap, wheel cascades into
+// the ring, heap admission into the wheel, and parity with a trivially
+// correct reference implementation.
 
 TEST(EventQueue, SameTickFifoAcrossRingWrap)
 {
     // Two batches whose ticks map to the same bucket index (exactly one
-    // ring window apart): the far batch overflows to the heap, is
-    // promoted once the window slides, and both keep FIFO order.
+    // ring window apart): the far batch waits in a wheel slot, is
+    // cascaded once the ring line passes it, and both keep FIFO order.
     EventQueue eq;
     std::vector<int> order;
     const Tick near = 100;
@@ -222,50 +199,80 @@ TEST(EventQueue, SameTickFifoAcrossRingWrap)
     EXPECT_EQ(eq.now(), far);
 }
 
-TEST(EventQueue, PromotedHeapEventsPrecedeLaterRingSchedules)
+TEST(EventQueue, CascadedWheelEventsPrecedeLaterRingSchedules)
 {
-    // An event beyond the window (heap) and a same-tick event scheduled
-    // *after* the window has slid over that tick (ring): the heap event
-    // was scheduled first and must fire first.
+    // An event past the ring line (wheel) and a same-tick event
+    // scheduled *after* the line has passed that tick (ring): the wheel
+    // event was scheduled first and must fire first.
     EventQueue eq;
     std::vector<int> order;
     const Tick target = EventQueue::ringWindow + 500;
-    eq.schedule(target, [&] { order.push_back(1); }); // To the heap.
-    // Stepping stones pull the window forward so `target` gets
-    // admitted (and the heap event promoted) before the late schedule.
-    eq.schedule(1000, [&, target] {
+    eq.schedule(target, [&] { order.push_back(1); }); // To the wheel.
+    // A stepping stone one slot on moves the ring line past `target`,
+    // cascading its slot, before the late schedule files into the ring.
+    eq.schedule(EventQueue::wheelSlotTicks, [&, target] {
         eq.schedule(target, [&] { order.push_back(2); });
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueue, HeapOrderIsStableAcrossInterleavedScheduling)
+TEST(EventQueue, AdmittedHeapEventsPrecedeLaterWheelSchedules)
 {
-    // Far-future events land on the heap in scrambled tick order with
-    // same-tick duplicates; execution must sort by tick with FIFO ties.
+    // One tick reached three ways, in schedule order: from the heap
+    // (beyond the wheel), then from its wheel slot once the wheel's
+    // reach has passed it, then from the ring once the ring line has.
+    // Each earlier event must fire first.
     EventQueue eq;
     std::vector<int> order;
-    const Tick base = 4 * EventQueue::ringWindow;
-    const int ticks[] = {7, 3, 7, 1, 3, 7, 1, 9};
-    for (int i = 0; i < 8; ++i) {
-        eq.schedule(base + static_cast<Tick>(100 * ticks[i]),
-                    [&order, i] { order.push_back(i); });
-    }
+    const Tick target =
+        EventQueue::wheelReach + 3 * EventQueue::ringWindow + 11;
+    eq.schedule(target, [&] { order.push_back(1); }); // To the heap.
+    // Past one slot, and a second event for the heap's slot in the
+    // same tick's list, from the wheel.
+    eq.schedule(5 * EventQueue::wheelSlotTicks, [&, target] {
+        eq.schedule(target, [&] { order.push_back(2); });
+    });
+    eq.schedule(target - 100, [&, target] {
+        eq.schedule(target, [&] { order.push_back(3); });
+    });
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{3, 6, 1, 4, 0, 2, 5, 7}));
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eq.now(), target);
+}
+
+TEST(EventQueue, FarOrderIsStableAcrossInterleavedScheduling)
+{
+    // Far-future events land in a wheel slot, or on the heap beyond
+    // the wheel, in scrambled tick order with same-tick duplicates;
+    // execution must sort by tick with FIFO ties.
+    for (const Tick base : {4 * Tick{EventQueue::ringWindow},
+                            2 * EventQueue::wheelReach}) {
+        EventQueue eq;
+        std::vector<int> order;
+        const int ticks[] = {7, 3, 7, 1, 3, 7, 1, 9};
+        for (int i = 0; i < 8; ++i) {
+            eq.schedule(base + static_cast<Tick>(100 * ticks[i]),
+                        [&order, i] { order.push_back(i); });
+        }
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{3, 6, 1, 4, 0, 2, 5, 7}))
+            << "base " << base;
+    }
 }
 
 TEST(EventQueue, SparseTicksJumpTheWindow)
 {
-    // Consecutive events multiple windows apart exercise the
-    // empty-ring jump path.
+    // Consecutive events several windows, or a whole wheel, apart
+    // exercise the empty-ring and empty-wheel jump paths.
     EventQueue eq;
     std::vector<Tick> fired;
     Tick when = 5;
     for (int i = 0; i < 6; ++i) {
         eq.schedule(when, [&fired, &eq] { fired.push_back(eq.now()); });
-        when += 3 * EventQueue::ringWindow + 7;
+        when += (i % 2 == 0 ? 3 * EventQueue::ringWindow
+                            : EventQueue::wheelReach) +
+                7;
     }
     eq.run();
     ASSERT_EQ(fired.size(), 6u);
@@ -274,53 +281,109 @@ TEST(EventQueue, SparseTicksJumpTheWindow)
     EXPECT_TRUE(eq.empty());
 }
 
+TEST(EventQueue, NextTickIsExactAtEveryLevel)
+{
+    // nextTick() is the earliest pending tick whichever level holds it:
+    // the sharded executor's barrier reads it without running anything.
+    EventQueue eq;
+    EXPECT_EQ(eq.nextTick(), sim::maxTick);
+
+    // Only the heap: its minimum, not its first-scheduled entry.
+    const Tick beyond = 3 * EventQueue::wheelReach;
+    eq.schedule(beyond + 40, [] {});
+    eq.schedule(beyond + 30, [] {});
+    EXPECT_EQ(eq.nextTick(), beyond + 30);
+    eq.run(beyond + 29);
+    EXPECT_EQ(eq.executed(), 0u);
+    EXPECT_EQ(eq.run(), beyond + 40);
+
+    // Only the wheel: the earliest tick of the nearest slot, which is
+    // neither the slot's first-filed event nor the lowest slot index.
+    // After the run the ring line is slot 1002's edge, so the scan
+    // starts at index 1002: slot 1010 is found before slot 1030,
+    // whose index (6) lies below the start and is reached by wrapping.
+    EventQueue wheel;
+    const Tick slot = EventQueue::wheelSlotTicks;
+    wheel.schedule(1000 * slot, [] {});
+    wheel.run();
+    wheel.schedule(1030 * slot + 5, [] {});
+    wheel.schedule(1010 * slot + 700, [] {});
+    wheel.schedule(1010 * slot + 300, [] {});
+    EXPECT_EQ(wheel.nextTick(), 1010 * slot + 300);
+    EXPECT_EQ(wheel.run(1010 * slot + 300), 1010 * slot + 300);
+    EXPECT_EQ(wheel.nextTick(), 1010 * slot + 700);
+    EXPECT_EQ(wheel.run(1010 * slot + 700), 1010 * slot + 700);
+    EXPECT_EQ(wheel.nextTick(), 1030 * slot + 5);
+
+    // A ring event precedes both.
+    wheel.schedule(wheel.now() + 3, [] {});
+    wheel.schedule(wheel.now() + EventQueue::wheelReach + 3 * slot, [] {});
+    EXPECT_EQ(wheel.nextTick(), wheel.now() + 3);
+}
+
 TEST(EventQueue, ResetRestoresThePristineQueue)
 {
     EventQueue eq;
     int fired = 0;
-    // Dirty every level: a partially drained bucket, ring events ahead,
-    // and heap overflow.
-    eq.schedule(10, [&] { ++fired; });
+    // Dirty every level: a partially drained bucket (its first event
+    // throws), ring events ahead, a wheel slot and the heap.
+    eq.schedule(10, [&] {
+        ++fired;
+        throw std::runtime_error("partly drained");
+    });
     eq.schedule(10, [&] { ++fired; });
     eq.schedule(500, [&] { ++fired; });
     eq.schedule(10 * EventQueue::ringWindow, [&] { ++fired; });
-    EXPECT_TRUE(eq.step());
+    eq.schedule(2 * EventQueue::wheelReach, [&] { ++fired; });
+    EXPECT_THROW(eq.run(), std::runtime_error);
     EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.pending(), 4u);
 
     eq.reset();
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_EQ(eq.executed(), 0u);
+    EXPECT_EQ(eq.nextTick(), sim::maxTick);
 
-    // The recycled queue behaves like a fresh one, including same-tick
-    // FIFO in a bucket that previously held dropped events.
+    // The recycled queue behaves like a fresh one at every level,
+    // including same-tick FIFO in a bucket and a slot that previously
+    // held dropped events.
     std::vector<int> order;
-    for (int i = 0; i < 3; ++i)
+    for (int i = 0; i < 3; ++i) {
+        eq.schedule(2 * EventQueue::wheelReach,
+                    [&order, i] { order.push_back(20 + i); });
+        eq.schedule(10 * EventQueue::ringWindow,
+                    [&order, i] { order.push_back(10 + i); });
         eq.schedule(10, [&order, i] { order.push_back(i); });
+    }
+    EXPECT_EQ(eq.nextTick(), 10u);
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(eq.executed(), 3u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12, 20, 21, 22}));
+    EXPECT_EQ(eq.executed(), 9u);
+    EXPECT_EQ(eq.now(), 2 * EventQueue::wheelReach);
     EXPECT_EQ(fired, 1); // Dropped events never fire.
 }
 
 TEST(EventQueue, ResetWalksOnlyOccupiedBuckets)
 {
-    // A pooled lease's reset pays for the buckets the last run left
-    // occupied, not for the whole ring.
+    // A pooled lease's reset pays for the buckets and slots the last
+    // run left occupied, not for the whole ring or wheel.
     EventQueue eq;
     int fired = 0;
-    for (const Tick when : {Tick{10}, Tick{20}, Tick{20}, Tick{30},
-                            Tick{500}, 10 * EventQueue::ringWindow})
+    for (const Tick when :
+         {Tick{10}, Tick{20}, Tick{20}, Tick{30}, Tick{500},
+          10 * EventQueue::ringWindow, 10 * EventQueue::ringWindow + 1,
+          2 * EventQueue::wheelReach})
         eq.schedule(when, [&] { ++fired; });
     eq.run(15);
     ASSERT_EQ(fired, 1);
-    ASSERT_EQ(eq.pending(), 5u);
+    ASSERT_EQ(eq.pending(), 7u);
     const std::uint64_t before = eq.resetBucketsWalked();
     eq.reset();
-    EXPECT_EQ(eq.resetBucketsWalked() - before, 3u)
-        << "ticks 20, 30 and 500 occupy ring buckets; the far event "
-           "waits in the overflow heap";
+    EXPECT_EQ(eq.resetBucketsWalked() - before, 4u)
+        << "ticks 20, 30 and 500 occupy ring buckets and the two far "
+           "events one wheel slot; the farthest waits in the heap";
 
     // A drained run leaves no bucket to walk.
     for (const Tick when : {Tick{10}, Tick{20}, Tick{500}})
@@ -401,6 +464,7 @@ TEST(EventQueue, PooledCapturesAreDestroyedExactlyOnce)
         eq->schedule(when, std::move(cb));
     };
     const Tick far = 3 * EventQueue::ringWindow;
+    const Tick beyond = far + EventQueue::wheelReach;
 
     // id 0, current tick: grows the pool well past one chunk while it
     // runs in place, reads its own capture afterwards, then schedules
@@ -420,8 +484,8 @@ TEST(EventQueue, PooledCapturesAreDestroyedExactlyOnce)
     plain(0);        // id 3: same tick, behind the thrower
     plain(500);      // id 4: further ahead in the ring
     oversize(9000);  // id 5
-    plain(far);      // id 6: overflow heap
-    oversize(far + 1); // id 7
+    plain(far);      // id 6: a wheel slot
+    oversize(beyond); // id 7: the heap
 
     EXPECT_THROW(eq->run(), std::runtime_error);
     EXPECT_EQ(tally.order, (std::vector<int>{0, 1, 2}));
@@ -431,13 +495,13 @@ TEST(EventQueue, PooledCapturesAreDestroyedExactlyOnce)
 
     // The queue is consistent after the throw: the rest of tick 0, in
     // FIFO order including the in-place reschedules, then tick 500.
-    EXPECT_TRUE(eq->step());
     eq->run(500);
     EXPECT_EQ(tally.order, (std::vector<int>{0, 1, 2, 3, 8, 9, 4}));
     EXPECT_EQ(eq->now(), 500u);
     EXPECT_EQ(eq->pending(), 3u);
 
-    // reset() drops the ring-ahead and heap captures exactly once.
+    // reset() drops the ring-ahead, wheel and heap captures exactly
+    // once.
     eq->reset();
     EXPECT_TRUE(eq->empty());
     EXPECT_EQ(tally.destroyed, std::vector<int>(10, 1));
@@ -447,13 +511,14 @@ TEST(EventQueue, PooledCapturesAreDestroyedExactlyOnce)
     plain(5);       // id 10
     oversize(5);    // id 11
     plain(far);     // id 12
-    plain(7);       // id 13
+    oversize(beyond); // id 13
+    plain(7);       // id 14
     EXPECT_EQ(eq->run(6), 5u);
     EXPECT_EQ(tally.order,
               (std::vector<int>{0, 1, 2, 3, 8, 9, 4, 10, 11}));
-    EXPECT_EQ(eq->pending(), 2u);
+    EXPECT_EQ(eq->pending(), 3u);
     eq.reset();
-    EXPECT_EQ(tally.destroyed, std::vector<int>(14, 1));
+    EXPECT_EQ(tally.destroyed, std::vector<int>(15, 1));
 }
 
 /** A callable that counts the copies and moves made of it. */
@@ -495,19 +560,23 @@ TEST(EventQueue, ScheduleBuildsTheCaptureInPlace)
     eq.scheduleIn(2, MoveCounter(copies, moves));
     EXPECT_EQ(moves, 2) << "scheduleIn: from the temporary into its node";
     eq.schedule(3 * EventQueue::ringWindow, MoveCounter(copies, moves));
-    EXPECT_EQ(moves, 3) << "an overflow-heap event moves once too";
+    EXPECT_EQ(moves, 3) << "a wheel event moves once too";
+    eq.schedule(3 * EventQueue::ringWindow + EventQueue::wheelReach,
+                MoveCounter(copies, moves));
+    EXPECT_EQ(moves, 4) << "and so does a heap event";
     EXPECT_EQ(copies, 0);
 
     const MoveCounter named(copies, moves);
     eq.schedule(3, named);
     eq.scheduleIn(4, named);
     EXPECT_EQ(copies, 2) << "an lvalue is copied once";
-    EXPECT_EQ(moves, 3) << "and never moved";
+    EXPECT_EQ(moves, 4) << "and never moved";
 
     eq.run();
-    EXPECT_EQ(eq.executed(), 5u);
+    EXPECT_EQ(eq.executed(), 6u);
     EXPECT_EQ(copies, 2);
-    EXPECT_EQ(moves, 3) << "heap promotion and running move nothing";
+    EXPECT_EQ(moves, 4)
+        << "admission, cascading and running move nothing";
 }
 
 /** A callable whose copy throws. */
@@ -526,24 +595,29 @@ TEST(EventQueue, ThrowingCaptureLeavesTheQueueUnchanged)
 {
     EventQueue eq;
     std::vector<int> order;
-    const Tick far = 3 * EventQueue::ringWindow;
+    const Tick far = 3 * EventQueue::ringWindow;      // A wheel slot.
+    const Tick beyond = far + EventQueue::wheelReach; // The heap.
     eq.schedule(5, [&] { order.push_back(0); });
     eq.schedule(far, [&] { order.push_back(1); });
+    eq.schedule(beyond, [&] { order.push_back(5); });
     eq.schedule(5, [&] { order.push_back(2); });
     eq.schedule(far, [&] { order.push_back(3); });
+    eq.schedule(beyond, [&] { order.push_back(6); });
     eq.run(0);
 
     const ThrowingCopy thrower;
     EXPECT_THROW(eq.schedule(5, thrower), std::runtime_error);
     EXPECT_THROW(eq.schedule(far, thrower), std::runtime_error);
+    EXPECT_THROW(eq.schedule(beyond, thrower), std::runtime_error);
     EXPECT_THROW(eq.scheduleIn(1, thrower), std::runtime_error);
-    EXPECT_EQ(eq.pending(), 4u);
+    EXPECT_EQ(eq.pending(), 6u);
     EXPECT_EQ(eq.executed(), 0u);
+    EXPECT_EQ(eq.nextTick(), 5u);
 
     eq.schedule(5, [&] { order.push_back(4); });
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 1, 3}));
-    EXPECT_EQ(eq.executed(), 5u);
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 1, 3, 5, 6}));
+    EXPECT_EQ(eq.executed(), 7u);
     EXPECT_TRUE(eq.empty());
 }
 
@@ -560,6 +634,16 @@ struct ReferenceQueue
     std::vector<Entry> entries;
     std::uint64_t next_seq = 0;
     Tick now = 0;
+
+    /** Earliest pending tick, or maxTick when drained. */
+    Tick
+    next() const
+    {
+        Tick earliest = sim::maxTick;
+        for (const Entry &entry : entries)
+            earliest = std::min(earliest, entry.when);
+        return earliest;
+    }
 
     void
     schedule(Tick when, int id)
@@ -590,37 +674,64 @@ struct ReferenceQueue
 TEST(EventQueue, RandomisedParityWithReferenceKernel)
 {
     // Drive both kernels with an identical randomised schedule whose
-    // deltas straddle the ring/heap boundary, in several run(limit)
-    // instalments, and require identical execution order each time.
+    // deltas straddle the ring window, the wheel's slot edges and its
+    // reach, and span several wheel turns, in many run(limit)
+    // instalments, and require identical execution order and next tick
+    // each time.
     sim::Rng rng(2026);
     EventQueue eq;
     ReferenceQueue ref;
     std::vector<int> fired;
     int next_id = 0;
+    const auto near = [&rng](Tick edge) {
+        return edge - 2 + static_cast<Tick>(rng.below(5)); // edge +- 2
+    };
 
     const auto schedule_burst = [&](int count) {
         for (int i = 0; i < count; ++i) {
             const Tick base = eq.now();
-            // Mix of same-tick, near (ring), boundary, and far (heap).
+            // Mix of same-tick, near (ring), boundary, far (wheel) and
+            // beyond (heap).
             Tick delta = 0;
-            switch (rng.below(6)) {
+            switch (rng.below(9)) {
               case 0: delta = 0; break;
               case 1: delta = static_cast<Tick>(rng.below(64)); break;
               case 2:
                 delta = static_cast<Tick>(
                     rng.below(EventQueue::ringWindow));
                 break;
-              case 3:
-                delta = EventQueue::ringWindow -
-                        static_cast<Tick>(rng.below(3));
-                break;
+              case 3: delta = near(EventQueue::ringWindow); break;
               case 4:
-                delta = EventQueue::ringWindow +
-                        static_cast<Tick>(rng.below(3));
+                delta = static_cast<Tick>(
+                    rng.below(5 * EventQueue::ringWindow));
+                break;
+              case 5: {
+                // A slot edge, relative to now or absolute (at least
+                // one slot ahead, so never in the past).
+                const Tick edge =
+                    (2 + rng.below(5)) * EventQueue::wheelSlotTicks;
+                delta = rng.chance(0.5)
+                            ? near(edge)
+                            : near((base / EventQueue::wheelSlotTicks) *
+                                       EventQueue::wheelSlotTicks +
+                                   edge) -
+                                  base;
+                break;
+              }
+              case 6: delta = near(EventQueue::wheelReach); break;
+              case 7:
+                // An absolute slot edge just past the wheel's reach:
+                // a later burst's event on the same tick enters the
+                // wheel while this one still waits in the heap.
+                delta = near((base / EventQueue::wheelSlotTicks +
+                              EventQueue::wheelSlots + 1 +
+                              rng.below(3)) *
+                             EventQueue::wheelSlotTicks) -
+                        base;
                 break;
               default:
                 delta = static_cast<Tick>(
-                    rng.below(5 * EventQueue::ringWindow));
+                    rng.below(3 * EventQueue::wheelReach));
                 break;
             }
             const int id = next_id++;
@@ -632,9 +743,24 @@ TEST(EventQueue, RandomisedParityWithReferenceKernel)
 
     schedule_burst(400);
     Tick limit = 0;
-    for (int round = 0; round < 12; ++round) {
-        limit += static_cast<Tick>(
-            rng.below(2 * EventQueue::ringWindow) + 1);
+    for (int round = 0; round < 60; ++round) {
+        // Mostly short instalments, some a few slots, some up to half
+        // a turn: the rounds cover several turns.
+        switch (rng.below(4)) {
+          case 0:
+            limit += static_cast<Tick>(
+                rng.below(EventQueue::wheelReach / 2) + 1);
+            break;
+          case 1:
+            limit += static_cast<Tick>(
+                rng.below(4 * EventQueue::wheelSlotTicks) + 1);
+            break;
+          default:
+            limit += static_cast<Tick>(
+                rng.below(2 * EventQueue::ringWindow) + 1);
+            break;
+        }
+        EXPECT_EQ(eq.nextTick(), ref.next()) << "round " << round;
         fired.clear();
         eq.run(limit);
         EXPECT_EQ(fired, ref.run(limit)) << "round " << round;
@@ -642,6 +768,7 @@ TEST(EventQueue, RandomisedParityWithReferenceKernel)
         EXPECT_EQ(eq.pending(), ref.entries.size());
         schedule_burst(40);
     }
+    EXPECT_EQ(eq.nextTick(), ref.next());
     fired.clear();
     eq.run();
     EXPECT_EQ(fired, ref.run(sim::maxTick));
@@ -668,12 +795,12 @@ TEST(InlineFunction, FortyEightByteCapturesStayInline)
     // The hot-path contract: `this` plus a full noc::Message — the
     // capture of every link, channel and hub delivery event — must
     // not allocate.
-    static_assert(sizeof(noc::Message) == 48);
+    static_assert(sizeof(noc::Message) == 40);
     noc::Message msg;
-    msg.id = 7;
+    msg.tag = 7;
     const noc::Message *self = &msg;
-    auto capture = [self, msg] { return msg.id + (self ? 0 : 1); };
-    static_assert(sizeof(capture) == 56);
+    auto capture = [self, msg] { return msg.tag + (self ? 0 : 1); };
+    static_assert(sizeof(capture) == 48);
     sim::InlineFunction<std::uint64_t()> fn(capture);
     EXPECT_TRUE(fn.isInline());
     EXPECT_EQ(fn(), 7u);
