@@ -11,8 +11,8 @@
 #      exported). The sampler spawns no process: a preloaded child would
 #      run the same exit code again.
 #   3. Resolve corona-run's samples in one addr2line batch and print
-#      their share by outermost (non-inlined) file and by innermost
-#      (possibly inlined) function.
+#      their share by outermost (non-inlined) file, by innermost
+#      (possibly inlined) function and by innermost source line.
 #
 # At threads = 1 and sim_threads <= 1 the scenario runs on the main
 # thread; with more threads the timer signals whichever one it finds.
@@ -25,9 +25,9 @@ if [ "$#" -ne 2 ]; then
   echo "usage: scripts/profile.sh BUILD SCENARIO" >&2
   exit 2
 fi
+[ -x "$1/corona-run" ] || { echo "profile: no corona-run in $1" >&2; exit 2; }
 RUN="$(cd "$1" && pwd)/corona-run"
 SCENARIO="$2"
-[ -x "${RUN}" ] || { echo "profile: no corona-run in $1" >&2; exit 2; }
 
 DIR="$(mktemp -d)"
 trap 'rm -rf "${DIR}"' EXIT
@@ -107,7 +107,8 @@ gcc -O2 -shared -fPIC -DSAMPLES_PATH="\"${DIR}/samples.txt\"" \
   -o "${DIR}/libsampler.so" "${DIR}/sampler.c" -ldl -lrt
 
 env LD_PRELOAD="${DIR}/libsampler.so" \
-  "${RUN}" --quiet --no-table "${SCENARIO}"
+  "${RUN}" --quiet --no-table "${SCENARIO}" ||
+  { echo "profile: corona-run failed" >&2; exit 1; }
 
 [ -s "${DIR}/samples.txt" ] || { echo "profile: no samples" >&2; exit 1; }
 total=$(wc -l < "${DIR}/samples.txt")
@@ -126,29 +127,32 @@ addr2line -i -f -C -a -e "${RUN}" < "${DIR}/offsets.txt" \
 echo "profile: ${total} samples at 20 kHz, ${own} in corona-run"
 # addr2line -a -i prints each address, then one (function, file:line)
 # pair per frame, innermost first: the last pair is the non-inlined
-# function the code lies in. Tally "file<TAB>name" and
-# "function<TAB>name" per sample, then print the top 20 of each.
+# function the code lies in. Tally "file<TAB>name", "function<TAB>name"
+# and "line<TAB>file:line" per sample, then print the top 20 of each.
 awk '
   function flush() {
-    if (inner != "") print "file\t" outer "\nfunction\t" inner
+    if (inner != "")
+      print "file\t" outer "\nfunction\t" inner "\nline\t" where
   }
   /^0x/ { flush(); inner = ""; frame = 0; next }
   frame++ % 2 == 0 { fn = $0; next }
   {
-    file = $0
-    sub(/:[0-9?]+( \(discriminator [0-9]+\))?$/, "", file)
-    sub(/.*\//, "", file)
-    if (inner == "") inner = fn
+    loc = $0
+    sub(/ \(discriminator [0-9]+\)$/, "", loc)
+    sub(/.*\//, "", loc)
+    file = loc
+    sub(/:[0-9?]+$/, "", file)
+    if (inner == "") { inner = fn; where = loc }
     outer = file
   }
   END { flush() }
 ' "${DIR}/frames.txt" | sort | uniq -c > "${DIR}/tallies.txt"
-for kind in file function; do
-  if [ "${kind}" = file ]; then
-    echo "by outermost file:"
-  else
-    echo "by innermost function:"
-  fi
+for kind in file function line; do
+  case "${kind}" in
+    file) echo "by outermost file:" ;;
+    function) echo "by innermost function:" ;;
+    line) echo "by innermost source line:" ;;
+  esac
   awk -v kind="${kind}" -v own="${own}" '
     { count = $1; sub(/^ *[0-9]+ /, "") }
     index($0, kind "\t") == 1 {

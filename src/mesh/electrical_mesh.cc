@@ -1,6 +1,8 @@
 #include "mesh/electrical_mesh.hh"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "sim/logging.hh"
 
@@ -29,6 +31,12 @@ ElectricalMesh::ElectricalMesh(sim::EventQueue &eq,
                                std::string display_name)
     : _eq(eq), _geom(geom), _name(std::move(display_name))
 {
+    // Checked before anything is built: a route table per router holds
+    // one entry per cluster.
+    if (geom.clusters() - 1 >
+        std::numeric_limits<decltype(Flit::dst)>::max())
+        throw std::invalid_argument(
+            "ElectricalMesh: more clusters than a flit can name");
     // The bisection of a radix-r mesh cuts r channels per direction;
     // derate the raw per-link rate by the wormhole flow-control
     // efficiency (see header). HMesh: 1.28 TB/s / 8 x 0.8 = 128 GB/s.
@@ -43,14 +51,7 @@ ElectricalMesh::ElectricalMesh(sim::EventQueue &eq,
     for (topology::ClusterId id = 0; id < geom.clusters(); ++id) {
         auto router = std::make_unique<Router>(eq, geom, id, timing,
                                                params.router);
-        router->setEject([this, id](const noc::Message &msg) {
-            if (msg.dst != id)
-                sim::panic("ElectricalMesh: misrouted message");
-            const std::size_t hops =
-                std::max<std::size_t>(1,
-                    _geom.manhattanDistance(msg.src, msg.dst));
-            delivered(msg, _eq.now(), hops);
-        });
+        router->setEject([this, id](Flit flit) { eject(id, flit); });
         _routers.push_back(std::move(router));
     }
 
@@ -66,13 +67,54 @@ ElectricalMesh::ElectricalMesh(sim::EventQueue &eq,
 }
 
 void
+ElectricalMesh::reset()
+{
+    Interconnect::reset();
+    for (auto &router : _routers)
+        router->reset();
+    _bodies.clear();
+    _freeSlots.clear();
+}
+
+void
 ElectricalMesh::send(const noc::Message &msg)
 {
     if (msg.src >= _routers.size() || msg.dst >= _routers.size())
         sim::panic("ElectricalMesh::send: bad endpoint");
+    _routers[msg.src]->inject(
+        Flit{park(msg), static_cast<std::uint16_t>(msg.dst), msg.kind});
+}
+
+std::uint32_t
+ElectricalMesh::park(const noc::Message &msg)
+{
     noc::Message stamped = msg;
     stamped.injected = _eq.now();
-    _routers[msg.src]->inject(stamped);
+    if (_freeSlots.empty()) {
+        if (_bodies.size() > std::numeric_limits<std::uint32_t>::max())
+            sim::panic("ElectricalMesh: more messages in flight than a "
+                       "flit's slot can name");
+        _bodies.push_back(stamped);
+        return static_cast<std::uint32_t>(_bodies.size() - 1);
+    }
+    const std::uint32_t slot = _freeSlots.back();
+    _freeSlots.pop_back();
+    _bodies[slot] = stamped;
+    return slot;
+}
+
+void
+ElectricalMesh::eject(topology::ClusterId at, Flit flit)
+{
+    if (flit.dst != at)
+        sim::panic("ElectricalMesh: misrouted message");
+    // Copied out first: delivery may send, and a send may reuse the
+    // slot or grow the pool.
+    const noc::Message msg = _bodies[flit.slot];
+    _freeSlots.push_back(flit.slot);
+    delivered(msg, _eq.now(),
+              std::max<std::size_t>(
+                  1, _geom.manhattanDistance(msg.src, msg.dst)));
 }
 
 std::size_t

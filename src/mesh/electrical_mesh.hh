@@ -12,11 +12,18 @@
  * blocking, and real DOR wormhole meshes saturate at roughly 60-80% of
  * the ideal cut capacity on uniform traffic (Dally & Towles). The
  * default factor of 0.8 restores that behaviour.
+ *
+ * send() parks each message's body in a mesh-owned pool, a body vector
+ * plus a free list, and injects an 8-byte Flit naming its slot; the
+ * destination router's ejection reads the body back and frees the slot.
+ * The pool holds only the messages in flight, and reset() keeps its
+ * storage.
  */
 
 #ifndef CORONA_MESH_ELECTRICAL_MESH_HH
 #define CORONA_MESH_ELECTRICAL_MESH_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -70,13 +77,7 @@ class ElectricalMesh : public noc::Interconnect
     void send(const noc::Message &msg) override;
     std::string name() const override { return _name; }
 
-    void
-    reset() override
-    {
-        Interconnect::reset();
-        for (auto &router : _routers)
-            router->reset();
-    }
+    void reset() override;
 
     std::size_t hopCount(topology::ClusterId src,
                          topology::ClusterId dst) const override;
@@ -89,13 +90,33 @@ class ElectricalMesh : public noc::Interconnect
 
     Router &router(topology::ClusterId id) { return *_routers.at(id); }
 
+    /** Messages parked in the pool: sent and not yet delivered. */
+    std::size_t
+    inFlight() const
+    {
+        return _bodies.size() - _freeSlots.size();
+    }
+
   private:
+    /** Store @p msg, stamped with the injection tick, in a free slot
+     * of the pool. Panics rather than wrap the 32-bit slot index. */
+    std::uint32_t park(const noc::Message &msg);
+
+    /** Router @p at ejects @p flit: read its body back, free its slot
+     * and deliver it. */
+    void eject(topology::ClusterId at, Flit flit);
+
     sim::EventQueue &_eq;
     const topology::Geometry &_geom;
     std::string _name;
     double _linkBandwidth;
     double _bisection;
     std::vector<std::unique_ptr<Router>> _routers;
+    /** Bodies of the messages in flight, indexed by their flits'
+     * slots. */
+    std::vector<noc::Message> _bodies;
+    /** Slots of _bodies free for reuse, the last freed at the back. */
+    std::vector<std::uint32_t> _freeSlots;
 };
 
 } // namespace corona::mesh

@@ -59,10 +59,13 @@ Router::connect(Direction d, Router &next_router)
 }
 
 void
-Router::inject(const noc::Message &msg)
+Router::inject(Flit flit)
 {
-    _injection.push_back(msg);
-    _nonEmpty |= 1u << injectionStage;
+    if (_injection.empty()) {
+        _headOut[injectionStage] = _routes[flit.dst];
+        _nonEmpty |= 1u << injectionStage;
+    }
+    _injection.push_back(flit);
     process();
 }
 
@@ -89,6 +92,7 @@ Router::reset()
         port.waitingForCredit = false;
     }
     _nonEmpty = 0;
+    _headOut = {};
     _rr = 0;
     _processing = false;
     _reprocess = false;
@@ -106,12 +110,12 @@ Router::tryStart(OutputPort &port)
         return;
     }
     ++input.reserved;
-    const noc::Message msg = port.queue.front();
+    const Flit flit = port.queue.front();
     port.queue.pop_front();
     port.busy = true;
-    const auto kind = static_cast<std::size_t>(msg.kind);
-    _eq.scheduleIn(_timing.serialization[kind], [&port, msg] {
-        port.owner->finishSerialization(port, msg);
+    const auto kind = static_cast<std::size_t>(flit.kind);
+    _eq.scheduleIn(_timing.serialization[kind], [&port, flit] {
+        port.owner->finishSerialization(port, flit);
     });
     // Forward last: the pass may queue onto this port again and must
     // see it busy, or two transmissions would overlap.
@@ -119,24 +123,27 @@ Router::tryStart(OutputPort &port)
 }
 
 void
-Router::finishSerialization(OutputPort &port, const noc::Message &msg)
+Router::finishSerialization(OutputPort &port, Flit flit)
 {
     port.busy = false;
-    _eq.scheduleIn(_timing.latency, [&port, msg] {
-        port.next->receive(port.arrival, msg);
+    _eq.scheduleIn(_timing.latency, [&port, flit] {
+        port.next->receive(port.arrival, flit);
     });
     tryStart(port);
 }
 
 void
-Router::receive(std::size_t arrival, const noc::Message &msg)
+Router::receive(std::size_t arrival, Flit flit)
 {
     InputBuffer &input = _inputs[arrival];
     if (input.reserved == 0)
         sim::panic("Router: delivery without a reserved credit");
     --input.reserved;
-    input.fifo.push_back(msg);
-    _nonEmpty |= 1u << arrival;
+    if (input.fifo.empty()) {
+        _headOut[arrival] = _routes[flit.dst];
+        _nonEmpty |= 1u << arrival;
+    }
+    input.fifo.push_back(flit);
     process();
 }
 
@@ -147,6 +154,8 @@ Router::popStage(std::size_t stage)
         _injection.pop_front();
         if (_injection.empty())
             _nonEmpty &= ~(1u << stage);
+        else
+            _headOut[stage] = _routes[_injection.front().dst];
         return;
     }
     // The pop returns a credit upstream; emptiness is read after the
@@ -160,32 +169,40 @@ Router::popStage(std::size_t stage)
     }
     if (input.fifo.empty())
         _nonEmpty &= ~(1u << stage);
+    else
+        _headOut[stage] = _routes[input.fifo.front().dst];
 }
 
 bool
-Router::tryForward(std::size_t stage)
+Router::ready(std::size_t stage) const
 {
-    const noc::Message &msg = stage == injectionStage
-                                  ? _injection.front()
-                                  : _inputs[stage].fifo.front();
-    const Direction out = _routes[msg.dst];
+    if (((_nonEmpty >> stage) & 1u) == 0)
+        return false;
+    const Direction out = _headOut[stage];
+    return out == Direction::Local ||
+           _ports[static_cast<std::size_t>(out)].queue.size() < _portDepth;
+}
+
+void
+Router::forward(std::size_t stage)
+{
+    const Flit flit = stage == injectionStage
+                          ? _injection.front()
+                          : _inputs[stage].fifo.front();
+    const Direction out = _headOut[stage];
     if (out == Direction::Local) {
-        const noc::Message delivered = msg;
         popStage(stage);
         if (!_eject)
             sim::panic("Router: no ejection callback");
-        _eject(delivered);
-        return true;
+        _eject(flit);
+        return;
     }
     OutputPort &port = _ports[static_cast<std::size_t>(out)];
     if (port.next == nullptr)
         sim::panic("Router: dimension-order route off the mesh edge");
-    if (port.queue.size() >= _portDepth)
-        return false; // Port queue full; its next start retries.
-    port.queue.push_back(msg);
+    port.queue.push_back(flit);
     tryStart(port);
     popStage(stage);
-    return true;
 }
 
 void
@@ -201,9 +218,10 @@ Router::process()
     _processing = true;
     _reprocess = false;
     // Keep moving messages while any stage makes progress; round-robin
-    // the starting stage so no input starves. A stage whose bit is
-    // clear is empty, so visiting it would move nothing and change
-    // nothing: skipping it keeps every pass's order and effects.
+    // the starting stage so no input starves. A stage that is not
+    // ready() is empty or its head's port queue is full, so visiting it
+    // would move nothing and change nothing: skipping it keeps every
+    // pass's order and effects, and no forward is tried that fails.
     const auto next = [](std::size_t stage) {
         return stage + 1 == numStages ? 0 : stage + 1;
     };
@@ -212,8 +230,10 @@ Router::process()
         progress = false;
         std::size_t stage = _rr;
         for (std::size_t i = 0; i < numStages; ++i) {
-            if (((_nonEmpty >> stage) & 1u) != 0 && tryForward(stage))
+            if (ready(stage)) {
+                forward(stage);
                 progress = true;
+            }
             stage = next(stage);
         }
         _rr = next(_rr);

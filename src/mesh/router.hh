@@ -15,6 +15,11 @@
  * a credit on the neighbour's input, serializes, waits out the hop
  * latency and pushes into that input; popping an input restarts the
  * upstream port that waits for its credit.
+ *
+ * A hop moves only what it reads. The message body stays parked in its
+ * mesh from send to ejection (ElectricalMesh), and the rings, both hop
+ * events and the ejection handler carry an 8-byte Flit: the body's
+ * slot, the destination routing reads and the kind serialization reads.
  */
 
 #ifndef CORONA_MESH_ROUTER_HH
@@ -60,6 +65,22 @@ struct HopTiming
 HopTiming hopTiming(double link_bytes_per_second, sim::Tick hop_latency);
 
 /**
+ * What a mesh hop carries: the parked body's slot, and the two fields
+ * a router reads. The mesh checks at construction that @c dst can
+ * name every cluster.
+ */
+struct Flit
+{
+    /** Index of the message body in its mesh's pool. */
+    std::uint32_t slot = 0;
+    /** Destination cluster. */
+    std::uint16_t dst = 0;
+    noc::MsgKind kind = noc::MsgKind::ReadReq;
+};
+
+static_assert(sizeof(Flit) == 8, "a flit is one word");
+
+/**
  * A single mesh router.
  *
  * The mesh fabric wires routers together with connect(): each output
@@ -69,7 +90,7 @@ HopTiming hopTiming(double link_bytes_per_second, sim::Tick hop_latency);
 class Router
 {
   public:
-    using Eject = std::function<void(const noc::Message &)>;
+    using Eject = std::function<void(Flit)>;
 
     /**
      * @param eq Event queue.
@@ -93,14 +114,15 @@ class Router
     void setEject(Eject eject) { _eject = std::move(eject); }
 
     /** Inject a locally sourced message (unbounded NIC queue). */
-    void inject(const noc::Message &msg);
+    void inject(Flit flit);
 
     /** Messages queued in the input buffer for traffic arriving from
      * direction @p d, plus the credits reserved for messages on their
      * way into it. */
     std::size_t inputDepth(Direction d) const;
 
-    /** Forwarding loop; safe to call whenever state may have changed. */
+    /** Forwarding loop; safe to call whenever state may have changed.
+     * A pass visits only the stages whose head can move now. */
     void process();
 
     topology::ClusterId id() const { return _id; }
@@ -118,7 +140,7 @@ class Router
     struct OutputPort
     {
         /** Messages waiting to serialize. */
-        noc::RingFifo<noc::Message> queue;
+        noc::RingFifo<Flit> queue;
         /** The router this port belongs to. */
         Router *owner = nullptr;
         /** The neighbour it feeds; null while unconnected. */
@@ -135,7 +157,7 @@ class Router
     /** A neighbour input buffer with credit flow control. */
     struct InputBuffer
     {
-        noc::RingFifo<noc::Message> fifo;
+        noc::RingFifo<Flit> fifo;
         /** Credits held by messages serializing or in flight toward
          * this buffer. */
         std::size_t reserved = 0;
@@ -148,24 +170,27 @@ class Router
     static constexpr std::size_t numStages = 5;
     static constexpr std::size_t injectionStage = 4;
 
-    /** Move the front message of non-empty @p stage one step on.
-     * @return true when it moved (progress). */
-    bool tryForward(std::size_t stage);
+    /** True when @p stage holds a message that can move now: its head
+     * ejects, or its head's port queue has room. */
+    bool ready(std::size_t stage) const;
 
-    /** Pop the front message of non-empty @p stage, clearing the
-     * stage's bit once it is empty. */
+    /** Move the head of ready() @p stage one step on. */
+    void forward(std::size_t stage);
+
+    /** Pop the head of non-empty @p stage, clearing the stage's bit
+     * once it is empty and caching the new head's port otherwise. */
     void popStage(std::size_t stage);
 
     /** Start serializing @p port's head message if the port is idle
      * and the neighbour's input has a credit to reserve. */
     void tryStart(OutputPort &port);
 
-    /** @p msg finished serializing on @p port. */
-    void finishSerialization(OutputPort &port, const noc::Message &msg);
+    /** @p flit finished serializing on @p port. */
+    void finishSerialization(OutputPort &port, Flit flit);
 
-    /** @p msg arrives in input buffer @p arrival, consuming the credit
+    /** @p flit arrives in input buffer @p arrival, consuming the credit
      * its sender reserved. */
-    void receive(std::size_t arrival, const noc::Message &msg);
+    void receive(std::size_t arrival, Flit flit);
 
     sim::EventQueue &_eq;
     topology::ClusterId _id;
@@ -179,15 +204,18 @@ class Router
     /** Neighbour input buffers indexed by arrival direction (E,W,N,S). */
     std::array<InputBuffer, 4> _inputs;
     /** Local injection queue (bounded end-to-end by MSHRs). */
-    noc::RingFifo<noc::Message> _injection;
+    noc::RingFifo<Flit> _injection;
     /** Output ports indexed by direction (E,W,N,S). */
     std::array<OutputPort, 4> _ports;
     Eject _eject;
     /** Bit s is set while stage s holds a message: set where a message
-     * enters (receive(), inject()), cleared where a pop empties the
-     * stage. process() skips a clear stage, where tryForward would
-     * find nothing to move. */
+     * enters an empty stage (receive(), inject()), cleared where a pop
+     * empties the stage. */
     unsigned _nonEmpty = 0;
+    /** Route of each non-empty stage's head, set whenever a message
+     * becomes the head: where it enters an empty stage, and where a
+     * pop leaves a new one. ready() and forward() read it. */
+    std::array<Direction, numStages> _headOut{};
     /** Round-robin pointer over input stages for output arbitration. */
     std::size_t _rr = 0;
     /** Reentrancy guard: process() may be re-triggered while it runs

@@ -3,7 +3,8 @@
  * Unit and property tests for the electrical 2D mesh: dimension-order
  * routing correctness and deadlock freedom, per-hop latency, bisection
  * bandwidth ceilings, a router port's serialization, queue and credit
- * back-pressure, and a golden forwarding order.
+ * back-pressure, a golden forwarding order, and the pool that holds
+ * the messages in flight.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,11 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "mesh/electrical_mesh.hh"
 #include "mesh/routing.hh"
 #include "sim/clock.hh"
@@ -361,6 +365,44 @@ TEST(RouterPort, RejectsAZeroRateOrAZeroDepth)
         std::invalid_argument);
 }
 
+/** Builds a mesh that must throw std::invalid_argument; returns its
+ * message and the heap allocations the attempt made. */
+std::pair<std::string, std::size_t>
+rejection(const Geometry &geom, const mesh::MeshParams &params)
+{
+    EventQueue eq;
+    const std::size_t before = test::allocations.load();
+    try {
+        ElectricalMesh mesh(eq, sim::coronaClock(), geom, params, "X");
+    } catch (const std::invalid_argument &e) {
+        const std::size_t made = test::allocations.load() - before;
+        return {e.what(), made};
+    }
+    ADD_FAILURE() << "the mesh was built";
+    return {};
+}
+
+TEST(Mesh, RejectsMoreClustersThanAFlitNamesBeforeBuildingARouter)
+{
+    // A zero rate fails in hopTiming(), before the first router.
+    mesh::MeshParams no_rate = mesh::hmeshParams();
+    no_rate.bisection_bytes_per_second = 0.0;
+    const auto [rate_what, rate_allocations] = rejection(Geometry(), no_rate);
+    // 256 x 256 clusters: a flit's 16-bit dst names them all, so the
+    // rate check is what throws.
+    const auto [edge_what, edge_allocations] =
+        rejection(Geometry(256 * 256), no_rate);
+    EXPECT_EQ(edge_what, rate_what);
+    EXPECT_EQ(edge_allocations, rate_allocations);
+    // 257 x 257: too many. The rejection allocates no more than the
+    // zero-rate one, so it too comes before the first router: none of
+    // the 66,049 route tables of 66,049 entries each is built.
+    const auto [wide_what, wide_allocations] =
+        rejection(Geometry(257 * 257), mesh::hmeshParams());
+    EXPECT_NE(wide_what.find("clusters"), std::string::npos) << wide_what;
+    EXPECT_EQ(wide_allocations, rate_allocations);
+}
+
 // -------------------------------------------------------------------
 // Property sweep: deadlock-free delivery under random traffic.
 // -------------------------------------------------------------------
@@ -429,13 +471,15 @@ INSTANTIATE_TEST_SUITE_P(
 struct GoldenRun
 {
     std::uint64_t delivered = 0;
-    /** FNV-1a over the ordered (tick, message tag) deliveries; each
-     * message's tag is its send number. */
+    /** FNV-1a over the ordered (tick, message tag) deliveries. */
     std::uint64_t digest = 14695981039346656037ull;
     /** Largest input depth of any router seen at a delivery. */
     std::size_t peakInputDepth = 0;
     /** Deliveries later than their unloaded time. */
     std::uint64_t delayed = 0;
+    /** Messages sent so far, bursts and replies; each message's tag is
+     * its send number. */
+    std::uint64_t sent = 0;
 };
 
 void
@@ -447,20 +491,20 @@ fnv1a(std::uint64_t &hash, std::uint64_t word)
     }
 }
 
-/** With @p replies, the destination answers every ReadReq with a
- * ReadResp: the ejection then re-enters inject() on the router whose
- * forwarding pass is running, as a fill that frees an MSHR does when
- * its thread issues the next miss. Each delivery also reads (and only
- * reads) every router's input depths and the message's delay over its
- * unloaded time, @p timing per hop. */
-GoldenRun
-runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
-                 const Geometry &geom, const mesh::HopTiming &timing,
-                 bool replies)
+/** Points @p mesh's deliveries at @p run and schedules 24 bursts on
+ * @p eq; the caller runs the queue. With @p replies, the destination
+ * answers every ReadReq with a ReadResp: the ejection then re-enters
+ * inject() on the router whose forwarding pass is running, as a fill
+ * that frees an MSHR does when its thread issues the next miss. Each
+ * delivery also reads (and only reads) every router's input depths and
+ * the message's delay over its unloaded time, @p timing per hop. */
+void
+startGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
+                   const Geometry &geom, const mesh::HopTiming &timing,
+                   bool replies, GoldenRun &run)
 {
-    GoldenRun run;
-    std::uint64_t next_id = 0;
-    mesh.setDeliver([&](const Message &msg) {
+    mesh.setDeliver([&eq, &mesh, &geom, &timing, replies,
+                     &run](const Message &msg) {
         ++run.delivered;
         fnv1a(run.digest, eq.now());
         fnv1a(run.digest, msg.tag);
@@ -478,7 +522,7 @@ runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
             ++run.delayed;
         if (replies && msg.kind == MsgKind::ReadReq) {
             Message reply = makeMsg(msg.dst, msg.src, MsgKind::ReadResp);
-            reply.tag = next_id++;
+            reply.tag = run.sent++;
             mesh.send(reply);
         }
     });
@@ -495,7 +539,7 @@ runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
             Message msg = makeMsg(src, dst,
                                   rng.chance(0.6) ? MsgKind::ReadResp
                                                   : MsgKind::ReadReq);
-            msg.tag = next_id++;
+            msg.tag = run.sent++;
             batch.push_back(msg);
         }
         eq.schedule(static_cast<Tick>(burst) * 4000,
@@ -504,8 +548,18 @@ runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
                             mesh.send(msg);
                     });
     }
+}
+
+/** startGoldenTraffic(), run to completion. */
+GoldenRun
+runGoldenTraffic(EventQueue &eq, ElectricalMesh &mesh,
+                 const Geometry &geom, const mesh::HopTiming &timing,
+                 bool replies)
+{
+    GoldenRun run;
+    startGoldenTraffic(eq, mesh, geom, timing, replies, run);
     eq.run();
-    EXPECT_EQ(run.delivered, next_id) << "every message delivered";
+    EXPECT_EQ(run.delivered, run.sent) << "every message delivered";
     return run;
 }
 
@@ -515,6 +569,9 @@ struct GoldenCase
     bool replies;
     std::uint64_t delivered;
     std::uint64_t digest;
+    /** One-message input buffers and port queues, where nearly every
+     * forwarding stage blocks. */
+    bool shallow = false;
 };
 
 class MeshGoldenOrder : public ::testing::TestWithParam<GoldenCase>
@@ -526,8 +583,12 @@ TEST_P(MeshGoldenOrder, DeliveryOrderMatchesTheRecordedDigest)
     const auto param = GetParam();
     EventQueue eq;
     const Geometry geom;
-    const mesh::MeshParams params =
+    mesh::MeshParams params =
         param.lmesh ? mesh::lmeshParams() : mesh::hmeshParams();
+    if (param.shallow) {
+        params.router.input_buffer_depth = 1;
+        params.router.link_queue_depth = 1;
+    }
     ElectricalMesh mesh(eq, sim::coronaClock(), geom, params,
                         param.lmesh ? "LMesh" : "HMesh");
     const mesh::HopTiming timing = mesh::hopTiming(
@@ -557,10 +618,81 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{false, false, 1663, 6996117947516639286ull},
         GoldenCase{true, false, 1663, 15678689531108502347ull},
         GoldenCase{false, true, 2298, 13856292682824949006ull},
-        GoldenCase{true, true, 2298, 567225417006869283ull}),
+        GoldenCase{true, true, 2298, 567225417006869283ull},
+        GoldenCase{false, false, 1663, 15676596213783796831ull, true},
+        GoldenCase{true, false, 1663, 4429719174081157621ull, true},
+        GoldenCase{false, true, 2298, 1214050027145638038ull, true},
+        GoldenCase{true, true, 2298, 4240799106269369236ull, true}),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
         return std::string(info.param.lmesh ? "LMesh" : "HMesh") +
-               (info.param.replies ? "RequestReply" : "");
+               (info.param.replies ? "RequestReply" : "") +
+               (info.param.shallow ? "Shallow" : "");
     });
+
+TEST(MeshPool, ADeliveredMessageOutlivesASendFromItsCallback)
+{
+    EventQueue eq;
+    const Geometry geom;
+    ElectricalMesh mesh(eq, sim::coronaClock(), geom, mesh::hmeshParams(),
+                        "HMesh");
+    std::vector<std::uint64_t> tags;
+    mesh.setDeliver([&](const Message &msg) {
+        const std::uint64_t tag = msg.tag;
+        // The reply may take the pool slot this message just left.
+        if (msg.kind == MsgKind::ReadReq)
+            mesh.send(makeMsg(msg.dst, msg.src, MsgKind::ReadResp, tag + 1));
+        EXPECT_EQ(msg.tag, tag);
+        tags.push_back(msg.tag);
+    });
+    mesh.send(makeMsg(geom.idAt({0, 0}), geom.idAt({3, 2}),
+                      MsgKind::ReadReq, 10));
+    eq.run();
+    EXPECT_EQ(tags, (std::vector<std::uint64_t>{10, 11}));
+}
+
+TEST(MeshPool, ResetMidFlightReplaysAndKeepsItsStorage)
+{
+    const Geometry geom;
+    const mesh::MeshParams params = mesh::hmeshParams();
+    EventQueue fresh_eq;
+    ElectricalMesh fresh(fresh_eq, sim::coronaClock(), geom, params,
+                         "HMesh");
+    const mesh::HopTiming timing = mesh::hopTiming(
+        fresh.linkBandwidth(), params.hop_latency_clocks * kClock);
+    const GoldenRun reference =
+        runGoldenTraffic(fresh_eq, fresh, geom, timing, true);
+
+    EXPECT_EQ(fresh.inFlight(), 0u);
+
+    // Stop just after the eleventh burst is sent, with messages in
+    // flight.
+    EventQueue eq;
+    ElectricalMesh mesh(eq, sim::coronaClock(), geom, params, "HMesh");
+    GoldenRun cut;
+    startGoldenTraffic(eq, mesh, geom, timing, true, cut);
+    eq.run(10 * 4000);
+    ASSERT_GT(cut.delivered, 0u);
+    ASSERT_GT(mesh.inFlight(), 0u);
+
+    mesh.reset();
+    eq.reset();
+    EXPECT_EQ(mesh.inFlight(), 0u) << "a reset leaked a slot";
+    const GoldenRun replay = runGoldenTraffic(eq, mesh, geom, timing, true);
+    EXPECT_EQ(replay.delivered, reference.delivered);
+    EXPECT_EQ(replay.digest, reference.digest);
+    EXPECT_EQ(mesh.inFlight(), 0u);
+
+    // A second identical run reaches the same peaks, and the body pool,
+    // its free list and the flit rings keep their storage across
+    // reset(), so it never reaches the allocator.
+    mesh.reset();
+    eq.reset();
+    GoldenRun again;
+    startGoldenTraffic(eq, mesh, geom, timing, true, again);
+    const std::size_t before = test::allocations.load();
+    eq.run();
+    EXPECT_EQ(test::allocations.load() - before, 0u);
+    EXPECT_EQ(again.digest, reference.digest);
+}
 
 } // namespace
